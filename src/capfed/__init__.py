@@ -4,8 +4,6 @@ from .clustering import (
     ClusteringParams,
     ClusteringReport,
     SanitizedCluster,
-    densest_cap,
-    pairwise_angles,
     run_clustering,
 )
 from .dp import (

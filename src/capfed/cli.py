@@ -370,6 +370,12 @@ def cmd_cluster(args) -> int:
         budget=cfg.fed_config.clustering_params.budget,
         mode=args.mode,
     )
+    if args.mode != clustering.MODE_NAIVE_PER_CENTER and params.min_cluster_size > len(centers):
+        print(
+            f"warning: min cluster size {params.min_cluster_size} exceeds the "
+            f"{len(centers)} centers in {args.embeddings}; no cluster can be released",
+            file=sys.stderr,
+        )
     rng = federation.derive_rng(cfg.seed, "cli-cluster")
     report = clustering.run_clustering(centers, params, rng)
     payload = {
@@ -405,6 +411,17 @@ def cmd_simulate(args) -> int:
         },
     )
     cfg = parse_config(args.config, overrides)
+    synth_params, fed_config = cfg.synth_params, cfg.fed_config
+    classes = synth_params.ids_per_client
+    if fed_config.shared_public_shard:
+        classes += synth_params.public_identities
+    min_size = fed_config.clustering_params.min_cluster_size
+    if fed_config.mode != federation.MODE_PHI and min_size > classes:
+        print(
+            f"warning: dplc.min_cluster_size={min_size} exceeds the {classes} classes of "
+            f"every client; mode {fed_config.mode} releases no cluster",
+            file=sys.stderr,
+        )
     fed_rng = federation.derive_rng(cfg.seed, "synth")
     fed = synth.generate_federation(cfg.synth_params, fed_rng)
     report = federation.run_federation(

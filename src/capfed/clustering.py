@@ -4,6 +4,20 @@ Repeatedly finds the seed center whose rho-cap covers the most remaining
 centers, releases the (optionally noised) cap mean, and removes everything
 the noise-free mean covers. Release stops as soon as a candidate cluster
 falls below the minimum size, so small groups are never published.
+
+Neighbour counts are streamed, never held as an n x n matrix: the upper
+triangle of the Gram matrix is computed once, at most _BLOCK_COSINES
+cosines at a time, to count every row's rho-neighbours, and after a release
+only the removed rows' contribution is subtracted, again in blocks. Working
+memory is O(n * d + _BLOCK_COSINES).
+
+Two rows are neighbours when theta <= rho, theta the arccos of their
+clipped dot product. Cosines are compared with cos(rho) directly; only
+pairs within 4 * d * eps of cos(rho) are recomputed as a row-wise dot and
+tested with arccos, so the decision for a pair does not depend on which
+block computed it. A row is always its own neighbour, and so is an
+identical copy of it whose cosine falls in that band: their angle is 0,
+though the rounded cosine may sit an ulp below 1.
 """
 
 from __future__ import annotations
@@ -92,41 +106,71 @@ class ClusteringReport:
     removed_indexes: list[np.ndarray] = field(default_factory=list)
 
 
-def pairwise_angles(centers: np.ndarray) -> np.ndarray:
-    """n x n matrix of angles between rows; symmetric with a zero diagonal."""
-    centers = np.asarray(centers, dtype=float)
-    gram = np.clip(centers @ centers.T, -1.0, 1.0)
-    theta = np.arccos(gram)
-    np.fill_diagonal(theta, 0.0)
-    return theta
+# Most cosines computed at once (16 MiB of float64): the working-set bound.
+_BLOCK_COSINES = 1 << 21
 
 
-def densest_cap(
-    centers: np.ndarray,
-    active: np.ndarray,
-    rho: float,
-    theta: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Largest seed-neighborhood among the active rows, and its mean.
+def _within_rho(cos: np.ndarray, rows, cols, centers: np.ndarray, rho: float) -> np.ndarray:
+    """Neighbour mask for a block of cosines, cos[a, b] ~ centers[rows[a]] . centers[cols[b]].
 
-    For each active seed i the candidate set is every active j with
-    theta[i, j] <= rho (the seed included). Returns the member indexes of the
-    winning seed (ties broken by the lowest seed index) and the plain
-    arithmetic mean of those rows, not normalized.
+    Any two summation orders of a length-d dot of unit rows differ by under
+    d * eps, so a cosine more than 4 * d * eps from cos(rho) is on the same
+    side of it whichever product computed it. Pairs inside that band are
+    recomputed as a row-wise dot, which gives the same bits for a pair in
+    every block and in either order, and kept when arccos of it is <= rho or
+    the two rows are identical.
     """
-    centers = np.asarray(centers, dtype=float)
-    active = np.asarray(active, dtype=int)
-    if active.size == 0:
-        raise EmptyInputError("active index set is empty")
-    if theta is None:
-        theta = pairwise_angles(centers)
-    sub = theta[np.ix_(active, active)]
-    neighbor = sub <= rho
-    counts = neighbor.sum(axis=1)
-    seed_pos = int(np.argmax(counts))  # argmax takes the first max: lowest index wins
-    members = active[neighbor[seed_pos]]
-    p = centers[members].mean(axis=0)
-    return members, p
+    band = 4.0 * centers.shape[1] * np.finfo(float).eps
+    cos_rho = math.cos(rho)
+    mask = cos >= cos_rho + band
+    in_band = cos >= cos_rho - band
+    in_band ^= mask
+    if in_band.any():
+        a, b = np.nonzero(in_band)
+        u, v = centers[rows[a]], centers[cols[b]]
+        exact = np.clip(np.sum(u * v, axis=1), -1.0, 1.0)
+        mask[a, b] = (np.arccos(exact) <= rho) | np.all(u == v, axis=1)
+    return mask
+
+
+def _neighbor_counts(centers: np.ndarray, rho: float) -> np.ndarray:
+    """Number of rows within rho of each row (itself included), over all n rows.
+
+    Walks the upper triangle of the Gram matrix in blocks of whole rows, each
+    block holding at most _BLOCK_COSINES cosines (one row at least): a pair
+    is decided once and counted for both of its rows.
+    """
+    n = centers.shape[0]
+    counts = np.zeros(n, dtype=np.int64)
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, _BLOCK_COSINES // (n - start)))
+        rows = np.arange(start, stop)
+        mask = _within_rho(
+            centers[start:stop] @ centers[start:].T, rows, np.arange(start, n), centers, rho
+        )
+        size = stop - start
+        mask[np.arange(size), np.arange(size)] = True
+        counts[start:stop] += mask.sum(axis=1)
+        counts[stop:] += mask[:, size:].sum(axis=0)
+        start = stop
+    return counts
+
+
+def _count_within(
+    centers: np.ndarray, rows: np.ndarray, cols: np.ndarray, rho: float
+) -> np.ndarray:
+    """For each of rows, how many of cols lie within rho of it; rows and cols disjoint."""
+    counts = np.zeros(rows.size, dtype=np.int64)
+    if cols.size == 0:
+        return counts
+    other = centers[cols]
+    step = max(1, _BLOCK_COSINES // cols.size)
+    for start in range(0, rows.size, step):
+        block = rows[start : start + step]
+        mask = _within_rho(centers[block] @ other.T, block, cols, centers, rho)
+        counts[start : start + step] = mask.sum(axis=1)
+    return counts
 
 
 def run_clustering(
@@ -146,6 +190,14 @@ def run_clustering(
     released. noise_free mode consumes no randomness and charges nothing;
     naive_per_center ignores clustering entirely and charges one release per
     center at sensitivity 2.
+
+    The densest cap is the active seed with the most active rho-neighbours
+    (itself included), ties going to the lowest index. Neighbour counts are
+    computed once in blocks of at most _BLOCK_COSINES cosines and reduced
+    by the removed rows after each release, so memory is O(n * d +
+    _BLOCK_COSINES), not n x n. The neighbour test is theta <= rho, decided
+    in cosine space with an arccos re-check near cos(rho); a row always
+    neighbours itself (see the module docstring).
     """
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] == 0:
@@ -175,7 +227,7 @@ def run_clustering(
         delta = (n * budget.epsilon, n * budget.delta)
         return ClusteringReport(clusters, [], n, delta, fidelities)
 
-    theta = pairwise_angles(centers)
+    counts = _neighbor_counts(centers, params.rho)
     active = np.arange(n)
     clusters = []
     raw_centers: list[np.ndarray] = []
@@ -186,9 +238,15 @@ def run_clustering(
     for _ in range(params.max_queries):
         if active.size == 0:
             break
-        members, p = densest_cap(centers, active, params.rho, theta)
+        seed_pos = int(np.argmax(counts[active]))  # first max: lowest index wins
+        seed = active[seed_pos : seed_pos + 1]
+        cos = (centers[seed] @ centers.T)[:, active]
+        within = _within_rho(cos, seed, active, centers, params.rho)[0]
+        within[seed_pos] = True
+        members = active[within]
         if members.size < params.min_cluster_size:
             break
+        p = centers[members].mean(axis=0)
         queries_used += 1
         member_indexes.append(members.copy())
         direction = normalize(p)
@@ -211,8 +269,11 @@ def run_clustering(
         fidelities.append(float(np.dot(released, direction)))
         cos_to_direction = np.clip(centers[active] @ direction, -1.0, 1.0)
         keep = np.arccos(cos_to_direction) > params.rho
-        removed_indexes.append(active[~keep].copy())
+        removed = active[~keep]
+        removed_indexes.append(removed)
         active = active[keep]
+        if queries_used < params.max_queries:
+            counts[active] -= _count_within(centers, active, removed, params.rho)
 
     if params.mode == MODE_SANITIZED:
         delta = (queries_used * budget.epsilon, queries_used * budget.delta)

@@ -246,6 +246,30 @@ class TestCommands:
             assert any(q > 0 for q in rec_h["queries_by_client"].values())
             assert rec_p["ledger_totals"] == {}
 
+    def test_unreachable_min_size_warns(self, tmp_path, capsys):
+        emb = tmp_path / "centers.csv"
+        write_embeddings_csv(emb, sample_uniform_directions(20, 4, np.random.default_rng(5)))
+        cluster = ["cluster", "--embeddings", str(emb), "--out", str(tmp_path / "c.json")]
+        assert main(cluster + ["--min-size", "21"]) == 0
+        captured = capsys.readouterr()
+        assert "min cluster size 21 exceeds the 20 centers" in captured.err
+        assert json.loads(captured.out)["queries_used"] == 0
+        assert main(cluster + ["--min-size", "20"]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(
+            "synth.clients = 2\nsynth.ids_per_client = 8\nsynth.samples_per_identity = 4\n"
+            "synth.embed_dim = 8\nsynth.input_dim = 10\nfed.rounds = 1\n"
+            "eval.positives = 30\neval.negatives = 30\neval.far_targets = 0.1\n"
+            f"out_dir = {tmp_path / 'run'}\n"
+        )
+        simulate = ["simulate", "--config", str(cfg)]
+        assert main(simulate + ["--mode", "phi-p"]) == 0  # default min size 512 > 8 classes
+        assert "min_cluster_size=512 exceeds the 8 classes" in capsys.readouterr().err
+        assert main(simulate + ["--mode", "phi"]) == 0
+        assert "warning" not in capsys.readouterr().err
+
     def test_attack_command(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
         directions = sample_uniform_directions(40, 8, rng)

@@ -1,22 +1,24 @@
 import copy
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from capfed import clustering
 from capfed.clustering import (
     MODE_NAIVE_PER_CENTER,
     MODE_NOISE_FREE,
+    MODE_SANITIZED,
     ClusteringParams,
-    densest_cap,
-    pairwise_angles,
     run_clustering,
 )
 from capfed.dp import PrivacyBudget
 from capfed.errors import DomainError, EmptyInputError
 from capfed.geometry import angle_between, normalize, sample_uniform_directions
 from conftest import planted_bundle
+from dense_oracle import dense_run_clustering, densest_cap, pairwise_angles
 
 BUDGET = PrivacyBudget(1.0, 5e-5)
 
@@ -233,3 +235,111 @@ class TestRunClustering:
         t_small = best_of(small)
         t_large = best_of(large)
         assert t_large <= 5.0 * max(t_small, 1e-4)
+
+
+def _planted(n, d, rng):
+    # four bundles of different tightness and size, plus uniform background
+    axes = sample_uniform_directions(4, d, rng)
+    parts = [
+        planted_bundle(axis, size, angle, rng)
+        for axis, size, angle in zip(axes, (60, 45, 30, 15), (0.05, 0.3, 0.8, 1.2))
+    ]
+    parts.append(sample_uniform_directions(n - 150, d, rng))
+    w = np.concatenate(parts)
+    return w[rng.permutation(n)]
+
+
+def _with_duplicates(n, d, rng):
+    # a third of the rows are exact copies of other rows
+    base = sample_uniform_directions(n - n // 3, d, rng)
+    copies = base[rng.integers(0, base.shape[0], n // 3)]
+    w = np.concatenate([base, copies])
+    return w[rng.permutation(n)]
+
+
+class TestStreamingMatchesDense:
+    """run_clustering against the dense angle-matrix oracle, over many small blocks."""
+
+    @pytest.mark.parametrize("mode", [MODE_SANITIZED, MODE_NOISE_FREE])
+    @pytest.mark.parametrize("make", [_planted, sample_uniform_directions, _with_duplicates])
+    @pytest.mark.parametrize("d", [2, 8, 32, 128, 512])
+    def test_identical_releases(self, monkeypatch, make, d, mode):
+        monkeypatch.setattr(clustering, "_BLOCK_COSINES", 97)
+        for seed, rho in enumerate((1e-3, 0.3, 1.0, 1.3, math.pi / 2)):
+            w = make(300, d, np.random.default_rng([d, seed]))
+            p = params(rho=rho, min_cluster_size=1, max_queries=6, mode=mode)
+            got = run_clustering(w, p, np.random.default_rng(seed))
+            want = dense_run_clustering(w, p, np.random.default_rng(seed))
+            assert got.queries_used == want.queries_used
+            assert got.ledger_delta == want.ledger_delta
+            assert got.fidelities == want.fidelities
+            for ours, theirs in zip(got.member_indexes, want.member_indexes, strict=True):
+                np.testing.assert_array_equal(ours, theirs)
+            for ours, theirs in zip(got.removed_indexes, want.removed_indexes, strict=True):
+                np.testing.assert_array_equal(ours, theirs)
+            for ours, theirs in zip(got.clusters, want.clusters, strict=True):
+                assert ours.center.tobytes() == theirs.center.tobytes()
+                assert ours.covered_count == theirs.covered_count
+            for ours, theirs in zip(got.raw_centers, want.raw_centers, strict=True):
+                assert ours.tobytes() == theirs.tobytes()
+
+
+class TestNeighbourEdgeCases:
+    def test_identical_rows_are_neighbours_at_tiny_rho(self, monkeypatch):
+        monkeypatch.setattr(clustering, "_BLOCK_COSINES", 97)
+        rng = np.random.default_rng(20)
+        base = sample_uniform_directions(400, 8, rng)
+        # rows whose rounded self-dot is below 1, so arccos of it exceeds rho
+        base = base[np.sum(base * base, axis=1) < 1.0][:30]
+        assert base.shape[0] == 30
+        w = np.tile(base, (3, 1))[rng.permutation(90)]
+        np.testing.assert_array_equal(clustering._neighbor_counts(w, 1e-9), 3)
+        p = params(rho=1e-9, min_cluster_size=1, max_queries=1, mode=MODE_NOISE_FREE)
+        (members,) = run_clustering(w, p, rng).member_indexes
+        np.testing.assert_array_equal(members, np.flatnonzero(np.all(w == w[0], axis=1)))
+
+    def test_every_row_counts_itself_at_tiny_rho(self, monkeypatch):
+        monkeypatch.setattr(clustering, "_BLOCK_COSINES", 97)
+        rng = np.random.default_rng(21)
+        # norms 5e-10 short of 1, within tolerance: every self-cosine is below cos(rho)
+        w = sample_uniform_directions(40, 4, rng) * (1.0 - 5e-10)
+        np.testing.assert_array_equal(clustering._neighbor_counts(w, 1e-9), 1)
+        p = params(rho=1e-9, min_cluster_size=1, max_queries=1, mode=MODE_NOISE_FREE)
+        assert [m.tolist() for m in run_clustering(w, p, rng).member_indexes] == [[0]]
+
+    def test_tie_across_block_boundary_goes_to_lowest_index(self, monkeypatch):
+        monkeypatch.setattr(clustering, "_BLOCK_COSINES", 97)
+        rng = np.random.default_rng(22)
+        w = sample_uniform_directions(300, 16, rng)
+        axes = sample_uniform_directions(2, 16, rng)
+        late, early = [37, 120, 250, 299], [36, 200, 201, 202]
+        w[late] = planted_bundle(axes[0], 4, 0.01, rng)
+        w[early] = planted_bundle(axes[1], 4, 0.01, rng)
+        p = params(rho=0.05, min_cluster_size=4, max_queries=3, mode=MODE_NOISE_FREE)
+        report = run_clustering(w, p, rng)
+        assert [m.tolist() for m in report.member_indexes] == [early, late]
+
+    def test_release_that_removes_every_row_ends_the_loop(self):
+        rng = np.random.default_rng(23)
+        w = planted_bundle(np.ones(8), 50, 0.2, rng)
+        p = params(rho=1.0, min_cluster_size=1, max_queries=3, mode=MODE_NOISE_FREE)
+        report = run_clustering(w, p, rng)
+        assert report.queries_used == 1
+        np.testing.assert_array_equal(report.removed_indexes[0], np.arange(50))
+
+
+def test_peak_memory_grows_subquadratically():
+    # the dense angle matrix made the n=4000 peak about 4x the n=2000 one
+    rng = np.random.default_rng(24)
+    p = params(rho=1.0, min_cluster_size=1, max_queries=3, mode=MODE_NOISE_FREE)
+
+    def peak(n):
+        w = sample_uniform_directions(n, 16, rng)
+        tracemalloc.start()
+        try:
+            run_clustering(w, p, rng)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) <= 2.5 * peak(2000)

@@ -8,16 +8,26 @@ falls below the minimum size, so small groups are never published.
 Neighbour counts are streamed, never held as an n x n matrix: the upper
 triangle of the Gram matrix is computed once, at most _BLOCK_COSINES
 cosines at a time, to count every row's rho-neighbours, and after a release
-only the removed rows' contribution is subtracted, again in blocks. Working
-memory is O(n * d + _BLOCK_COSINES).
+only the removed rows' contribution is subtracted, again in blocks. These
+block products are float32 (sgemm runs about twice as fast as dgemm); the
+seed's 1 x n query and the removal test stay float64. Working memory is
+O(n * d + _BLOCK_COSINES).
 
 Two rows are neighbours when theta <= rho, theta the arccos of their
 clipped dot product. Cosines are compared with cos(rho) directly; only
-pairs within 4 * d * eps of cos(rho) are recomputed as a row-wise dot and
-tested with arccos, so the decision for a pair does not depend on which
-block computed it. A row is always its own neighbour, and so is an
-identical copy of it whose cosine falls in that band: their angle is 0,
-though the rounded cosine may sit an ulp below 1.
+pairs within a band of 4 * d * eps of cos(rho), eps that of the block's
+dtype, are recomputed as a float64 row-wise dot and tested with arccos, so
+the decision for a pair does not depend on which block computed it, nor in
+which precision. For float32 blocks the band is 4 * d * 2**-23 = 8 * d * u,
+u = 2**-24, and it covers every error between a block cosine and the
+float64 dot: rounding unit rows to float32 and taking their length-d dot
+in float32 is off by at most (d + 2) * u (Higham, Accuracy and Stability
+of Numerical Algorithms, sec. 3.1); NumPy 2 compares a float32 array with
+a Python float in float32, so the threshold cos(rho) +- band is itself
+rounded by at most u; the float64 dot adds under d * 2**-53. A row is
+always its own neighbour, and so is an identical copy of it whose cosine
+falls in that band: their angle is 0, though the rounded cosine may sit
+below 1.
 """
 
 from __future__ import annotations
@@ -106,48 +116,66 @@ class ClusteringReport:
     removed_indexes: list[np.ndarray] = field(default_factory=list)
 
 
-# Most cosines computed at once (16 MiB of float64): the working-set bound.
+# Most cosines computed at once (8 MiB of float32), and most float64 entries of
+# each of the two row gathers in a band re-check (16 MiB): the working-set bound.
 _BLOCK_COSINES = 1 << 21
 
 
 def _within_rho(cos: np.ndarray, rows, cols, centers: np.ndarray, rho: float) -> np.ndarray:
     """Neighbour mask for a block of cosines, cos[a, b] ~ centers[rows[a]] . centers[cols[b]].
 
-    Any two summation orders of a length-d dot of unit rows differ by under
-    d * eps, so a cosine more than 4 * d * eps from cos(rho) is on the same
-    side of it whichever product computed it. Pairs inside that band are
-    recomputed as a row-wise dot, which gives the same bits for a pair in
-    every block and in either order, and kept when arccos of it is <= rho or
-    the two rows are identical.
+    The block may be float32 or float64; its dtype sets the band. Any two
+    ways of computing the cosine of unit rows in that dtype, including the
+    float32 rounding of the rows and of the Python-float threshold that
+    NumPy 2 compares a float32 array with, differ from the float64 row-wise
+    dot by well under 4 * d * eps (see the module docstring), so a cosine
+    more than that from cos(rho) is on the same side of it whichever product
+    computed it. Pairs inside the band are recomputed as a float64 row-wise
+    dot, which gives the same bits for a pair in every block and in either
+    order, and kept when arccos of it is <= rho or the two rows are
+    identical. They are recomputed at most _BLOCK_COSINES // d pairs at a
+    time, so a block whose every pair is in the band stays within the
+    working-set bound.
     """
-    band = 4.0 * centers.shape[1] * np.finfo(float).eps
+    d = centers.shape[1]
+    band = 4.0 * d * np.finfo(cos.dtype).eps
     cos_rho = math.cos(rho)
     mask = cos >= cos_rho + band
     in_band = cos >= cos_rho - band
     in_band ^= mask
-    if in_band.any():
-        a, b = np.nonzero(in_band)
-        u, v = centers[rows[a]], centers[cols[b]]
+    if not in_band.any():
+        return mask
+    a, b = np.nonzero(in_band)
+    step = max(1, _BLOCK_COSINES // d)
+    for start in range(0, a.size, step):
+        i, j = a[start : start + step], b[start : start + step]
+        u = centers[rows[i]]  # one gather per statement: at most three chunk x d arrays live
+        v = centers[cols[j]]
         exact = np.clip(np.sum(u * v, axis=1), -1.0, 1.0)
-        mask[a, b] = (np.arccos(exact) <= rho) | np.all(u == v, axis=1)
+        mask[i, j] = (np.arccos(exact) <= rho) | np.all(u == v, axis=1)
     return mask
 
 
-def _neighbor_counts(centers: np.ndarray, rho: float) -> np.ndarray:
+def _neighbor_counts(
+    centers: np.ndarray, rho: float, single: np.ndarray | None = None
+) -> np.ndarray:
     """Number of rows within rho of each row (itself included), over all n rows.
 
     Walks the upper triangle of the Gram matrix in blocks of whole rows, each
     block holding at most _BLOCK_COSINES cosines (one row at least): a pair
-    is decided once and counted for both of its rows.
+    is decided once and counted for both of its rows. The products are taken
+    over single, centers as float32, made here when not passed.
     """
     n = centers.shape[0]
+    if single is None:
+        single = centers.astype(np.float32)
     counts = np.zeros(n, dtype=np.int64)
     start = 0
     while start < n:
         stop = min(n, start + max(1, _BLOCK_COSINES // (n - start)))
         rows = np.arange(start, stop)
         mask = _within_rho(
-            centers[start:stop] @ centers[start:].T, rows, np.arange(start, n), centers, rho
+            single[start:stop] @ single[start:].T, rows, np.arange(start, n), centers, rho
         )
         size = stop - start
         mask[np.arange(size), np.arange(size)] = True
@@ -158,17 +186,20 @@ def _neighbor_counts(centers: np.ndarray, rho: float) -> np.ndarray:
 
 
 def _count_within(
-    centers: np.ndarray, rows: np.ndarray, cols: np.ndarray, rho: float
+    centers: np.ndarray, single: np.ndarray, rows: np.ndarray, cols: np.ndarray, rho: float
 ) -> np.ndarray:
-    """For each of rows, how many of cols lie within rho of it; rows and cols disjoint."""
+    """For each of rows, how many of cols lie within rho of it; rows and cols disjoint.
+
+    The products are taken over single, centers as float32.
+    """
     counts = np.zeros(rows.size, dtype=np.int64)
     if cols.size == 0:
         return counts
-    other = centers[cols]
+    other = single[cols]
     step = max(1, _BLOCK_COSINES // cols.size)
     for start in range(0, rows.size, step):
         block = rows[start : start + step]
-        mask = _within_rho(centers[block] @ other.T, block, cols, centers, rho)
+        mask = _within_rho(single[block] @ other.T, block, cols, centers, rho)
         counts[start : start + step] = mask.sum(axis=1)
     return counts
 
@@ -196,8 +227,8 @@ def run_clustering(
     computed once in blocks of at most _BLOCK_COSINES cosines and reduced
     by the removed rows after each release, so memory is O(n * d +
     _BLOCK_COSINES), not n x n. The neighbour test is theta <= rho, decided
-    in cosine space with an arccos re-check near cos(rho); a row always
-    neighbours itself (see the module docstring).
+    on float32 block cosines with a float64 arccos re-check near cos(rho); a
+    row always neighbours itself (see the module docstring).
     """
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] == 0:
@@ -227,7 +258,9 @@ def run_clustering(
         delta = (n * budget.epsilon, n * budget.delta)
         return ClusteringReport(clusters, [], n, delta, fidelities)
 
-    counts = _neighbor_counts(centers, params.rho)
+    # float32 copy for the neighbour-count products: n * d * 4 bytes beside centers
+    single = centers.astype(np.float32)
+    counts = _neighbor_counts(centers, params.rho, single)
     active = np.arange(n)
     clusters = []
     raw_centers: list[np.ndarray] = []
@@ -273,7 +306,7 @@ def run_clustering(
         removed_indexes.append(removed)
         active = active[keep]
         if queries_used < params.max_queries:
-            counts[active] -= _count_within(centers, active, removed, params.rho)
+            counts[active] -= _count_within(centers, single, active, removed, params.rho)
 
     if params.mode == MODE_SANITIZED:
         delta = (queries_used * budget.epsilon, queries_used * budget.delta)

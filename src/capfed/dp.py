@@ -160,17 +160,24 @@ class PrivacyLedger:
 
     def total_for(self, client: Hashable) -> tuple[float, float]:
         """(sum epsilon, sum delta) composed so far for one client."""
-        eps = math.fsum(e.queries * e.budget.epsilon for e in self.entries if e.client == client)
-        delta = math.fsum(e.queries * e.budget.delta for e in self.entries if e.client == client)
-        return eps, delta
+        return _composed([e for e in self.entries if e.client == client])
 
     def totals(self) -> dict[Hashable, tuple[float, float]]:
-        """Per-client composed totals for every client with at least one entry."""
-        clients: list[Hashable] = []
+        """Per-client composed totals for every client with at least one entry.
+
+        One pass buckets the entries by client, in order of first appearance.
+        """
+        by_client: dict[Hashable, list[LedgerEntry]] = {}
         for e in self.entries:
-            if e.client not in clients:
-                clients.append(e.client)
-        return {c: self.total_for(c) for c in clients}
+            by_client.setdefault(e.client, []).append(e)
+        return {c: _composed(entries) for c, entries in by_client.items()}
+
+
+def _composed(entries: list[LedgerEntry]) -> tuple[float, float]:
+    """(sum epsilon, sum delta) over entries; fsum is exact, so order does not matter."""
+    eps = math.fsum(e.queries * e.budget.epsilon for e in entries)
+    delta = math.fsum(e.queries * e.budget.delta for e in entries)
+    return eps, delta
 
 
 def norm_tail_probability(r: float, sigma: float, d: int) -> float:

@@ -16,7 +16,7 @@ from capfed.clustering import (
 )
 from capfed.dp import PrivacyBudget
 from capfed.errors import DomainError, EmptyInputError
-from capfed.geometry import angle_between, normalize, sample_uniform_directions
+from capfed.geometry import angle_between, normalize, normalize_rows, sample_uniform_directions
 from conftest import planted_bundle
 from dense_oracle import dense_run_clustering, densest_cap, pairwise_angles
 
@@ -268,20 +268,50 @@ class TestStreamingMatchesDense:
         for seed, rho in enumerate((1e-3, 0.3, 1.0, 1.3, math.pi / 2)):
             w = make(300, d, np.random.default_rng([d, seed]))
             p = params(rho=rho, min_cluster_size=1, max_queries=6, mode=mode)
-            got = run_clustering(w, p, np.random.default_rng(seed))
-            want = dense_run_clustering(w, p, np.random.default_rng(seed))
-            assert got.queries_used == want.queries_used
-            assert got.ledger_delta == want.ledger_delta
-            assert got.fidelities == want.fidelities
-            for ours, theirs in zip(got.member_indexes, want.member_indexes, strict=True):
-                np.testing.assert_array_equal(ours, theirs)
-            for ours, theirs in zip(got.removed_indexes, want.removed_indexes, strict=True):
-                np.testing.assert_array_equal(ours, theirs)
-            for ours, theirs in zip(got.clusters, want.clusters, strict=True):
-                assert ours.center.tobytes() == theirs.center.tobytes()
-                assert ours.covered_count == theirs.covered_count
-            for ours, theirs in zip(got.raw_centers, want.raw_centers, strict=True):
-                assert ours.tobytes() == theirs.tobytes()
+            _assert_same_as_dense(w, p, seed)
+
+    @pytest.mark.parametrize("block", [97, clustering._BLOCK_COSINES])
+    @pytest.mark.parametrize("mode", [MODE_SANITIZED, MODE_NOISE_FREE])
+    @pytest.mark.parametrize("d", [3, 8, 32, 128, 512])
+    def test_identical_releases_near_the_band(self, monkeypatch, d, mode, block):
+        # pairs at rho +- delta sit inside the float32 band, where the exact re-check decides
+        monkeypatch.setattr(clustering, "_BLOCK_COSINES", block)
+        for rho in (0.05, 0.3, 1.0, 1.3, math.pi / 2):
+            for seed in range(6):
+                w = _near_band(120, d, rho, np.random.default_rng([d, seed, int(rho * 1e3)]))
+                p = params(rho=rho, min_cluster_size=1, max_queries=6, mode=mode)
+                _assert_same_as_dense(w, p, seed)
+
+
+def _near_band(n, d, rho, rng):
+    # three cap directions, each with rows at angle rho +- delta, delta log-uniform in [1e-8, 1e-3]
+    axes = sample_uniform_directions(3, d, rng)
+    parts = [axes]
+    for axis, count in zip(axes, np.diff(np.linspace(3, n, 4).astype(int))):
+        tangent = rng.standard_normal((count, d))
+        tangent = normalize_rows(tangent - np.outer(tangent @ axis, axis))
+        delta = np.exp(rng.uniform(math.log(1e-8), math.log(1e-3), count))
+        theta = rho + rng.choice([-1.0, 1.0], count) * delta
+        parts.append(normalize_rows(np.outer(np.cos(theta), axis) + np.sin(theta)[:, None] * tangent))
+    w = np.concatenate(parts)
+    return w[rng.permutation(n)]
+
+
+def _assert_same_as_dense(w, p, seed):
+    got = run_clustering(w, p, np.random.default_rng(seed))
+    want = dense_run_clustering(w, p, np.random.default_rng(seed))
+    assert got.queries_used == want.queries_used
+    assert got.ledger_delta == want.ledger_delta
+    assert got.fidelities == want.fidelities
+    for ours, theirs in zip(got.member_indexes, want.member_indexes, strict=True):
+        np.testing.assert_array_equal(ours, theirs)
+    for ours, theirs in zip(got.removed_indexes, want.removed_indexes, strict=True):
+        np.testing.assert_array_equal(ours, theirs)
+    for ours, theirs in zip(got.clusters, want.clusters, strict=True):
+        assert ours.center.tobytes() == theirs.center.tobytes()
+        assert ours.covered_count == theirs.covered_count
+    for ours, theirs in zip(got.raw_centers, want.raw_centers, strict=True):
+        assert ours.tobytes() == theirs.tobytes()
 
 
 class TestNeighbourEdgeCases:
@@ -343,3 +373,37 @@ def test_peak_memory_grows_subquadratically():
             tracemalloc.stop()
 
     assert peak(4000) <= 2.5 * peak(2000)
+
+
+@pytest.mark.parametrize("d", [3, 32, 512])
+def test_float32_block_cosines_within_a_quarter_of_the_band(d):
+    # the band 4 * d * eps32 must cover the float32 product's error, (d + 2) * 2**-24
+    rng = np.random.default_rng([25, d])
+    w = np.concatenate(
+        [sample_uniform_directions(200, d, rng), planted_bundle(np.ones(d), 100, 0.05, rng)]
+    )
+    single = w.astype(np.float32)
+    block = single @ single.T
+    exact = np.stack([np.sum(w[i] * w, axis=1) for i in range(w.shape[0])])
+    band = 4.0 * d * np.finfo(block.dtype).eps
+    assert np.max(np.abs(block - exact)) < band / 4
+
+
+def test_band_recheck_memory_is_bounded_when_every_pair_is_in_the_band():
+    # 300 rows at pairwise angle exactly rho: every off-diagonal cosine lies in the band
+    n, rho = 300, 1.0
+    c = math.cos(rho)
+    w = np.zeros((n, n + 1))
+    w[np.arange(n), np.arange(n)] = math.sqrt(1.0 - c)
+    w[:, n] = math.sqrt(c)
+    p = params(rho=rho, min_cluster_size=1, max_queries=2, mode=MODE_NOISE_FREE)
+    tracemalloc.start()
+    try:
+        got = run_clustering(w, p, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # gathering every in-band pair at once peaked at 622 MiB
+    want = dense_run_clustering(w, p, np.random.default_rng(0))
+    for ours, theirs in zip(got.member_indexes, want.member_indexes, strict=True):
+        np.testing.assert_array_equal(ours, theirs)

@@ -156,6 +156,18 @@ class TestLedger:
         assert forward.total_for("a") == backward.total_for("a")
         assert forward.totals()["b"] == backward.totals()["b"]
 
+    def test_totals_match_total_for_in_first_appearance_order(self):
+        rng = np.random.default_rng(6)
+        clients = ["a", 7, ("c", 1), "d", 0]
+        ledger = PrivacyLedger()
+        for t in range(1500):
+            budget = PrivacyBudget(float(rng.uniform(0.01, 3.0)), float(rng.uniform(0.0, 1e-4)))
+            client = clients[int(rng.integers(len(clients)))]
+            ledger = ledger.compose(client, t, budget, int(rng.integers(1, 9)))
+        order = list(dict.fromkeys(e.client for e in ledger.entries))
+        assert sorted(map(str, order)) == sorted(map(str, clients))
+        assert list(ledger.totals().items()) == [(c, ledger.total_for(c)) for c in order]
+
     def test_immutability(self):
         base = PrivacyLedger()
         base.compose("a", 1, BUDGET, 1)

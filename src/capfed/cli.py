@@ -23,7 +23,7 @@ import numpy as np
 
 from . import clustering, dp, federation, losses, synth
 from .errors import CapfedError, ParseError, ValidationError
-from .geometry import normalize_rows, occupancy_ratio
+from .geometry import checked_row_norms, normalize_rows, occupancy_ratio
 
 OUTDIR_ENV = "CAPFED_OUTDIR"
 EMBEDDINGS_MAGIC = b"DPLC"
@@ -271,10 +271,10 @@ def read_embeddings(path) -> np.ndarray:
 def load_unit_embeddings(path) -> np.ndarray:
     """Load embeddings and normalize rows, warning when renormalization bites."""
     arr = read_embeddings(path)
-    norms = np.linalg.norm(arr, axis=1)
+    norms = checked_row_norms(arr)
     if np.any(np.abs(norms - 1.0) > 1e-6):
         print(f"warning: {path}: rows are not unit norm; normalizing on load", file=sys.stderr)
-    return normalize_rows(arr)
+    return arr / norms[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ sigma >= sensitivity / epsilon * sqrt(2 ln(1.25 / delta)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable
 
 import numpy as np
@@ -138,10 +138,20 @@ class PrivacyLedger:
     """Accumulated (epsilon, delta) per client under sequential composition.
 
     Immutable value: ``compose`` returns a new ledger. Totals are exact,
-    order-independent sums (math.fsum) of queries * per-query budget.
+    order-independent sums of queries * per-query budget, rounded once.
     """
 
     entries: tuple[LedgerEntry, ...] = ()
+    # Per client, in order of first appearance: the exact sums of the float
+    # products queries * epsilon and queries * delta, in units of 2**-1074.
+    # Rounding an exact sum once is what math.fsum over the entries returns.
+    _sums: dict[Hashable, tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        sums: dict[Hashable, tuple[int, int]] = {}
+        for e in self.entries:
+            _charge(sums, e)
+        object.__setattr__(self, "_sums", sums)
 
     def compose(
         self,
@@ -156,28 +166,40 @@ class PrivacyLedger:
         if queries == 0:
             return self
         entry = LedgerEntry(round_index, client, int(queries), budget)
-        return PrivacyLedger(self.entries + (entry,))
+        # Built field by field: __post_init__ would re-sum every entry.
+        ledger = object.__new__(PrivacyLedger)
+        object.__setattr__(ledger, "entries", self.entries + (entry,))
+        object.__setattr__(ledger, "_sums", dict(self._sums))
+        _charge(ledger._sums, entry)
+        return ledger
 
     def total_for(self, client: Hashable) -> tuple[float, float]:
         """(sum epsilon, sum delta) composed so far for one client."""
-        return _composed([e for e in self.entries if e.client == client])
+        eps, delta = self._sums.get(client, (0, 0))
+        return eps / _UNITS, delta / _UNITS
 
     def totals(self) -> dict[Hashable, tuple[float, float]]:
-        """Per-client composed totals for every client with at least one entry.
-
-        One pass buckets the entries by client, in order of first appearance.
-        """
-        by_client: dict[Hashable, list[LedgerEntry]] = {}
-        for e in self.entries:
-            by_client.setdefault(e.client, []).append(e)
-        return {c: _composed(entries) for c, entries in by_client.items()}
+        """Per-client composed totals for every client with at least one entry,
+        in order of first appearance."""
+        return {c: (eps / _UNITS, delta / _UNITS) for c, (eps, delta) in self._sums.items()}
 
 
-def _composed(entries: list[LedgerEntry]) -> tuple[float, float]:
-    """(sum epsilon, sum delta) over entries; fsum is exact, so order does not matter."""
-    eps = math.fsum(e.queries * e.budget.epsilon for e in entries)
-    delta = math.fsum(e.queries * e.budget.delta for e in entries)
-    return eps, delta
+# Every finite double is a whole number of 2**-1074 units, so sums of them
+# are exact Python ints, and int / int division rounds correctly.
+_UNITS = 2**1074
+
+
+def _in_units(x: float) -> int:
+    num, den = x.as_integer_ratio()
+    return num * (_UNITS // den)
+
+
+def _charge(sums: dict[Hashable, tuple[int, int]], e: LedgerEntry) -> None:
+    eps, delta = sums.get(e.client, (0, 0))
+    sums[e.client] = (
+        eps + _in_units(e.queries * e.budget.epsilon),
+        delta + _in_units(e.queries * e.budget.delta),
+    )
 
 
 def norm_tail_probability(r: float, sigma: float, d: int) -> float:

@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .geometry import normalize_rows
+from .geometry import checked_row_norms, normalize_rows
 
 MODE_PHI = "phi"  # conventional: no clusters exchanged
 MODE_PHI_HAT = "phi-hat"  # sanitized clusters
@@ -153,14 +153,10 @@ def initialize_clients(
         if config.shared_public_shard:
             x = np.concatenate([x, fed.public_inputs], axis=0)
             y_global = np.concatenate([y_global, fed.public_labels])
-        ids = np.unique(y_global)
-        local_of = {int(g): i for i, g in enumerate(ids)}
-        y_local = np.array([local_of[int(g)] for g in y_global])
+        ids, y_local = np.unique(y_global, return_inverse=True)
 
         if config.center_init == "class_means":
-            feats = embed(embedder0, x)
-            centers = np.stack([feats[y_local == i].mean(axis=0) for i in range(ids.size)])
-            centers = normalize_rows(centers)
+            centers = normalize_rows(_class_means(embed(embedder0, x), y_local, ids.size))
         else:
             crng = derive_rng(seed, "centers", c)
             centers = normalize_rows(crng.standard_normal((ids.size, d)))
@@ -175,6 +171,28 @@ def initialize_clients(
             )
         )
     return states, embedder0
+
+
+def _class_means(feats: np.ndarray, labels: np.ndarray, classes: int) -> np.ndarray:
+    """Per-class mean rows, bit-identical to feats[labels == i].mean(axis=0).
+
+    That mean adds a class's rows to 0.0 one after another in sample order,
+    then divides by the count. Here the j-th sample of every class is added
+    in one vectorized step, for j = 0, 1, ...: the same additions in the same
+    order, with one step per sample of the largest class.
+    """
+    counts = np.bincount(labels, minlength=classes)
+    by_class = np.argsort(labels, kind="stable")
+    rank = np.empty_like(by_class)
+    rank[by_class] = np.arange(labels.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    by_rank = np.argsort(rank, kind="stable")
+    sums = np.zeros((classes, feats.shape[1]))
+    start = 0
+    for end in np.cumsum(np.bincount(rank)):
+        rows = by_rank[start:end]
+        sums[labels[rows]] += feats[rows]
+        start = end
+    return sums / counts[:, None]
 
 
 def client_local_round(
@@ -211,9 +229,16 @@ def client_local_round(
             )
             batch_losses.append(bundle.loss)
             if lr != 0.0:
-                d_a = bundle.d_embeddings.T @ x
-                a -= lr * (d_a + wd * a)
-                w = normalize_rows(w - lr * bundle.d_centers)
+                # a -= lr * (d_a + wd * a) and w = normalize_rows(w - lr * d_w),
+                # in the same floating-point order, in place on arrays this round owns.
+                step = bundle.d_embeddings.T @ x
+                step += wd * a
+                step *= lr
+                a -= step
+                d_w = bundle.d_centers
+                d_w *= lr
+                w -= d_w
+                w /= checked_row_norms(w)[:, None]
     mean_loss = float(np.mean(batch_losses)) if batch_losses else None
     new_state = replace(state, embedder=a, centers=w)
     return new_state, mean_loss

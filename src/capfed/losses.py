@@ -10,6 +10,10 @@ Losses and gradients are defined for raw (not necessarily unit) inputs: every
 cosine is computed between internally normalized rows, so the returned
 gradients are the ambient gradients through the normalization map and are
 tangent to the sphere whenever the inputs are already unit.
+
+The kernel works in place, but only on temporaries it allocated itself: it
+never writes the caller's arrays, and the returned gradients are fresh
+arrays the caller owns.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 
 from .clustering import SanitizedCluster
 from .errors import DomainError, LabelOutOfRangeError, ShapeMismatchError
+from .geometry import row_norms
 
 KIND_COSFACE = "cosface"
 KIND_ARCFACE = "arcface"
@@ -136,8 +141,8 @@ def _check_batch(embeddings: np.ndarray, labels: np.ndarray, centers: np.ndarray
 
 
 def _unit_rows_and_norms(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    return m / norms, norms[:, 0]
+    norms = row_norms(m)
+    return m / norms[:, None], norms
 
 
 def _core(
@@ -154,6 +159,10 @@ def _core(
     Logit layout per row: n class logits followed by K cluster logits. The
     target class logit uses the margin form, the other class logits the plain
     s*cos form, and cluster logits the saturating cluster similarity.
+
+    Every (batch, n + K) pass runs in place on the kernel's own buffers, in
+    the floating-point order of the one-array-per-expression form kept in
+    tests/train_oracle.py, so the bits are the same.
     """
     embeddings = np.asarray(embeddings, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -168,13 +177,18 @@ def _core(
 
     f_hat, f_norm = _unit_rows_and_norms(embeddings)
     w_hat, w_norm = _unit_rows_and_norms(centers)
-    cos_cls = np.clip(f_hat @ w_hat.T, -1.0, 1.0)
+    # Class cosines in the first n columns, cluster cosines in the last K.
+    cos_all = np.empty((batch, n + k))
+    cos_cls = cos_all[:, :n]
+    np.matmul(f_hat, w_hat.T, out=cos_cls)
+    np.clip(cos_cls, -1.0, 1.0, out=cos_cls)
 
     rows = np.arange(batch)
     logits = np.empty((batch, n + k))
-    logits[:, :n] = s * cos_cls
-    # d(logit)/d(cos), needed for the backward pass; negatives are linear in cos.
-    gprime = np.full((batch, n + k), s)
+    np.multiply(cos_cls, s, out=logits[:, :n])
+    # d(logit)/d(cos) is s for every class logit but an arcface target, and
+    # cluster_gprime for the cluster logits.
+    target_gprime = None
 
     target_cos = cos_cls[rows, labels]
     if config.kind == KIND_COSFACE:
@@ -186,44 +200,59 @@ def _core(
         clamped = theta > clamp_limit
         theta_eff = np.where(clamped, clamp_limit, theta)
         logits[rows, labels] = s * np.cos(theta_eff - m)
-        dlogit = np.where(clamped, 0.0, s * np.sin(theta_eff - m) / np.sin(theta))
-        gprime[rows, labels] = dlogit
+        target_gprime = np.where(clamped, 0.0, s * np.sin(theta_eff - m) / np.sin(theta))
 
     if k:
-        cos_clu = np.clip(f_hat @ cluster_centers.T, -1.0 + _COS_EPS, 1.0 - _COS_EPS)
+        cos_clu = cos_all[:, n:]
+        np.matmul(f_hat, cluster_centers.T, out=cos_clu)
+        np.clip(cos_clu, -1.0 + _COS_EPS, 1.0 - _COS_EPS, out=cos_clu)
         theta_p = np.arccos(cos_clu)
         beyond = theta_p > rho
         logits[:, n:] = s * np.cos(np.where(beyond, theta_p - rho, 0.0))
         # Subgradient 0 at theta == rho: inside the margin the term is flat.
-        gprime[:, n:] = np.where(beyond, s * np.sin(theta_p - rho) / np.sin(theta_p), 0.0)
+        cluster_gprime = np.where(beyond, s * np.sin(theta_p - rho) / np.sin(theta_p), 0.0)
 
+    target_logits = logits[rows, labels]
     row_max = logits.max(axis=1, keepdims=True)
-    shifted = logits - row_max
-    exp = np.exp(shifted)
-    denom = exp.sum(axis=1, keepdims=True)
+    a = logits
+    a -= row_max
+    np.exp(a, out=a)
+    denom = a.sum(axis=1, keepdims=True)
     lse = row_max[:, 0] + np.log(denom[:, 0])
-    loss = float(np.mean(lse - logits[rows, labels]))
+    loss = float(np.mean(lse - target_logits))
 
     if not want_grads:
         return GradientBundle(np.zeros(0), np.zeros(0), loss)
 
-    soft = exp / denom
-    a = soft.copy()
+    # a = (softmax - onehot) * gprime / batch
+    a /= denom
     a[rows, labels] -= 1.0
-    a *= gprime / batch
+    target_a = a[rows, labels]
+    a[:, :n] *= s / batch
+    if target_gprime is not None:  # an arcface target's derivative is not s
+        a[rows, labels] = target_a * (target_gprime / batch)
+    if k:
+        cluster_gprime /= batch
+        a[:, n:] *= cluster_gprime
 
-    cos_all = cos_cls if k == 0 else np.concatenate([cos_cls, cos_clu], axis=1)
     d_f_hat = a[:, :n] @ w_hat
     if k:
-        d_f_hat = d_f_hat + a[:, n:] @ cluster_centers
-    proj_f = np.sum(a * cos_all, axis=1, keepdims=True)
-    d_embeddings = (d_f_hat - proj_f * f_hat) / f_norm[:, None]
-
+        d_f_hat += a[:, n:] @ cluster_centers
     d_w_hat = a[:, :n].T @ f_hat
-    proj_w = np.sum(a[:, :n] * cos_cls, axis=0)
-    d_centers = (d_w_hat - proj_w[:, None] * w_hat) / w_norm[:, None]
+    # a * cos, row sums for the embeddings and class-column sums for the centers.
+    a_cos = cos_all
+    a_cos *= a
+    proj_f = a_cos.sum(axis=1, keepdims=True)
+    proj_w = a_cos[:, :n].sum(axis=0)
 
-    return GradientBundle(d_embeddings, d_centers, loss)
+    # The unit rows are not read again: they take the products proj * unit.
+    f_hat *= proj_f
+    d_f_hat -= f_hat
+    d_f_hat /= f_norm[:, None]
+    w_hat *= proj_w[:, None]
+    d_w_hat -= w_hat
+    d_w_hat /= w_norm[:, None]
+    return GradientBundle(d_f_hat, d_w_hat, loss)
 
 
 def classification_loss(

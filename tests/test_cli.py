@@ -6,14 +6,15 @@ import pytest
 
 from capfed import dp
 from capfed.cli import (
+    load_unit_embeddings,
     main,
     parse_config,
     read_embeddings,
     write_embeddings_binary,
     write_embeddings_csv,
 )
-from capfed.errors import ParseError, ValidationError
-from capfed.geometry import occupancy_ratio, sample_uniform_directions
+from capfed.errors import ParseError, ValidationError, ZeroVectorError
+from capfed.geometry import normalize_rows, occupancy_ratio, sample_uniform_directions
 
 
 class TestParseConfig:
@@ -90,6 +91,23 @@ class TestEmbeddingsFiles:
         np.testing.assert_array_equal(back, arr.astype(np.float32).astype(float))
         header = path.read_text().splitlines()[0]
         assert header == "17,5"
+
+    def test_load_unit_embeddings_warns_and_normalizes(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        arr = rng.standard_normal((12, 6))
+        unit_path, raw_path = tmp_path / "unit.dplc", tmp_path / "raw.dplc"
+        write_embeddings_binary(unit_path, normalize_rows(arr))
+        write_embeddings_binary(raw_path, 3.0 * arr)
+        back = load_unit_embeddings(unit_path)
+        assert "warning" not in capsys.readouterr().err
+        np.testing.assert_allclose(np.linalg.norm(back, axis=1), 1.0, atol=1e-12)
+        raw = read_embeddings(raw_path)
+        assert load_unit_embeddings(raw_path).tobytes() == normalize_rows(raw).tobytes()
+        assert "rows are not unit norm" in capsys.readouterr().err
+        arr[4] = 0.0
+        write_embeddings_binary(raw_path, arr)
+        with pytest.raises(ZeroVectorError, match="row 4"):
+            load_unit_embeddings(raw_path)
 
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -176,6 +177,34 @@ class TestLedger:
     def test_negative_queries_rejected(self):
         with pytest.raises(DomainError):
             PrivacyLedger().compose("a", 1, BUDGET, -1)
+
+    def test_totals_are_fsum_of_entry_products(self):
+        rng = np.random.default_rng(8)
+        clients = ["a", "b", 3]
+        ledger = PrivacyLedger()
+        for t in range(600):
+            budget = PrivacyBudget(float(rng.uniform(1e-3, 5.0)), float(rng.uniform(1e-9, 1e-4)))
+            ledger = ledger.compose(clients[int(rng.integers(3))], t, budget, int(rng.integers(0, 40)))
+        for c in clients:
+            mine = [e for e in ledger.entries if e.client == c]
+            expected = (
+                math.fsum(e.queries * e.budget.epsilon for e in mine),
+                math.fsum(e.queries * e.budget.delta for e in mine),
+            )
+            assert ledger.total_for(c) == expected
+            assert ledger.totals()[c] == expected
+        assert ledger.total_for("nobody") == (0.0, 0.0)
+
+    def test_rebuilt_ledger_has_the_same_totals(self):
+        ledger = PrivacyLedger()
+        for t, (c, eps) in enumerate([("a", 0.1), ("b", 0.7), ("a", 0.2), ("a", 0.3)]):
+            ledger = ledger.compose(c, t, PrivacyBudget(eps), t + 1)
+        assert PrivacyLedger(ledger.entries) == ledger
+        assert PrivacyLedger(ledger.entries).totals() == ledger.totals()
+        assert copy.deepcopy(ledger).totals() == ledger.totals()
+        head = dataclasses.replace(ledger, entries=ledger.entries[:2])
+        assert head.totals() == {"a": (0.1, 5e-5), "b": (1.4, 1e-4)}
+        assert ledger.compose("b", 9, BUDGET, 0).totals() == ledger.totals()
 
     @given(st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=50))
     @settings(max_examples=50, deadline=None)

@@ -1,0 +1,259 @@
+"""The in-place training path against the allocating reference in train_oracle.
+
+Equality here is exact: the same loss float and the same gradient, embedder
+and center bytes, because the rewrite keeps every floating-point operation
+and its order.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+import train_oracle as oracle
+from capfed import federation, losses, synth
+from capfed.clustering import ClusteringParams
+from capfed.dp import PrivacyBudget
+from capfed.federation import (
+    FederationConfig,
+    client_full_gradient,
+    client_local_round,
+    derive_rng,
+    initialize_clients,
+    run_federation,
+)
+from capfed.geometry import checked_row_norms, normalize_rows, row_norms
+from capfed.losses import (
+    ConsensusContext,
+    LossConfig,
+    _core,
+    classification_loss,
+    consensus_loss,
+    loss_gradients,
+)
+from capfed.synth import SynthParams, generate_federation
+
+
+def assert_same_bundle(live, ref):
+    assert live.loss == ref.loss or (math.isnan(live.loss) and math.isnan(ref.loss))
+    for x, y in ((live.d_embeddings, ref.d_embeddings), (live.d_centers, ref.d_centers)):
+        assert x.shape == y.shape and x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+
+
+def kernel_case(rng, k, scale=1.5, b=24, n=30, d=12, rho=0.6, clamped=False):
+    """Raw (non-unit) embeddings and centers; clusters half inside, half beyond rho."""
+    w = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, size=(n, 1))
+    labels = rng.integers(0, n, size=b)
+    f = rng.standard_normal((b, d)) * scale
+    if clamped:
+        # Embeddings nearly opposite their target center: theta > pi - m.
+        f = -w[labels] + 1e-3 * rng.standard_normal((b, d))
+    clusters = np.zeros((k, d))
+    for j in range(k):
+        anchor = normalize_rows(f[j % b][None, :])[0]
+        angle = rho * (0.5 if j % 2 == 0 else 1.8)  # inside, then beyond the margin
+        side = normalize_rows(rng.standard_normal((1, d)))[0]
+        side -= (side @ anchor) * anchor
+        clusters[j] = math.cos(angle) * anchor + math.sin(angle) * normalize_rows(side[None, :])[0]
+    return f, labels, w, normalize_rows(clusters) if k else clusters, rho
+
+
+@pytest.mark.parametrize("kind", ["cosface", "arcface"])
+@pytest.mark.parametrize("k", [0, 5])
+@pytest.mark.parametrize("want_grads", [True, False])
+def test_kernel_matches_oracle(kind, k, want_grads):
+    rng = np.random.default_rng(11)
+    for case in range(40):
+        config = LossConfig(kind, float(rng.uniform(1.0, 64.0)), None if case % 3 else float(rng.uniform(0.0, 1.2)))
+        f, labels, w, clusters, rho = kernel_case(
+            rng,
+            k,
+            scale=float(rng.uniform(0.2, 4.0)),
+            b=int(rng.integers(1, 40)),
+            n=int(rng.integers(1, 50)),
+            d=int(rng.integers(2, 24)),
+            rho=float(rng.uniform(0.05, 1.5)),
+        )
+        live = _core(f, labels, w, clusters, rho, config, want_grads)
+        ref = oracle._core(f, labels, w, clusters, rho, config, want_grads)
+        assert_same_bundle(live, ref)
+
+
+def test_kernel_matches_oracle_in_clamped_arcface_region():
+    rng = np.random.default_rng(12)
+    config = LossConfig("arcface", 32.0, 0.5)
+    for k in (0, 3):
+        f, labels, w, clusters, rho = kernel_case(rng, k, clamped=True)
+        unit_f, unit_w = normalize_rows(f), normalize_rows(w)
+        theta = np.arccos(np.clip(np.sum(unit_f * unit_w[labels], axis=1), -1.0, 1.0))
+        assert np.all(theta > math.pi - config.margin)
+        for want_grads in (True, False):
+            live = _core(f, labels, w, clusters, rho, config, want_grads)
+            assert_same_bundle(live, oracle._core(f, labels, w, clusters, rho, config, want_grads))
+
+
+def test_kernel_matches_oracle_at_paper_shape():
+    rng = np.random.default_rng(13)
+    f, labels, w, clusters, rho = kernel_case(rng, 24, b=256, n=1000, d=512, rho=1.3)
+    for kind in ("cosface", "arcface"):
+        config = LossConfig(kind, 64.0)
+        live = _core(f, labels, w, clusters, rho, config, True)
+        assert_same_bundle(live, oracle._core(f, labels, w, clusters, rho, config, True))
+
+
+def test_integer_scale_is_the_float_scale():
+    # The reference's np.full(..., s) block was an integer array for an int
+    # scale, which truncated the arcface target and cluster derivatives.
+    rng = np.random.default_rng(16)
+    f, labels, w, clusters, rho = kernel_case(rng, 4)
+    for kind in ("cosface", "arcface"):
+        as_int = _core(f, labels, w, clusters, rho, LossConfig(kind, 16), True)
+        as_float = _core(f, labels, w, clusters, rho, LossConfig(kind, 16.0), True)
+        assert_same_bundle(as_int, as_float)
+
+
+def test_row_norms_are_linalg_norm_bits():
+    rng = np.random.default_rng(14)
+    for shape in [(7,), (5, 3), (40, 512), (2, 3, 9)]:
+        m = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+        assert row_norms(m).tobytes() == np.linalg.norm(m, axis=-1).tobytes()
+    m = rng.standard_normal((30, 17))
+    assert normalize_rows(m).tobytes() == oracle.normalize_rows(m).tobytes()
+    assert checked_row_norms(m).tobytes() == np.linalg.norm(m, axis=1).tobytes()
+
+
+def tiny_fed(seed=0, **kw):
+    base = dict(
+        clients=3,
+        ids_per_client=10,
+        samples_per_identity=4,
+        embed_dim=8,
+        input_dim=12,
+        concentration=48.0,
+    )
+    base.update(kw)
+    return generate_federation(SynthParams(**base), np.random.default_rng(seed))
+
+
+def tiny_config(**kw):
+    base = dict(
+        clients=3,
+        rounds=3,
+        mode="phi-hat",
+        clustering_params=ClusteringParams(
+            rho=1.3, min_cluster_size=1, max_queries=2, budget=PrivacyBudget(1.0, 5e-5)
+        ),
+        loss=LossConfig("cosface", 16.0),
+        learning_rate=0.2,
+        batch_size=16,
+        eval_positives=60,
+        eval_negatives=60,
+        far_targets=(0.1,),
+    )
+    base.update(kw)
+    return FederationConfig(**base)
+
+
+def foreign_context(rng, dim, k):
+    return ConsensusContext(normalize_rows(rng.standard_normal((k, dim))) if k else np.zeros((0, dim)))
+
+
+@pytest.mark.parametrize("kind", ["cosface", "arcface"])
+@pytest.mark.parametrize("k", [0, 4])
+@pytest.mark.parametrize("lr", [0.0, 0.3])
+def test_local_round_matches_oracle(kind, k, lr):
+    fed = tiny_fed(1)
+    config = tiny_config(loss=LossConfig(kind, 16.0), learning_rate=lr, local_epochs=2, batch_size=7)
+    states, embedder0 = initialize_clients(fed, config, 5)
+    foreign = foreign_context(np.random.default_rng(2), fed.params.embed_dim, k)
+    live, live_loss = client_local_round(states[0], embedder0, foreign, config, derive_rng(5, "t"))
+    ref, ref_loss = oracle.client_local_round(states[0], embedder0, foreign, config, derive_rng(5, "t"))
+    assert live_loss == ref_loss
+    assert live.embedder.tobytes() == ref.embedder.tobytes()
+    assert live.centers.tobytes() == ref.centers.tobytes()
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("center_init", ["class_means", "uniform"])
+def test_initialize_clients_matches_oracle(shared, center_init):
+    fed = tiny_fed(3, public_identities=5 if shared else 0, ids_per_client=13, samples_per_identity=5)
+    config = tiny_config(shared_public_shard=shared, center_init=center_init)
+    live, live_e = initialize_clients(fed, config, 9)
+    ref, ref_e = oracle.initialize_clients(fed, config, 9)
+    assert live_e.tobytes() == ref_e.tobytes()
+    for a, b in zip(live, ref, strict=True):
+        assert a.centers.tobytes() == b.centers.tobytes()
+        assert a.inputs.tobytes() == b.inputs.tobytes()
+        assert np.array_equal(a.labels, b.labels) and a.labels.dtype.kind == b.labels.dtype.kind
+        assert a.global_ids.tobytes() == b.global_ids.tobytes()
+
+
+def test_class_means_match_masked_means():
+    rng = np.random.default_rng(17)
+    for classes, extra in [(1, 0), (1, 8), (7, 33), (50, 350)]:
+        labels = rng.permutation(np.concatenate([np.arange(classes), rng.integers(0, classes, extra)]))
+        feats = rng.standard_normal((labels.size, 6))
+        feats[0, 0] = -0.0
+        expected = np.stack([feats[labels == i].mean(axis=0) for i in range(classes)])
+        assert federation._class_means(feats, labels, classes).tobytes() == expected.tobytes()
+
+
+def use_oracle(monkeypatch):
+    """Route the training path of run_federation through the reference copies."""
+    monkeypatch.setattr(losses, "_core", oracle._core)
+    monkeypatch.setattr(federation, "client_local_round", oracle.client_local_round)
+    monkeypatch.setattr(federation, "initialize_clients", oracle.initialize_clients)
+    monkeypatch.setattr(federation, "normalize_rows", oracle.normalize_rows)
+    monkeypatch.setattr(synth, "normalize_rows", oracle.normalize_rows)
+
+
+@pytest.mark.parametrize("aggregation", ["fedavg", "fedsgd"])
+@pytest.mark.parametrize("mode", ["phi", "phi-hat", "phi-p"])
+def test_run_federation_matches_oracle(monkeypatch, aggregation, mode):
+    fed = tiny_fed(4)
+    config = tiny_config(aggregation=aggregation, mode=mode, offline_probability=0.3)
+    live = run_federation(config, fed, 21)
+    with monkeypatch.context() as patched:
+        use_oracle(patched)
+        ref = run_federation(config, fed, 21)
+    if mode != "phi":
+        assert any(r.queries_by_client[c] for r in live.rounds for c in r.queries_by_client)
+    assert live.to_json() == ref.to_json()
+    assert live.final_embedder.tobytes() == ref.final_embedder.tobytes()
+    for a, b in zip(live.final_clients, ref.final_clients, strict=True):
+        assert a.centers.tobytes() == b.centers.tobytes()
+        assert a.embedder.tobytes() == b.embedder.tobytes()
+
+
+def snapshot(*arrays):
+    return [(np.asarray(x).dtype, np.asarray(x).shape, np.asarray(x).tobytes()) for x in arrays]
+
+
+def test_kernel_entry_points_leave_inputs_unchanged():
+    rng = np.random.default_rng(15)
+    for kind in ("cosface", "arcface"):
+        config = LossConfig(kind, 30.0)
+        f, labels, w, clusters, rho = kernel_case(rng, 4)
+        ctx = ConsensusContext(clusters)
+        before = snapshot(f, labels, w, clusters)
+        loss_gradients(f, labels, w, ctx, rho, config)
+        classification_loss(f, labels, w, config)
+        consensus_loss(f, labels, w, ctx, rho, config)
+        assert snapshot(f, labels, w, ctx.centers) == before
+
+
+def test_client_steps_leave_inputs_unchanged():
+    fed = tiny_fed(6)
+    config = tiny_config(local_epochs=2, batch_size=8)
+    states, embedder0 = initialize_clients(fed, config, 3)
+    foreign = foreign_context(np.random.default_rng(7), fed.params.embed_dim, 3)
+    state = states[1]
+    fields = [getattr(state, f.name) for f in dataclasses.fields(state) if f.name != "client_id"]
+    before = snapshot(embedder0, foreign.centers, *fields)
+    new_state, _ = client_local_round(state, embedder0, foreign, config, derive_rng(3, "x"))
+    client_full_gradient(state, embedder0, foreign, config)
+    assert snapshot(embedder0, foreign.centers, *fields) == before
+    assert not np.shares_memory(new_state.embedder, embedder0)
+    assert not np.shares_memory(new_state.centers, state.centers)

@@ -1,0 +1,234 @@
+"""Reference training path: the allocating loss kernel and local SGD round.
+
+`capfed.losses._core` and `capfed.federation.client_local_round` work in
+place on their own buffers; this module keeps the straightforward versions
+they replaced, one fresh array per expression, so tests can demand the same
+loss bits and gradient bytes from both. The row norms go through
+np.linalg.norm, as they did before `geometry.row_norms`. Helpers whose
+behaviour did not change (`_check_batch`, `GradientBundle`, the loss
+constants) are imported from the package.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from capfed import losses, synth
+from capfed.errors import EmptyShardError, ValidationError, ZeroVectorError
+from capfed.federation import ClientState, FederationConfig, derive_rng
+from capfed.geometry import ZERO_NORM_FLOOR
+from capfed.losses import (
+    _ARC_CLAMP_TINY,
+    _COS_EPS,
+    KIND_COSFACE,
+    GradientBundle,
+    LossConfig,
+    _check_batch,
+)
+
+
+def normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Normalize every row of a matrix to unit length."""
+    m = np.asarray(m, dtype=float)
+    norms = np.linalg.norm(m, axis=-1, keepdims=True)
+    if np.any(norms <= ZERO_NORM_FLOOR):
+        bad = int(np.argmax(norms <= ZERO_NORM_FLOOR))
+        raise ZeroVectorError(f"row {bad} has norm {float(norms[bad, 0]):.3e}")
+    return m / norms
+
+
+def _unit_rows_and_norms(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    return m / norms, norms[:, 0]
+
+
+def _core(
+    embeddings: np.ndarray,
+    labels: np.ndarray,
+    centers: np.ndarray,
+    cluster_centers: np.ndarray,
+    rho: float,
+    config: LossConfig,
+    want_grads: bool,
+) -> GradientBundle:
+    """Shared loss/gradient kernel.
+
+    Logit layout per row: n class logits followed by K cluster logits. The
+    target class logit uses the margin form, the other class logits the plain
+    s*cos form, and cluster logits the saturating cluster similarity.
+    """
+    embeddings = np.asarray(embeddings, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    centers = np.asarray(centers, dtype=float)
+    cluster_centers = np.asarray(cluster_centers, dtype=float).reshape(-1, embeddings.shape[1])
+    _check_batch(embeddings, labels, centers)
+
+    batch, _ = embeddings.shape
+    n = centers.shape[0]
+    k = cluster_centers.shape[0]
+    s, m = config.scale, config.margin
+
+    f_hat, f_norm = _unit_rows_and_norms(embeddings)
+    w_hat, w_norm = _unit_rows_and_norms(centers)
+    cos_cls = np.clip(f_hat @ w_hat.T, -1.0, 1.0)
+
+    rows = np.arange(batch)
+    logits = np.empty((batch, n + k))
+    logits[:, :n] = s * cos_cls
+    # d(logit)/d(cos), needed for the backward pass; negatives are linear in cos.
+    gprime = np.full((batch, n + k), s)
+
+    target_cos = cos_cls[rows, labels]
+    if config.kind == KIND_COSFACE:
+        logits[rows, labels] = s * (target_cos - m)
+    else:
+        ct = np.clip(target_cos, -1.0 + _COS_EPS, 1.0 - _COS_EPS)
+        theta = np.arccos(ct)
+        clamp_limit = math.pi - m + _ARC_CLAMP_TINY
+        clamped = theta > clamp_limit
+        theta_eff = np.where(clamped, clamp_limit, theta)
+        logits[rows, labels] = s * np.cos(theta_eff - m)
+        dlogit = np.where(clamped, 0.0, s * np.sin(theta_eff - m) / np.sin(theta))
+        gprime[rows, labels] = dlogit
+
+    if k:
+        cos_clu = np.clip(f_hat @ cluster_centers.T, -1.0 + _COS_EPS, 1.0 - _COS_EPS)
+        theta_p = np.arccos(cos_clu)
+        beyond = theta_p > rho
+        logits[:, n:] = s * np.cos(np.where(beyond, theta_p - rho, 0.0))
+        # Subgradient 0 at theta == rho: inside the margin the term is flat.
+        gprime[:, n:] = np.where(beyond, s * np.sin(theta_p - rho) / np.sin(theta_p), 0.0)
+
+    row_max = logits.max(axis=1, keepdims=True)
+    shifted = logits - row_max
+    exp = np.exp(shifted)
+    denom = exp.sum(axis=1, keepdims=True)
+    lse = row_max[:, 0] + np.log(denom[:, 0])
+    loss = float(np.mean(lse - logits[rows, labels]))
+
+    if not want_grads:
+        return GradientBundle(np.zeros(0), np.zeros(0), loss)
+
+    soft = exp / denom
+    a = soft.copy()
+    a[rows, labels] -= 1.0
+    a *= gprime / batch
+
+    cos_all = cos_cls if k == 0 else np.concatenate([cos_cls, cos_clu], axis=1)
+    d_f_hat = a[:, :n] @ w_hat
+    if k:
+        d_f_hat = d_f_hat + a[:, n:] @ cluster_centers
+    proj_f = np.sum(a * cos_all, axis=1, keepdims=True)
+    d_embeddings = (d_f_hat - proj_f * f_hat) / f_norm[:, None]
+
+    d_w_hat = a[:, :n].T @ f_hat
+    proj_w = np.sum(a[:, :n] * cos_cls, axis=0)
+    d_centers = (d_w_hat - proj_w[:, None] * w_hat) / w_norm[:, None]
+
+    return GradientBundle(d_embeddings, d_centers, loss)
+
+
+def loss_gradients(embeddings, labels, centers, context, rho, config) -> GradientBundle:
+    """Consensus loss with analytic gradients for embeddings and centers."""
+    return _core(embeddings, labels, centers, context.centers, rho, config, want_grads=True)
+
+
+def client_local_round(
+    state: ClientState,
+    broadcast_embedder: np.ndarray,
+    foreign: losses.ConsensusContext,
+    config: FederationConfig,
+    rng: np.random.Generator,
+) -> tuple[ClientState, float | None]:
+    """One client's local optimization pass for a fedavg round.
+
+    Syncs the broadcast embedder, then runs local_epochs passes of minibatch
+    SGD on the consensus loss. Class-center rows are renormalized after every
+    step. Returns the updated state and the mean minibatch loss (None when no
+    step ran).
+    """
+    n = state.inputs.shape[0]
+    if n == 0:
+        raise EmptyShardError(f"client {state.client_id} has no data")
+    a = np.array(broadcast_embedder, dtype=float)
+    w = state.centers.copy()
+    rho = config.clustering_params.rho
+    lr, wd = config.learning_rate, config.weight_decay
+    batch = min(config.batch_size, n)
+    batch_losses = []
+    for _ in range(config.local_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            rows = order[start : start + batch]
+            x = state.inputs[rows]
+            raw = x @ a.T
+            bundle = loss_gradients(raw, state.labels[rows], w, foreign, rho, config.loss)
+            batch_losses.append(bundle.loss)
+            if lr != 0.0:
+                d_a = bundle.d_embeddings.T @ x
+                a -= lr * (d_a + wd * a)
+                w = normalize_rows(w - lr * bundle.d_centers)
+    mean_loss = float(np.mean(batch_losses)) if batch_losses else None
+    new_state = replace(state, embedder=a, centers=w)
+    return new_state, mean_loss
+
+
+def embed(embedder: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Unit-normalized linear features for a batch of raw inputs."""
+    return normalize_rows(np.asarray(inputs, dtype=float) @ embedder.T)
+
+
+def initialize_clients(
+    fed: synth.SyntheticFederation,
+    config: FederationConfig,
+    seed: int,
+) -> tuple[list[ClientState], np.ndarray]:
+    """Build per-client states and the shared initial embedder.
+
+    The embedder init is broadcast (identical for every client). Class
+    centers start as the normalized per-class feature means under that init,
+    standing in for a warm start, unless center_init is "uniform".
+    """
+    if config.clients != fed.params.clients:
+        raise ValidationError(
+            f"config.clients={config.clients} != federation clients={fed.params.clients}"
+        )
+    if config.shared_public_shard and fed.public_inputs is None:
+        raise ValidationError("shared_public_shard requires a federation with public identities")
+
+    d, d_in = fed.params.embed_dim, fed.params.input_dim
+    init_rng = derive_rng(seed, "init")
+    embedder0 = config.init_scale * init_rng.standard_normal((d, d_in)) / np.sqrt(d_in)
+
+    states = []
+    for c in range(config.clients):
+        x = fed.client_inputs[c]
+        y_global = fed.client_labels[c]
+        if config.shared_public_shard:
+            x = np.concatenate([x, fed.public_inputs], axis=0)
+            y_global = np.concatenate([y_global, fed.public_labels])
+        ids = np.unique(y_global)
+        local_of = {int(g): i for i, g in enumerate(ids)}
+        y_local = np.array([local_of[int(g)] for g in y_global])
+
+        if config.center_init == "class_means":
+            feats = embed(embedder0, x)
+            centers = np.stack([feats[y_local == i].mean(axis=0) for i in range(ids.size)])
+            centers = normalize_rows(centers)
+        else:
+            crng = derive_rng(seed, "centers", c)
+            centers = normalize_rows(crng.standard_normal((ids.size, d)))
+        states.append(
+            ClientState(
+                client_id=c,
+                embedder=embedder0.copy(),
+                centers=centers,
+                inputs=np.asarray(x, dtype=float),
+                labels=y_local,
+                global_ids=ids,
+            )
+        )
+    return states, embedder0

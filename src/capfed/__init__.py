@@ -30,12 +30,10 @@ from .federation import (
     run_federation,
 )
 from .geometry import (
-    angle_between,
     normalize,
     normalize_rows,
     occupancy_ratio,
     reg_inc_beta,
-    sample_uniform_direction,
     sample_uniform_directions,
 )
 from .losses import (
@@ -43,11 +41,9 @@ from .losses import (
     GradientBundle,
     LossConfig,
     classification_loss,
-    cluster_similarity,
     consensus_loss,
     finite_diff_check,
     loss_gradients,
-    margin_similarity,
 )
 from .synth import (
     AttackGallery,

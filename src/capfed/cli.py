@@ -424,50 +424,34 @@ def cmd_simulate(args) -> int:
         )
     fed_rng = federation.derive_rng(cfg.seed, "synth")
     fed = synth.generate_federation(cfg.synth_params, fed_rng)
-    report = federation.run_federation(
-        cfg.fed_config, fed, cfg.seed, parallel=args.parallel
-    )
+    report = federation.run_federation(cfg.fed_config, fed, cfg.seed)
     outdir = Path(cfg.out_dir) if cfg.out_dir else _out_dir(args)
     prefix = cfg.fed_config.mode.replace("-", "_")
 
     header = {"record": "header", "config": cfg.resolved, "seed": cfg.seed}
     lines = [json.dumps(header, sort_keys=True)]
     for r in report.rounds:
-        lines.append(
-            json.dumps(
-                {
-                    "record": "round",
-                    "round": r.round_index,
-                    "mode": report.mode,
-                    "online_clients": r.online_clients,
-                    "loss_by_client": {str(k): v for k, v in r.loss_by_client.items()},
-                    "tar_by_far": {repr(k): v for k, v in r.tar_by_far.items()},
-                    "cross_client_margin": r.cross_client_margin,
-                    "queries_by_client": {str(k): v for k, v in r.queries_by_client.items()},
-                    "ledger_totals": {str(k): list(v) for k, v in r.ledger_totals.items()},
-                },
-                sort_keys=True,
-            )
-        )
+        record = {"record": "round", "mode": report.mode, **r.to_dict()}
+        lines.append(json.dumps(record, sort_keys=True))
     _atomic_write(outdir / f"{prefix}_rounds.jsonl", "\n".join(lines) + "\n")
 
     hist_counts, _ = np.histogram(report.fidelities, bins=100, range=(-1.0, 1.0))
     final = report.rounds[-1]
+    final_tar = federation.tar_payload(final.tar_by_far)
     summary = {
         "config": cfg.resolved,
         "seed": cfg.seed,
         "mode": report.mode,
         "rounds": len(report.rounds),
-        "final_tar_by_far": {repr(k): v for k, v in final.tar_by_far.items()},
+        "final_tar_by_far": final_tar,
         "final_cross_client_margin": final.cross_client_margin,
-        "final_ledger_totals": {str(k): list(v) for k, v in report.final_ledger_totals.items()},
+        "final_ledger_totals": federation.totals_payload(report.final_ledger_totals),
         "cosine_fidelity_samples": report.fidelities,
         "cosine_fidelity_hist_counts": [int(c) for c in hist_counts],
         "cosine_fidelity_hist_range": [-1.0, 1.0],
     }
     text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
     _atomic_write(outdir / f"{prefix}_summary.json", text)
-    final_tar = {repr(k): v for k, v in final.tar_by_far.items()}
     sys.stdout.write(
         json.dumps(
             {"mode": report.mode, "final_tar_by_far": final_tar, "out_dir": str(outdir)},
@@ -482,7 +466,7 @@ def cmd_attack(args) -> int:
     exposed = read_embeddings(args.exposed)
     gallery_vectors = read_embeddings(args.gallery)
     gallery = synth.AttackGallery(
-        np.arange(gallery_vectors.shape[0]), normalize_rows(gallery_vectors), "centroid"
+        np.arange(gallery_vectors.shape[0]), normalize_rows(gallery_vectors)
     )
     if args.targets:
         targets = json.loads(Path(args.targets).read_text())
@@ -595,7 +579,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--rho", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--offline-probability", type=float, dest="offline_probability")
-    p.add_argument("--parallel", action="store_true", help="run clients on threads")
     p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser("attack", help="top-k retrieval attack on exposed vectors")

@@ -99,16 +99,13 @@ class SanitizedCluster:
 class ClusteringReport:
     """Everything one clustering run produced.
 
-    raw_centers holds the unnormalized noise-free cap means and is populated
-    only in noise_free mode; sanitized runs never retain them. fidelities
-    holds the scalar cos(released center, noise-free direction) per query.
-    member_indexes / removed_indexes are local ground truth for evaluation
-    harnesses (which rows each query covered and which it knocked out of the
-    active set); they are never part of a release payload.
+    fidelities holds the scalar cos(released center, noise-free direction)
+    per query. member_indexes / removed_indexes are local ground truth for
+    evaluation harnesses (which rows each query covered and which it knocked
+    out of the active set); they are never part of a release payload.
     """
 
     clusters: list[SanitizedCluster]
-    raw_centers: list[np.ndarray]
     queries_used: int
     ledger_delta: tuple[float, float]
     fidelities: list[float]
@@ -256,14 +253,13 @@ def run_clustering(
             )
             fidelities.append(float(np.dot(normalize(noised), centers[i])))
         delta = (n * budget.epsilon, n * budget.delta)
-        return ClusteringReport(clusters, [], n, delta, fidelities)
+        return ClusteringReport(clusters, n, delta, fidelities)
 
     # float32 copy for the neighbour-count products: n * d * 4 bytes beside centers
     single = centers.astype(np.float32)
     counts = _neighbor_counts(centers, params.rho, single)
     active = np.arange(n)
     clusters = []
-    raw_centers: list[np.ndarray] = []
     fidelities = []
     member_indexes: list[np.ndarray] = []
     removed_indexes: list[np.ndarray] = []
@@ -288,7 +284,6 @@ def run_clustering(
             released = normalize(dp.gaussian_perturb(p, calibration.sigma, rng))
         else:
             released = direction.copy()
-            raw_centers.append(p.copy())
         clusters.append(
             SanitizedCluster(
                 center=released,
@@ -314,7 +309,6 @@ def run_clustering(
         delta = (0.0, 0.0)
     return ClusteringReport(
         clusters,
-        raw_centers,
         queries_used,
         delta,
         fidelities,

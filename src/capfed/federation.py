@@ -7,25 +7,19 @@ averages the returned embedders. Class centers never leave their client; the
 server only ever holds embedder parameters and released cluster centers.
 
 All randomness is drawn from streams keyed by (seed, purpose, round, client),
-so runs replay identically whether clients execute serially or in parallel.
+so identical runs replay identically.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import clustering, dp, losses, synth
-from .errors import (
-    DomainError,
-    EmptyShardError,
-    ShapeMismatchError,
-    ValidationError,
-)
+from .errors import EmptyShardError, ShapeMismatchError, ValidationError
 from .geometry import checked_row_norms, normalize_rows
 
 MODE_PHI = "phi"  # conventional: no clusters exchanged
@@ -301,7 +295,6 @@ def fedsgd_round(
     server: ServerState,
     foreign_by_client: dict[int, losses.ConsensusContext],
     config: FederationConfig,
-    parallel: bool = False,
 ) -> tuple[list[ClientState], np.ndarray, dict[int, float]]:
     """One gradient-aggregation round over the given (online) clients.
 
@@ -311,11 +304,10 @@ def fedsgd_round(
     leave it.
     """
     frozen = server.embedder
-
-    def work(state: ClientState):
-        return client_full_gradient(state, frozen, foreign_by_client[state.client_id], config)
-
-    results = _map_in_order(work, clients, parallel)
+    results = {
+        s.client_id: client_full_gradient(s, frozen, foreign_by_client[s.client_id], config)
+        for s in clients
+    }
     grads = [results[s.client_id][0] for s in clients]
     mean_grad = exact_mean(grads)
     new_embedder = frozen - config.learning_rate * (mean_grad + config.weight_decay * frozen)
@@ -332,13 +324,14 @@ def fedsgd_round(
     return updated, new_embedder, loss_by_client
 
 
-def _map_in_order(fn, clients: list[ClientState], parallel: bool) -> dict[int, object]:
-    """Run fn per client, optionally on threads; results keyed by client id."""
-    if parallel and len(clients) > 1:
-        with ThreadPoolExecutor(max_workers=len(clients)) as pool:
-            futures = {state.client_id: pool.submit(fn, state) for state in clients}
-        return {cid: fut.result() for cid, fut in futures.items()}
-    return {state.client_id: fn(state) for state in clients}
+def tar_payload(tar_by_far: dict[float, float]) -> dict[str, float]:
+    """JSON form of a TAR-by-FAR dict: each target keyed by its repr."""
+    return {repr(far): tar for far, tar in tar_by_far.items()}
+
+
+def totals_payload(totals: dict[int, tuple[float, float]]) -> dict[str, list[float]]:
+    """JSON form of per-client ledger totals: client -> [epsilon, delta]."""
+    return {str(client): list(total) for client, total in totals.items()}
 
 
 @dataclass
@@ -351,6 +344,18 @@ class RoundRecord:
     cross_client_margin: float
     ledger_totals: dict[int, tuple[float, float]]
     fidelities: list[float]
+
+    def to_dict(self) -> dict:
+        """JSON form of the round's public results; the fidelities stay out."""
+        return {
+            "round": self.round_index,
+            "online_clients": self.online_clients,
+            "queries_by_client": {str(k): v for k, v in self.queries_by_client.items()},
+            "loss_by_client": {str(k): v for k, v in self.loss_by_client.items()},
+            "tar_by_far": tar_payload(self.tar_by_far),
+            "cross_client_margin": self.cross_client_margin,
+            "ledger_totals": totals_payload(self.ledger_totals),
+        }
 
 
 @dataclass
@@ -373,23 +378,8 @@ class RunReport:
             "mode": self.mode,
             "seed": self.seed,
             "config": self.config,
-            "rounds": [
-                {
-                    "round": r.round_index,
-                    "online_clients": r.online_clients,
-                    "queries_by_client": {str(k): v for k, v in r.queries_by_client.items()},
-                    "loss_by_client": {str(k): v for k, v in r.loss_by_client.items()},
-                    "tar_by_far": {repr(k): v for k, v in r.tar_by_far.items()},
-                    "cross_client_margin": r.cross_client_margin,
-                    "ledger_totals": {
-                        str(k): list(v) for k, v in r.ledger_totals.items()
-                    },
-                }
-                for r in self.rounds
-            ],
-            "final_ledger_totals": {
-                str(k): list(v) for k, v in self.final_ledger_totals.items()
-            },
+            "rounds": [r.to_dict() for r in self.rounds],
+            "final_ledger_totals": totals_payload(self.final_ledger_totals),
             "fidelities": self.fidelities,
         }
         return json.dumps(payload, sort_keys=True)
@@ -405,7 +395,6 @@ def run_federation(
     config: FederationConfig,
     fed: synth.SyntheticFederation,
     seed: int,
-    parallel: bool = False,
 ) -> RunReport:
     """Execute the full training scheme and return its report.
 
@@ -413,8 +402,7 @@ def run_federation(
     the cluster release on every online client (skipped in mode "phi"),
     gather and redistribute clusters, locally optimize, aggregate. The ledger
     charges each online client queries_used releases per round in sanitized
-    mode. Identical (config, fed, seed) replay bit-identically, parallel or
-    not.
+    mode. Identical (config, fed, seed) replay bit-identically.
     """
     clients, embedder0 = initialize_clients(fed, config, seed)
     server = ServerState(embedder=embedder0.copy())
@@ -444,16 +432,14 @@ def run_federation(
         released: list[clustering.SanitizedCluster] = []
         if cluster_mode is not None:
             params = replace(config.clustering_params, mode=cluster_mode)
-
-            def cluster_work(state: ClientState, t=t, params=params):
-                rng = derive_rng(seed, "cluster", t, state.client_id)
-                return clustering.run_clustering(
-                    state.centers, params, rng, client=state.client_id, round_index=t
-                )
-
-            reports = _map_in_order(cluster_work, online_states, parallel)
             for c in online:
-                report = reports[c]
+                report = clustering.run_clustering(
+                    clients[c].centers,
+                    params,
+                    derive_rng(seed, "cluster", t, c),
+                    client=c,
+                    round_index=t,
+                )
                 released.extend(report.clusters)
                 queries_by_client[c] = report.queries_used
                 round_fidelities.extend(report.fidelities)
@@ -469,23 +455,19 @@ def run_federation(
         }
 
         if config.aggregation == "fedavg":
-
-            def local_work(state: ClientState, t=t):
-                rng = derive_rng(seed, "local", t, state.client_id)
-                return client_local_round(
-                    state, server.embedder, foreign_by_client[state.client_id], config, rng
-                )
-
-            results = _map_in_order(local_work, online_states, parallel)
             loss_by_client = {}
             for c in online:
-                new_state, loss = results[c]
-                clients[c] = new_state
-                loss_by_client[c] = loss
+                clients[c], loss_by_client[c] = client_local_round(
+                    clients[c],
+                    server.embedder,
+                    foreign_by_client[c],
+                    config,
+                    derive_rng(seed, "local", t, c),
+                )
             server.embedder = aggregate_fedavg([clients[c].embedder for c in online])
         else:
             updated, new_embedder, loss_by_client = fedsgd_round(
-                online_states, server, foreign_by_client, config, parallel
+                online_states, server, foreign_by_client, config
             )
             for state in updated:
                 clients[state.client_id] = state

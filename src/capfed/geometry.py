@@ -1,4 +1,4 @@
-"""Unit-sphere primitives: normalization, angles, cap areas, uniform directions.
+"""Unit-sphere primitives: normalization, cap areas, uniform directions.
 
 Everything here is double precision. Cap areas go down to ~1e-10 for the
 margins and dimensions this package targets, so the incomplete beta function
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, ZeroVectorError
+from .errors import DomainError, ZeroVectorError
 
 ZERO_NORM_FLOOR = 1e-12
 UNIT_ROW_ATOL = 1e-9
@@ -58,19 +58,6 @@ def has_unit_rows(m: np.ndarray, atol: float = UNIT_ROW_ATOL) -> bool:
     """True when every row's norm is 1 within atol."""
     norms = row_norms(np.asarray(m, dtype=float))
     return bool(np.all(np.abs(norms - 1.0) <= atol))
-
-
-def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle in [0, pi] between two unit vectors.
-
-    The inner product is clamped to [-1, 1] before arccos: floating-point
-    drift at near-parallel vectors would otherwise leave the domain.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise DimensionMismatchError(f"shapes {u.shape} and {v.shape} differ")
-    return float(np.arccos(np.clip(np.dot(u, v), -1.0, 1.0)))
 
 
 _BETACF_MAX_ITERATIONS = 1000
@@ -160,21 +147,6 @@ def occupancy_ratio(rho: float, d: int) -> float:
         return 1.0 - occupancy_ratio(math.pi - rho, d)
     s = math.sin(rho)
     return 0.5 * reg_inc_beta(s * s, (d - 1) / 2.0, 0.5)
-
-
-def sample_uniform_direction(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one direction uniformly on the unit d-sphere.
-
-    Isotropic Gaussian draw followed by normalization; deterministic given the
-    generator state. The caller owns the stream.
-    """
-    if int(d) != d or d < 2:
-        raise DomainError(f"dimension d={d} must be an integer >= 2")
-    while True:
-        v = rng.standard_normal(int(d))
-        norm = float(np.linalg.norm(v))
-        if norm > ZERO_NORM_FLOOR:
-            return v / norm
 
 
 def sample_uniform_directions(count: int, d: int, rng: np.random.Generator) -> np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -95,35 +95,6 @@ class GradientBundle:
     d_embeddings: np.ndarray  # same shape as the embedding batch
     d_centers: np.ndarray  # same shape as the center matrix
     loss: float
-
-
-def margin_similarity(config: LossConfig, theta: float, role: str) -> float:
-    """Scaled similarity logit for one angle.
-
-    role "positive" applies the margin (subtractive for cosface, angular for
-    arcface); role "negative" is s * cos(theta) for both families.
-    """
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"theta={theta} outside [0, pi]")
-    if role == "negative":
-        return config.scale * math.cos(theta)
-    if role != "positive":
-        raise DomainError(f"role={role!r} not 'positive' or 'negative'")
-    if config.kind == KIND_COSFACE:
-        return config.scale * (math.cos(theta) - config.margin)
-    theta_eff = min(theta, math.pi - config.margin + _ARC_CLAMP_TINY)
-    return config.scale * math.cos(theta_eff - config.margin)
-
-
-def cluster_similarity(p_hat: np.ndarray, f: np.ndarray, rho: float, s: float) -> float:
-    """Similarity between an embedding and a cluster of margin rho.
-
-    Saturates at s while the embedding sits inside the margin and decays as
-    s * cos(theta - rho) beyond it; continuous at the boundary.
-    """
-    c = float(np.clip(np.dot(np.asarray(p_hat, float), np.asarray(f, float)), -1.0, 1.0))
-    theta = math.acos(c)
-    return s * math.cos(max(theta - rho, 0.0))
 
 
 def _check_batch(embeddings: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> None:

@@ -10,7 +10,7 @@ through a fixed random isometry, and the embedder has to undo it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,8 +256,8 @@ def cross_client_margin(centers_per_client: list[np.ndarray]) -> float:
     mats = [normalize_rows(np.asarray(m, dtype=float)) for m in centers_per_client]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            cos = np.clip(mats[i] @ mats[j].T, -1.0, 1.0)
-            best = min(best, float(np.arccos(cos.max())))
+            cos = np.clip((mats[i] @ mats[j].T).max(), -1.0, 1.0)
+            best = min(best, float(np.arccos(cos)))
     return best
 
 
@@ -265,19 +265,17 @@ def cross_client_margin(centers_per_client: list[np.ndarray]) -> float:
 class AttackGallery:
     """Reference embeddings an attacker compares exposed vectors against.
 
-    mode "centroid" keeps one entry per identity; mode "samples" keeps several
-    embedded samples per identity.
+    The gallery keeps one entry (a centroid) per identity.
     """
 
     ids: np.ndarray  # (E,) identity id per entry
     vectors: np.ndarray  # (E, d) unit rows
-    mode: str = "centroid"
 
     def __post_init__(self) -> None:
         if self.ids.shape[0] != self.vectors.shape[0]:
             raise DomainError("gallery ids and vectors must align")
-        if self.mode == "centroid" and np.unique(self.ids).size != self.ids.size:
-            raise DomainError("centroid gallery must have exactly one entry per identity")
+        if np.unique(self.ids).size != self.ids.size:
+            raise DomainError("gallery must have exactly one entry per identity")
 
     @property
     def identity_count(self) -> int:
@@ -297,7 +295,7 @@ def gallery_from_directions(
         vectors = np.concatenate([directions, extra], axis=0)
     else:
         vectors = directions.copy()
-    return AttackGallery(np.arange(g + distractors), vectors, "centroid")
+    return AttackGallery(np.arange(g + distractors), vectors)
 
 
 @dataclass

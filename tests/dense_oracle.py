@@ -65,7 +65,7 @@ def dense_run_clustering(
     budget = params.budget
     theta = pairwise_angles(centers)
     active = np.arange(centers.shape[0])
-    clusters, raw_centers, fidelities, member_indexes, removed_indexes = [], [], [], [], []
+    clusters, fidelities, member_indexes, removed_indexes = [], [], [], []
     for _ in range(params.max_queries):
         if active.size == 0:
             break
@@ -79,7 +79,6 @@ def dense_run_clustering(
             released = normalize(dp.gaussian_perturb(p, calibration.sigma, rng))
         else:
             released = direction.copy()
-            raw_centers.append(p)
         clusters.append(
             SanitizedCluster(released, params.rho, int(members.size), len(clusters) + 1)
         )
@@ -93,5 +92,5 @@ def dense_run_clustering(
     else:
         delta = (0.0, 0.0)
     return ClusteringReport(
-        clusters, raw_centers, queries, delta, fidelities, member_indexes, removed_indexes
+        clusters, queries, delta, fidelities, member_indexes, removed_indexes
     )

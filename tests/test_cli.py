@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from capfed import dp
+from capfed import dp, federation, synth
 from capfed.cli import (
     load_unit_embeddings,
     main,
@@ -250,6 +250,24 @@ class TestCommands:
         assert main(base + ["--mode", "phi-hat"]) == 0
         assert (tmp_path / "run" / "phi_hat_rounds.jsonl").read_bytes() == first
         assert (tmp_path / "run" / "phi_hat_summary.json").read_bytes() == summary_first
+
+        # Both serializers write exactly these keys per round, and the same values.
+        round_keys = {
+            "round", "online_clients", "queries_by_client", "loss_by_client",
+            "tar_by_far", "cross_client_margin", "ledger_totals",
+        }
+        file_rounds = [json.loads(line) for line in first.decode().splitlines()[1:]]
+        for rec in file_rounds:
+            assert set(rec) == round_keys | {"record", "mode"}
+            assert (rec.pop("record"), rec.pop("mode")) == ("round", "phi-hat")
+        run = parse_config(str(cfg), {"seed": 5, "fed.mode": "phi-hat"})
+        fed = synth.generate_federation(run.synth_params, federation.derive_rng(5, "synth"))
+        json_rounds = json.loads(federation.run_federation(run.fed_config, fed, 5).to_json())["rounds"]
+        assert [set(r) for r in json_rounds] == [round_keys] * 2
+        assert json_rounds == file_rounds
+
+        assert main(base + ["--parallel"]) == 1
+        assert "usage error" in capsys.readouterr().err
 
         assert main(base + ["--mode", "phi"]) == 0
         capsys.readouterr()

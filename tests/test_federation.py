@@ -211,14 +211,13 @@ class TestFedSgd:
 
 
 class TestRunFederation:
-    def test_deterministic_replay_serial_and_parallel(self):
+    def test_deterministic_replay(self):
         fed = tiny_fed(3)
         config = tiny_config()
-        a = run_federation(config, fed, seed=21, parallel=False)
-        b = run_federation(config, fed, seed=21, parallel=False)
-        c = run_federation(config, fed, seed=21, parallel=True)
-        assert a.to_json() == b.to_json() == c.to_json()
-        np.testing.assert_array_equal(a.final_embedder, c.final_embedder)
+        a = run_federation(config, fed, seed=21)
+        b = run_federation(config, fed, seed=21)
+        assert a.to_json() == b.to_json()
+        np.testing.assert_array_equal(a.final_embedder, b.final_embedder)
 
     def test_seed_changes_output(self):
         fed = tiny_fed(3)

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from capfed.errors import DimensionMismatchError, DomainError, ZeroVectorError
+from capfed.errors import DomainError, ZeroVectorError
 from capfed.geometry import (
-    angle_between,
     normalize,
     normalize_rows,
     occupancy_ratio,
     reg_inc_beta,
-    sample_uniform_direction,
     sample_uniform_directions,
 )
 
@@ -46,32 +44,6 @@ class TestNormalize:
         m = rng.standard_normal((20, 5)) * 3.0
         out = normalize_rows(m)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
-
-
-class TestAngleBetween:
-    def test_parallel(self):
-        assert angle_between(e(0, 4), e(0, 4)) == 0.0
-
-    def test_orthogonal(self):
-        assert angle_between(e(0, 4), e(1, 4)) == pytest.approx(math.pi / 2, abs=1e-15)
-
-    def test_antipodal(self):
-        assert angle_between(e(0, 4), -e(0, 4)) == pytest.approx(math.pi, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            angle_between(e(0, 3), e(0, 4))
-
-    def test_clamps_drift(self):
-        v = normalize([1.0, 1e-9, 0.0])
-        assert angle_between(v, v) == 0.0
-
-    def test_symmetry_and_triangle_inequality(self):
-        rng = np.random.default_rng(1)
-        for _ in range(2000):
-            u, v, w = (sample_uniform_direction(6, rng) for _ in range(3))
-            assert angle_between(u, v) == angle_between(v, u)
-            assert angle_between(u, w) <= angle_between(u, v) + angle_between(v, w) + 1e-9
 
 
 class TestRegIncBeta:
@@ -167,8 +139,8 @@ class TestOccupancyRatio:
 
 class TestSampleUniformDirection:
     def test_deterministic_given_stream(self):
-        a = sample_uniform_direction(3, np.random.default_rng(7))
-        b = sample_uniform_direction(3, np.random.default_rng(7))
+        a = sample_uniform_directions(4, 3, np.random.default_rng(7))
+        b = sample_uniform_directions(4, 3, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
     def test_unit_norm(self):
@@ -193,7 +165,7 @@ class TestSampleUniformDirection:
 
     def test_dimension_validation(self):
         with pytest.raises(DomainError):
-            sample_uniform_direction(1, np.random.default_rng(0))
+            sample_uniform_directions(4, 1, np.random.default_rng(0))
 
 
 def test_two_hop_cosine_bound_fuzz():

@@ -11,12 +11,11 @@ from capfed.losses import (
     ConsensusContext,
     LossConfig,
     classification_loss,
-    cluster_similarity,
     consensus_loss,
     finite_diff_check,
     loss_gradients,
-    margin_similarity,
 )
+from train_oracle import cluster_similarity, margin_similarity
 
 
 def random_instance(rng, n=8, d=16, batch=4, clusters=2):
@@ -97,6 +96,44 @@ class TestClusterSimilarity:
         thetas = np.linspace(1.3, math.pi, 40)
         vals = [cluster_similarity(*self._pair_at(t), 1.3, 8.0) for t in thetas]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+class TestKernelAgainstScalarLogits:
+    """The kernel's logits are the scalar margin and cluster similarities."""
+
+    @staticmethod
+    def _at_angle(f, theta, rng):
+        u = rng.standard_normal(f.size)
+        u = normalize(u - (u @ f) * f)
+        return math.cos(theta) * f + math.sin(theta) * u
+
+    @pytest.mark.parametrize("kind", ["cosface", "arcface"])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_one_row_loss_is_logsumexp_minus_target(self, kind, k):
+        rng = np.random.default_rng(40 + k)
+        config, rho, n, d = LossConfig(kind, 16.0), 1.0, 6, 12
+        for _ in range(25):
+            f = normalize(rng.standard_normal(d))
+            w = sample_uniform_directions(n, d, rng)
+            label = int(rng.integers(n))
+            # one cluster inside the margin, one at it and one beyond it
+            angles = rho + np.array([-0.5, 0.0, 0.4])[:k]
+            clusters = np.array([self._at_angle(f, a, rng) for a in angles]).reshape(k, d)
+            logits = [
+                margin_similarity(
+                    config,
+                    math.acos(float(np.clip(f @ w[j], -1.0, 1.0))),
+                    "positive" if j == label else "negative",
+                )
+                for j in range(n)
+            ]
+            logits += [cluster_similarity(p, f, rho, config.scale) for p in clusters]
+            top = max(logits)
+            want = top + math.log(math.fsum(math.exp(v - top) for v in logits)) - logits[label]
+            got = consensus_loss(
+                f[None, :], np.array([label]), w, ConsensusContext(clusters), rho, config
+            )
+            assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestClassificationLoss:

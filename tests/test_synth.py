@@ -236,4 +236,4 @@ class TestKnnAttack:
 
     def test_centroid_gallery_uniqueness_enforced(self):
         with pytest.raises(DomainError):
-            AttackGallery(np.array([0, 0]), np.eye(2), "centroid")
+            AttackGallery(np.array([0, 0]), np.eye(2))

@@ -6,7 +6,8 @@ they replaced, one fresh array per expression, so tests can demand the same
 loss bits and gradient bytes from both. The row norms go through
 np.linalg.norm, as they did before `geometry.row_norms`. Helpers whose
 behaviour did not change (`_check_batch`, `GradientBundle`, the loss
-constants) are imported from the package.
+constants) are imported from the package. `margin_similarity` and
+`cluster_similarity` are the scalar, one-angle forms of the kernel's logits.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from capfed import losses, synth
-from capfed.errors import EmptyShardError, ValidationError, ZeroVectorError
+from capfed.errors import DomainError, EmptyShardError, ValidationError, ZeroVectorError
 from capfed.federation import ClientState, FederationConfig, derive_rng
 from capfed.geometry import ZERO_NORM_FLOOR
 from capfed.losses import (
@@ -38,6 +39,35 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
         bad = int(np.argmax(norms <= ZERO_NORM_FLOOR))
         raise ZeroVectorError(f"row {bad} has norm {float(norms[bad, 0]):.3e}")
     return m / norms
+
+
+def margin_similarity(config: LossConfig, theta: float, role: str) -> float:
+    """Scaled similarity logit for one angle.
+
+    role "positive" applies the margin (subtractive for cosface, angular for
+    arcface); role "negative" is s * cos(theta) for both families.
+    """
+    if not 0.0 <= theta <= math.pi:
+        raise DomainError(f"theta={theta} outside [0, pi]")
+    if role == "negative":
+        return config.scale * math.cos(theta)
+    if role != "positive":
+        raise DomainError(f"role={role!r} not 'positive' or 'negative'")
+    if config.kind == KIND_COSFACE:
+        return config.scale * (math.cos(theta) - config.margin)
+    theta_eff = min(theta, math.pi - config.margin + _ARC_CLAMP_TINY)
+    return config.scale * math.cos(theta_eff - config.margin)
+
+
+def cluster_similarity(p_hat: np.ndarray, f: np.ndarray, rho: float, s: float) -> float:
+    """Similarity between an embedding and a cluster of margin rho.
+
+    Saturates at s while the embedding sits inside the margin and decays as
+    s * cos(theta - rho) beyond it; continuous at the boundary.
+    """
+    c = float(np.clip(np.dot(np.asarray(p_hat, float), np.asarray(f, float)), -1.0, 1.0))
+    theta = math.acos(c)
+    return s * math.cos(max(theta - rho, 0.0))
 
 
 def _unit_rows_and_norms(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

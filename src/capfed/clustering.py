@@ -130,8 +130,9 @@ def _within_rho(cos: np.ndarray, rows, cols, centers: np.ndarray, rho: float) ->
     computed it. Pairs inside the band are recomputed as a float64 row-wise
     dot, which gives the same bits for a pair in every block and in either
     order, and kept when arccos of it is <= rho or the two rows are
-    identical. They are recomputed at most _BLOCK_COSINES // d pairs at a
-    time, so a block whose every pair is in the band stays within the
+    identical. A pair the block holds twice, as (i, j) and (j, i), is
+    recomputed once. They are recomputed at most _BLOCK_COSINES // d pairs
+    at a time, so a block whose every pair is in the band stays within the
     working-set bound.
     """
     d = centers.shape[1]
@@ -143,13 +144,17 @@ def _within_rho(cos: np.ndarray, rows, cols, centers: np.ndarray, rho: float) ->
     if not in_band.any():
         return mask
     a, b = np.nonzero(in_band)
+    pair = np.minimum(rows[a], cols[b]) * centers.shape[0] + np.maximum(rows[a], cols[b])
+    _, first, back = np.unique(pair, return_index=True, return_inverse=True)
+    near = np.empty(first.size, dtype=bool)
     step = max(1, _BLOCK_COSINES // d)
-    for start in range(0, a.size, step):
-        i, j = a[start : start + step], b[start : start + step]
-        u = centers[rows[i]]  # one gather per statement: at most three chunk x d arrays live
-        v = centers[cols[j]]
+    for start in range(0, first.size, step):
+        cells = first[start : start + step]
+        u = centers[rows[a[cells]]]  # one gather per statement: at most three chunk x d arrays live
+        v = centers[cols[b[cells]]]
         exact = np.clip(np.sum(u * v, axis=1), -1.0, 1.0)
-        mask[i, j] = (np.arccos(exact) <= rho) | np.all(u == v, axis=1)
+        near[start : start + step] = (np.arccos(exact) <= rho) | np.all(u == v, axis=1)
+    mask[a, b] = near[back]
     return mask
 
 

@@ -115,7 +115,9 @@ class ServerState:
 
 def embed(embedder: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Unit-normalized linear features for a batch of raw inputs."""
-    return normalize_rows(np.asarray(inputs, dtype=float) @ embedder.T)
+    feats = np.asarray(inputs, dtype=float) @ embedder.T
+    feats /= checked_row_norms(feats)[:, None]
+    return feats
 
 
 def initialize_clients(
@@ -403,9 +405,15 @@ def run_federation(
     gather and redistribute clusters, locally optimize, aggregate. The ledger
     charges each online client queries_used releases per round in sanitized
     mode. Identical (config, fed, seed) replay bit-identically.
+
+    Held for the whole run: the federation's arrays, whose shards the client
+    states share and nothing concatenates (shared_public_shard gives each
+    state a copy joined to the public shard), each client's embedder and
+    centers, the server's embedder and the verification pairs' rows.
     """
     clients, embedder0 = initialize_clients(fed, config, seed)
-    server = ServerState(embedder=embedder0.copy())
+    server = ServerState(embedder=embedder0)  # replaced each round, never written in place
+    del embedder0  # so the first round's replacement frees it
     eval_rng = derive_rng(seed, "eval")
     pairs = synth.make_verification_pairs(
         fed, config.eval_positives, config.eval_negatives, eval_rng
@@ -421,11 +429,6 @@ def run_federation(
             off_rng = derive_rng(seed, "offline", t)
             if off_rng.random() < config.offline_probability:
                 online.remove(int(off_rng.integers(config.clients)))
-        online_states = [clients[c] for c in online]
-
-        # Sync before clustering: releases describe the current local centers.
-        for state in online_states:
-            state.embedder = server.embedder.copy()
 
         queries_by_client: dict[int, int] = {c: 0 for c in online}
         round_fidelities: list[float] = []
@@ -467,7 +470,7 @@ def run_federation(
             server.embedder = aggregate_fedavg([clients[c].embedder for c in online])
         else:
             updated, new_embedder, loss_by_client = fedsgd_round(
-                online_states, server, foreign_by_client, config
+                [clients[c] for c in online], server, foreign_by_client, config
             )
             for state in updated:
                 clients[state.client_id] = state

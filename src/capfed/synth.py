@@ -20,7 +20,7 @@ from .errors import (
     DomainError,
     EmptyInputError,
 )
-from .geometry import normalize_rows, sample_uniform_directions
+from .geometry import checked_row_norms, normalize_rows, sample_uniform_directions
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,9 @@ def _sample_inputs(
 ) -> tuple[np.ndarray, np.ndarray]:
     d = directions.shape[1]
     labels = np.repeat(ids, per_identity)
-    noise = rng.normal(0.0, 1.0 / math.sqrt(concentration), size=(labels.size, d))
-    points = normalize_rows(directions[labels] + noise)
+    points = rng.normal(0.0, 1.0 / math.sqrt(concentration), size=(labels.size, d))
+    points += directions[labels]  # addition commutes: the bits of directions[labels] + noise
+    points /= checked_row_norms(points)[:, None]
     return points @ lift.T, labels
 
 
@@ -158,6 +159,17 @@ class VerificationPairs:
     same: np.ndarray  # (P,) bool
 
 
+def _gather_rows(shards: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """The rows at idx of the shards' concatenation, gathered without building it."""
+    offsets = np.cumsum([0] + [x.shape[0] for x in shards])
+    shard = np.searchsorted(offsets, idx, side="right") - 1
+    out = np.empty((idx.size, shards[0].shape[1]), dtype=np.result_type(*shards))
+    for c, x in enumerate(shards):
+        hit = shard == c
+        out[hit] = x[idx[hit] - offsets[c]]
+    return out
+
+
 def make_verification_pairs(
     fed: SyntheticFederation,
     positives: int,
@@ -171,12 +183,14 @@ def make_verification_pairs(
     take one sample each from two identities, and with cross_client_negatives
     the two identities always belong to different clients, which is the
     regime federation consensus is supposed to improve.
+
+    Samples are numbered by their row in the shards laid end to end, but the
+    shards are never concatenated: only the pairs' rows are copied out.
     """
-    all_x = np.concatenate(fed.client_inputs, axis=0)
     all_y = np.concatenate(fed.client_labels, axis=0)
-    by_id: dict[int, np.ndarray] = {
-        int(g): np.flatnonzero(all_y == g) for g in np.unique(all_y)
-    }
+    order = np.argsort(all_y, kind="stable")  # each identity's rows ascending, as flatnonzero
+    ids, starts, sizes = np.unique(all_y[order], return_index=True, return_counts=True)
+    by_id = {int(g): order[i : i + n] for g, i, n in zip(ids, starts, sizes)}
     client_of = {int(g): int(fed.identity_client[g]) for g in by_id}
 
     seen: set[tuple[int, int]] = set()
@@ -194,8 +208,7 @@ def make_verification_pairs(
         same.append(flag)
         return True
 
-    ids = np.array(sorted(by_id))
-    eligible = np.array([g for g in ids if by_id[int(g)].size >= 2])
+    eligible = ids[sizes >= 2]
     if eligible.size == 0 and positives > 0:
         raise DegenerateInputError("no identity has two samples; cannot build positive pairs")
     tries = 0
@@ -220,7 +233,8 @@ def make_verification_pairs(
             made_neg += 1
     if made_pos < positives or made_neg < negatives:
         raise DegenerateInputError("could not assemble the requested number of distinct pairs")
-    return VerificationPairs(all_x[idx_a], all_x[idx_b], np.array(same, dtype=bool))
+    a, b = (_gather_rows(fed.client_inputs, np.array(i, dtype=np.intp)) for i in (idx_a, idx_b))
+    return VerificationPairs(a, b, np.array(same, dtype=bool))
 
 
 def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[float, float]:
@@ -229,13 +243,14 @@ def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[floa
     The threshold for a target is the (k+1)-th largest negative score with
     k = floor(target * #negatives), and acceptance is strict (score > thr):
     the largest attainable TAR whose realized FAR is guaranteed <= target.
+    What embed returns is never written: the unit rows are new arrays.
     """
     same = np.asarray(pairs.same, dtype=bool)
     if same.all() or (~same).all():
         raise DegenerateInputError("verification needs both positive and negative pairs")
-    fa = np.asarray(embed(pairs.a), dtype=float)
-    fb = np.asarray(embed(pairs.b), dtype=float)
-    scores = np.sum(normalize_rows(fa) * normalize_rows(fb), axis=1)
+    prod = normalize_rows(embed(pairs.a))
+    prod *= normalize_rows(embed(pairs.b))
+    scores = np.sum(prod, axis=1)
     pos = scores[same]
     neg = np.sort(scores[~same])
     out: dict[float, float] = {}

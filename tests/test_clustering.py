@@ -385,13 +385,18 @@ def test_float32_block_cosines_within_a_quarter_of_the_band(d):
     assert np.max(np.abs(block - exact)) < band / 4
 
 
-def test_band_recheck_memory_is_bounded_when_every_pair_is_in_the_band():
-    # 300 rows at pairwise angle exactly rho: every off-diagonal cosine lies in the band
-    n, rho = 300, 1.0
+def _equiangular(n, rho):
+    # n rows at pairwise angle exactly rho: every off-diagonal cosine lies in the band
     c = math.cos(rho)
     w = np.zeros((n, n + 1))
     w[np.arange(n), np.arange(n)] = math.sqrt(1.0 - c)
     w[:, n] = math.sqrt(c)
+    return w
+
+
+def test_band_recheck_memory_is_bounded_when_every_pair_is_in_the_band():
+    n, rho = 300, 1.0
+    w = _equiangular(n, rho)
     p = params(rho=rho, min_cluster_size=1, max_queries=2, mode=MODE_NOISE_FREE)
     tracemalloc.start()
     try:
@@ -403,3 +408,26 @@ def test_band_recheck_memory_is_bounded_when_every_pair_is_in_the_band():
     want = dense_run_clustering(w, p, np.random.default_rng(0))
     for ours, theirs in zip(got.member_indexes, want.member_indexes, strict=True):
         np.testing.assert_array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("block", [97, 5000, clustering._BLOCK_COSINES])
+def test_neighbour_counts_recheck_each_in_band_pair_once(monkeypatch, block):
+    # the square on a block's diagonal holds each of its pairs twice, as (i, j) and (j, i)
+    monkeypatch.setattr(clustering, "_BLOCK_COSINES", block)
+    n, rho = 300, 1.0
+    w = _equiangular(n, rho)
+    rechecked = []
+    arccos = np.arccos
+
+    def counting_arccos(x, *args, **kw):
+        rechecked.append(np.size(x))
+        return arccos(x, *args, **kw)
+
+    monkeypatch.setattr(np, "arccos", counting_arccos)
+    counts = clustering._neighbor_counts(w, rho)
+    monkeypatch.undo()
+    assert sum(rechecked) == n * (n - 1) // 2  # 44,850 pairs, not 89,700
+    # each pair decided by the row-wise float64 dot, as the re-check does; a row counts itself
+    within = np.array([np.arccos(np.clip(np.sum(v * w, axis=1), -1.0, 1.0)) <= rho for v in w])
+    np.fill_diagonal(within, True)
+    np.testing.assert_array_equal(counts, within.sum(axis=1))

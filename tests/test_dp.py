@@ -288,9 +288,10 @@ def test_cluster_mean_norm_bounds():
         size = int(rng.integers(2, 40))
         members = [seed_dir]
         while len(members) < size:
-            cand = sample_uniform_directions(1, d, rng)[0]
-            if math.acos(min(1.0, max(-1.0, float(np.dot(cand, seed_dir))))) <= rho:
-                members.append(cand)
+            # about 2% of uniform directions lie within rho: draw them a batch at a time
+            cand = sample_uniform_directions(2048, d, rng)
+            inside = cand[np.arccos(np.clip(cand @ seed_dir, -1.0, 1.0)) <= rho]
+            members.extend(inside[: size - len(members)])
         p = np.mean(members, axis=0)
         norm = np.linalg.norm(p)
         assert math.cos(rho) < norm <= 1.0 + 1e-12

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,19 @@ class TestVerificationPairs:
                 assert ga == gb
             else:
                 assert fed.identity_client[ga] != fed.identity_client[gb]
+
+    def test_peak_memory_below_the_shards(self):
+        # concatenating the shards to gather the pair rows peaks at 1.9x their bytes
+        fed = small_fed(ids_per_client=200, embed_dim=128, input_dim=160)
+        shards = sum(x.nbytes for x in fed.client_inputs)
+        tracemalloc.start()
+        try:
+            pairs = make_verification_pairs(fed, 400, 400, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pairs.a.nbytes + pairs.b.nbytes == shards // 2
+        assert peak < shards
 
 
 class TestVerificationEval:

@@ -42,7 +42,6 @@ from .losses import (
     LossConfig,
     classification_loss,
     consensus_loss,
-    finite_diff_check,
     loss_gradients,
 )
 from .synth import (

@@ -1,9 +1,15 @@
-"""Command-line entry point: calibrate, occupancy, cluster, simulate, attack, gradcheck.
+"""Command-line entry point: calibrate, occupancy, cluster, simulate, attack.
 
-Configuration is a flat key = value file with dotted section prefixes
-(e.g. ``dplc.rho = 1.3``); command-line flags override file values. Every
-output file embeds the resolved configuration and seed, outputs are written
-atomically, and identical invocations produce byte-identical files.
+Configuration is a flat key = value file; command-line flags override file
+values. Besides ``seed`` and ``out_dir``, a key is ``<section>.<field>``, and
+the field of that section's dataclass alone gives its type and default:
+``synth`` SynthParams, ``dplc`` ClusteringParams, ``dp`` PrivacyBudget,
+``loss`` LossConfig, ``fed`` FederationConfig, except that FederationConfig's
+evaluation fields are ``eval.positives``, ``eval.negatives`` and
+``eval.far_targets``. A flag sets the key that is its argparse ``dest``
+(``--rho`` sets ``dplc.rho``); ``--out-dir`` only picks where outputs go.
+Outputs embed the resolved configuration and seed, are written atomically,
+and are byte-identical for identical invocations.
 
 Exit codes: 0 success, 1 usage, 2 validation, 3 runtime.
 """
@@ -16,7 +22,7 @@ import math
 import os
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,40 +52,48 @@ def _cast_float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in str(raw).split(",") if part.strip())
 
 
+# Casters by field annotation (the dataclass modules use postponed annotations).
+_CASTERS = {"int": int, "float": float, "str": str, "bool": _cast_bool,
+            "float | None": float, "tuple[float, ...]": _cast_float_list}
+# FederationConfig fields that are keyed eval.* instead of fed.*.
+_EVAL_FIELDS = ("eval_positives", "eval_negatives", "far_targets")
+_BUDGET_FIELD = {f.name: f for f in fields(clustering.ClusteringParams)}["budget"]
+
+
+def _section(prefix: str, cls, skip=()) -> tuple[type, dict]:
+    """A config section: its dataclass and the field behind each of its config keys."""
+    keys = {}
+    for f in fields(cls):
+        if f.name in _EVAL_FIELDS:
+            keys["eval." + f.name.removeprefix("eval_")] = f
+        elif f.name not in skip:
+            keys[f"{prefix}.{f.name}"] = f
+    return cls, keys
+
+
+_SECTIONS = {
+    "dp": _section("dp", dp.PrivacyBudget),
+    "dplc": _section("dplc", clustering.ClusteringParams, ("budget", "mode")),
+    "loss": _section("loss", losses.LossConfig),
+    "synth": _section("synth", synth.SynthParams),
+    "fed": _section("fed", federation.FederationConfig, ("clients", "clustering_params", "loss")),
+}
+
+
+def _entry(f) -> tuple:
+    """A field's caster and default; PrivacyBudget.epsilon takes the default budget's."""
+    if f.default is MISSING:
+        return _CASTERS[f.type], getattr(_BUDGET_FIELD.default_factory(), f.name)
+    return _CASTERS[f.type], f.default
+
+
 _SCHEMA: dict[str, tuple] = {
     "seed": (int, 0),
     "out_dir": (str, ""),
-    "synth.clients": (int, 4),
-    "synth.ids_per_client": (int, 64),
-    "synth.samples_per_identity": (int, 8),
-    "synth.embed_dim": (int, 32),
-    "synth.input_dim": (int, 48),
-    "synth.concentration": (float, 64.0),
-    "synth.public_identities": (int, 0),
-    "synth.public_samples_per_identity": (int, 4),
-    "dplc.rho": (float, 1.3),
-    "dplc.min_cluster_size": (int, 512),
-    "dplc.max_queries": (int, 1),
-    "dp.epsilon": (float, 1.0),
-    "dp.delta": (float, dp.DEFAULT_DELTA),
-    "loss.kind": (str, "cosface"),
-    "loss.scale": (float, 64.0),
-    "loss.margin": (float, None),
-    "fed.rounds": (int, 10),
-    "fed.mode": (str, federation.MODE_PHI_HAT),
-    "fed.learning_rate": (float, 0.1),
-    "fed.weight_decay": (float, 5e-4),
-    "fed.batch_size": (int, 64),
-    "fed.local_epochs": (int, 1),
-    "fed.aggregation": (str, "fedavg"),
-    "fed.offline_probability": (float, 0.0),
-    "fed.shared_public_shard": (_cast_bool, False),
-    "fed.center_init": (str, "class_means"),
-    "fed.init_scale": (float, 1.0),
-    "eval.positives": (int, 1000),
-    "eval.negatives": (int, 1000),
-    "eval.far_targets": (_cast_float_list, (1e-2,)),
+    **{key: _entry(f) for _, keys in _SECTIONS.values() for key, f in keys.items()},
 }
+# --out-dir picks where outputs go; it never rewrites the echoed out_dir key.
+_FLAG_KEYS = _SCHEMA.keys() - {"out_dir"}
 
 
 @dataclass
@@ -128,71 +142,21 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
             except ValueError as exc:
                 raise ValidationError(f"{key}: {exc}") from exc
 
-    def build(prefix, ctor, **kwargs):
+    def build(prefix, **extra):
+        cls, keys = _SECTIONS[prefix]
         try:
-            return ctor(**kwargs)
+            return cls(**{f.name: resolved[key] for key, f in keys.items()}, **extra)
         except CapfedError as exc:
             raise ValidationError(f"{prefix}: {exc}") from exc
 
-    budget = build(
-        "dp", dp.PrivacyBudget, epsilon=resolved["dp.epsilon"], delta=resolved["dp.delta"]
-    )
-    clustering_params = build(
-        "dplc",
-        clustering.ClusteringParams,
-        rho=resolved["dplc.rho"],
-        min_cluster_size=resolved["dplc.min_cluster_size"],
-        max_queries=resolved["dplc.max_queries"],
-        budget=budget,
-    )
-    loss_config = build(
-        "loss",
-        losses.LossConfig,
-        kind=resolved["loss.kind"],
-        scale=resolved["loss.scale"],
-        margin=resolved["loss.margin"],
-    )
-    synth_params = build(
-        "synth",
-        synth.SynthParams,
-        clients=resolved["synth.clients"],
-        ids_per_client=resolved["synth.ids_per_client"],
-        samples_per_identity=resolved["synth.samples_per_identity"],
-        embed_dim=resolved["synth.embed_dim"],
-        input_dim=resolved["synth.input_dim"],
-        concentration=resolved["synth.concentration"],
-        public_identities=resolved["synth.public_identities"],
-        public_samples_per_identity=resolved["synth.public_samples_per_identity"],
-    )
-    fed_config = build(
-        "fed",
-        federation.FederationConfig,
-        clients=resolved["synth.clients"],
-        rounds=resolved["fed.rounds"],
-        mode=resolved["fed.mode"],
-        clustering_params=clustering_params,
-        loss=loss_config,
-        learning_rate=resolved["fed.learning_rate"],
-        weight_decay=resolved["fed.weight_decay"],
-        batch_size=resolved["fed.batch_size"],
-        local_epochs=resolved["fed.local_epochs"],
-        aggregation=resolved["fed.aggregation"],
-        offline_probability=resolved["fed.offline_probability"],
-        shared_public_shard=resolved["fed.shared_public_shard"],
-        center_init=resolved["fed.center_init"],
-        init_scale=resolved["fed.init_scale"],
-        eval_positives=resolved["eval.positives"],
-        eval_negatives=resolved["eval.negatives"],
-        far_targets=resolved["eval.far_targets"],
-    )
+    # a config with several bad sections reports the first in this order
+    clustering_params = build("dplc", budget=build("dp"))
+    loss_config = build("loss")
+    synth_params = build("synth")
+    fed_config = build("fed", clients=resolved["synth.clients"],
+                       clustering_params=clustering_params, loss=loss_config)
     echo = {k: (list(v) if isinstance(v, tuple) else v) for k, v in resolved.items()}
-    return RunConfig(
-        seed=resolved["seed"],
-        out_dir=resolved["out_dir"],
-        synth_params=synth_params,
-        fed_config=fed_config,
-        resolved=echo,
-    )
+    return RunConfig(resolved["seed"], resolved["out_dir"], synth_params, fed_config, echo)
 
 
 # ---------------------------------------------------------------------------
@@ -297,41 +261,36 @@ def _emit_json(payload: dict, args, default_name: str) -> None:
         _atomic_write(_out_dir(args) / default_name, text)
 
 
-def _config_overrides(args, mapping: dict[str, str]) -> dict:
-    overrides = {}
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    return overrides
+def _config_overrides(args) -> dict:
+    """The config keys set by flags: each such flag's dest is its key."""
+    return {k: v for k, v in vars(args).items() if k in _FLAG_KEYS and v is not None}
 
 
 def cmd_calibrate(args) -> int:
-    cfg = parse_config(
-        args.config,
-        _config_overrides(args, {"rho": "dplc.rho", "eps": "dp.epsilon", "delta": "dp.delta"}),
-    )
+    if args.size < 1:
+        raise ValidationError("size: must be >= 1")
+    cfg = parse_config(args.config, _config_overrides(args))
     budget = cfg.fed_config.clustering_params.budget
     rho = cfg.fed_config.clustering_params.rho
     size = args.size
-    tight = dp.sigma_tight(size, rho, budget)
-    weak = dp.sigma_weak(size, rho, budget)
-    naive = dp.naive_sigma(budget)
+    cals = {
+        "tight": dp.sigma_tight(size, rho, budget),
+        "weak": dp.sigma_weak(size, rho, budget),
+        "naive": dp.naive_sigma(budget),
+    }
     payload = {
         "config": cfg.resolved,
         "inputs": {"size": size, "rho": rho, "epsilon": budget.epsilon, "delta": budget.delta},
-        "sigma": {"tight": tight.sigma, "weak": weak.sigma, "naive": naive.sigma},
-        "sensitivity": {
-            "tight": tight.sensitivity,
-            "weak": weak.sensitivity,
-            "naive": naive.sensitivity,
-        },
+        "sigma": {bound: cal.sigma for bound, cal in cals.items()},
+        "sensitivity": {bound: cal.sensitivity for bound, cal in cals.items()},
     }
     _emit_json(payload, args, "calibrate.json")
     return 0
 
 
 def cmd_occupancy(args) -> int:
+    if args.d < 2:
+        raise ValidationError("d: must be >= 2")
     if args.steps < 2:
         raise ValidationError("steps: must be >= 2")
     if not 0.0 <= args.rho_min <= args.rho_max <= math.pi:
@@ -350,26 +309,9 @@ def cmd_occupancy(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    overrides = _config_overrides(
-        args,
-        {
-            "rho": "dplc.rho",
-            "min_size": "dplc.min_cluster_size",
-            "max_queries": "dplc.max_queries",
-            "eps": "dp.epsilon",
-            "delta": "dp.delta",
-            "seed": "seed",
-        },
-    )
-    cfg = parse_config(args.config, overrides)
+    cfg = parse_config(args.config, _config_overrides(args))
     centers = load_unit_embeddings(args.embeddings)
-    params = clustering.ClusteringParams(
-        rho=cfg.fed_config.clustering_params.rho,
-        min_cluster_size=cfg.fed_config.clustering_params.min_cluster_size,
-        max_queries=cfg.fed_config.clustering_params.max_queries,
-        budget=cfg.fed_config.clustering_params.budget,
-        mode=args.mode,
-    )
+    params = replace(cfg.fed_config.clustering_params, mode=args.mode)
     if args.mode != clustering.MODE_NAIVE_PER_CENTER and params.min_cluster_size > len(centers):
         print(
             f"warning: min cluster size {params.min_cluster_size} exceeds the "
@@ -399,18 +341,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    overrides = _config_overrides(
-        args,
-        {
-            "mode": "fed.mode",
-            "seed": "seed",
-            "rounds": "fed.rounds",
-            "rho": "dplc.rho",
-            "eps": "dp.epsilon",
-            "offline_probability": "fed.offline_probability",
-        },
-    )
-    cfg = parse_config(args.config, overrides)
+    cfg = parse_config(args.config, _config_overrides(args))
     synth_params, fed_config = cfg.synth_params, cfg.fed_config
     classes = synth_params.ids_per_client
     if fed_config.shared_public_shard:
@@ -452,13 +383,8 @@ def cmd_simulate(args) -> int:
     }
     text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
     _atomic_write(outdir / f"{prefix}_summary.json", text)
-    sys.stdout.write(
-        json.dumps(
-            {"mode": report.mode, "final_tar_by_far": final_tar, "out_dir": str(outdir)},
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    brief = {"mode": report.mode, "final_tar_by_far": final_tar, "out_dir": str(outdir)}
+    sys.stdout.write(json.dumps(brief, sort_keys=True) + "\n")
     return 0
 
 
@@ -483,35 +409,6 @@ def cmd_attack(args) -> int:
         "per_exposed": [float(v) for v in result.per_exposed],
     }
     _emit_json(payload, args, "attack.json")
-    return 0
-
-
-def cmd_gradcheck(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.instances):
-        for kind in (losses.KIND_COSFACE, losses.KIND_ARCFACE):
-            config = losses.LossConfig(kind=kind, scale=8.0)
-            n, d, batch, k = 8, 16, 4, 2
-            w = normalize_rows(rng.standard_normal((n, d)))
-            f = normalize_rows(rng.standard_normal((batch, d)))
-            labels = rng.integers(0, n, size=batch)
-            ctx = losses.ConsensusContext(normalize_rows(rng.standard_normal((k, d))))
-            rho = 1.0
-            bundle = losses.loss_gradients(f, labels, w, ctx, rho, config)
-            err_f = losses.finite_diff_check(
-                lambda p: losses.consensus_loss(p, labels, w, ctx, rho, config),
-                f,
-                bundle.d_embeddings,
-            )
-            err_w = losses.finite_diff_check(
-                lambda p: losses.consensus_loss(f, labels, p, ctx, rho, config),
-                w,
-                bundle.d_centers,
-            )
-            worst = max(worst, err_f, err_w)
-    payload = {"instances": args.instances, "seed": args.seed, "max_rel_err": worst}
-    _emit_json(payload, args, "gradcheck.json")
     return 0
 
 
@@ -541,9 +438,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("calibrate", help="noise scales for a cluster release")
     add_common(p)
     p.add_argument("--size", type=int, required=True, help="cluster size |S|")
-    p.add_argument("--rho", type=float, help="cluster margin")
-    p.add_argument("--eps", type=float, help="per-release epsilon")
-    p.add_argument("--delta", type=float, help="per-release delta")
+    p.add_argument("--rho", type=float, dest="dplc.rho", help="cluster margin")
+    p.add_argument("--eps", type=float, dest="dp.epsilon", help="per-release epsilon")
+    p.add_argument("--delta", type=float, dest="dp.delta", help="per-release delta")
     p.set_defaults(run=cmd_calibrate)
 
     p = sub.add_parser("occupancy", help="cap occupancy-ratio curve as CSV")
@@ -558,11 +455,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("cluster", help="cluster an embeddings file")
     add_common(p)
     p.add_argument("--embeddings", required=True, help="CSV or binary embeddings file")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--min-size", type=int, dest="min_size")
-    p.add_argument("--max-queries", type=int, dest="max_queries")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--rho", type=float, dest="dplc.rho")
+    p.add_argument("--min-size", type=int, dest="dplc.min_cluster_size")
+    p.add_argument("--max-queries", type=int, dest="dplc.max_queries")
+    p.add_argument("--eps", type=float, dest="dp.epsilon")
+    p.add_argument("--delta", type=float, dest="dp.delta")
     p.add_argument("--seed", type=int)
     p.add_argument(
         "--mode",
@@ -573,12 +470,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run a federated training simulation")
     add_common(p)
-    p.add_argument("--mode", choices=federation.RUN_MODES)
+    p.add_argument("--mode", choices=federation.RUN_MODES, dest="fed.mode")
     p.add_argument("--seed", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--offline-probability", type=float, dest="offline_probability")
+    p.add_argument("--rounds", type=int, dest="fed.rounds")
+    p.add_argument("--rho", type=float, dest="dplc.rho")
+    p.add_argument("--eps", type=float, dest="dp.epsilon")
+    p.add_argument("--offline-probability", type=float, dest="fed.offline_probability")
     p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser("attack", help="top-k retrieval attack on exposed vectors")
@@ -588,12 +485,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--targets", help="JSON file: one identity list per exposed vector")
     p.set_defaults(run=cmd_attack)
-
-    p = sub.add_parser("gradcheck", help="finite-difference check of the loss gradients")
-    add_common(p)
-    p.add_argument("--instances", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=cmd_gradcheck)
 
     return parser
 

@@ -13,6 +13,7 @@ so identical runs replay identically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
@@ -89,6 +90,16 @@ class FederationConfig:
             raise ValidationError("local_epochs must be >= 0")
         if self.center_init not in ("class_means", "uniform"):
             raise ValidationError("center_init must be class_means or uniform")
+        for name in ("learning_rate", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValidationError(f"{name}={value} must be finite and >= 0")
+        if not (math.isfinite(self.init_scale) and self.init_scale > 0.0):
+            raise ValidationError(f"init_scale={self.init_scale} must be finite and positive")
+        if self.eval_positives < 1 or self.eval_negatives < 1:
+            raise ValidationError("eval_positives and eval_negatives must be >= 1")
+        if not self.far_targets or not all(0.0 <= t <= 1.0 for t in self.far_targets):
+            raise ValidationError(f"far_targets={self.far_targets} must be nonempty, in [0, 1]")
 
 
 @dataclass

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -268,39 +268,3 @@ def loss_gradients(
     return _core(
         embeddings, labels, centers, context.centers, rho, config, want_grads=True
     )
-
-
-def finite_diff_check(
-    fn: Callable[[np.ndarray], float],
-    point: np.ndarray,
-    analytic: np.ndarray,
-    h: float = 1e-5,
-) -> float:
-    """Worst relative disagreement between central differences and a gradient.
-
-    Per-coordinate error |fd - analytic| is normalized by
-    max(|fd|, |analytic|, 0.001 * max(1, ||analytic||_inf)) so that
-    coordinates near zero are judged against the overall gradient scale
-    instead of blowing up.
-    """
-    if h <= 0.0:
-        raise DomainError(f"h={h} must be positive")
-    point = np.asarray(point, dtype=float)
-    analytic = np.asarray(analytic, dtype=float)
-    if point.shape != analytic.shape:
-        raise ShapeMismatchError("analytic gradient must match the point's shape")
-    flat = point.ravel()
-    fd = np.zeros(flat.size)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + h
-        hi = fn(bumped.reshape(point.shape))
-        bumped[i] = flat[i] - h
-        lo = fn(bumped.reshape(point.shape))
-        fd[i] = (hi - lo) / (2.0 * h)
-    an = analytic.ravel()
-    floor = 1e-3 * max(1.0, float(np.max(np.abs(an))) if an.size else 1.0)
-    denom = np.maximum(np.maximum(np.abs(fd), np.abs(an)), floor)
-    if fd.size == 0:
-        return 0.0
-    return float(np.max(np.abs(fd - an) / denom))

@@ -29,6 +29,48 @@ class TestParseConfig:
         assert cfg.fed_config.rounds == 10
         assert cfg.fed_config.loss.scale == 64.0
 
+    def test_default_echo(self):
+        # Every key with its exact default and type: the echo is part of every output file.
+        expected = {
+            "seed": 0,
+            "out_dir": "",
+            "synth.clients": 4,
+            "synth.ids_per_client": 64,
+            "synth.samples_per_identity": 8,
+            "synth.embed_dim": 32,
+            "synth.input_dim": 48,
+            "synth.concentration": 64.0,
+            "synth.public_identities": 0,
+            "synth.public_samples_per_identity": 4,
+            "dplc.rho": 1.3,
+            "dplc.min_cluster_size": 512,
+            "dplc.max_queries": 1,
+            "dp.epsilon": 1.0,
+            "dp.delta": 5e-5,
+            "loss.kind": "cosface",
+            "loss.scale": 64.0,
+            "loss.margin": None,
+            "fed.rounds": 10,
+            "fed.mode": "phi-hat",
+            "fed.learning_rate": 0.1,
+            "fed.weight_decay": 5e-4,
+            "fed.batch_size": 64,
+            "fed.local_epochs": 1,
+            "fed.aggregation": "fedavg",
+            "fed.offline_probability": 0.0,
+            "fed.shared_public_shard": False,
+            "fed.center_init": "class_means",
+            "fed.init_scale": 1.0,
+            "eval.positives": 1000,
+            "eval.negatives": 1000,
+            "eval.far_targets": [0.01],
+        }
+        resolved = parse_config(None).resolved
+        assert resolved == expected
+        assert {k: type(v) for k, v in resolved.items()} == {
+            k: type(v) for k, v in expected.items()
+        }
+
     def test_empty_file_is_all_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
         path.write_text("# nothing here\n\n")
@@ -48,6 +90,16 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as err:
             parse_config(str(path))
         assert "dplc" in str(err.value)
+
+    def test_first_bad_section_in_build_order(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        lines = ["fed.rounds = 0", "synth.clients = 0", "loss.scale = 0", "dplc.rho = 2.0",
+                 "dp.epsilon = 0"]
+        for prefix in ("dp", "dplc", "loss", "synth", "fed"):
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValidationError, match=f"^{prefix}: "):
+                parse_config(str(path))
+            lines.pop()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -79,6 +131,78 @@ class TestParseConfig:
         path.write_text("eval.far_targets = 0.01,0.001\n")
         cfg = parse_config(str(path))
         assert cfg.fed_config.far_targets == (0.01, 0.001)
+
+
+SIM_CONFIG = (
+    "synth.clients = 2\nsynth.ids_per_client = 8\nsynth.samples_per_identity = 4\n"
+    "synth.embed_dim = 8\nsynth.input_dim = 10\ndplc.min_cluster_size = 1\n"
+    "fed.batch_size = 16\neval.positives = 30\neval.negatives = 30\neval.far_targets = 0.1\n"
+)
+
+
+class TestFlagsEcho:
+    """Each flag sets its config key; --out-dir never reaches the echoed config."""
+
+    @pytest.mark.parametrize("file_out_dir", [False, True])
+    def test_simulate(self, tmp_path, capsys, file_out_dir):
+        cfg = tmp_path / "sim.cfg"
+        file_dir = tmp_path / "from_file"
+        cfg.write_text(SIM_CONFIG + (f"out_dir = {file_dir}\n" if file_out_dir else ""))
+        flag_dir = tmp_path / "from_flag"
+        argv = [
+            "simulate", "--config", str(cfg), "--out-dir", str(flag_dir),
+            "--mode", "phi-p", "--seed", "3", "--rounds", "1", "--rho", "1.2",
+            "--eps", "2", "--offline-probability", "0.25",
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        expected = parse_config(
+            str(cfg),
+            {"fed.mode": "phi-p", "seed": 3, "fed.rounds": 1, "dplc.rho": 1.2,
+             "dp.epsilon": 2.0, "fed.offline_probability": 0.25},
+        ).resolved
+        assert expected["out_dir"] == (str(file_dir) if file_out_dir else "")
+        written = file_dir if file_out_dir else flag_dir
+        header = json.loads((written / "phi_p_rounds.jsonl").read_text().splitlines()[0])
+        assert header["config"] == expected
+        assert json.loads((written / "phi_p_summary.json").read_text())["config"] == expected
+
+    def test_cluster(self, tmp_path, capsys):
+        emb = tmp_path / "centers.csv"
+        write_embeddings_csv(emb, sample_uniform_directions(30, 4, np.random.default_rng(7)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fed.rounds = 2\n")
+        argv = [
+            "cluster", "--config", str(cfg), "--embeddings", str(emb), "--out-dir", str(tmp_path),
+            "--save", "--rho", "1.1", "--min-size", "3", "--max-queries", "2", "--eps", "0.5",
+            "--delta", "1e-6", "--seed", "8", "--mode", "noise_free",
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        payload = json.loads((tmp_path / "clusters.json").read_text())
+        assert payload["config"] == parse_config(
+            str(cfg),
+            {"dplc.rho": 1.1, "dplc.min_cluster_size": 3, "dplc.max_queries": 2,
+             "dp.epsilon": 0.5, "dp.delta": 1e-6, "seed": 8},
+        ).resolved
+        assert (payload["mode"], payload["seed"]) == ("noise_free", 8)
+
+    def test_calibrate(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dplc.rho = 1.0\nout_dir = elsewhere\n")
+        argv = [
+            "calibrate", "--config", str(cfg), "--out-dir", str(tmp_path), "--save",
+            "--size", "16", "--rho", "0.9", "--eps", "3", "--delta", "1e-7",
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        payload = json.loads((tmp_path / "calibrate.json").read_text())
+        expected = parse_config(
+            str(cfg), {"dplc.rho": 0.9, "dp.epsilon": 3.0, "dp.delta": 1e-7}
+        ).resolved
+        assert expected["out_dir"] == "elsewhere"
+        assert payload["config"] == expected
+        assert payload["inputs"] == {"size": 16, "rho": 0.9, "epsilon": 3.0, "delta": 1e-7}
 
 
 class TestEmbeddingsFiles:
@@ -318,12 +442,6 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["success_rate"] == 1.0
 
-    def test_gradcheck_command(self, capsys):
-        code = main(["gradcheck", "--instances", "3", "--seed", "2"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["max_rel_err"] < 1e-5
-
     def test_env_var_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CAPFED_OUTDIR", str(tmp_path))
         code = main(["occupancy", "--d", "8", "--steps", "5"])
@@ -337,6 +455,43 @@ class TestExitCodes:
         assert main(["calibrate"]) == 1  # missing required --size
         assert main(["unknown-subcommand"]) == 1
         capsys.readouterr()
+
+    def test_removed_gradcheck_is_a_usage_error(self, capsys):
+        assert main(["gradcheck"]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "fed.learning_rate = nan",
+            "fed.learning_rate = inf",
+            "fed.learning_rate = -0.1",
+            "fed.weight_decay = -1",
+            "fed.weight_decay = nan",
+            "fed.init_scale = 0",
+            "fed.init_scale = inf",
+            "eval.positives = 0",
+            "eval.negatives = 0",
+            "eval.far_targets =",
+            "eval.far_targets = 2.0",
+            "eval.far_targets = 0.01,nan",
+            "eval.far_targets = -0.5",
+        ],
+    )
+    def test_bad_training_and_eval_values_are_two(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"fed.rounds = 1\n{line}\nout_dir = {tmp_path / 'run'}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "validation error: fed: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["calibrate", "--size", "0"], ["occupancy", "--d", "0"], ["occupancy", "--d", "1"]],
+    )
+    def test_bad_sizes_are_two(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert "validation error" in capsys.readouterr().err
 
     def test_validation_error_is_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -12,10 +12,9 @@ from capfed.losses import (
     LossConfig,
     classification_loss,
     consensus_loss,
-    finite_diff_check,
     loss_gradients,
 )
-from train_oracle import cluster_similarity, margin_similarity
+from train_oracle import cluster_similarity, finite_diff_check, margin_similarity
 
 
 def random_instance(rng, n=8, d=16, batch=4, clusters=2):
@@ -303,15 +302,3 @@ class TestGradients:
         bundle = loss_gradients(scaled, labels, w, ctx, 1.0, config)
         assert bundle.loss == pytest.approx(base.loss, rel=1e-12)
         np.testing.assert_allclose(bundle.d_embeddings[0], base.d_embeddings[0] / 2.0, rtol=1e-10)
-
-    def test_finite_diff_check_quadratic(self):
-        rng = np.random.default_rng(11)
-        x = rng.uniform(0.5, 2.0, size=(3, 4))
-        err = finite_diff_check(lambda p: float(np.sum(p * p)), x, 2.0 * x, h=1e-5)
-        assert err < 1e-9
-
-    def test_finite_diff_check_validation(self):
-        with pytest.raises(DomainError):
-            finite_diff_check(lambda p: 0.0, np.zeros(3), np.zeros(3), h=0.0)
-        with pytest.raises(ShapeMismatchError):
-            finite_diff_check(lambda p: 0.0, np.zeros(3), np.zeros(4))

@@ -2,7 +2,7 @@
 
 Equality here is exact: the same loss float and the same gradient, embedder
 and center bytes, because the rewrite keeps every floating-point operation
-and its order.
+and its order. The oracle's own central-difference check is tested last.
 """
 
 import dataclasses
@@ -15,6 +15,7 @@ import train_oracle as oracle
 from capfed import federation, losses, synth
 from capfed.clustering import ClusteringParams
 from capfed.dp import PrivacyBudget
+from capfed.errors import DomainError, ShapeMismatchError
 from capfed.federation import (
     FederationConfig,
     client_full_gradient,
@@ -257,3 +258,17 @@ def test_client_steps_leave_inputs_unchanged():
     assert snapshot(embedder0, foreign.centers, *fields) == before
     assert not np.shares_memory(new_state.embedder, embedder0)
     assert not np.shares_memory(new_state.centers, state.centers)
+
+
+def test_finite_diff_check_quadratic():
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.5, 2.0, size=(3, 4))
+    err = oracle.finite_diff_check(lambda p: float(np.sum(p * p)), x, 2.0 * x, h=1e-5)
+    assert err < 1e-9
+
+
+def test_finite_diff_check_validation():
+    with pytest.raises(DomainError):
+        oracle.finite_diff_check(lambda p: 0.0, np.zeros(3), np.zeros(3), h=0.0)
+    with pytest.raises(ShapeMismatchError):
+        oracle.finite_diff_check(lambda p: 0.0, np.zeros(3), np.zeros(4))

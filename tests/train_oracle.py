@@ -7,18 +7,27 @@ loss bits and gradient bytes from both. The row norms go through
 np.linalg.norm, as they did before `geometry.row_norms`. Helpers whose
 behaviour did not change (`_check_batch`, `GradientBundle`, the loss
 constants) are imported from the package. `margin_similarity` and
-`cluster_similarity` are the scalar, one-angle forms of the kernel's logits.
+`cluster_similarity` are the scalar, one-angle forms of the kernel's logits,
+and `finite_diff_check` is the central-difference check the gradient tests
+judge `loss_gradients` by.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
 from capfed import losses, synth
-from capfed.errors import DomainError, EmptyShardError, ValidationError, ZeroVectorError
+from capfed.errors import (
+    DomainError,
+    EmptyShardError,
+    ShapeMismatchError,
+    ValidationError,
+    ZeroVectorError,
+)
 from capfed.federation import ClientState, FederationConfig, derive_rng
 from capfed.geometry import ZERO_NORM_FLOOR
 from capfed.losses import (
@@ -68,6 +77,42 @@ def cluster_similarity(p_hat: np.ndarray, f: np.ndarray, rho: float, s: float) -
     c = float(np.clip(np.dot(np.asarray(p_hat, float), np.asarray(f, float)), -1.0, 1.0))
     theta = math.acos(c)
     return s * math.cos(max(theta - rho, 0.0))
+
+
+def finite_diff_check(
+    fn: Callable[[np.ndarray], float],
+    point: np.ndarray,
+    analytic: np.ndarray,
+    h: float = 1e-5,
+) -> float:
+    """Worst relative disagreement between central differences and a gradient.
+
+    Per-coordinate error |fd - analytic| is normalized by
+    max(|fd|, |analytic|, 0.001 * max(1, ||analytic||_inf)) so that
+    coordinates near zero are judged against the overall gradient scale
+    instead of blowing up.
+    """
+    if h <= 0.0:
+        raise DomainError(f"h={h} must be positive")
+    point = np.asarray(point, dtype=float)
+    analytic = np.asarray(analytic, dtype=float)
+    if point.shape != analytic.shape:
+        raise ShapeMismatchError("analytic gradient must match the point's shape")
+    flat = point.ravel()
+    fd = np.zeros(flat.size)
+    for i in range(flat.size):
+        bumped = flat.copy()
+        bumped[i] = flat[i] + h
+        hi = fn(bumped.reshape(point.shape))
+        bumped[i] = flat[i] - h
+        lo = fn(bumped.reshape(point.shape))
+        fd[i] = (hi - lo) / (2.0 * h)
+    an = analytic.ravel()
+    floor = 1e-3 * max(1.0, float(np.max(np.abs(an))) if an.size else 1.0)
+    denom = np.maximum(np.maximum(np.abs(fd), np.abs(an)), floor)
+    if fd.size == 0:
+        return 0.0
+    return float(np.max(np.abs(fd - an) / denom))
 
 
 def _unit_rows_and_norms(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

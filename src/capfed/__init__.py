@@ -40,8 +40,6 @@ from .losses import (
     ConsensusContext,
     GradientBundle,
     LossConfig,
-    classification_loss,
-    consensus_loss,
     loss_gradients,
 )
 from .synth import (

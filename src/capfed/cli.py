@@ -7,7 +7,8 @@ the field of that section's dataclass alone gives its type and default:
 ``loss`` LossConfig, ``fed`` FederationConfig, except that FederationConfig's
 evaluation fields are ``eval.positives``, ``eval.negatives`` and
 ``eval.far_targets``. A flag sets the key that is its argparse ``dest``
-(``--rho`` sets ``dplc.rho``); ``--out-dir`` only picks where outputs go.
+(``--rho`` sets ``dplc.rho``), except that ``--out-dir`` picks where outputs
+go, ahead of the ``out_dir`` key, and leaves the echoed key as it is.
 Outputs embed the resolved configuration and seed, are written atomically,
 and are byte-identical for identical invocations.
 
@@ -245,11 +246,10 @@ def load_unit_embeddings(path) -> np.ndarray:
 # subcommands
 
 
-def _out_dir(args) -> Path:
-    if getattr(args, "out_dir", None):
-        return Path(args.out_dir)
-    env = os.environ.get(OUTDIR_ENV)
-    return Path(env) if env else Path.cwd()
+def _out_dir(args, configured: str = "") -> Path:
+    """--out-dir, else the configured out_dir, else $CAPFED_OUTDIR, else the cwd."""
+    chosen = args.out_dir or configured or os.environ.get(OUTDIR_ENV)
+    return Path(chosen) if chosen else Path.cwd()
 
 
 def _emit_json(payload: dict, args, default_name: str) -> None:
@@ -343,47 +343,48 @@ def cmd_cluster(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config, _config_overrides(args))
     synth_params, fed_config = cfg.synth_params, cfg.fed_config
+    mode = fed_config.mode
     classes = synth_params.ids_per_client
     if fed_config.shared_public_shard:
         classes += synth_params.public_identities
     min_size = fed_config.clustering_params.min_cluster_size
-    if fed_config.mode != federation.MODE_PHI and min_size > classes:
+    if mode != federation.MODE_PHI and min_size > classes:
         print(
             f"warning: dplc.min_cluster_size={min_size} exceeds the {classes} classes of "
-            f"every client; mode {fed_config.mode} releases no cluster",
+            f"every client; mode {mode} releases no cluster",
             file=sys.stderr,
         )
-    fed_rng = federation.derive_rng(cfg.seed, "synth")
-    fed = synth.generate_federation(cfg.synth_params, fed_rng)
-    report = federation.run_federation(cfg.fed_config, fed, cfg.seed)
-    outdir = Path(cfg.out_dir) if cfg.out_dir else _out_dir(args)
-    prefix = cfg.fed_config.mode.replace("-", "_")
+    fed = synth.generate_federation(synth_params, federation.derive_rng(cfg.seed, "synth"))
+    report = federation.run_federation(fed_config, fed, cfg.seed)
+    outdir = _out_dir(args, cfg.out_dir)
+    prefix = mode.replace("-", "_")
 
     header = {"record": "header", "config": cfg.resolved, "seed": cfg.seed}
     lines = [json.dumps(header, sort_keys=True)]
     for r in report.rounds:
-        record = {"record": "round", "mode": report.mode, **r.to_dict()}
+        record = {"record": "round", "mode": mode, **r.to_dict()}
         lines.append(json.dumps(record, sort_keys=True))
     _atomic_write(outdir / f"{prefix}_rounds.jsonl", "\n".join(lines) + "\n")
 
-    hist_counts, _ = np.histogram(report.fidelities, bins=100, range=(-1.0, 1.0))
+    fidelities = [f for r in report.rounds for f in r.fidelities]
+    hist_counts, _ = np.histogram(fidelities, bins=100, range=(-1.0, 1.0))
     final = report.rounds[-1]
     final_tar = federation.tar_payload(final.tar_by_far)
     summary = {
         "config": cfg.resolved,
         "seed": cfg.seed,
-        "mode": report.mode,
+        "mode": mode,
         "rounds": len(report.rounds),
         "final_tar_by_far": final_tar,
         "final_cross_client_margin": final.cross_client_margin,
-        "final_ledger_totals": federation.totals_payload(report.final_ledger_totals),
-        "cosine_fidelity_samples": report.fidelities,
+        "final_ledger_totals": federation.totals_payload(final.ledger_totals),
+        "cosine_fidelity_samples": fidelities,
         "cosine_fidelity_hist_counts": [int(c) for c in hist_counts],
         "cosine_fidelity_hist_range": [-1.0, 1.0],
     }
     text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
     _atomic_write(outdir / f"{prefix}_summary.json", text)
-    brief = {"mode": report.mode, "final_tar_by_far": final_tar, "out_dir": str(outdir)}
+    brief = {"mode": mode, "final_tar_by_far": final_tar, "out_dir": str(outdir)}
     sys.stdout.write(json.dumps(brief, sort_keys=True) + "\n")
     return 0
 
@@ -421,6 +422,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # no prefixes: --out must not pass as --out-dir
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage problems exit 1, not argparse's 2
         raise _UsageError(message)
 
@@ -429,11 +433,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="capfed", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--out", help="write the JSON result to this file as well")
-        p.add_argument("--out-dir", help=f"output directory (default ${OUTDIR_ENV} or cwd)")
-        p.add_argument("--save", action="store_true", help="also write the default output file")
+    common = {"--config": {"help": "key = value configuration file"},
+              "--out": {"help": "write the JSON result to this file as well"},
+              "--out-dir": {"help": f"output directory (default ${OUTDIR_ENV} or cwd)"},
+              "--save": {"action": "store_true", "help": "also write the default output file"}}
+
+    def add_common(p, *flags):
+        for flag in flags or common:
+            p.add_argument(flag, **common[flag])
 
     p = sub.add_parser("calibrate", help="noise scales for a cluster release")
     add_common(p)
@@ -469,7 +476,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=cmd_cluster)
 
     p = sub.add_parser("simulate", help="run a federated training simulation")
-    add_common(p)
+    add_common(p, "--config", "--out-dir")
     p.add_argument("--mode", choices=federation.RUN_MODES, dest="fed.mode")
     p.add_argument("--seed", type=int)
     p.add_argument("--rounds", type=int, dest="fed.rounds")
@@ -479,7 +486,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser("attack", help="top-k retrieval attack on exposed vectors")
-    add_common(p)
+    add_common(p, "--out", "--out-dir", "--save")
     p.add_argument("--exposed", required=True)
     p.add_argument("--gallery", required=True)
     p.add_argument("--k", type=int, default=1)

@@ -12,9 +12,8 @@ so identical runs replay identically.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -121,7 +120,6 @@ class ServerState:
     embedder: np.ndarray
     received_clusters: list[clustering.SanitizedCluster] = field(default_factory=list)
     ledger: dp.PrivacyLedger = field(default_factory=dp.PrivacyLedger)
-    round_index: int = 0
 
 
 def embed(embedder: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -373,35 +371,11 @@ class RoundRecord:
 
 @dataclass
 class RunReport:
-    """Per-round metrics plus the final model and accounting for one run."""
+    """Per-round metrics plus the final client and server state of one run."""
 
-    mode: str
-    seed: int
-    config: dict
     rounds: list[RoundRecord]
-    final_ledger_totals: dict[int, tuple[float, float]]
-    fidelities: list[float]
-    final_embedder: np.ndarray | None = None
-    final_clients: list[ClientState] | None = None
-    server: ServerState | None = None
-
-    def to_json(self) -> str:
-        """Deterministic serialization of everything except in-memory state."""
-        payload = {
-            "mode": self.mode,
-            "seed": self.seed,
-            "config": self.config,
-            "rounds": [r.to_dict() for r in self.rounds],
-            "final_ledger_totals": totals_payload(self.final_ledger_totals),
-            "fidelities": self.fidelities,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-
-def config_as_dict(config: FederationConfig) -> dict:
-    out = asdict(config)
-    out["far_targets"] = list(config.far_targets)
-    return out
+    final_clients: list[ClientState]
+    server: ServerState
 
 
 def run_federation(
@@ -431,10 +405,8 @@ def run_federation(
     )
     cluster_mode = _CLUSTER_MODE_FOR_RUN.get(config.mode)
     records: list[RoundRecord] = []
-    all_fidelities: list[float] = []
 
     for t in range(1, config.rounds + 1):
-        server.round_index = t
         online = list(range(config.clients))
         if config.offline_probability > 0.0 and config.clients > 1:
             off_rng = derive_rng(seed, "offline", t)
@@ -495,7 +467,6 @@ def run_federation(
             if config.clients > 1
             else 0.0
         )
-        all_fidelities.extend(round_fidelities)
         records.append(
             RoundRecord(
                 round_index=t,
@@ -509,14 +480,4 @@ def run_federation(
             )
         )
 
-    return RunReport(
-        mode=config.mode,
-        seed=seed,
-        config=config_as_dict(config),
-        rounds=records,
-        final_ledger_totals=server.ledger.totals(),
-        fidelities=all_fidelities,
-        final_embedder=server.embedder,
-        final_clients=clients,
-        server=server,
-    )
+    return RunReport(records, clients, server)

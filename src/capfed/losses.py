@@ -69,11 +69,10 @@ class ConsensusContext:
     """
 
     centers: np.ndarray  # (K, d), unit rows; K may be 0
-    client: Hashable = 0
 
     @classmethod
-    def empty(cls, dim: int, client: Hashable = 0) -> "ConsensusContext":
-        return cls(np.zeros((0, dim)), client)
+    def empty(cls, dim: int) -> "ConsensusContext":
+        return cls(np.zeros((0, dim)))
 
     @classmethod
     def from_clusters(
@@ -84,8 +83,8 @@ class ConsensusContext:
     ) -> "ConsensusContext":
         foreign = [c.center for c in clusters if c.client != own_client]
         if not foreign:
-            return cls.empty(dim, own_client)
-        return cls(np.asarray(foreign, dtype=float), own_client)
+            return cls.empty(dim)
+        return cls(np.asarray(foreign, dtype=float))
 
 
 @dataclass
@@ -123,9 +122,8 @@ def _core(
     cluster_centers: np.ndarray,
     rho: float,
     config: LossConfig,
-    want_grads: bool,
 ) -> GradientBundle:
-    """Shared loss/gradient kernel.
+    """The loss/gradient kernel behind loss_gradients.
 
     Logit layout per row: n class logits followed by K cluster logits. The
     target class logit uses the margin form, the other class logits the plain
@@ -192,9 +190,6 @@ def _core(
     lse = row_max[:, 0] + np.log(denom[:, 0])
     loss = float(np.mean(lse - target_logits))
 
-    if not want_grads:
-        return GradientBundle(np.zeros(0), np.zeros(0), loss)
-
     # a = (softmax - onehot) * gprime / batch
     a /= denom
     a[rows, labels] -= 1.0
@@ -226,36 +221,6 @@ def _core(
     return GradientBundle(d_f_hat, d_w_hat, loss)
 
 
-def classification_loss(
-    embeddings: np.ndarray,
-    labels: np.ndarray,
-    centers: np.ndarray,
-    config: LossConfig,
-) -> float:
-    """Mean margin-softmax loss of a batch against the local class centers."""
-    empty = np.zeros((0, np.asarray(embeddings).shape[1]))
-    return _core(embeddings, labels, centers, empty, 0.0, config, want_grads=False).loss
-
-
-def consensus_loss(
-    embeddings: np.ndarray,
-    labels: np.ndarray,
-    centers: np.ndarray,
-    context: ConsensusContext,
-    rho: float,
-    config: LossConfig,
-) -> float:
-    """Margin-softmax loss with foreign clusters added to every denominator.
-
-    Reduces exactly to classification_loss when the context is empty, and is
-    never smaller than it otherwise: each cluster contributes a positive
-    denominator term.
-    """
-    return _core(
-        embeddings, labels, centers, context.centers, rho, config, want_grads=False
-    ).loss
-
-
 def loss_gradients(
     embeddings: np.ndarray,
     labels: np.ndarray,
@@ -264,7 +229,10 @@ def loss_gradients(
     rho: float,
     config: LossConfig,
 ) -> GradientBundle:
-    """Consensus loss with analytic gradients for embeddings and centers."""
-    return _core(
-        embeddings, labels, centers, context.centers, rho, config, want_grads=True
-    )
+    """Consensus loss with analytic gradients for embeddings and centers.
+
+    The loss equals the plain margin-softmax loss exactly when the context is
+    empty, and is never smaller otherwise: each foreign cluster adds a
+    positive term to every denominator.
+    """
+    return _core(embeddings, labels, centers, context.centers, rho, config)

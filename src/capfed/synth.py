@@ -80,10 +80,6 @@ class SyntheticFederation:
     public_inputs: np.ndarray | None = None
     public_labels: np.ndarray | None = None
 
-    @property
-    def private_identities(self) -> int:
-        return self.params.clients * self.params.ids_per_client
-
 
 def _sample_inputs(
     directions: np.ndarray,
@@ -175,14 +171,12 @@ def make_verification_pairs(
     positives: int,
     negatives: int,
     rng: np.random.Generator,
-    cross_client_negatives: bool = True,
 ) -> VerificationPairs:
     """Sample balanced verification pairs from the federation's private shards.
 
     Positive pairs take two distinct samples of one identity. Negative pairs
-    take one sample each from two identities, and with cross_client_negatives
-    the two identities always belong to different clients, which is the
-    regime federation consensus is supposed to improve.
+    take one sample each from two identities of different clients, which is
+    the regime federation consensus is supposed to improve.
 
     Samples are numbered by their row in the shards laid end to end, but the
     shards are never concatenated: only the pairs' rows are copied out.
@@ -225,7 +219,7 @@ def make_verification_pairs(
         tries += 1
         g, h = rng.choice(ids, size=2, replace=False)
         g, h = int(g), int(h)
-        if cross_client_negatives and client_of[g] == client_of[h]:
+        if client_of[g] == client_of[h]:
             continue
         i = int(rng.choice(by_id[g]))
         j = int(rng.choice(by_id[h]))
@@ -292,10 +286,6 @@ class AttackGallery:
         if np.unique(self.ids).size != self.ids.size:
             raise DomainError("gallery must have exactly one entry per identity")
 
-    @property
-    def identity_count(self) -> int:
-        return int(np.unique(self.ids).size)
-
 
 def gallery_from_directions(
     directions: np.ndarray,
@@ -344,16 +334,10 @@ def knn_attack(
     if k < 1:
         raise DomainError(f"k={k} must be >= 1")
     sims = normalize_rows(exposed) @ normalize_rows(gallery.vectors).T
+    # Gallery ids are distinct, so the k best entries are the k best identities.
+    top = gallery.ids[np.argsort(-sims, axis=1, kind="stable")[:, :k]]
     scores = np.zeros(exposed.shape[0])
-    for i in range(exposed.shape[0]):
+    for i, got in enumerate(top.tolist()):
         want = {int(t) for t in np.atleast_1d(targets[i])}
-        order = np.argsort(-sims[i], kind="stable")
-        got: list[int] = []
-        for e in order:
-            gid = int(gallery.ids[e])
-            if gid not in got:
-                got.append(gid)
-            if len(got) == k:
-                break
         scores[i] = len(want.intersection(got)) / len(want)
     return AttackResult(float(np.mean(scores)), scores)

@@ -4,8 +4,9 @@
 rows straight from the clients' shards; this module keeps the versions they
 replaced, which concatenate the shards, group samples by identity with one
 mask per identity and normalize out of place, so tests can demand the same
-shard, pair and TAR bytes from both. The reference `embed` lives in
-train_oracle.
+shard, pair and TAR bytes from both. `knn_attack` keeps the per-row loop
+that skipped repeated gallery identities, so tests can demand the same scores
+from the vectorized top-k. The reference `embed` lives in train_oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from capfed.errors import DegenerateInputError, DomainError
 from capfed.geometry import normalize_rows
-from capfed.synth import SyntheticFederation, VerificationPairs
+from capfed.synth import AttackGallery, AttackResult, SyntheticFederation, VerificationPairs
 
 
 def _sample_inputs(
@@ -39,14 +40,12 @@ def make_verification_pairs(
     positives: int,
     negatives: int,
     rng: np.random.Generator,
-    cross_client_negatives: bool = True,
 ) -> VerificationPairs:
     """Sample balanced verification pairs from the federation's private shards.
 
     Positive pairs take two distinct samples of one identity. Negative pairs
-    take one sample each from two identities, and with cross_client_negatives
-    the two identities always belong to different clients, which is the
-    regime federation consensus is supposed to improve.
+    take one sample each from two identities of different clients, which is
+    the regime federation consensus is supposed to improve.
     """
     all_x = np.concatenate(fed.client_inputs, axis=0)
     all_y = np.concatenate(fed.client_labels, axis=0)
@@ -88,7 +87,7 @@ def make_verification_pairs(
         tries += 1
         g, h = rng.choice(ids, size=2, replace=False)
         g, h = int(g), int(h)
-        if cross_client_negatives and client_of[g] == client_of[h]:
+        if client_of[g] == client_of[h]:
             continue
         i = int(rng.choice(by_id[g]))
         j = int(rng.choice(by_id[h]))
@@ -123,3 +122,22 @@ def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[floa
         out[float(target)] = float(np.mean(pos > thr))
     return out
 
+
+
+def knn_attack(exposed, gallery: AttackGallery, k: int, targets: list) -> AttackResult:
+    """Top-k retrieval that walks each row's ranking and skips repeated identities."""
+    exposed = np.atleast_2d(np.asarray(exposed, dtype=float))
+    sims = normalize_rows(exposed) @ normalize_rows(gallery.vectors).T
+    scores = np.zeros(exposed.shape[0])
+    for i in range(exposed.shape[0]):
+        want = {int(t) for t in np.atleast_1d(targets[i])}
+        order = np.argsort(-sims[i], kind="stable")
+        got: list[int] = []
+        for e in order:
+            gid = int(gallery.ids[e])
+            if gid not in got:
+                got.append(gid)
+            if len(got) == k:
+                break
+        scores[i] = len(want.intersection(got)) / len(want)
+    return AttackResult(float(np.mean(scores)), scores)

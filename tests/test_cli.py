@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from capfed import dp, federation, synth
+from capfed import dp
 from capfed.cli import (
     load_unit_embeddings,
     main,
@@ -141,7 +141,7 @@ SIM_CONFIG = (
 
 
 class TestFlagsEcho:
-    """Each flag sets its config key; --out-dir never reaches the echoed config."""
+    """Each flag sets its config key; --out-dir picks where outputs go but is not echoed."""
 
     @pytest.mark.parametrize("file_out_dir", [False, True])
     def test_simulate(self, tmp_path, capsys, file_out_dir):
@@ -155,17 +155,17 @@ class TestFlagsEcho:
             "--eps", "2", "--offline-probability", "0.25",
         ]
         assert main(argv) == 0
-        capsys.readouterr()
+        assert json.loads(capsys.readouterr().out)["out_dir"] == str(flag_dir)
         expected = parse_config(
             str(cfg),
             {"fed.mode": "phi-p", "seed": 3, "fed.rounds": 1, "dplc.rho": 1.2,
              "dp.epsilon": 2.0, "fed.offline_probability": 0.25},
         ).resolved
         assert expected["out_dir"] == (str(file_dir) if file_out_dir else "")
-        written = file_dir if file_out_dir else flag_dir
-        header = json.loads((written / "phi_p_rounds.jsonl").read_text().splitlines()[0])
+        assert not file_dir.exists()  # the flag wins over the file's out_dir
+        header = json.loads((flag_dir / "phi_p_rounds.jsonl").read_text().splitlines()[0])
         assert header["config"] == expected
-        assert json.loads((written / "phi_p_summary.json").read_text())["config"] == expected
+        assert json.loads((flag_dir / "phi_p_summary.json").read_text())["config"] == expected
 
     def test_cluster(self, tmp_path, capsys):
         emb = tmp_path / "centers.csv"
@@ -375,20 +375,16 @@ class TestCommands:
         assert (tmp_path / "run" / "phi_hat_rounds.jsonl").read_bytes() == first
         assert (tmp_path / "run" / "phi_hat_summary.json").read_bytes() == summary_first
 
-        # Both serializers write exactly these keys per round, and the same values.
+        # Every round line has exactly these keys.
         round_keys = {
-            "round", "online_clients", "queries_by_client", "loss_by_client",
+            "record", "mode", "round", "online_clients", "queries_by_client", "loss_by_client",
             "tar_by_far", "cross_client_margin", "ledger_totals",
         }
         file_rounds = [json.loads(line) for line in first.decode().splitlines()[1:]]
+        assert len(file_rounds) == 2
         for rec in file_rounds:
-            assert set(rec) == round_keys | {"record", "mode"}
-            assert (rec.pop("record"), rec.pop("mode")) == ("round", "phi-hat")
-        run = parse_config(str(cfg), {"seed": 5, "fed.mode": "phi-hat"})
-        fed = synth.generate_federation(run.synth_params, federation.derive_rng(5, "synth"))
-        json_rounds = json.loads(federation.run_federation(run.fed_config, fed, 5).to_json())["rounds"]
-        assert [set(r) for r in json_rounds] == [round_keys] * 2
-        assert json_rounds == file_rounds
+            assert set(rec) == round_keys
+            assert (rec["record"], rec["mode"]) == ("round", "phi-hat")
 
         assert main(base + ["--parallel"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -405,6 +401,23 @@ class TestCommands:
             assert all(q == 0 for q in rec_p["queries_by_client"].values())
             assert any(q > 0 for q in rec_h["queries_by_client"].values())
             assert rec_p["ledger_totals"] == {}
+
+    @pytest.mark.parametrize("mode", ["phi-hat", "phi-p", "phi"])
+    def test_summary_totals_and_fidelities_come_from_the_rounds(self, tmp_path, capsys, mode):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CONFIG + "fed.rounds = 4\nfed.offline_probability = 0.5\n")
+        argv = ["simulate", "--config", str(cfg), "--mode", mode, "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        prefix = mode.replace("-", "_")
+        lines = (tmp_path / f"{prefix}_rounds.jsonl").read_text().splitlines()
+        rounds = [json.loads(line) for line in lines[1:]]
+        summary = json.loads((tmp_path / f"{prefix}_summary.json").read_text())
+        assert summary["final_ledger_totals"] == rounds[-1]["ledger_totals"]
+        queries = sum(q for r in rounds for q in r["queries_by_client"].values())
+        assert len(summary["cosine_fidelity_samples"]) == queries
+        assert (queries > 0) == (mode != "phi")
+        assert bool(summary["final_ledger_totals"]) == (mode == "phi-hat")  # phi-p charges nothing
 
     def test_unreachable_min_size_warns(self, tmp_path, capsys):
         emb = tmp_path / "centers.csv"
@@ -455,6 +468,27 @@ class TestExitCodes:
         assert main(["calibrate"]) == 1  # missing required --size
         assert main(["unknown-subcommand"]) == 1
         capsys.readouterr()
+
+    def test_simulate_rejects_output_flags_it_never_read(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CONFIG + "fed.rounds = 1\n")
+        argv = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]
+        out = tmp_path / "x.json"
+        for extra in (["--out", str(out)], ["--save"], ["--out", str(out), "--save"]):
+            assert main(argv + extra) == 1
+            assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists() and not out.exists()
+
+    def test_attack_rejects_config(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("not a key value line\n")
+        gallery = tmp_path / "gallery.csv"
+        write_embeddings_csv(gallery, np.eye(4))
+        argv = ["attack", "--exposed", str(gallery), "--gallery", str(gallery)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert "usage error" in capsys.readouterr().err
 
     def test_removed_gradcheck_is_a_usage_error(self, capsys):
         assert main(["gradcheck"]) == 1

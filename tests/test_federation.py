@@ -217,39 +217,40 @@ class TestRunFederation:
         config = tiny_config()
         a = run_federation(config, fed, seed=21)
         b = run_federation(config, fed, seed=21)
-        assert a.to_json() == b.to_json()
-        np.testing.assert_array_equal(a.final_embedder, b.final_embedder)
+        assert a.rounds == b.rounds
+        np.testing.assert_array_equal(a.server.embedder, b.server.embedder)
 
     def test_seed_changes_output(self):
         fed = tiny_fed(3)
         config = tiny_config()
         a = run_federation(config, fed, seed=1)
         b = run_federation(config, fed, seed=2)
-        assert a.to_json() != b.to_json()
+        assert a.rounds != b.rounds
 
     def test_ledger_accumulates_per_round(self):
         fed = tiny_fed(4)
         config = tiny_config(rounds=10)
         report = run_federation(config, fed, seed=5)
         for c in range(4):
-            eps, delta = report.final_ledger_totals[c]
+            eps, delta = report.rounds[-1].ledger_totals[c]
             assert eps == 10.0
             assert delta == pytest.approx(10 * 5e-5)
 
     def test_phi_mode_charges_nothing_and_releases_nothing(self):
         fed = tiny_fed(4)
         report = run_federation(tiny_config(mode="phi"), fed, seed=5)
-        assert report.final_ledger_totals == {}
-        assert report.fidelities == []
+        assert report.rounds[-1].ledger_totals == {}
+        assert all(r.fidelities == [] for r in report.rounds)
         for r in report.rounds:
             assert all(q == 0 for q in r.queries_by_client.values())
 
     def test_noise_free_mode_charges_nothing_but_releases(self):
         fed = tiny_fed(4)
         report = run_federation(tiny_config(mode="phi-p"), fed, seed=5)
-        assert report.final_ledger_totals == {}
-        assert report.fidelities
-        assert all(f == pytest.approx(1.0, abs=1e-12) for f in report.fidelities)
+        assert report.rounds[-1].ledger_totals == {}
+        fidelities = [f for r in report.rounds for f in r.fidelities]
+        assert fidelities
+        assert all(f == pytest.approx(1.0, abs=1e-12) for f in fidelities)
 
     def test_offline_policy_excludes_exactly_one(self):
         fed = tiny_fed(5)
@@ -264,7 +265,7 @@ class TestRunFederation:
         fed = tiny_fed(5)
         config = tiny_config(offline_probability=1.0, rounds=6)
         report = run_federation(config, fed, seed=7)
-        total_eps = sum(v[0] for v in report.final_ledger_totals.values())
+        total_eps = sum(v[0] for v in report.rounds[-1].ledger_totals.values())
         assert total_eps == 6 * 3  # three online clients per round, one query each
 
     def test_phi_mode_matches_reference_fedavg_loop(self):
@@ -311,7 +312,7 @@ class TestRunFederation:
                 states[c] = (a, w)
                 new_models.append(a)
             global_a = tree_mean(new_models)
-        np.testing.assert_array_equal(report.final_embedder, global_a)
+        np.testing.assert_array_equal(report.server.embedder, global_a)
 
     def test_information_flow_no_center_escapes(self):
         fed = tiny_fed(7)
@@ -323,7 +324,6 @@ class TestRunFederation:
             "embedder",
             "received_clusters",
             "ledger",
-            "round_index",
         }
         client_centers = [s.centers for s in report.final_clients]
         server_arrays = [server.embedder] + [c.center for c in server.received_clusters]
@@ -374,7 +374,7 @@ class TestRunFederation:
         report = run_federation(config, fed, seed=61)
         assert len(report.rounds) == 4
         for c in range(4):
-            assert report.final_ledger_totals[c][0] == 4.0
+            assert report.rounds[-1].ledger_totals[c][0] == 4.0
 
 
 class TestDeriveRng:

@@ -10,11 +10,14 @@ from capfed.geometry import normalize, normalize_rows, sample_uniform_directions
 from capfed.losses import (
     ConsensusContext,
     LossConfig,
-    classification_loss,
-    consensus_loss,
     loss_gradients,
 )
 from train_oracle import cluster_similarity, finite_diff_check, margin_similarity
+
+
+def plain_loss(f, labels, w, config):
+    """The margin-softmax loss alone: an empty consensus context."""
+    return loss_gradients(f, labels, w, ConsensusContext.empty(f.shape[1]), 0.0, config).loss
 
 
 def random_instance(rng, n=8, d=16, batch=4, clusters=2):
@@ -129,9 +132,9 @@ class TestKernelAgainstScalarLogits:
             logits += [cluster_similarity(p, f, rho, config.scale) for p in clusters]
             top = max(logits)
             want = top + math.log(math.fsum(math.exp(v - top) for v in logits)) - logits[label]
-            got = consensus_loss(
+            got = loss_gradients(
                 f[None, :], np.array([label]), w, ConsensusContext(clusters), rho, config
-            )
+            ).loss
             assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -140,37 +143,37 @@ class TestClassificationLoss:
         rng = np.random.default_rng(0)
         f = sample_uniform_directions(4, 16, rng)
         w = sample_uniform_directions(1, 16, rng)
-        assert classification_loss(f, np.zeros(4, dtype=int), w, LossConfig("cosface", 64.0)) == 0.0
+        assert plain_loss(f, np.zeros(4, dtype=int), w, LossConfig("cosface", 64.0)) == 0.0
 
     def test_zero_margin_families_coincide(self):
         rng = np.random.default_rng(1)
         f, labels, w, _ = random_instance(rng)
-        a = classification_loss(f, labels, w, LossConfig("cosface", 32.0, 0.0))
-        b = classification_loss(f, labels, w, LossConfig("arcface", 32.0, 0.0))
+        a = plain_loss(f, labels, w, LossConfig("cosface", 32.0, 0.0))
+        b = plain_loss(f, labels, w, LossConfig("arcface", 32.0, 0.0))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_hand_value_one_negative(self):
         f = np.array([[1.0, 0.0]])
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss = classification_loss(f, np.array([0]), w, LossConfig("cosface", 1.0, 0.0))
+        loss = plain_loss(f, np.array([0]), w, LossConfig("cosface", 1.0, 0.0))
         assert loss == pytest.approx(-math.log(math.e / (math.e + 1.0)), abs=1e-12)
 
     def test_label_out_of_range(self):
         f = np.eye(3)[:2]
         w = np.eye(3)
         with pytest.raises(LabelOutOfRangeError):
-            classification_loss(f, np.array([0, 3]), w, LossConfig())
+            plain_loss(f, np.array([0, 3]), w, LossConfig())
         with pytest.raises(LabelOutOfRangeError):
-            classification_loss(f, np.array([-1, 0]), w, LossConfig())
+            plain_loss(f, np.array([-1, 0]), w, LossConfig())
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            classification_loss(np.eye(3), np.zeros(3, dtype=int), np.eye(4), LossConfig())
+            plain_loss(np.eye(3), np.zeros(3, dtype=int), np.eye(4), LossConfig())
 
     def test_large_scale_is_finite(self):
         rng = np.random.default_rng(2)
         f, labels, w, ctx = random_instance(rng)
-        loss = consensus_loss(f, labels, w, ctx, 1.3, LossConfig("cosface", 64.0))
+        loss = loss_gradients(f, labels, w, ctx, 1.3, LossConfig("cosface", 64.0)).loss
         assert math.isfinite(loss)
 
 
@@ -180,8 +183,8 @@ class TestConsensusLoss:
         f, labels, w, _ = random_instance(rng)
         for kind in ("cosface", "arcface"):
             config = LossConfig(kind, 24.0)
-            plain = classification_loss(f, labels, w, config)
-            empty = consensus_loss(f, labels, w, ConsensusContext.empty(16), 1.3, config)
+            plain = plain_loss(f, labels, w, config)
+            empty = loss_gradients(f, labels, w, ConsensusContext.empty(16), 1.3, config).loss
             assert plain == empty
 
     def test_never_below_classification(self):
@@ -189,7 +192,7 @@ class TestConsensusLoss:
         for _ in range(25):
             f, labels, w, ctx = random_instance(rng)
             config = LossConfig("cosface", 12.0)
-            assert consensus_loss(f, labels, w, ctx, 1.0, config) > classification_loss(
+            assert loss_gradients(f, labels, w, ctx, 1.0, config).loss > plain_loss(
                 f, labels, w, config
             )
 
@@ -202,30 +205,31 @@ class TestConsensusLoss:
         config = LossConfig("cosface", s, 0.0)
         ctx = ConsensusContext(np.array([[1.0, 0.0, 0.0]]))
         expected = -math.log(math.exp(s) / (math.exp(s) + 1.0 + math.exp(s)))
-        assert consensus_loss(f, labels, w, ctx, 1.3, config) == pytest.approx(expected, rel=1e-12)
+        loss = loss_gradients(f, labels, w, ctx, 1.3, config).loss
+        assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_adding_cluster_never_decreases(self):
         rng = np.random.default_rng(5)
         f, labels, w, ctx = random_instance(rng, clusters=1)
         config = LossConfig("arcface", 10.0)
-        base = consensus_loss(f, labels, w, ctx, 1.0, config)
+        base = loss_gradients(f, labels, w, ctx, 1.0, config).loss
         extra = ConsensusContext(
             np.concatenate([ctx.centers, sample_uniform_directions(1, 16, rng)])
         )
-        assert consensus_loss(f, labels, w, extra, 1.0, config) >= base
+        assert loss_gradients(f, labels, w, extra, 1.0, config).loss >= base
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
         f, labels, w, ctx = random_instance(rng, clusters=3)
         config = LossConfig("cosface", 16.0)
-        base = consensus_loss(f, labels, w, ctx, 1.0, config)
+        base = loss_gradients(f, labels, w, ctx, 1.0, config).loss
         perm = rng.permutation(w.shape[0])
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(perm.size)
-        shuffled = consensus_loss(f, inverse[labels], w[perm], ctx, 1.0, config)
+        shuffled = loss_gradients(f, inverse[labels], w[perm], ctx, 1.0, config).loss
         assert shuffled == pytest.approx(base, rel=1e-12)
         cluster_perm = ConsensusContext(ctx.centers[::-1].copy())
-        assert consensus_loss(f, labels, w, cluster_perm, 1.0, config) == pytest.approx(
+        assert loss_gradients(f, labels, w, cluster_perm, 1.0, config).loss == pytest.approx(
             base, rel=1e-12
         )
 
@@ -239,7 +243,7 @@ class TestConsensusLoss:
         losses = []
         for theta in np.linspace(0.9, 2.2, 12):
             f = np.array([[math.cos(theta), math.sin(theta), 0.0]])
-            losses.append(consensus_loss(f, labels, w, ctx, 0.8, config))
+            losses.append(loss_gradients(f, labels, w, ctx, 0.8, config).loss)
         # angle to the cluster grows along the sweep while the class geometry
         # stays symmetric enough for the first steps to strictly improve
         assert losses[1] < losses[0]
@@ -274,10 +278,14 @@ class TestGradients:
             f, labels, w, ctx = random_instance(rng)
             bundle = loss_gradients(f, labels, w, ctx, 1.0, config)
             err_f = finite_diff_check(
-                lambda p: consensus_loss(p, labels, w, ctx, 1.0, config), f, bundle.d_embeddings
+                lambda p: loss_gradients(p, labels, w, ctx, 1.0, config).loss,
+                f,
+                bundle.d_embeddings,
             )
             err_w = finite_diff_check(
-                lambda p: consensus_loss(f, labels, p, ctx, 1.0, config), w, bundle.d_centers
+                lambda p: loss_gradients(f, labels, p, ctx, 1.0, config).loss,
+                w,
+                bundle.d_centers,
             )
             assert err_f < 1e-5
             assert err_w < 1e-5

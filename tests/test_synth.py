@@ -229,7 +229,7 @@ class TestKnnAttack:
         sigma = naive_sigma(PrivacyBudget(1.0, 5e-5)).sigma
         exposed = np.stack([gaussian_perturb(d, sigma, rng) for d in directions])
         result = knn_attack(exposed, gallery, 1, [[i] for i in range(128)])
-        p = 1.0 / gallery.identity_count
+        p = 1.0 / gallery.ids.size
         se = math.sqrt(p * (1 - p) / 128)
         assert result.success_rate <= p + 3 * se + 1e-9
 

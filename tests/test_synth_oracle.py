@@ -13,11 +13,16 @@ import train_oracle
 from capfed import federation, synth
 from capfed.clustering import ClusteringParams
 from capfed.dp import PrivacyBudget
+from capfed.errors import DegenerateInputError
 from capfed.federation import FederationConfig, embed, run_federation
+from capfed.geometry import normalize_rows
 from capfed.losses import LossConfig
 from capfed.synth import (
+    AttackGallery,
     SynthParams,
+    VerificationPairs,
     generate_federation,
+    knn_attack,
     make_verification_pairs,
     verification_eval,
 )
@@ -57,16 +62,20 @@ def test_generated_shards_match_oracle(monkeypatch, case):
         assert live.public_labels.tobytes() == ref.public_labels.tobytes()
 
 
-@pytest.mark.parametrize("cross", [True, False])
 @pytest.mark.parametrize("case", range(len(FEDERATIONS)))
-def test_pairs_match_oracle(case, cross):
+def test_pairs_match_oracle(case):
     fed = generate_federation(SynthParams(**FEDERATIONS[case]), np.random.default_rng(case))
-    if cross and fed.params.clients == 1:
-        cross = False  # no two identities of different clients to pair
     for seed, (pos, neg) in enumerate([(1, 1), (20, 30), (60, 60), (0, 15)]):
         rng, ref_rng = np.random.default_rng([case, seed]), np.random.default_rng([case, seed])
-        live = make_verification_pairs(fed, pos, neg, rng, cross)
-        ref = oracle.make_verification_pairs(fed, pos, neg, ref_rng, cross)
+        if fed.params.clients == 1:  # no two identities of different clients to pair
+            with pytest.raises(DegenerateInputError):
+                make_verification_pairs(fed, pos, neg, rng)
+            with pytest.raises(DegenerateInputError):
+                oracle.make_verification_pairs(fed, pos, neg, ref_rng)
+            assert state_of(rng) == state_of(ref_rng)
+            continue
+        live = make_verification_pairs(fed, pos, neg, rng)
+        ref = oracle.make_verification_pairs(fed, pos, neg, ref_rng)
         assert state_of(rng) == state_of(ref_rng)
         for x, y in ((live.a, ref.a), (live.b, ref.b), (live.same, ref.same)):
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -91,10 +100,21 @@ def test_pairs_match_oracle_on_uneven_hand_built_shards():
         assert x.tobytes() == y.tobytes()
 
 
+def eval_pairs(fed, rng):
+    """Sampled pairs, or with one client (no cross-client negative) label-order neighbours."""
+    if fed.params.clients > 1:
+        return make_verification_pairs(fed, 40, 40, rng)
+    x, labels = fed.client_inputs[0], fed.client_labels[0]
+    order = np.argsort(labels, kind="stable")
+    a, b = order[:-1], order[1:]
+    return VerificationPairs(x[a], x[b], labels[a] == labels[b])
+
+
 @pytest.mark.parametrize("case", range(len(FEDERATIONS)))
 def test_eval_and_embed_match_oracle(monkeypatch, case):
     fed = generate_federation(SynthParams(**FEDERATIONS[case]), np.random.default_rng(case))
-    pairs = make_verification_pairs(fed, 40, 40, np.random.default_rng(case), False)
+    pairs = eval_pairs(fed, np.random.default_rng(case))
+    assert pairs.same.any() and not pairs.same.all()
     targets = tuple(np.linspace(0.0, 1.0, 41))
     # a TAR moves only when a score crosses a threshold; the negative scores, which
     # verification_eval sorts, show every bit
@@ -120,6 +140,23 @@ def test_eval_and_embed_match_oracle(monkeypatch, case):
     ref.append(oracle.verification_eval(lambda v: v, pairs, targets))
     assert live == ref
     assert [s.tobytes() for s in live_scores] == [s.tobytes() for s in neg_scores]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 40])
+def test_knn_attack_matches_oracle(k):
+    rng = np.random.default_rng(k)
+    base = rng.standard_normal((12, 6))
+    # repeated rows tie on cosine, so the stable tie order is exercised
+    vectors = normalize_rows(np.concatenate([base, base[:5], base[2:7]]))
+    gallery = AttackGallery(rng.permutation(1000)[: vectors.shape[0]], vectors)
+    exposed = np.concatenate([base[[0, 3, 9]], rng.standard_normal((20, 6)), 0.5 * base[[1, 6]]])
+    targets = [rng.choice(gallery.ids, size=int(rng.integers(1, 4)), replace=False)
+               for _ in range(exposed.shape[0])]
+    live = knn_attack(exposed, gallery, k, targets)
+    ref = oracle.knn_attack(exposed, gallery, k, targets)
+    assert live.success_rate == ref.success_rate
+    assert live.per_exposed.tobytes() == ref.per_exposed.tobytes()
+    assert 0.0 < ref.success_rate
 
 
 def test_eval_leaves_pairs_and_embed_outputs_unchanged():
@@ -178,8 +215,8 @@ def test_run_federation_matches_oracle(monkeypatch, shared, aggregation):
     with monkeypatch.context() as patched:
         use_oracle(patched)
         ref = run_federation(config, fed, 21)
-    assert live.to_json() == ref.to_json()
-    assert live.final_embedder.tobytes() == ref.final_embedder.tobytes()
+    assert live.rounds == ref.rounds
+    assert live.server.embedder.tobytes() == ref.server.embedder.tobytes()
     for a, b in zip(live.final_clients, ref.final_clients, strict=True):
         assert a.centers.tobytes() == b.centers.tobytes()
         assert a.embedder.tobytes() == b.embedder.tobytes()

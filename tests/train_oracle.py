@@ -127,9 +127,8 @@ def _core(
     cluster_centers: np.ndarray,
     rho: float,
     config: LossConfig,
-    want_grads: bool,
 ) -> GradientBundle:
-    """Shared loss/gradient kernel.
+    """The loss/gradient kernel behind loss_gradients.
 
     Logit layout per row: n class logits followed by K cluster logits. The
     target class logit uses the margin form, the other class logits the plain
@@ -184,9 +183,6 @@ def _core(
     lse = row_max[:, 0] + np.log(denom[:, 0])
     loss = float(np.mean(lse - logits[rows, labels]))
 
-    if not want_grads:
-        return GradientBundle(np.zeros(0), np.zeros(0), loss)
-
     soft = exp / denom
     a = soft.copy()
     a[rows, labels] -= 1.0
@@ -208,7 +204,7 @@ def _core(
 
 def loss_gradients(embeddings, labels, centers, context, rho, config) -> GradientBundle:
     """Consensus loss with analytic gradients for embeddings and centers."""
-    return _core(embeddings, labels, centers, context.centers, rho, config, want_grads=True)
+    return _core(embeddings, labels, centers, context.centers, rho, config)
 
 
 def client_local_round(

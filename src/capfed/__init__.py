@@ -26,7 +26,6 @@ from .federation import (
     aggregate_fedavg,
     client_local_round,
     derive_rng,
-    fedsgd_round,
     run_federation,
 )
 from .geometry import (

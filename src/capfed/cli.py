@@ -77,7 +77,7 @@ _SECTIONS = {
     "dplc": _section("dplc", clustering.ClusteringParams, ("budget", "mode")),
     "loss": _section("loss", losses.LossConfig),
     "synth": _section("synth", synth.SynthParams),
-    "fed": _section("fed", federation.FederationConfig, ("clients", "clustering_params", "loss")),
+    "fed": _section("fed", federation.FederationConfig, ("clustering_params", "loss")),
 }
 
 
@@ -154,8 +154,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     clustering_params = build("dplc", budget=build("dp"))
     loss_config = build("loss")
     synth_params = build("synth")
-    fed_config = build("fed", clients=resolved["synth.clients"],
-                       clustering_params=clustering_params, loss=loss_config)
+    fed_config = build("fed", clustering_params=clustering_params, loss=loss_config)
     echo = {k: (list(v) if isinstance(v, tuple) else v) for k, v in resolved.items()}
     return RunConfig(resolved["seed"], resolved["out_dir"], synth_params, fed_config, echo)
 
@@ -252,13 +251,13 @@ def _out_dir(args, configured: str = "") -> Path:
     return Path(chosen) if chosen else Path.cwd()
 
 
-def _emit_json(payload: dict, args, default_name: str) -> None:
+def _emit_json(payload: dict, args, default_name: str, configured_out_dir: str = "") -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     if getattr(args, "out", None):
         _atomic_write(Path(args.out), text)
     elif getattr(args, "save", False):
-        _atomic_write(_out_dir(args) / default_name, text)
+        _atomic_write(_out_dir(args, configured_out_dir) / default_name, text)
 
 
 def _config_overrides(args) -> dict:
@@ -284,7 +283,7 @@ def cmd_calibrate(args) -> int:
         "sigma": {bound: cal.sigma for bound, cal in cals.items()},
         "sensitivity": {bound: cal.sensitivity for bound, cal in cals.items()},
     }
-    _emit_json(payload, args, "calibrate.json")
+    _emit_json(payload, args, "calibrate.json", cfg.out_dir)
     return 0
 
 
@@ -336,13 +335,16 @@ def cmd_cluster(args) -> int:
         "queries_used": report.queries_used,
         "ledger_delta": list(report.ledger_delta),
     }
-    _emit_json(payload, args, "clusters.json")
+    _emit_json(payload, args, "clusters.json", cfg.out_dir)
     return 0
 
 
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config, _config_overrides(args))
     synth_params, fed_config = cfg.synth_params, cfg.fed_config
+    if synth_params.clients < 2:
+        raise ValidationError("synth.clients: a simulation needs at least 2 clients, "
+                              "since every negative verification pair spans two")
     mode = fed_config.mode
     classes = synth_params.ids_per_client
     if fed_config.shared_public_shard:

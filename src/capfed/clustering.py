@@ -92,7 +92,6 @@ class SanitizedCluster:
     covered_count: int
     query_index: int
     client: Hashable = 0
-    round_index: int = 0
 
 
 @dataclass
@@ -211,7 +210,6 @@ def run_clustering(
     params: ClusteringParams,
     rng: np.random.Generator,
     client: Hashable = 0,
-    round_index: int = 0,
 ) -> ClusteringReport:
     """Run the full greedy covering release on one client's class centers.
 
@@ -253,7 +251,6 @@ def run_clustering(
                     covered_count=1,
                     query_index=i + 1,
                     client=client,
-                    round_index=round_index,
                 )
             )
             fidelities.append(float(np.dot(normalize(noised), centers[i])))
@@ -296,7 +293,6 @@ def run_clustering(
                 covered_count=int(members.size),
                 query_index=queries_used,
                 client=client,
-                round_index=round_index,
             )
         )
         fidelities.append(float(np.dot(released, direction)))

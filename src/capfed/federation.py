@@ -1,10 +1,11 @@
-"""Simulated multi-client training rounds with cluster exchange and aggregation.
+"""Simulated federated training rounds with cluster exchange and FedAvg.
 
-Each round: every online client syncs the broadcast embedder, releases
-sanitized (or noise-free) clusters of its class centers, receives everyone
-else's clusters, locally optimizes the consensus loss, and the server
-averages the returned embedders. Class centers never leave their client; the
-server only ever holds embedder parameters and released cluster centers.
+Each round: every online client releases sanitized (or noise-free) clusters
+of its class centers, receives everyone else's clusters, starts from the
+broadcast embedder and runs local SGD on the consensus loss, and the server
+replaces the broadcast embedder with the coordinate-wise mean of the
+returned ones (FedAvg). Class centers never leave their client; the server
+only ever holds embedder parameters and released cluster centers.
 
 All randomness is drawn from streams keyed by (seed, purpose, round, client),
 so identical runs replay identically.
@@ -52,7 +53,6 @@ def derive_rng(seed: int, *key) -> np.random.Generator:
 class FederationConfig:
     """Everything one simulated training run needs besides the data and seed."""
 
-    clients: int = 4
     rounds: int = 10
     mode: str = MODE_PHI_HAT
     clustering_params: clustering.ClusteringParams = field(
@@ -63,7 +63,6 @@ class FederationConfig:
     weight_decay: float = 5e-4
     batch_size: int = 64
     local_epochs: int = 1
-    aggregation: str = "fedavg"  # fedavg | fedsgd
     offline_probability: float = 0.0
     shared_public_shard: bool = False
     center_init: str = "class_means"  # class_means | uniform
@@ -73,14 +72,10 @@ class FederationConfig:
     far_targets: tuple[float, ...] = (1e-2,)
 
     def __post_init__(self) -> None:
-        if self.clients < 1:
-            raise ValidationError("clients must be >= 1")
         if self.rounds < 1:
             raise ValidationError("rounds must be >= 1")
         if self.mode not in RUN_MODES:
             raise ValidationError(f"mode={self.mode!r} not one of {RUN_MODES}")
-        if self.aggregation not in ("fedavg", "fedsgd"):
-            raise ValidationError(f"aggregation={self.aggregation!r} not fedavg or fedsgd")
         if not 0.0 <= self.offline_probability <= 1.0:
             raise ValidationError("offline_probability must lie in [0, 1]")
         if self.batch_size < 1:
@@ -140,10 +135,6 @@ def initialize_clients(
     centers start as the normalized per-class feature means under that init,
     standing in for a warm start, unless center_init is "uniform".
     """
-    if config.clients != fed.params.clients:
-        raise ValidationError(
-            f"config.clients={config.clients} != federation clients={fed.params.clients}"
-        )
     if config.shared_public_shard and fed.public_inputs is None:
         raise ValidationError("shared_public_shard requires a federation with public identities")
 
@@ -152,7 +143,7 @@ def initialize_clients(
     embedder0 = config.init_scale * init_rng.standard_normal((d, d_in)) / np.sqrt(d_in)
 
     states = []
-    for c in range(config.clients):
+    for c in range(fed.params.clients):
         x = fed.client_inputs[c]
         y_global = fed.client_labels[c]
         if config.shared_public_shard:
@@ -207,7 +198,7 @@ def client_local_round(
     config: FederationConfig,
     rng: np.random.Generator,
 ) -> tuple[ClientState, float | None]:
-    """One client's local optimization pass for a fedavg round.
+    """One client's local optimization pass for a round.
 
     Syncs the broadcast embedder, then runs local_epochs passes of minibatch
     SGD on the consensus loss. Class-center rows are renormalized after every
@@ -249,27 +240,6 @@ def client_local_round(
     return new_state, mean_loss
 
 
-def client_full_gradient(
-    state: ClientState,
-    frozen_embedder: np.ndarray,
-    foreign: losses.ConsensusContext,
-    config: FederationConfig,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Whole-shard gradients of the consensus loss at a frozen embedder.
-
-    Used by fedsgd: the model stays fixed while gradients are computed, so
-    every sample's gradient refers to the same parameters.
-    """
-    if state.inputs.shape[0] == 0:
-        raise EmptyShardError(f"client {state.client_id} has no data")
-    raw = state.inputs @ frozen_embedder.T
-    bundle = losses.loss_gradients(
-        raw, state.labels, state.centers, foreign, config.clustering_params.rho, config.loss
-    )
-    d_embedder = bundle.d_embeddings.T @ state.inputs
-    return d_embedder, bundle.d_centers, bundle.loss
-
-
 def _pairwise_tree_sum(items: list[np.ndarray]) -> np.ndarray:
     while len(items) > 1:
         merged = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
@@ -279,60 +249,21 @@ def _pairwise_tree_sum(items: list[np.ndarray]) -> np.ndarray:
     return items[0]
 
 
-def exact_mean(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Permutation-invariant coordinate-wise mean.
+def aggregate_fedavg(models: Sequence[np.ndarray]) -> np.ndarray:
+    """Coordinate-wise mean of the received embedder parameters.
 
     Values are sorted per coordinate before a pairwise-tree summation, so the
-    result is bit-identical under any reordering of the inputs, and the mean
-    of 2^k identical arrays is exactly that array.
+    result is bit-identical under any reordering of the models, and the mean
+    of 2^k identical models is exactly that model.
     """
-    if not arrays:
+    if not models:
         raise EmptyShardError("cannot average an empty list of models")
-    shapes = {a.shape for a in arrays}
+    shapes = {m.shape for m in models}
     if len(shapes) != 1:
         raise ShapeMismatchError(f"mismatched shapes {sorted(shapes)}")
-    stack = np.sort(np.stack([np.asarray(a, dtype=float) for a in arrays]), axis=0)
+    stack = np.sort(np.stack([np.asarray(m, dtype=float) for m in models]), axis=0)
     total = _pairwise_tree_sum([stack[i] for i in range(stack.shape[0])])
-    return total / len(arrays)
-
-
-def aggregate_fedavg(models: Sequence[np.ndarray]) -> np.ndarray:
-    """Coordinate-wise mean of the received embedder parameters."""
-    return exact_mean(models)
-
-
-def fedsgd_round(
-    clients: list[ClientState],
-    server: ServerState,
-    foreign_by_client: dict[int, losses.ConsensusContext],
-    config: FederationConfig,
-) -> tuple[list[ClientState], np.ndarray, dict[int, float]]:
-    """One gradient-aggregation round over the given (online) clients.
-
-    Clients evaluate full-shard gradients at the frozen broadcast embedder;
-    the server applies a single step with the mean embedder gradient. Each
-    client applies one local step to its own class centers, which never
-    leave it.
-    """
-    frozen = server.embedder
-    results = {
-        s.client_id: client_full_gradient(s, frozen, foreign_by_client[s.client_id], config)
-        for s in clients
-    }
-    grads = [results[s.client_id][0] for s in clients]
-    mean_grad = exact_mean(grads)
-    new_embedder = frozen - config.learning_rate * (mean_grad + config.weight_decay * frozen)
-    updated = []
-    loss_by_client = {}
-    for state in clients:
-        _, d_centers, loss = results[state.client_id]
-        loss_by_client[state.client_id] = loss
-        if config.learning_rate != 0.0:
-            centers = normalize_rows(state.centers - config.learning_rate * d_centers)
-        else:
-            centers = state.centers.copy()
-        updated.append(replace(state, embedder=new_embedder.copy(), centers=centers))
-    return updated, new_embedder, loss_by_client
+    return total / len(models)
 
 
 def tar_payload(tar_by_far: dict[float, float]) -> dict[str, float]:
@@ -385,11 +316,12 @@ def run_federation(
 ) -> RunReport:
     """Execute the full training scheme and return its report.
 
-    Round structure: pick online clients, sync the broadcast embedder, run
-    the cluster release on every online client (skipped in mode "phi"),
-    gather and redistribute clusters, locally optimize, aggregate. The ledger
-    charges each online client queries_used releases per round in sanitized
-    mode. Identical (config, fed, seed) replay bit-identically.
+    Round structure: pick online clients, run the cluster release on every
+    online client (skipped in mode "phi"), gather and redistribute clusters,
+    let each online client optimize locally from the broadcast embedder, and
+    average the returned embedders (FedAvg). The ledger charges each online
+    client queries_used releases per round in sanitized mode. Identical
+    (config, fed, seed) replay bit-identically.
 
     Held for the whole run: the federation's arrays, whose shards the client
     states share and nothing concatenates (shared_public_shard gives each
@@ -404,14 +336,15 @@ def run_federation(
         fed, config.eval_positives, config.eval_negatives, eval_rng
     )
     cluster_mode = _CLUSTER_MODE_FOR_RUN.get(config.mode)
+    n_clients, dim = fed.params.clients, fed.params.embed_dim
     records: list[RoundRecord] = []
 
     for t in range(1, config.rounds + 1):
-        online = list(range(config.clients))
-        if config.offline_probability > 0.0 and config.clients > 1:
+        online = list(range(n_clients))
+        if config.offline_probability > 0.0 and n_clients > 1:
             off_rng = derive_rng(seed, "offline", t)
             if off_rng.random() < config.offline_probability:
-                online.remove(int(off_rng.integers(config.clients)))
+                online.remove(int(off_rng.integers(n_clients)))
 
         queries_by_client: dict[int, int] = {c: 0 for c in online}
         round_fidelities: list[float] = []
@@ -424,7 +357,6 @@ def run_federation(
                     params,
                     derive_rng(seed, "cluster", t, c),
                     client=c,
-                    round_index=t,
                 )
                 released.extend(report.clusters)
                 queries_by_client[c] = report.queries_used
@@ -435,36 +367,23 @@ def run_federation(
                     )
         server.received_clusters = released
 
-        dim = fed.params.embed_dim
-        foreign_by_client = {
-            c: losses.ConsensusContext.from_clusters(released, c, dim) for c in online
-        }
-
-        if config.aggregation == "fedavg":
-            loss_by_client = {}
-            for c in online:
-                clients[c], loss_by_client[c] = client_local_round(
-                    clients[c],
-                    server.embedder,
-                    foreign_by_client[c],
-                    config,
-                    derive_rng(seed, "local", t, c),
-                )
-            server.embedder = aggregate_fedavg([clients[c].embedder for c in online])
-        else:
-            updated, new_embedder, loss_by_client = fedsgd_round(
-                [clients[c] for c in online], server, foreign_by_client, config
+        loss_by_client = {}
+        for c in online:
+            clients[c], loss_by_client[c] = client_local_round(
+                clients[c],
+                server.embedder,
+                losses.ConsensusContext.from_clusters(released, c, dim),
+                config,
+                derive_rng(seed, "local", t, c),
             )
-            for state in updated:
-                clients[state.client_id] = state
-            server.embedder = new_embedder
+        server.embedder = aggregate_fedavg([clients[c].embedder for c in online])
 
         tar = synth.verification_eval(
             lambda x: embed(server.embedder, x), pairs, config.far_targets
         )
         margin = (
             synth.cross_client_margin([s.centers for s in clients])
-            if config.clients > 1
+            if n_clients > 1
             else 0.0
         )
         records.append(

@@ -115,15 +115,19 @@ def _unit_rows_and_norms(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m / norms[:, None], norms
 
 
-def _core(
+def loss_gradients(
     embeddings: np.ndarray,
     labels: np.ndarray,
     centers: np.ndarray,
-    cluster_centers: np.ndarray,
+    context: ConsensusContext,
     rho: float,
     config: LossConfig,
 ) -> GradientBundle:
-    """The loss/gradient kernel behind loss_gradients.
+    """Consensus loss with analytic gradients for embeddings and centers.
+
+    The loss equals the plain margin-softmax loss exactly when the context is
+    empty, and is never smaller otherwise: each foreign cluster adds a
+    positive term to every denominator.
 
     Logit layout per row: n class logits followed by K cluster logits. The
     target class logit uses the margin form, the other class logits the plain
@@ -136,7 +140,7 @@ def _core(
     embeddings = np.asarray(embeddings, dtype=float)
     labels = np.asarray(labels, dtype=int)
     centers = np.asarray(centers, dtype=float)
-    cluster_centers = np.asarray(cluster_centers, dtype=float).reshape(-1, embeddings.shape[1])
+    cluster_centers = np.asarray(context.centers, dtype=float).reshape(-1, embeddings.shape[1])
     _check_batch(embeddings, labels, centers)
 
     batch, _ = embeddings.shape
@@ -219,20 +223,3 @@ def _core(
     d_w_hat -= w_hat
     d_w_hat /= w_norm[:, None]
     return GradientBundle(d_f_hat, d_w_hat, loss)
-
-
-def loss_gradients(
-    embeddings: np.ndarray,
-    labels: np.ndarray,
-    centers: np.ndarray,
-    context: ConsensusContext,
-    rho: float,
-    config: LossConfig,
-) -> GradientBundle:
-    """Consensus loss with analytic gradients for embeddings and centers.
-
-    The loss equals the plain margin-softmax loss exactly when the context is
-    empty, and is never smaller otherwise: each foreign cluster adds a
-    positive term to every denominator.
-    """
-    return _core(embeddings, labels, centers, context.centers, rho, config)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from capfed import dp
+from capfed import dp, synth
 from capfed.cli import (
     load_unit_embeddings,
     main,
@@ -56,7 +56,6 @@ class TestParseConfig:
             "fed.weight_decay": 5e-4,
             "fed.batch_size": 64,
             "fed.local_epochs": 1,
-            "fed.aggregation": "fedavg",
             "fed.offline_probability": 0.0,
             "fed.shared_public_shard": False,
             "fed.center_init": "class_means",
@@ -167,19 +166,24 @@ class TestFlagsEcho:
         assert header["config"] == expected
         assert json.loads((flag_dir / "phi_p_summary.json").read_text())["config"] == expected
 
-    def test_cluster(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag_out_dir", [True, False])
+    def test_cluster(self, tmp_path, capsys, flag_out_dir):
         emb = tmp_path / "centers.csv"
         write_embeddings_csv(emb, sample_uniform_directions(30, 4, np.random.default_rng(7)))
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("fed.rounds = 2\n")
+        file_dir, flag_dir = tmp_path / "from_file", tmp_path / "from_flag"
+        cfg.write_text(f"fed.rounds = 2\nout_dir = {file_dir}\n")
         argv = [
-            "cluster", "--config", str(cfg), "--embeddings", str(emb), "--out-dir", str(tmp_path),
+            "cluster", "--config", str(cfg), "--embeddings", str(emb),
             "--save", "--rho", "1.1", "--min-size", "3", "--max-queries", "2", "--eps", "0.5",
             "--delta", "1e-6", "--seed", "8", "--mode", "noise_free",
-        ]
+        ] + (["--out-dir", str(flag_dir)] if flag_out_dir else [])
         assert main(argv) == 0
         capsys.readouterr()
-        payload = json.loads((tmp_path / "clusters.json").read_text())
+        # --out-dir, else the file's out_dir: the order simulate uses
+        out_dir, unused = (flag_dir, file_dir) if flag_out_dir else (file_dir, flag_dir)
+        assert not unused.exists()
+        payload = json.loads((out_dir / "clusters.json").read_text())
         assert payload["config"] == parse_config(
             str(cfg),
             {"dplc.rho": 1.1, "dplc.min_cluster_size": 3, "dplc.max_queries": 2,
@@ -187,20 +191,24 @@ class TestFlagsEcho:
         ).resolved
         assert (payload["mode"], payload["seed"]) == ("noise_free", 8)
 
-    def test_calibrate(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag_out_dir", [True, False])
+    def test_calibrate(self, tmp_path, capsys, flag_out_dir):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("dplc.rho = 1.0\nout_dir = elsewhere\n")
+        file_dir, flag_dir = tmp_path / "from_file", tmp_path / "from_flag"
+        cfg.write_text(f"dplc.rho = 1.0\nout_dir = {file_dir}\n")
         argv = [
-            "calibrate", "--config", str(cfg), "--out-dir", str(tmp_path), "--save",
+            "calibrate", "--config", str(cfg), "--save",
             "--size", "16", "--rho", "0.9", "--eps", "3", "--delta", "1e-7",
-        ]
+        ] + (["--out-dir", str(flag_dir)] if flag_out_dir else [])
         assert main(argv) == 0
         capsys.readouterr()
-        payload = json.loads((tmp_path / "calibrate.json").read_text())
+        out_dir, unused = (flag_dir, file_dir) if flag_out_dir else (file_dir, flag_dir)
+        assert not unused.exists()
+        payload = json.loads((out_dir / "calibrate.json").read_text())
         expected = parse_config(
             str(cfg), {"dplc.rho": 0.9, "dp.epsilon": 3.0, "dp.delta": 1e-7}
         ).resolved
-        assert expected["out_dir"] == "elsewhere"
+        assert expected["out_dir"] == str(file_dir)
         assert payload["config"] == expected
         assert payload["inputs"] == {"size": 16, "rho": 0.9, "epsilon": 3.0, "delta": 1e-7}
 
@@ -493,6 +501,29 @@ class TestExitCodes:
     def test_removed_gradcheck_is_a_usage_error(self, capsys):
         assert main(["gradcheck"]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_removed_aggregation_key_is_two(self, tmp_path, capsys):
+        # FedAvg is the only aggregation; the key that chose it is gone.
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(SIM_CONFIG + "fed.rounds = 1\nfed.aggregation = fedavg\n"
+                       f"out_dir = {tmp_path / 'run'}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "validation error: fed.aggregation: unknown configuration key" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_one_client_is_two_before_anything_is_generated(self, tmp_path, capsys, monkeypatch):
+        # Every negative verification pair spans two clients, so one client cannot be evaluated.
+        def generate(*args):
+            raise AssertionError("generated a federation for a rejected config")
+
+        monkeypatch.setattr(synth, "generate_federation", generate)
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(SIM_CONFIG + "synth.clients = 1\nfed.rounds = 1\n"
+                       f"out_dir = {tmp_path / 'run'}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "validation error: synth.clients: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "line",

@@ -192,11 +192,9 @@ def use_oracle(monkeypatch):
 
 
 @pytest.mark.parametrize("shared", [False, True])
-@pytest.mark.parametrize("aggregation", ["fedavg", "fedsgd"])
-def test_run_federation_matches_oracle(monkeypatch, shared, aggregation):
+def test_run_federation_matches_oracle(monkeypatch, shared):
     fed = generate_federation(SynthParams(**FEDERATIONS[2]), np.random.default_rng(11))
     config = FederationConfig(
-        clients=2,
         rounds=3,
         mode="phi-hat",
         clustering_params=ClusteringParams(
@@ -205,7 +203,6 @@ def test_run_federation_matches_oracle(monkeypatch, shared, aggregation):
         loss=LossConfig("cosface", 16.0),
         learning_rate=0.2,
         batch_size=16,
-        aggregation=aggregation,
         shared_public_shard=shared,
         eval_positives=40,
         eval_negatives=40,

@@ -1,9 +1,9 @@
 """Reference training path: the allocating loss kernel and local SGD round.
 
-`capfed.losses._core` and `capfed.federation.client_local_round` work in
-place on their own buffers; this module keeps the straightforward versions
-they replaced, one fresh array per expression, so tests can demand the same
-loss bits and gradient bytes from both. The row norms go through
+`capfed.losses.loss_gradients` and `capfed.federation.client_local_round`
+work in place on their own buffers; this module keeps the straightforward
+versions they replaced, one fresh array per expression, so tests can demand
+the same loss bits and gradient bytes from both. The row norms go through
 np.linalg.norm, as they did before `geometry.row_norms`. Helpers whose
 behaviour did not change (`_check_batch`, `GradientBundle`, the loss
 constants) are imported from the package. `margin_similarity` and
@@ -263,10 +263,6 @@ def initialize_clients(
     centers start as the normalized per-class feature means under that init,
     standing in for a warm start, unless center_init is "uniform".
     """
-    if config.clients != fed.params.clients:
-        raise ValidationError(
-            f"config.clients={config.clients} != federation clients={fed.params.clients}"
-        )
     if config.shared_public_shard and fed.public_inputs is None:
         raise ValidationError("shared_public_shard requires a federation with public identities")
 
@@ -275,7 +271,7 @@ def initialize_clients(
     embedder0 = config.init_scale * init_rng.standard_normal((d, d_in)) / np.sqrt(d_in)
 
     states = []
-    for c in range(config.clients):
+    for c in range(fed.params.clients):
         x = fed.client_inputs[c]
         y_global = fed.client_labels[c]
         if config.shared_public_shard:

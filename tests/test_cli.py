@@ -502,10 +502,11 @@ class TestExitCodes:
         assert main(["gradcheck"]) == 1
         assert "usage error" in capsys.readouterr().err
 
-    def test_removed_aggregation_key_is_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("aggregation", ["fedavg", "fedsgd"])
+    def test_removed_aggregation_key_is_two(self, tmp_path, capsys, aggregation):
         # FedAvg is the only aggregation; the key that chose it is gone.
         cfg = tmp_path / "old.cfg"
-        cfg.write_text(SIM_CONFIG + "fed.rounds = 1\nfed.aggregation = fedavg\n"
+        cfg.write_text(SIM_CONFIG + f"fed.rounds = 1\nfed.aggregation = {aggregation}\n"
                        f"out_dir = {tmp_path / 'run'}\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err

@@ -170,6 +170,19 @@ class TestClientLocalRound:
             np.testing.assert_array_equal(mean, r)
 
 
+class TestInitializeClients:
+    @pytest.mark.parametrize("clients", [1, 3, 6])
+    def test_client_count_is_the_federations(self, clients):
+        fed = tiny_fed(12, clients=clients)
+        states, embedder0 = initialize_clients(fed, tiny_config(), seed=13)
+        assert [s.client_id for s in states] == list(range(clients))
+        for s in states:
+            np.testing.assert_array_equal(s.inputs, fed.client_inputs[s.client_id])
+            np.testing.assert_array_equal(s.global_ids[s.labels], fed.client_labels[s.client_id])
+            np.testing.assert_array_equal(s.embedder, embedder0)
+            assert not np.shares_memory(s.embedder, embedder0)
+
+
 class TestRunFederation:
     def test_deterministic_replay(self):
         fed = tiny_fed(3)
@@ -273,6 +286,30 @@ class TestRunFederation:
             global_a = tree_mean(new_models)
         np.testing.assert_array_equal(report.server.embedder, global_a)
 
+    def test_round_averages_only_the_online_clients(self):
+        # one round with one client offline: the server's model is the FedAvg of the
+        # online clients' local rounds, and the offline client keeps the broadcast
+        fed = tiny_fed(12)
+        config = tiny_config(mode="phi", rounds=1, offline_probability=1.0)
+        report = run_federation(config, fed, seed=17)
+        online = report.rounds[0].online_clients
+        assert len(online) == 3
+
+        clients, embedder0 = initialize_clients(fed, config, seed=17)
+        ctx = ConsensusContext.empty(fed.params.embed_dim)
+        local = [
+            client_local_round(clients[c], embedder0, ctx, config, derive_rng(17, "local", 1, c))[0]
+            for c in online
+        ]
+        np.testing.assert_array_equal(
+            report.server.embedder, aggregate_fedavg([s.embedder for s in local])
+        )
+        for s in local:
+            np.testing.assert_array_equal(report.final_clients[s.client_id].embedder, s.embedder)
+        (offline,) = set(range(4)) - set(online)
+        np.testing.assert_array_equal(report.final_clients[offline].embedder, embedder0)
+        np.testing.assert_array_equal(report.final_clients[offline].centers, clients[offline].centers)
+
     def test_information_flow_no_center_escapes(self):
         fed = tiny_fed(7)
         config = tiny_config(mode="phi-hat")
@@ -319,6 +356,12 @@ class TestRunFederation:
             tiny_config(offline_probability=1.5)
         with pytest.raises(ValidationError):
             tiny_config(rounds=0)
+
+    def test_config_holds_no_client_count_or_aggregation(self):
+        # the federation is the only client count, and FedAvg the only aggregation
+        for removed in (dict(clients=4), dict(aggregation="fedavg")):
+            with pytest.raises(TypeError):
+                tiny_config(**removed)
 
 
 class TestDeriveRng:

@@ -47,7 +47,6 @@ from .synth import (
     SyntheticFederation,
     VerificationPairs,
     cross_client_margin,
-    gallery_from_directions,
     generate_federation,
     knn_attack,
     make_verification_pairs,

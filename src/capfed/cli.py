@@ -23,7 +23,7 @@ import math
 import os
 import struct
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,6 @@ _CASTERS = {"int": int, "float": float, "str": str, "bool": _cast_bool,
             "float | None": float, "tuple[float, ...]": _cast_float_list}
 # FederationConfig fields that are keyed eval.* instead of fed.*.
 _EVAL_FIELDS = ("eval_positives", "eval_negatives", "far_targets")
-_BUDGET_FIELD = {f.name: f for f in fields(clustering.ClusteringParams)}["budget"]
 
 
 def _section(prefix: str, cls, skip=()) -> tuple[type, dict]:
@@ -81,17 +80,11 @@ _SECTIONS = {
 }
 
 
-def _entry(f) -> tuple:
-    """A field's caster and default; PrivacyBudget.epsilon takes the default budget's."""
-    if f.default is MISSING:
-        return _CASTERS[f.type], getattr(_BUDGET_FIELD.default_factory(), f.name)
-    return _CASTERS[f.type], f.default
-
-
 _SCHEMA: dict[str, tuple] = {
     "seed": (int, 0),
     "out_dir": (str, ""),
-    **{key: _entry(f) for _, keys in _SECTIONS.values() for key, f in keys.items()},
+    **{key: (_CASTERS[f.type], f.default)
+       for _, keys in _SECTIONS.values() for key, f in keys.items()},
 }
 # --out-dir picks where outputs go; it never rewrites the echoed out_dir key.
 _FLAG_KEYS = _SCHEMA.keys() - {"out_dir"}
@@ -163,33 +156,11 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 # file formats
 
 
-def _atomic_write(path: Path, data) -> None:
+def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    if isinstance(data, bytes):
-        tmp.write_bytes(data)
-    else:
-        tmp.write_text(data)
+    tmp.write_text(text)
     os.replace(tmp, path)
-
-
-def write_embeddings_csv(path, arr: np.ndarray) -> None:
-    """CSV embeddings: first line 'n,d', then one row of decimals per vector.
-
-    Values are stored at float32 precision with shortest round-trip decimals.
-    """
-    arr32 = np.asarray(arr, dtype=np.float32)
-    lines = [f"{arr32.shape[0]},{arr32.shape[1]}"]
-    for row in arr32:
-        lines.append(",".join(str(v) for v in row))
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
-
-
-def write_embeddings_binary(path, arr: np.ndarray) -> None:
-    """Binary embeddings: magic 'DPLC', n and d as uint32 LE, float32 LE rows."""
-    arr32 = np.ascontiguousarray(np.asarray(arr, dtype="<f4"))
-    header = EMBEDDINGS_MAGIC + struct.pack("<II", arr32.shape[0], arr32.shape[1])
-    _atomic_write(Path(path), header + arr32.tobytes())
 
 
 def read_embeddings(path) -> np.ndarray:

@@ -64,7 +64,7 @@ class ClusteringParams:
     rho: float = 1.3
     min_cluster_size: int = 512
     max_queries: int = 1
-    budget: dp.PrivacyBudget = field(default_factory=lambda: dp.PrivacyBudget(1.0))
+    budget: dp.PrivacyBudget = field(default_factory=dp.PrivacyBudget)
     mode: str = MODE_SANITIZED
 
     def __post_init__(self) -> None:

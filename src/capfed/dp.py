@@ -39,12 +39,12 @@ def standard_normal_cdf(x: float) -> float:
 class PrivacyBudget:
     """Per-release privacy loss parameters (epsilon, delta)."""
 
-    epsilon: float
+    epsilon: float = 1.0
     delta: float = DEFAULT_DELTA
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise DomainError(f"epsilon={self.epsilon} must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise DomainError(f"epsilon={self.epsilon} must be finite and positive")
         if not 0.0 < self.delta < 1.0:
             raise DomainError(f"delta={self.delta} must lie in (0, 1)")
 

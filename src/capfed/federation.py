@@ -65,8 +65,6 @@ class FederationConfig:
     local_epochs: int = 1
     offline_probability: float = 0.0
     shared_public_shard: bool = False
-    center_init: str = "class_means"  # class_means | uniform
-    init_scale: float = 1.0
     eval_positives: int = 1000
     eval_negatives: int = 1000
     far_targets: tuple[float, ...] = (1e-2,)
@@ -82,14 +80,10 @@ class FederationConfig:
             raise ValidationError("batch_size must be >= 1")
         if self.local_epochs < 0:
             raise ValidationError("local_epochs must be >= 0")
-        if self.center_init not in ("class_means", "uniform"):
-            raise ValidationError("center_init must be class_means or uniform")
         for name in ("learning_rate", "weight_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValidationError(f"{name}={value} must be finite and >= 0")
-        if not (math.isfinite(self.init_scale) and self.init_scale > 0.0):
-            raise ValidationError(f"init_scale={self.init_scale} must be finite and positive")
         if self.eval_positives < 1 or self.eval_negatives < 1:
             raise ValidationError("eval_positives and eval_negatives must be >= 1")
         if not self.far_targets or not all(0.0 <= t <= 1.0 for t in self.far_targets):
@@ -133,14 +127,14 @@ def initialize_clients(
 
     The embedder init is broadcast (identical for every client). Class
     centers start as the normalized per-class feature means under that init,
-    standing in for a warm start, unless center_init is "uniform".
+    standing in for a warm start.
     """
     if config.shared_public_shard and fed.public_inputs is None:
         raise ValidationError("shared_public_shard requires a federation with public identities")
 
     d, d_in = fed.params.embed_dim, fed.params.input_dim
     init_rng = derive_rng(seed, "init")
-    embedder0 = config.init_scale * init_rng.standard_normal((d, d_in)) / np.sqrt(d_in)
+    embedder0 = init_rng.standard_normal((d, d_in)) / np.sqrt(d_in)
 
     states = []
     for c in range(fed.params.clients):
@@ -150,12 +144,7 @@ def initialize_clients(
             x = np.concatenate([x, fed.public_inputs], axis=0)
             y_global = np.concatenate([y_global, fed.public_labels])
         ids, y_local = np.unique(y_global, return_inverse=True)
-
-        if config.center_init == "class_means":
-            centers = normalize_rows(_class_means(embed(embedder0, x), y_local, ids.size))
-        else:
-            crng = derive_rng(seed, "centers", c)
-            centers = normalize_rows(crng.standard_normal((ids.size, d)))
+        centers = normalize_rows(_class_means(embed(embedder0, x), y_local, ids.size))
         states.append(
             ClientState(
                 client_id=c,
@@ -341,7 +330,7 @@ def run_federation(
 
     for t in range(1, config.rounds + 1):
         online = list(range(n_clients))
-        if config.offline_probability > 0.0 and n_clients > 1:
+        if config.offline_probability > 0.0:
             off_rng = derive_rng(seed, "offline", t)
             if off_rng.random() < config.offline_probability:
                 online.remove(int(off_rng.integers(n_clients)))
@@ -381,11 +370,7 @@ def run_federation(
         tar = synth.verification_eval(
             lambda x: embed(server.embedder, x), pairs, config.far_targets
         )
-        margin = (
-            synth.cross_client_margin([s.centers for s in clients])
-            if n_clients > 1
-            else 0.0
-        )
+        margin = synth.cross_client_margin([s.centers for s in clients])
         records.append(
             RoundRecord(
                 round_index=t,

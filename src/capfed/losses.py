@@ -53,12 +53,12 @@ class LossConfig:
     def __post_init__(self) -> None:
         if self.kind not in (KIND_COSFACE, KIND_ARCFACE):
             raise DomainError(f"kind={self.kind!r} not one of ('cosface', 'arcface')")
-        if not self.scale > 0.0:
-            raise DomainError(f"scale={self.scale} must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0.0):
+            raise DomainError(f"scale={self.scale} must be finite and positive")
         if self.margin is None:
             object.__setattr__(self, "margin", _DEFAULT_MARGINS[self.kind])
-        if self.margin < 0.0:
-            raise DomainError(f"margin={self.margin} must be nonnegative")
+        if not (math.isfinite(self.margin) and self.margin >= 0.0):
+            raise DomainError(f"margin={self.margin} must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,10 @@ class SynthParams:
             raise DomainError(f"concentration={self.concentration} must be positive")
         if self.public_identities < 0:
             raise DomainError("public_identities must be >= 0")
+        if self.public_samples_per_identity < 1:
+            raise DomainError(
+                f"public_samples_per_identity={self.public_samples_per_identity} must be >= 1"
+            )
 
 
 @dataclass
@@ -285,22 +289,6 @@ class AttackGallery:
             raise DomainError("gallery ids and vectors must align")
         if np.unique(self.ids).size != self.ids.size:
             raise DomainError("gallery must have exactly one entry per identity")
-
-
-def gallery_from_directions(
-    directions: np.ndarray,
-    distractors: int,
-    rng: np.random.Generator,
-) -> AttackGallery:
-    """Exact-centroid gallery over the federation identities plus distractor ones."""
-    directions = np.asarray(directions, dtype=float)
-    g = directions.shape[0]
-    if distractors:
-        extra = sample_uniform_directions(distractors, directions.shape[1], rng)
-        vectors = np.concatenate([directions, extra], axis=0)
-    else:
-        vectors = directions.copy()
-    return AttackGallery(np.arange(g + distractors), vectors)
 
 
 @dataclass

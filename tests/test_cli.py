@@ -1,20 +1,40 @@
 import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from capfed import dp, synth
 from capfed.cli import (
+    EMBEDDINGS_MAGIC,
     load_unit_embeddings,
     main,
     parse_config,
     read_embeddings,
-    write_embeddings_binary,
-    write_embeddings_csv,
 )
 from capfed.errors import ParseError, ValidationError, ZeroVectorError
 from capfed.geometry import normalize_rows, occupancy_ratio, sample_uniform_directions
+
+
+def write_embeddings_csv(path, arr: np.ndarray) -> None:
+    """CSV embeddings: first line 'n,d', then one row of decimals per vector.
+
+    Values are stored at float32 precision with shortest round-trip decimals.
+    """
+    arr32 = np.asarray(arr, dtype=np.float32)
+    lines = [f"{arr32.shape[0]},{arr32.shape[1]}"]
+    for row in arr32:
+        lines.append(",".join(str(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_embeddings_binary(path, arr: np.ndarray) -> None:
+    """Binary embeddings: magic 'DPLC', n and d as uint32 LE, float32 LE rows."""
+    arr32 = np.ascontiguousarray(np.asarray(arr, dtype="<f4"))
+    header = EMBEDDINGS_MAGIC + struct.pack("<II", arr32.shape[0], arr32.shape[1])
+    Path(path).write_bytes(header + arr32.tobytes())
 
 
 class TestParseConfig:
@@ -58,8 +78,6 @@ class TestParseConfig:
             "fed.local_epochs": 1,
             "fed.offline_probability": 0.0,
             "fed.shared_public_shard": False,
-            "fed.center_init": "class_means",
-            "fed.init_scale": 1.0,
             "eval.positives": 1000,
             "eval.negatives": 1000,
             "eval.far_targets": [0.01],
@@ -502,15 +520,23 @@ class TestExitCodes:
         assert main(["gradcheck"]) == 1
         assert "usage error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("aggregation", ["fedavg", "fedsgd"])
-    def test_removed_aggregation_key_is_two(self, tmp_path, capsys, aggregation):
-        # FedAvg is the only aggregation; the key that chose it is gone.
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param("fed.aggregation = fedavg", id="fedavg"),
+            pytest.param("fed.aggregation = fedsgd", id="fedsgd"),
+            pytest.param("fed.center_init = uniform", id="center_init"),
+            pytest.param("fed.init_scale = 2.0", id="init_scale"),
+        ],
+    )
+    def test_removed_aggregation_key_is_two(self, tmp_path, capsys, line):
+        # FedAvg is the only aggregation and class means the only center init;
+        # the keys that chose otherwise are gone.
         cfg = tmp_path / "old.cfg"
-        cfg.write_text(SIM_CONFIG + f"fed.rounds = 1\nfed.aggregation = {aggregation}\n"
-                       f"out_dir = {tmp_path / 'run'}\n")
+        cfg.write_text(SIM_CONFIG + f"fed.rounds = 1\n{line}\nout_dir = {tmp_path / 'run'}\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert "validation error: fed.aggregation: unknown configuration key" in err
+        key = line.partition(" =")[0]
+        assert f"validation error: {key}: unknown configuration key" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_one_client_is_two_before_anything_is_generated(self, tmp_path, capsys, monkeypatch):
@@ -534,8 +560,13 @@ class TestExitCodes:
             "fed.learning_rate = -0.1",
             "fed.weight_decay = -1",
             "fed.weight_decay = nan",
-            "fed.init_scale = 0",
-            "fed.init_scale = inf",
+            "dp.epsilon = inf",
+            "loss.scale = inf",
+            "loss.margin = nan",
+            "loss.margin = inf",
+            "synth.public_identities = 3\nsynth.public_samples_per_identity = -1",
+            "synth.public_identities = 3\nsynth.public_samples_per_identity = 0\n"
+            "fed.shared_public_shard = true",
             "eval.positives = 0",
             "eval.negatives = 0",
             "eval.far_targets =",
@@ -548,16 +579,20 @@ class TestExitCodes:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"fed.rounds = 1\n{line}\nout_dir = {tmp_path / 'run'}\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
-        assert "validation error: fed: " in capsys.readouterr().err
+        prefix = line.partition(".")[0]
+        section = "fed" if prefix == "eval" else prefix
+        assert f"validation error: {section}: " in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "argv",
-        [["calibrate", "--size", "0"], ["occupancy", "--d", "0"], ["occupancy", "--d", "1"]],
+        [["calibrate", "--size", "0"], ["occupancy", "--d", "0"], ["occupancy", "--d", "1"],
+         ["calibrate", "--size", "8", "--eps", "inf"]],  # an infinite budget would calibrate sigma 0
     )
     def test_bad_sizes_are_two(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_validation_error_is_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

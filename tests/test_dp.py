@@ -27,6 +27,7 @@ BUDGET = PrivacyBudget(1.0, 5e-5)
 class TestBudget:
     def test_defaults(self):
         assert PrivacyBudget(2.0).delta == 5e-5
+        assert PrivacyBudget() == PrivacyBudget(1.0, 5e-5)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -35,6 +36,9 @@ class TestBudget:
             PrivacyBudget(1.0, 0.0)
         with pytest.raises(DomainError):
             PrivacyBudget(1.0, 1.0)
+        for epsilon in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite"):
+                PrivacyBudget(epsilon)
 
 
 class TestCalibrations:

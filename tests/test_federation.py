@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from capfed import clustering, federation
 from capfed.clustering import ClusteringParams
 from capfed.dp import PrivacyBudget
-from capfed.errors import EmptyShardError, ShapeMismatchError, ValidationError
+from capfed.errors import DegenerateInputError, EmptyShardError, ShapeMismatchError, ValidationError
 from capfed.federation import (
     ClientState,
     FederationConfig,
@@ -192,6 +193,17 @@ class TestRunFederation:
         assert a.rounds == b.rounds
         np.testing.assert_array_equal(a.server.embedder, b.server.embedder)
 
+    def test_one_client_fails_in_the_pair_sampler_before_any_round(self, monkeypatch):
+        # every negative verification pair spans two clients, so no round of a
+        # one-client federation is ever reached
+        def never(*args, **kwargs):
+            raise AssertionError("a round started")
+
+        monkeypatch.setattr(clustering, "run_clustering", never)
+        monkeypatch.setattr(federation, "client_local_round", never)
+        with pytest.raises(DegenerateInputError, match="could not assemble"):
+            run_federation(tiny_config(), tiny_fed(3, clients=1), seed=21)
+
     def test_seed_changes_output(self):
         fed = tiny_fed(3)
         config = tiny_config()
@@ -358,8 +370,10 @@ class TestRunFederation:
             tiny_config(rounds=0)
 
     def test_config_holds_no_client_count_or_aggregation(self):
-        # the federation is the only client count, and FedAvg the only aggregation
-        for removed in (dict(clients=4), dict(aggregation="fedavg")):
+        # the federation is the only client count, FedAvg the only aggregation and
+        # the class means the only center init
+        for removed in (dict(clients=4), dict(aggregation="fedavg"),
+                        dict(center_init="uniform"), dict(init_scale=1.0)):
             with pytest.raises(TypeError):
                 tiny_config(**removed)
 

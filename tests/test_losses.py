@@ -65,6 +65,10 @@ class TestMarginSimilarity:
             LossConfig("cosface", scale=0.0)
         with pytest.raises(DomainError):
             LossConfig("cosface", margin=-0.1)
+        for bad in (dict(scale=math.inf), dict(scale=math.nan), dict(margin=math.inf),
+                    dict(margin=math.nan)):
+            with pytest.raises(DomainError, match="finite"):
+                LossConfig("arcface", **bad)
 
 
 class TestClusterSimilarity:

@@ -12,12 +12,27 @@ from capfed.synth import (
     SynthParams,
     VerificationPairs,
     cross_client_margin,
-    gallery_from_directions,
     generate_federation,
     knn_attack,
     make_verification_pairs,
     verification_eval,
 )
+
+
+def gallery_from_directions(
+    directions: np.ndarray,
+    distractors: int,
+    rng: np.random.Generator,
+) -> AttackGallery:
+    """Exact-centroid gallery over the federation identities plus distractor ones."""
+    directions = np.asarray(directions, dtype=float)
+    g = directions.shape[0]
+    if distractors:
+        extra = sample_uniform_directions(distractors, directions.shape[1], rng)
+        vectors = np.concatenate([directions, extra], axis=0)
+    else:
+        vectors = directions.copy()
+    return AttackGallery(np.arange(g + distractors), vectors)
 
 
 def small_fed(seed=0, **kw):
@@ -78,6 +93,9 @@ class TestGeneration:
             SynthParams(embed_dim=16, input_dim=8)
         with pytest.raises(DomainError):
             SynthParams(concentration=0.0)
+        for per_identity in (0, -1):
+            with pytest.raises(DomainError, match="public_samples_per_identity"):
+                SynthParams(public_identities=3, public_samples_per_identity=per_identity)
 
 
 class TestVerificationPairs:

@@ -167,10 +167,9 @@ def test_local_round_matches_oracle(kind, k, lr):
 
 
 @pytest.mark.parametrize("shared", [False, True])
-@pytest.mark.parametrize("center_init", ["class_means", "uniform"])
-def test_initialize_clients_matches_oracle(shared, center_init):
+def test_initialize_clients_matches_oracle(shared):
     fed = tiny_fed(3, public_identities=5 if shared else 0, ids_per_client=13, samples_per_identity=5)
-    config = tiny_config(shared_public_shard=shared, center_init=center_init)
+    config = tiny_config(shared_public_shard=shared)
     live, live_e = initialize_clients(fed, config, 9)
     ref, ref_e = oracle.initialize_clients(fed, config, 9)
     assert live_e.tobytes() == ref_e.tobytes()

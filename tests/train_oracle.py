@@ -261,14 +261,14 @@ def initialize_clients(
 
     The embedder init is broadcast (identical for every client). Class
     centers start as the normalized per-class feature means under that init,
-    standing in for a warm start, unless center_init is "uniform".
+    standing in for a warm start.
     """
     if config.shared_public_shard and fed.public_inputs is None:
         raise ValidationError("shared_public_shard requires a federation with public identities")
 
     d, d_in = fed.params.embed_dim, fed.params.input_dim
     init_rng = derive_rng(seed, "init")
-    embedder0 = config.init_scale * init_rng.standard_normal((d, d_in)) / np.sqrt(d_in)
+    embedder0 = init_rng.standard_normal((d, d_in)) / np.sqrt(d_in)
 
     states = []
     for c in range(fed.params.clients):
@@ -281,13 +281,9 @@ def initialize_clients(
         local_of = {int(g): i for i, g in enumerate(ids)}
         y_local = np.array([local_of[int(g)] for g in y_global])
 
-        if config.center_init == "class_means":
-            feats = embed(embedder0, x)
-            centers = np.stack([feats[y_local == i].mean(axis=0) for i in range(ids.size)])
-            centers = normalize_rows(centers)
-        else:
-            crng = derive_rng(seed, "centers", c)
-            centers = normalize_rows(crng.standard_normal((ids.size, d)))
+        feats = embed(embedder0, x)
+        centers = np.stack([feats[y_local == i].mean(axis=0) for i in range(ids.size)])
+        centers = normalize_rows(centers)
         states.append(
             ClientState(
                 client_id=c,

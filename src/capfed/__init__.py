@@ -11,10 +11,8 @@ from .dp import (
     MechanismCalibration,
     PrivacyBudget,
     PrivacyLedger,
-    cosine_floor,
     gaussian_perturb,
     naive_sigma,
-    norm_tail_probability,
     sigma_tight,
     sigma_weak,
 )

@@ -299,9 +299,9 @@ def cmd_cluster(args) -> int:
                 "center": [float(v) for v in c.center],
                 "margin": c.margin,
                 "size": c.covered_count,
-                "query_index": c.query_index,
+                "query_index": i,
             }
-            for c in report.clusters
+            for i, c in enumerate(report.clusters, 1)
         ],
         "queries_used": report.queries_used,
         "ledger_delta": list(report.ledger_delta),
@@ -316,6 +316,8 @@ def cmd_simulate(args) -> int:
     if synth_params.clients < 2:
         raise ValidationError("synth.clients: a simulation needs at least 2 clients, "
                               "since every negative verification pair spans two")
+    if fed_config.shared_public_shard and not synth_params.public_identities:
+        raise ValidationError("fed.shared_public_shard: needs synth.public_identities >= 1")
     mode = fed_config.mode
     classes = synth_params.ids_per_client
     if fed_config.shared_public_shard:

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import dp
 from .errors import DomainError, EmptyInputError
-from .geometry import has_unit_rows, normalize
+from .geometry import has_unit_rows, normalize, normalize_rows
 
 MODE_SANITIZED = "sanitized"
 MODE_NOISE_FREE = "noise_free"
@@ -90,7 +90,6 @@ class SanitizedCluster:
     center: np.ndarray
     margin: float
     covered_count: int
-    query_index: int
     client: Hashable = 0
 
 
@@ -239,23 +238,12 @@ def run_clustering(
     budget = params.budget
 
     if params.mode == MODE_NAIVE_PER_CENTER:
-        calibration = dp.naive_sigma(budget)
-        clusters = []
-        fidelities = []
-        for i in range(n):
-            noised = dp.gaussian_perturb(centers[i], calibration.sigma, rng)
-            clusters.append(
-                SanitizedCluster(
-                    center=noised,
-                    margin=0.0,
-                    covered_count=1,
-                    query_index=i + 1,
-                    client=client,
-                )
-            )
-            fidelities.append(float(np.dot(normalize(noised), centers[i])))
-        delta = (n * budget.epsilon, n * budget.delta)
-        return ClusteringReport(clusters, n, delta, fidelities)
+        noised = dp.gaussian_perturb(centers, dp.naive_sigma(budget).sigma, rng)
+        clusters = [
+            SanitizedCluster(row, margin=0.0, covered_count=1, client=client) for row in noised
+        ]
+        fidelities = np.sum(normalize_rows(noised) * centers, axis=1).tolist()
+        return ClusteringReport(clusters, n, (n * budget.epsilon, n * budget.delta), fidelities)
 
     # float32 copy for the neighbour-count products: n * d * 4 bytes beside centers
     single = centers.astype(np.float32)
@@ -291,7 +279,6 @@ def run_clustering(
                 center=released,
                 margin=params.rho,
                 covered_count=int(members.size),
-                query_index=queries_used,
                 client=client,
             )
         )

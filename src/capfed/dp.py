@@ -8,7 +8,11 @@ pairwise angles are bounded by the cluster margin:
 * ``naive``  sensitivity 2, for releasing each unit class center individually.
 
 Each calibration returns the minimal standard deviation satisfying
-sigma >= sensitivity / epsilon * sqrt(2 ln(1.25 / delta)).
+sigma >= sensitivity / epsilon * sqrt(2 ln(1.25 / delta)), and sigma must be
+positive: the mechanism is private only with noise, so a calibration or a
+perturbation with sigma <= 0 raises DomainError. The tight sensitivity rounds
+to 0 below rho ~ 5.27e-9; its exact form 2 sin(rho) / |S| is left to the
+calibration rework in ROADMAP.md, because it changes sigma's bits at some rho.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .errors import DomainError, FloorUndefinedError
+from .errors import DomainError
 
 DEFAULT_DELTA = 5e-5
 
@@ -28,11 +32,6 @@ _CALIBRATION_SLACK = 1e-12
 
 def _std_factor(delta: float) -> float:
     return math.sqrt(2.0 * math.log(1.25 / delta))
-
-
-def standard_normal_cdf(x: float) -> float:
-    """CDF of the standard Gaussian."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -59,6 +58,9 @@ class MechanismCalibration:
     bound_kind: str  # "tight" | "weak" | "naive"
 
     def __post_init__(self) -> None:
+        if not self.sigma > 0.0:
+            raise DomainError(f"sigma={self.sigma} must be positive ({self.bound_kind} "
+                              f"sensitivity {self.sensitivity})")
         lower = self.sensitivity / self.budget.epsilon * _std_factor(self.budget.delta)
         if self.sigma < lower - _CALIBRATION_SLACK:
             raise DomainError(
@@ -110,16 +112,14 @@ def naive_sigma(budget: PrivacyBudget) -> MechanismCalibration:
 
 
 def gaussian_perturb(p: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Return p + v with v drawn i.i.d. N(0, sigma^2) per coordinate.
+    """Return p + v with v drawn i.i.d. N(0, sigma^2) per coordinate; sigma > 0.
 
-    sigma == 0 returns an exact copy and consumes no randomness, so
-    noise-free paths leave the stream untouched.
+    The draws fill v in C order, so one call over an (n, d) matrix takes
+    the same bits from rng as n calls over its rows.
     """
-    if sigma < 0.0:
-        raise DomainError(f"sigma={sigma} must be nonnegative")
+    if not sigma > 0.0:
+        raise DomainError(f"sigma={sigma} must be positive")
     p = np.asarray(p, dtype=float)
-    if sigma == 0.0:
-        return p.copy()
     return p + rng.normal(0.0, sigma, size=p.shape)
 
 
@@ -200,36 +200,3 @@ def _charge(sums: dict[Hashable, tuple[int, int]], e: LedgerEntry) -> None:
         eps + _in_units(e.queries * e.budget.epsilon),
         delta + _in_units(e.queries * e.budget.delta),
     )
-
-
-def norm_tail_probability(r: float, sigma: float, d: int) -> float:
-    """Normal approximation to P(||v||_2 <= r) for v ~ N(0, sigma^2 I_d).
-
-    Uses the central-limit approximation of the chi-square norm,
-    Phi(r^2 / (sigma^2 sqrt(2 (d - 1))) - sqrt((d - 1) / 2)); endorsed only
-    for d >= 50, below which a DomainError is raised.
-    """
-    if r < 0.0:
-        raise DomainError(f"r={r} must be nonnegative")
-    if sigma <= 0.0:
-        raise DomainError(f"sigma={sigma} must be positive")
-    if int(d) != d or d < 50:
-        raise DomainError(f"d={d} must be an integer >= 50 for the normal approximation")
-    arg = r * r / (sigma * sigma * math.sqrt(2.0 * (d - 1))) - math.sqrt((d - 1) / 2.0)
-    return standard_normal_cdf(arg)
-
-
-def cosine_floor(p_norm: float, v_norm: float) -> float:
-    """Lower bound on cos(p, p + v) given only the two norms.
-
-    Worst case over the relative orientation of v; defined while
-    ||v|| <= ||p||.
-    """
-    if p_norm <= 0.0:
-        raise DomainError(f"p_norm={p_norm} must be positive")
-    if v_norm < 0.0:
-        raise DomainError(f"v_norm={v_norm} must be nonnegative")
-    if v_norm > p_norm:
-        raise FloorUndefinedError(f"v_norm={v_norm} exceeds p_norm={p_norm}")
-    ratio = v_norm / p_norm
-    return math.sqrt(1.0 - ratio * ratio)

@@ -17,10 +17,6 @@ class DomainError(CapfedError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class FloorUndefinedError(CapfedError):
-    """The cosine floor is only defined when the noise norm does not exceed the signal norm."""
-
-
 class EmptyInputError(CapfedError):
     """An operation received an empty collection where at least one element is required."""
 

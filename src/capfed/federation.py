@@ -78,12 +78,12 @@ class FederationConfig:
             raise ValidationError("offline_probability must lie in [0, 1]")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
-        if self.local_epochs < 0:
-            raise ValidationError("local_epochs must be >= 0")
-        for name in ("learning_rate", "weight_decay"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValidationError(f"{name}={value} must be finite and >= 0")
+        if self.local_epochs < 1:
+            raise ValidationError("local_epochs must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValidationError(f"learning_rate={self.learning_rate} must be finite and > 0")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValidationError(f"weight_decay={self.weight_decay} must be finite and >= 0")
         if self.eval_positives < 1 or self.eval_negatives < 1:
             raise ValidationError("eval_positives and eval_negatives must be >= 1")
         if not self.far_targets or not all(0.0 <= t <= 1.0 for t in self.far_targets):
@@ -186,13 +186,12 @@ def client_local_round(
     foreign: losses.ConsensusContext,
     config: FederationConfig,
     rng: np.random.Generator,
-) -> tuple[ClientState, float | None]:
+) -> tuple[ClientState, float]:
     """One client's local optimization pass for a round.
 
     Syncs the broadcast embedder, then runs local_epochs passes of minibatch
     SGD on the consensus loss. Class-center rows are renormalized after every
-    step. Returns the updated state and the mean minibatch loss (None when no
-    step ran).
+    step. Returns the updated state and the mean minibatch loss.
     """
     n = state.inputs.shape[0]
     if n == 0:
@@ -213,20 +212,18 @@ def client_local_round(
                 raw, state.labels[rows], w, foreign, rho, config.loss
             )
             batch_losses.append(bundle.loss)
-            if lr != 0.0:
-                # a -= lr * (d_a + wd * a) and w = normalize_rows(w - lr * d_w),
-                # in the same floating-point order, in place on arrays this round owns.
-                step = bundle.d_embeddings.T @ x
-                step += wd * a
-                step *= lr
-                a -= step
-                d_w = bundle.d_centers
-                d_w *= lr
-                w -= d_w
-                w /= checked_row_norms(w)[:, None]
-    mean_loss = float(np.mean(batch_losses)) if batch_losses else None
+            # a -= lr * (d_a + wd * a) and w = normalize_rows(w - lr * d_w),
+            # in the same floating-point order, in place on arrays this round owns.
+            step = bundle.d_embeddings.T @ x
+            step += wd * a
+            step *= lr
+            a -= step
+            d_w = bundle.d_centers
+            d_w *= lr
+            w -= d_w
+            w /= checked_row_norms(w)[:, None]
     new_state = replace(state, embedder=a, centers=w)
-    return new_state, mean_loss
+    return new_state, float(np.mean(batch_losses))
 
 
 def _pairwise_tree_sum(items: list[np.ndarray]) -> np.ndarray:
@@ -270,7 +267,7 @@ class RoundRecord:
     round_index: int
     online_clients: list[int]
     queries_by_client: dict[int, int]
-    loss_by_client: dict[int, float | None]
+    loss_by_client: dict[int, float]
     tar_by_far: dict[float, float]
     cross_client_margin: float
     ledger_totals: dict[int, tuple[float, float]]

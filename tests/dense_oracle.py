@@ -79,9 +79,7 @@ def dense_run_clustering(
             released = normalize(dp.gaussian_perturb(p, calibration.sigma, rng))
         else:
             released = direction.copy()
-        clusters.append(
-            SanitizedCluster(released, params.rho, int(members.size), len(clusters) + 1)
-        )
+        clusters.append(SanitizedCluster(released, params.rho, int(members.size)))
         fidelities.append(float(np.dot(released, direction)))
         keep = np.arccos(np.clip(centers[active] @ direction, -1.0, 1.0)) > params.rho
         removed_indexes.append(active[~keep])

@@ -552,12 +552,52 @@ class TestExitCodes:
         assert "validation error: synth.clients: " in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_public_shard_without_public_identities_is_two_before_generation(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def generate(*args):
+            raise AssertionError("generated a federation for a rejected config")
+
+        monkeypatch.setattr(synth, "generate_federation", generate)
+        cfg = tmp_path / "shard.cfg"
+        cfg.write_text(SIM_CONFIG + "fed.shared_public_shard = true\nfed.rounds = 1\n"
+                       f"out_dir = {tmp_path / 'run'}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "validation error: fed.shared_public_shard: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_calibrate_sigma_zero_rho_fails_without_output(self, tmp_path, capsys):
+        # at rho = 1e-9 the tight and weak sensitivities round to 0: no sigma 0 is printed
+        out = tmp_path / "calibrate.json"
+        assert main(["calibrate", "--size", "8", "--rho", "1e-9", "--out", str(out)]) != 0
+        assert "must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sanitized_cluster_at_sigma_zero_rho_fails_without_output(self, tmp_path, capsys):
+        # a duplicated row forms a cluster of 2 even at rho = 1e-9; releasing it with
+        # sigma 0 would publish that input row bit for bit
+        rows = sample_uniform_directions(20, 8, np.random.default_rng(0))
+        emb = tmp_path / "dup.bin"
+        write_embeddings_binary(emb, np.vstack([rows, rows[:1]]))
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(f"dplc.rho = 1e-9\nout_dir = {tmp_path / 'saved'}\n")
+        out = tmp_path / "clusters.json"
+        argv = ["cluster", "--config", str(cfg), "--embeddings", str(emb), "--mode", "sanitized",
+                "--min-size", "2", "--max-queries", "2"]
+        assert main(argv + ["--out", str(out)]) != 0
+        assert main(argv + ["--save"]) != 0
+        assert "must be positive" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "saved").exists()
+
     @pytest.mark.parametrize(
         "line",
         [
             "fed.learning_rate = nan",
             "fed.learning_rate = inf",
             "fed.learning_rate = -0.1",
+            "fed.learning_rate = 0",
+            "fed.local_epochs = 0",
             "fed.weight_decay = -1",
             "fed.weight_decay = nan",
             "dp.epsilon = inf",

@@ -14,7 +14,7 @@ from capfed.clustering import (
     ClusteringParams,
     run_clustering,
 )
-from capfed.dp import PrivacyBudget
+from capfed.dp import PrivacyBudget, naive_sigma
 from capfed.errors import DomainError, EmptyInputError
 from capfed.geometry import normalize, normalize_rows, sample_uniform_directions
 from conftest import planted_bundle
@@ -195,6 +195,20 @@ class TestRunClustering:
         assert delta == pytest.approx(40 * BUDGET.delta)
         norms = [np.linalg.norm(c.center) for c in report.clusters]
         assert max(abs(n - 1.0) for n in norms) > 0.5  # noise dominates, no renormalization
+
+    def test_naive_mode_matches_per_row_noise(self):
+        # one draw over the whole matrix: the same bits, and the same stream position
+        # afterwards, as drawing each row's noise in turn
+        w = sample_uniform_directions(37, 9, np.random.default_rng(13))
+        rng, ref = np.random.default_rng(14), np.random.default_rng(14)
+        report = run_clustering(w, params(mode=MODE_NAIVE_PER_CENTER), rng)
+        sigma = naive_sigma(BUDGET).sigma
+        want = [w[i] + ref.normal(0.0, sigma, 9) for i in range(37)]
+        assert [c.center.tobytes() for c in report.clusters] == [v.tobytes() for v in want]
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert report.fidelities == pytest.approx(
+            [float(np.dot(normalize(v), w[i])) for i, v in enumerate(want)], abs=1e-15
+        )
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInputError):

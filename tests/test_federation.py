@@ -102,27 +102,27 @@ class TestClientLocalRound:
             global_ids=np.arange(classes),
         )
 
-    def test_zero_epochs_keeps_broadcast(self):
-        state = self._client()
-        broadcast = np.random.default_rng(5).standard_normal(state.embedder.shape)
-        config = tiny_config(local_epochs=0)
-        new, loss = client_local_round(
-            state, broadcast, ConsensusContext.empty(6), config, np.random.default_rng(0)
-        )
-        np.testing.assert_array_equal(new.embedder, broadcast)
-        np.testing.assert_array_equal(new.centers, state.centers)
-        assert loss is None
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_zero_epochs_rejected(self, epochs):
+        # no step would run: the round would return the broadcast and no loss
+        with pytest.raises(ValidationError, match="local_epochs"):
+            tiny_config(local_epochs=epochs)
 
-    def test_zero_learning_rate_records_loss_only(self):
+    @pytest.mark.parametrize("lr", [0.0, -0.0])
+    def test_zero_learning_rate_rejected(self, lr):
+        # every step would leave the embedder and centers as they were
+        with pytest.raises(ValidationError, match="learning_rate"):
+            tiny_config(learning_rate=lr)
+
+    def test_zero_weight_decay_trains(self):
         state = self._client()
-        broadcast = state.embedder.copy()
-        config = tiny_config(learning_rate=0.0)
+        config = tiny_config(weight_decay=0.0)
         new, loss = client_local_round(
-            state, broadcast, ConsensusContext.empty(6), config, np.random.default_rng(0)
+            state, state.embedder.copy(), ConsensusContext.empty(6), config,
+            np.random.default_rng(0),
         )
-        np.testing.assert_array_equal(new.embedder, broadcast)
-        np.testing.assert_array_equal(new.centers, state.centers)
         assert isinstance(loss, float)
+        assert not np.array_equal(new.embedder, state.embedder)
 
     def test_centers_stay_unit(self):
         state = self._client()

@@ -255,8 +255,8 @@ class TestConsensusLoss:
     def test_own_clusters_filtered(self):
         from capfed.clustering import SanitizedCluster
 
-        mine = SanitizedCluster(np.array([1.0, 0.0]), 1.0, 5, 1, client="me")
-        theirs = SanitizedCluster(np.array([0.0, 1.0]), 1.0, 5, 1, client="other")
+        mine = SanitizedCluster(np.array([1.0, 0.0]), 1.0, 5, client="me")
+        theirs = SanitizedCluster(np.array([0.0, 1.0]), 1.0, 5, client="other")
         ctx = ConsensusContext.from_clusters([mine, theirs], "me", 2)
         assert ctx.centers.shape == (1, 2)
         np.testing.assert_array_equal(ctx.centers[0], [0.0, 1.0])

@@ -213,13 +213,12 @@ def client_local_round(
     foreign: losses.ConsensusContext,
     config: FederationConfig,
     rng: np.random.Generator,
-) -> tuple[ClientState, float | None]:
+) -> tuple[ClientState, float]:
     """One client's local optimization pass for a fedavg round.
 
     Syncs the broadcast embedder, then runs local_epochs passes of minibatch
     SGD on the consensus loss. Class-center rows are renormalized after every
-    step. Returns the updated state and the mean minibatch loss (None when no
-    step ran).
+    step. Returns the updated state and the mean minibatch loss.
     """
     n = state.inputs.shape[0]
     if n == 0:
@@ -238,13 +237,11 @@ def client_local_round(
             raw = x @ a.T
             bundle = loss_gradients(raw, state.labels[rows], w, foreign, rho, config.loss)
             batch_losses.append(bundle.loss)
-            if lr != 0.0:
-                d_a = bundle.d_embeddings.T @ x
-                a -= lr * (d_a + wd * a)
-                w = normalize_rows(w - lr * bundle.d_centers)
-    mean_loss = float(np.mean(batch_losses)) if batch_losses else None
+            d_a = bundle.d_embeddings.T @ x
+            a -= lr * (d_a + wd * a)
+            w = normalize_rows(w - lr * bundle.d_centers)
     new_state = replace(state, embedder=a, centers=w)
-    return new_state, mean_loss
+    return new_state, float(np.mean(batch_losses))
 
 
 def embed(embedder: np.ndarray, inputs: np.ndarray) -> np.ndarray:

@@ -55,7 +55,7 @@ def _cast_float_list(raw: str) -> tuple[float, ...]:
 
 # Casters by field annotation (the dataclass modules use postponed annotations).
 _CASTERS = {"int": int, "float": float, "str": str, "bool": _cast_bool,
-            "float | None": float, "tuple[float, ...]": _cast_float_list}
+            "tuple[float, ...]": _cast_float_list}
 # FederationConfig fields that are keyed eval.* instead of fed.*.
 _EVAL_FIELDS = ("eval_positives", "eval_negatives", "far_targets")
 
@@ -166,7 +166,8 @@ def _atomic_write(path: Path, text: str) -> None:
 def read_embeddings(path) -> np.ndarray:
     """Load a CSV or binary embeddings file (sniffed by magic bytes).
 
-    Returns float64 values that are exactly the stored float32 values.
+    Returns float64 values that are exactly the stored float32 values, all
+    of them finite.
     """
     p = Path(path)
     if not p.is_file():
@@ -179,27 +180,30 @@ def read_embeddings(path) -> np.ndarray:
         expected = 12 + 4 * n * d
         if len(blob) != expected:
             raise ParseError(f"{path}: expected {expected} bytes for {n}x{d}, got {len(blob)}")
-        flat = np.frombuffer(blob, dtype="<f4", offset=12)
-        return flat.reshape(n, d).astype(float)
-    try:
-        text = blob.decode()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: neither binary magic nor text CSV") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError(f"{path}: empty embeddings file")
-    try:
-        n, d = (int(part) for part in lines[0].split(","))
-    except ValueError as exc:
-        raise ParseError(f"{path}:1: header must be 'n,d'") from exc
-    if len(lines) - 1 != n:
-        raise ParseError(f"{path}: header says {n} rows, found {len(lines) - 1}")
-    rows = np.empty((n, d), dtype=np.float32)
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != d:
-            raise ParseError(f"{path}:{i}: expected {d} values, got {len(parts)}")
-        rows[i - 2] = [np.float32(p) for p in parts]
+        rows = np.frombuffer(blob, dtype="<f4", offset=12).reshape(n, d)
+    else:
+        try:
+            text = blob.decode()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: neither binary magic nor text CSV") from exc
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ParseError(f"{path}: empty embeddings file")
+        try:
+            n, d = (int(part) for part in lines[0].split(","))
+        except ValueError as exc:
+            raise ParseError(f"{path}:1: header must be 'n,d'") from exc
+        if len(lines) - 1 != n:
+            raise ParseError(f"{path}: header says {n} rows, found {len(lines) - 1}")
+        rows = np.empty((n, d), dtype=np.float32)
+        for i, line in enumerate(lines[1:], start=2):
+            parts = line.split(",")
+            if len(parts) != d:
+                raise ParseError(f"{path}:{i}: expected {d} values, got {len(parts)}")
+            rows[i - 2] = [np.float32(p) for p in parts]
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}: row {int(np.argmin(finite))} holds a non-finite value")
     return rows.astype(float)
 
 
@@ -365,15 +369,24 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.k < 1:
+        raise ValidationError("k: must be >= 1")
     exposed = read_embeddings(args.exposed)
     gallery_vectors = read_embeddings(args.gallery)
     gallery = synth.AttackGallery(
         np.arange(gallery_vectors.shape[0]), normalize_rows(gallery_vectors)
     )
     if args.targets:
-        targets = json.loads(Path(args.targets).read_text())
-        if len(targets) != exposed.shape[0]:
-            raise ValidationError("targets: need one identity list per exposed vector")
+        try:
+            targets = json.loads(Path(args.targets).read_text())
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"targets: {exc}") from exc
+        sets = [t if type(t) is list else [t] for t in targets] if type(targets) is list else None
+        if sets is None or len(sets) != len(exposed) or not all(
+            ids and all(type(i) is int for i in ids) for ids in sets
+        ):
+            raise ValidationError("targets: need one integer or non-empty integer list per "
+                                  "exposed vector")
     else:
         targets = [[i] for i in range(exposed.shape[0])]
     result = synth.knn_attack(exposed, gallery, args.k, targets)
@@ -483,7 +496,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (CapfedError, OSError, json.JSONDecodeError) as exc:
+    except (CapfedError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

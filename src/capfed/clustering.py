@@ -70,6 +70,8 @@ class ClusteringParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.rho <= math.pi / 2.0:
             raise DomainError(f"rho={self.rho} outside (0, pi/2]")
+        if math.cos(self.rho) == 1.0:  # the weak sensitivity and sigma would be 0
+            raise DomainError(f"rho={self.rho} too small: cos(rho) is 1.0 for rho <= 1.0537e-8")
         if int(self.min_cluster_size) != self.min_cluster_size or self.min_cluster_size < 1:
             raise DomainError(f"min_cluster_size={self.min_cluster_size} must be an integer >= 1")
         if int(self.max_queries) != self.max_queries or self.max_queries < 1:

@@ -1,10 +1,18 @@
-"""Margin-softmax embedding losses, with and without foreign-cluster repulsion.
+"""The consensus-aware margin-softmax loss: CosFace plus foreign-cluster terms.
 
-The consensus-aware variant extends the plain margin softmax by appending one
-extra denominator term per foreign cluster: exp(mu), where mu saturates at the
-full scale s inside the cluster's margin and decays with the angle beyond it.
-Pushing a sample's embedding out of foreign clusters therefore lowers the
-loss, which is what couples the clients.
+For one embedding f with label y, n class centers w_j and K foreign cluster
+centers p (cap half-angle rho), every angle is taken between normalized
+rows, and the logits are
+
+    target class      s * (cos theta_y - m)           (CosFace, Wang et al. 2018)
+    other classes     s * cos theta_j
+    foreign clusters  s * cos(max(theta_p - rho, 0))
+
+The loss is the batch mean of logsumexp(logits) minus the target logit.
+A cluster logit saturates at s inside the cap (theta_p <= rho), where its
+gradient is 0, and decays beyond it, so pushing an embedding out of foreign
+clusters lowers the loss, which is what couples the clients. With K = 0
+the loss is the plain CosFace margin softmax.
 
 Losses and gradients are defined for raw (not necessarily unit) inputs: every
 cosine is computed between internally normalized rows, so the returned
@@ -28,35 +36,20 @@ from .clustering import SanitizedCluster
 from .errors import DomainError, LabelOutOfRangeError, ShapeMismatchError
 from .geometry import row_norms
 
-KIND_COSFACE = "cosface"
-KIND_ARCFACE = "arcface"
-
-_DEFAULT_MARGINS = {KIND_COSFACE: 0.35, KIND_ARCFACE: 0.5}
-
-# Keeps cos/arccos chains away from their domain edges when differentiating.
+# Keeps the cluster cosines away from arccos's domain edges when differentiating.
 _COS_EPS = 1e-12
-_ARC_CLAMP_TINY = 1e-12
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Loss family plus its scale s and margin m.
+    """The CosFace scale s and additive cosine margin m."""
 
-    margin=None picks the family's customary default (0.35 for cosface,
-    0.5 for arcface).
-    """
-
-    kind: str = KIND_COSFACE
     scale: float = 64.0
-    margin: float | None = None
+    margin: float = 0.35
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_COSFACE, KIND_ARCFACE):
-            raise DomainError(f"kind={self.kind!r} not one of ('cosface', 'arcface')")
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise DomainError(f"scale={self.scale} must be finite and positive")
-        if self.margin is None:
-            object.__setattr__(self, "margin", _DEFAULT_MARGINS[self.kind])
         if not (math.isfinite(self.margin) and self.margin >= 0.0):
             raise DomainError(f"margin={self.margin} must be finite and nonnegative")
 
@@ -129,9 +122,8 @@ def loss_gradients(
     empty, and is never smaller otherwise: each foreign cluster adds a
     positive term to every denominator.
 
-    Logit layout per row: n class logits followed by K cluster logits. The
-    target class logit uses the margin form, the other class logits the plain
-    s*cos form, and cluster logits the saturating cluster similarity.
+    Logit layout per row: n class logits followed by K cluster logits, as
+    the module docstring states them.
 
     Every (batch, n + K) pass runs in place on the kernel's own buffers, in
     the floating-point order of the one-array-per-expression form kept in
@@ -159,21 +151,9 @@ def loss_gradients(
     rows = np.arange(batch)
     logits = np.empty((batch, n + k))
     np.multiply(cos_cls, s, out=logits[:, :n])
-    # d(logit)/d(cos) is s for every class logit but an arcface target, and
-    # cluster_gprime for the cluster logits.
-    target_gprime = None
-
-    target_cos = cos_cls[rows, labels]
-    if config.kind == KIND_COSFACE:
-        logits[rows, labels] = s * (target_cos - m)
-    else:
-        ct = np.clip(target_cos, -1.0 + _COS_EPS, 1.0 - _COS_EPS)
-        theta = np.arccos(ct)
-        clamp_limit = math.pi - m + _ARC_CLAMP_TINY
-        clamped = theta > clamp_limit
-        theta_eff = np.where(clamped, clamp_limit, theta)
-        logits[rows, labels] = s * np.cos(theta_eff - m)
-        target_gprime = np.where(clamped, 0.0, s * np.sin(theta_eff - m) / np.sin(theta))
+    # d(logit)/d(cos) is s for every class logit and cluster_gprime for the
+    # cluster logits.
+    logits[rows, labels] = s * (cos_cls[rows, labels] - m)
 
     if k:
         cos_clu = cos_all[:, n:]
@@ -197,10 +177,7 @@ def loss_gradients(
     # a = (softmax - onehot) * gprime / batch
     a /= denom
     a[rows, labels] -= 1.0
-    target_a = a[rows, labels]
     a[:, :n] *= s / batch
-    if target_gprime is not None:  # an arcface target's derivative is not s
-        a[rows, labels] = target_a * (target_gprime / batch)
     if k:
         cluster_gprime /= batch
         a[:, n:] *= cluster_gprime

@@ -67,9 +67,8 @@ class TestParseConfig:
             "dplc.max_queries": 1,
             "dp.epsilon": 1.0,
             "dp.delta": 5e-5,
-            "loss.kind": "cosface",
             "loss.scale": 64.0,
-            "loss.margin": None,
+            "loss.margin": 0.35,
             "fed.rounds": 10,
             "fed.mode": "phi-hat",
             "fed.learning_rate": 0.1,
@@ -516,6 +515,58 @@ class TestExitCodes:
         assert main(argv + ["--config", str(cfg)]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("writer", [write_embeddings_csv, write_embeddings_binary])
+    def test_non_finite_embeddings_are_two_without_output(self, tmp_path, capsys, bad, writer):
+        rows = sample_uniform_directions(12, 4, np.random.default_rng(3))
+        clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+        writer(clean, rows)
+        rows[5, 2] = bad
+        writer(dirty, rows)
+        out = tmp_path / "out.json"
+        runs = [
+            ["attack", "--exposed", str(dirty), "--gallery", str(clean)],
+            ["attack", "--exposed", str(clean), "--gallery", str(dirty)],
+            ["cluster", "--embeddings", str(dirty), "--min-size", "2"],
+        ]
+        for argv in runs:
+            assert main(argv + ["--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"validation error: {dirty}: row 5 holds a non-finite value" in err
+        assert not out.exists()
+
+    def test_attack_k_below_one_is_two_without_output(self, tmp_path, capsys):
+        gallery = tmp_path / "gallery.csv"
+        write_embeddings_csv(gallery, np.eye(4))
+        out = tmp_path / "attack.json"
+        for k in ("0", "-1"):
+            argv = ["attack", "--exposed", str(gallery), "--gallery", str(gallery), "--k", k]
+            assert main(argv + ["--out", str(out)]) == 2
+            assert "validation error: k: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["5", '[["a"], [1], [2]]', "[[], [1], [2]]", "[true, 1, 2]", "[1.0, 1, 2]", '{"0": 1}',
+         "[0, 1]", "not json", None],
+    )
+    def test_attack_bad_targets_are_two_without_output(self, tmp_path, capsys, text):
+        gallery, exposed = tmp_path / "gallery.csv", tmp_path / "exposed.csv"
+        write_embeddings_csv(gallery, np.eye(4))
+        write_embeddings_csv(exposed, np.eye(4)[:3])
+        targets = tmp_path / "targets.json"
+        if text is not None:  # None: the file is missing
+            targets.write_text(text)
+        out = tmp_path / "attack.json"
+        argv = ["attack", "--exposed", str(exposed), "--gallery", str(gallery),
+                "--targets", str(targets), "--out", str(out)]
+        assert main(argv) == 2
+        assert "validation error: targets: " in capsys.readouterr().err
+        assert not out.exists()
+        targets.write_text("[[0, 3], 1, [2]]")
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["per_exposed"] == [0.5, 1.0, 1.0]
+
     def test_removed_gradcheck_is_a_usage_error(self, capsys):
         assert main(["gradcheck"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -527,11 +578,12 @@ class TestExitCodes:
             pytest.param("fed.aggregation = fedsgd", id="fedsgd"),
             pytest.param("fed.center_init = uniform", id="center_init"),
             pytest.param("fed.init_scale = 2.0", id="init_scale"),
+            pytest.param("loss.kind = cosface", id="loss_kind"),
         ],
     )
     def test_removed_aggregation_key_is_two(self, tmp_path, capsys, line):
-        # FedAvg is the only aggregation and class means the only center init;
-        # the keys that chose otherwise are gone.
+        # FedAvg is the only aggregation, class means the only center init and
+        # CosFace the only margin form; the keys that chose otherwise are gone.
         cfg = tmp_path / "old.cfg"
         cfg.write_text(SIM_CONFIG + f"fed.rounds = 1\n{line}\nout_dir = {tmp_path / 'run'}\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
@@ -566,29 +618,46 @@ class TestExitCodes:
         assert "validation error: fed.shared_public_shard: " in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_calibrate_sigma_zero_rho_fails_without_output(self, tmp_path, capsys):
-        # at rho = 1e-9 the tight and weak sensitivities round to 0: no sigma 0 is printed
+    @pytest.mark.parametrize("rho", ["1e-9", "8e-9"])
+    def test_calibrate_at_rho_whose_cosine_is_one_is_two_without_output(
+        self, tmp_path, capsys, rho
+    ):
+        # cos(rho) rounds to 1: the weak sensitivity is 0, so no sigma can be positive
         out = tmp_path / "calibrate.json"
-        assert main(["calibrate", "--size", "8", "--rho", "1e-9", "--out", str(out)]) != 0
-        assert "must be positive" in capsys.readouterr().err
+        assert main(["calibrate", "--size", "8", "--rho", rho, "--out", str(out)]) == 2
+        assert "validation error: dplc: rho=" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_sanitized_cluster_at_sigma_zero_rho_fails_without_output(self, tmp_path, capsys):
-        # a duplicated row forms a cluster of 2 even at rho = 1e-9; releasing it with
-        # sigma 0 would publish that input row bit for bit
+    def test_cluster_at_rho_whose_cosine_is_one_is_two_without_output(self, tmp_path, capsys):
+        # a duplicated row would form a cluster of 2 even at rho = 1e-9
         rows = sample_uniform_directions(20, 8, np.random.default_rng(0))
         emb = tmp_path / "dup.bin"
         write_embeddings_binary(emb, np.vstack([rows, rows[:1]]))
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(f"dplc.rho = 1e-9\nout_dir = {tmp_path / 'saved'}\n")
         out = tmp_path / "clusters.json"
-        argv = ["cluster", "--config", str(cfg), "--embeddings", str(emb), "--mode", "sanitized",
-                "--min-size", "2", "--max-queries", "2"]
-        assert main(argv + ["--out", str(out)]) != 0
-        assert main(argv + ["--save"]) != 0
-        assert "must be positive" in capsys.readouterr().err
+        for mode in ("sanitized", "noise_free", "naive_per_center"):
+            argv = ["cluster", "--config", str(cfg), "--embeddings", str(emb), "--mode", mode,
+                    "--min-size", "2", "--max-queries", "2"]
+            assert main(argv + ["--out", str(out)]) == 2
+            assert main(argv + ["--save"]) == 2
+            assert "validation error: dplc: rho=" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "saved").exists()
+
+    def test_simulate_at_rho_whose_cosine_is_one_is_two_before_generation(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def generate(*args):
+            raise AssertionError("generated a federation for a rejected config")
+
+        monkeypatch.setattr(synth, "generate_federation", generate)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(SIM_CONFIG + "dplc.rho = 8e-9\nfed.rounds = 1\n"
+                       f"out_dir = {tmp_path / 'run'}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "validation error: dplc: rho=" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "line",

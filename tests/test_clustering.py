@@ -11,6 +11,7 @@ from capfed.clustering import (
     MODE_NAIVE_PER_CENTER,
     MODE_NOISE_FREE,
     MODE_SANITIZED,
+    MODES,
     ClusteringParams,
     run_clustering,
 )
@@ -228,6 +229,15 @@ class TestRunClustering:
         with pytest.raises(DomainError):
             params(mode="bogus")
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rho_whose_cosine_rounds_to_one_rejected(self, mode):
+        # cos(rho) == 1.0 up to rho = 1.0536712127723507e-8: the weak sensitivity is 0 there
+        for rho in (1e-9, 8e-9, 1.0536712127723507e-8):
+            assert math.cos(rho) == 1.0
+            with pytest.raises(DomainError, match=r"rho <= 1\.0537e-8"):
+                params(rho=rho, mode=mode)
+        params(rho=1.0536712127723509e-8, mode=mode)  # the next double up is accepted
+
     def test_runtime_scales_quadratically_at_worst(self):
         # loose witness for O(Q n^2): doubling n should stay well under 5x
         rng = np.random.default_rng(13)
@@ -324,6 +334,12 @@ def _assert_same_as_dense(w, p, seed):
         assert ours.covered_count == theirs.covered_count
 
 
+# Just above the rhos ClusteringParams rejects (cos(rho) == 1) and below
+# arccos(1 - 2**-53) = 1.49e-8: a row whose rounded self-dot is below 1 is
+# farther than rho from itself.
+TINY_RHO = 1.2e-8
+
+
 class TestNeighbourEdgeCases:
     def test_identical_rows_are_neighbours_at_tiny_rho(self, monkeypatch):
         monkeypatch.setattr(clustering, "_BLOCK_COSINES", 97)
@@ -333,8 +349,8 @@ class TestNeighbourEdgeCases:
         base = base[np.sum(base * base, axis=1) < 1.0][:30]
         assert base.shape[0] == 30
         w = np.tile(base, (3, 1))[rng.permutation(90)]
-        np.testing.assert_array_equal(clustering._neighbor_counts(w, 1e-9), 3)
-        p = params(rho=1e-9, min_cluster_size=1, max_queries=1, mode=MODE_NOISE_FREE)
+        np.testing.assert_array_equal(clustering._neighbor_counts(w, TINY_RHO), 3)
+        p = params(rho=TINY_RHO, min_cluster_size=1, max_queries=1, mode=MODE_NOISE_FREE)
         (members,) = run_clustering(w, p, rng).member_indexes
         np.testing.assert_array_equal(members, np.flatnonzero(np.all(w == w[0], axis=1)))
 
@@ -343,8 +359,8 @@ class TestNeighbourEdgeCases:
         rng = np.random.default_rng(21)
         # norms 5e-10 short of 1, within tolerance: every self-cosine is below cos(rho)
         w = sample_uniform_directions(40, 4, rng) * (1.0 - 5e-10)
-        np.testing.assert_array_equal(clustering._neighbor_counts(w, 1e-9), 1)
-        p = params(rho=1e-9, min_cluster_size=1, max_queries=1, mode=MODE_NOISE_FREE)
+        np.testing.assert_array_equal(clustering._neighbor_counts(w, TINY_RHO), 1)
+        p = params(rho=TINY_RHO, min_cluster_size=1, max_queries=1, mode=MODE_NOISE_FREE)
         assert [m.tolist() for m in run_clustering(w, p, rng).member_indexes] == [[0]]
 
     def test_tie_across_block_boundary_goes_to_lowest_index(self, monkeypatch):

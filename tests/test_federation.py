@@ -31,7 +31,7 @@ def tiny_config(**kw):
         clustering_params=ClusteringParams(
             rho=1.3, min_cluster_size=1, max_queries=1, budget=PrivacyBudget(1.0, 5e-5)
         ),
-        loss=LossConfig("cosface", 16.0),
+        loss=LossConfig(16.0),
         learning_rate=0.2,
         batch_size=16,
         eval_positives=60,
@@ -403,7 +403,7 @@ def test_run_peak_memory_is_a_bounded_multiple_of_the_shards():
         clustering_params=ClusteringParams(
             rho=1.3, min_cluster_size=2, max_queries=4, budget=PrivacyBudget(1.0, 5e-5)
         ),
-        loss=LossConfig("cosface", 30.0),
+        loss=LossConfig(30.0),
         batch_size=64,
         eval_positives=200,
         eval_negatives=200,

@@ -30,25 +30,18 @@ def random_instance(rng, n=8, d=16, batch=4, clusters=2):
 
 class TestMarginSimilarity:
     def test_cosface_positive_at_zero_angle(self):
-        assert margin_similarity(LossConfig("cosface", 64.0, 0.35), 0.0, "positive") == pytest.approx(41.6)
-
-    def test_arcface_positive_at_zero_angle(self):
-        value = margin_similarity(LossConfig("arcface", 64.0, 0.5), 0.0, "positive")
-        assert value == pytest.approx(64.0 * math.cos(-0.5), abs=1e-12)
-        assert value == pytest.approx(56.165, abs=1e-3)
+        assert margin_similarity(LossConfig(64.0, 0.35), 0.0, "positive") == pytest.approx(41.6)
 
     def test_negative_role_orthogonal(self):
-        for kind in ("cosface", "arcface"):
-            assert margin_similarity(LossConfig(kind, 64.0), math.pi / 2, "negative") == pytest.approx(
-                0.0, abs=1e-12
-            )
+        assert margin_similarity(LossConfig(64.0), math.pi / 2, "negative") == pytest.approx(
+            0.0, abs=1e-12
+        )
 
     @given(st.floats(min_value=0.0, max_value=math.pi))
     @settings(max_examples=80, deadline=None)
-    def test_negative_role_same_for_both_kinds(self, theta):
-        a = margin_similarity(LossConfig("cosface", 16.0), theta, "negative")
-        b = margin_similarity(LossConfig("arcface", 16.0), theta, "negative")
-        assert a == b == pytest.approx(16.0 * math.cos(theta), abs=1e-12)
+    def test_negative_role_is_scaled_cosine(self, theta):
+        value = margin_similarity(LossConfig(16.0), theta, "negative")
+        assert value == pytest.approx(16.0 * math.cos(theta), abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -57,18 +50,15 @@ class TestMarginSimilarity:
             margin_similarity(LossConfig(), 0.1, "sideways")
 
     def test_config_defaults_and_validation(self):
-        assert LossConfig("cosface").margin == 0.35
-        assert LossConfig("arcface").margin == 0.5
+        assert LossConfig() == LossConfig(64.0, 0.35)
         with pytest.raises(DomainError):
-            LossConfig("sphereface")
+            LossConfig(scale=0.0)
         with pytest.raises(DomainError):
-            LossConfig("cosface", scale=0.0)
-        with pytest.raises(DomainError):
-            LossConfig("cosface", margin=-0.1)
+            LossConfig(margin=-0.1)
         for bad in (dict(scale=math.inf), dict(scale=math.nan), dict(margin=math.inf),
                     dict(margin=math.nan)):
             with pytest.raises(DomainError, match="finite"):
-                LossConfig("arcface", **bad)
+                LossConfig(**bad)
 
 
 class TestClusterSimilarity:
@@ -113,11 +103,10 @@ class TestKernelAgainstScalarLogits:
         u = normalize(u - (u @ f) * f)
         return math.cos(theta) * f + math.sin(theta) * u
 
-    @pytest.mark.parametrize("kind", ["cosface", "arcface"])
     @pytest.mark.parametrize("k", [0, 3])
-    def test_one_row_loss_is_logsumexp_minus_target(self, kind, k):
+    def test_one_row_loss_is_logsumexp_minus_target(self, k):
         rng = np.random.default_rng(40 + k)
-        config, rho, n, d = LossConfig(kind, 16.0), 1.0, 6, 12
+        config, rho, n, d = LossConfig(16.0), 1.0, 6, 12
         for _ in range(25):
             f = normalize(rng.standard_normal(d))
             w = sample_uniform_directions(n, d, rng)
@@ -147,19 +136,12 @@ class TestClassificationLoss:
         rng = np.random.default_rng(0)
         f = sample_uniform_directions(4, 16, rng)
         w = sample_uniform_directions(1, 16, rng)
-        assert plain_loss(f, np.zeros(4, dtype=int), w, LossConfig("cosface", 64.0)) == 0.0
-
-    def test_zero_margin_families_coincide(self):
-        rng = np.random.default_rng(1)
-        f, labels, w, _ = random_instance(rng)
-        a = plain_loss(f, labels, w, LossConfig("cosface", 32.0, 0.0))
-        b = plain_loss(f, labels, w, LossConfig("arcface", 32.0, 0.0))
-        assert a == pytest.approx(b, rel=1e-12)
+        assert plain_loss(f, np.zeros(4, dtype=int), w, LossConfig(64.0)) == 0.0
 
     def test_hand_value_one_negative(self):
         f = np.array([[1.0, 0.0]])
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss = plain_loss(f, np.array([0]), w, LossConfig("cosface", 1.0, 0.0))
+        loss = plain_loss(f, np.array([0]), w, LossConfig(1.0, 0.0))
         assert loss == pytest.approx(-math.log(math.e / (math.e + 1.0)), abs=1e-12)
 
     def test_label_out_of_range(self):
@@ -177,7 +159,7 @@ class TestClassificationLoss:
     def test_large_scale_is_finite(self):
         rng = np.random.default_rng(2)
         f, labels, w, ctx = random_instance(rng)
-        loss = loss_gradients(f, labels, w, ctx, 1.3, LossConfig("cosface", 64.0)).loss
+        loss = loss_gradients(f, labels, w, ctx, 1.3, LossConfig(64.0)).loss
         assert math.isfinite(loss)
 
 
@@ -185,17 +167,16 @@ class TestConsensusLoss:
     def test_empty_context_bit_for_bit(self):
         rng = np.random.default_rng(3)
         f, labels, w, _ = random_instance(rng)
-        for kind in ("cosface", "arcface"):
-            config = LossConfig(kind, 24.0)
-            plain = plain_loss(f, labels, w, config)
-            empty = loss_gradients(f, labels, w, ConsensusContext.empty(16), 1.3, config).loss
-            assert plain == empty
+        config = LossConfig(24.0)
+        plain = plain_loss(f, labels, w, config)
+        empty = loss_gradients(f, labels, w, ConsensusContext.empty(16), 1.3, config).loss
+        assert plain == empty
 
     def test_never_below_classification(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             f, labels, w, ctx = random_instance(rng)
-            config = LossConfig("cosface", 12.0)
+            config = LossConfig(12.0)
             assert loss_gradients(f, labels, w, ctx, 1.0, config).loss > plain_loss(
                 f, labels, w, config
             )
@@ -206,7 +187,7 @@ class TestConsensusLoss:
         f = np.array([[1.0, 0.0, 0.0]])
         w = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         labels = np.array([0])
-        config = LossConfig("cosface", s, 0.0)
+        config = LossConfig(s, 0.0)
         ctx = ConsensusContext(np.array([[1.0, 0.0, 0.0]]))
         expected = -math.log(math.exp(s) / (math.exp(s) + 1.0 + math.exp(s)))
         loss = loss_gradients(f, labels, w, ctx, 1.3, config).loss
@@ -215,7 +196,7 @@ class TestConsensusLoss:
     def test_adding_cluster_never_decreases(self):
         rng = np.random.default_rng(5)
         f, labels, w, ctx = random_instance(rng, clusters=1)
-        config = LossConfig("arcface", 10.0)
+        config = LossConfig(10.0)
         base = loss_gradients(f, labels, w, ctx, 1.0, config).loss
         extra = ConsensusContext(
             np.concatenate([ctx.centers, sample_uniform_directions(1, 16, rng)])
@@ -225,7 +206,7 @@ class TestConsensusLoss:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
         f, labels, w, ctx = random_instance(rng, clusters=3)
-        config = LossConfig("cosface", 16.0)
+        config = LossConfig(16.0)
         base = loss_gradients(f, labels, w, ctx, 1.0, config).loss
         perm = rng.permutation(w.shape[0])
         inverse = np.empty_like(perm)
@@ -239,7 +220,7 @@ class TestConsensusLoss:
 
     def test_moving_away_from_cluster_decreases_loss(self):
         # rotate the sample directly away from a foreign cluster: loss drops
-        config = LossConfig("cosface", 8.0)
+        config = LossConfig(8.0)
         w = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
         cluster = np.array([[1.0, 0.0, 0.0]])
         labels = np.array([0])
@@ -274,10 +255,9 @@ class TestGradients:
         np.testing.assert_allclose(bundle.d_embeddings, 0.0, atol=1e-15)
         np.testing.assert_allclose(bundle.d_centers, 0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("kind", ["cosface", "arcface"])
-    def test_matches_finite_differences(self, kind):
+    def test_matches_finite_differences(self):
         rng = np.random.default_rng(8)
-        config = LossConfig(kind, 8.0)
+        config = LossConfig(8.0)
         for _ in range(6):
             f, labels, w, ctx = random_instance(rng)
             bundle = loss_gradients(f, labels, w, ctx, 1.0, config)
@@ -299,7 +279,7 @@ class TestGradients:
         # project to zero along the inputs themselves
         rng = np.random.default_rng(9)
         f, labels, w, ctx = random_instance(rng)
-        bundle = loss_gradients(f, labels, w, ctx, 1.0, LossConfig("cosface", 16.0))
+        bundle = loss_gradients(f, labels, w, ctx, 1.0, LossConfig(16.0))
         np.testing.assert_allclose(np.sum(bundle.d_embeddings * f, axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(np.sum(bundle.d_centers * w, axis=1), 0.0, atol=1e-12)
 
@@ -307,7 +287,7 @@ class TestGradients:
         # doubling a raw row must halve its ambient gradient (cosine is scale-free)
         rng = np.random.default_rng(10)
         f, labels, w, ctx = random_instance(rng)
-        config = LossConfig("cosface", 16.0)
+        config = LossConfig(16.0)
         base = loss_gradients(f, labels, w, ctx, 1.0, config)
         scaled = f.copy()
         scaled[0] *= 2.0

@@ -200,7 +200,7 @@ def test_run_federation_matches_oracle(monkeypatch, shared):
         clustering_params=ClusteringParams(
             rho=1.3, min_cluster_size=1, max_queries=2, budget=PrivacyBudget(1.0, 5e-5)
         ),
-        loss=LossConfig("cosface", 16.0),
+        loss=LossConfig(16.0),
         learning_rate=0.2,
         batch_size=16,
         shared_public_shard=shared,

@@ -35,14 +35,11 @@ def assert_same_bundle(live, ref):
         assert x.tobytes() == y.tobytes()
 
 
-def kernel_case(rng, k, scale=1.5, b=24, n=30, d=12, rho=0.6, clamped=False):
+def kernel_case(rng, k, scale=1.5, b=24, n=30, d=12, rho=0.6):
     """Raw (non-unit) embeddings and centers; clusters half inside, half beyond rho."""
     w = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, size=(n, 1))
     labels = rng.integers(0, n, size=b)
     f = rng.standard_normal((b, d)) * scale
-    if clamped:
-        # Embeddings nearly opposite their target center: theta > pi - m.
-        f = -w[labels] + 1e-3 * rng.standard_normal((b, d))
     clusters = np.zeros((k, d))
     for j in range(k):
         anchor = normalize_rows(f[j % b][None, :])[0]
@@ -53,12 +50,12 @@ def kernel_case(rng, k, scale=1.5, b=24, n=30, d=12, rho=0.6, clamped=False):
     return f, labels, w, normalize_rows(clusters) if k else clusters, rho
 
 
-@pytest.mark.parametrize("kind", ["cosface", "arcface"])
 @pytest.mark.parametrize("k", [0, 5])
-def test_kernel_matches_oracle(kind, k):
+def test_kernel_matches_oracle(k):
     rng = np.random.default_rng(11)
     for case in range(40):
-        config = LossConfig(kind, float(rng.uniform(1.0, 64.0)), None if case % 3 else float(rng.uniform(0.0, 1.2)))
+        scale = float(rng.uniform(1.0, 64.0))
+        config = LossConfig(scale, 0.35 if case % 3 else float(rng.uniform(0.0, 1.2)))
         f, labels, w, clusters, rho = kernel_case(
             rng,
             k,
@@ -73,37 +70,23 @@ def test_kernel_matches_oracle(kind, k):
         assert_same_bundle(live, ref)
 
 
-def test_kernel_matches_oracle_in_clamped_arcface_region():
-    rng = np.random.default_rng(12)
-    config = LossConfig("arcface", 32.0, 0.5)
-    for k in (0, 3):
-        f, labels, w, clusters, rho = kernel_case(rng, k, clamped=True)
-        unit_f, unit_w = normalize_rows(f), normalize_rows(w)
-        theta = np.arccos(np.clip(np.sum(unit_f * unit_w[labels], axis=1), -1.0, 1.0))
-        assert np.all(theta > math.pi - config.margin)
-        live = loss_gradients(f, labels, w, ConsensusContext(clusters), rho, config)
-        assert_same_bundle(live, oracle._core(f, labels, w, clusters, rho, config))
-
-
 def test_kernel_matches_oracle_at_paper_shape():
     rng = np.random.default_rng(13)
     f, labels, w, clusters, rho = kernel_case(rng, 24, b=256, n=1000, d=512, rho=1.3)
-    for kind in ("cosface", "arcface"):
-        config = LossConfig(kind, 64.0)
-        live = loss_gradients(f, labels, w, ConsensusContext(clusters), rho, config)
-        assert_same_bundle(live, oracle._core(f, labels, w, clusters, rho, config))
+    config = LossConfig(64.0)
+    live = loss_gradients(f, labels, w, ConsensusContext(clusters), rho, config)
+    assert_same_bundle(live, oracle._core(f, labels, w, clusters, rho, config))
 
 
 def test_integer_scale_is_the_float_scale():
     # The reference's np.full(..., s) block was an integer array for an int
-    # scale, which truncated the arcface target and cluster derivatives.
+    # scale, which truncated the cluster derivatives.
     rng = np.random.default_rng(16)
     f, labels, w, clusters, rho = kernel_case(rng, 4)
-    for kind in ("cosface", "arcface"):
-        ctx = ConsensusContext(clusters)
-        as_int = loss_gradients(f, labels, w, ctx, rho, LossConfig(kind, 16))
-        as_float = loss_gradients(f, labels, w, ctx, rho, LossConfig(kind, 16.0))
-        assert_same_bundle(as_int, as_float)
+    ctx = ConsensusContext(clusters)
+    as_int = loss_gradients(f, labels, w, ctx, rho, LossConfig(16))
+    as_float = loss_gradients(f, labels, w, ctx, rho, LossConfig(16.0))
+    assert_same_bundle(as_int, as_float)
 
 
 def test_row_norms_are_linalg_norm_bits():
@@ -136,7 +119,7 @@ def tiny_config(**kw):
         clustering_params=ClusteringParams(
             rho=1.3, min_cluster_size=1, max_queries=2, budget=PrivacyBudget(1.0, 5e-5)
         ),
-        loss=LossConfig("cosface", 16.0),
+        loss=LossConfig(16.0),
         learning_rate=0.2,
         batch_size=16,
         eval_positives=60,
@@ -151,12 +134,11 @@ def foreign_context(rng, dim, k):
     return ConsensusContext(normalize_rows(rng.standard_normal((k, dim))) if k else np.zeros((0, dim)))
 
 
-@pytest.mark.parametrize("kind", ["cosface", "arcface"])
 @pytest.mark.parametrize("k", [0, 4])
 @pytest.mark.parametrize("lr", [0.05, 0.3])
-def test_local_round_matches_oracle(kind, k, lr):
+def test_local_round_matches_oracle(k, lr):
     fed = tiny_fed(1)
-    config = tiny_config(loss=LossConfig(kind, 16.0), learning_rate=lr, local_epochs=2, batch_size=7)
+    config = tiny_config(learning_rate=lr, local_epochs=2, batch_size=7)
     states, embedder0 = initialize_clients(fed, config, 5)
     foreign = foreign_context(np.random.default_rng(2), fed.params.embed_dim, k)
     live, live_loss = client_local_round(states[0], embedder0, foreign, config, derive_rng(5, "t"))
@@ -221,13 +203,12 @@ def snapshot(*arrays):
 
 def test_loss_gradients_leaves_inputs_unchanged():
     rng = np.random.default_rng(15)
-    for kind in ("cosface", "arcface"):
-        config = LossConfig(kind, 30.0)
-        f, labels, w, clusters, rho = kernel_case(rng, 4)
-        ctx = ConsensusContext(clusters)
-        before = snapshot(f, labels, w, clusters)
-        loss_gradients(f, labels, w, ctx, rho, config)
-        assert snapshot(f, labels, w, ctx.centers) == before
+    config = LossConfig(30.0)
+    f, labels, w, clusters, rho = kernel_case(rng, 4)
+    ctx = ConsensusContext(clusters)
+    before = snapshot(f, labels, w, clusters)
+    loss_gradients(f, labels, w, ctx, rho, config)
+    assert snapshot(f, labels, w, ctx.centers) == before
 
 
 def test_client_steps_leave_inputs_unchanged():

@@ -30,14 +30,7 @@ from capfed.errors import (
 )
 from capfed.federation import ClientState, FederationConfig, derive_rng
 from capfed.geometry import ZERO_NORM_FLOOR
-from capfed.losses import (
-    _ARC_CLAMP_TINY,
-    _COS_EPS,
-    KIND_COSFACE,
-    GradientBundle,
-    LossConfig,
-    _check_batch,
-)
+from capfed.losses import _COS_EPS, GradientBundle, LossConfig, _check_batch
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -53,8 +46,8 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
 def margin_similarity(config: LossConfig, theta: float, role: str) -> float:
     """Scaled similarity logit for one angle.
 
-    role "positive" applies the margin (subtractive for cosface, angular for
-    arcface); role "negative" is s * cos(theta) for both families.
+    role "positive" subtracts the margin from the cosine; role "negative" is
+    s * cos(theta).
     """
     if not 0.0 <= theta <= math.pi:
         raise DomainError(f"theta={theta} outside [0, pi]")
@@ -62,10 +55,7 @@ def margin_similarity(config: LossConfig, theta: float, role: str) -> float:
         return config.scale * math.cos(theta)
     if role != "positive":
         raise DomainError(f"role={role!r} not 'positive' or 'negative'")
-    if config.kind == KIND_COSFACE:
-        return config.scale * (math.cos(theta) - config.margin)
-    theta_eff = min(theta, math.pi - config.margin + _ARC_CLAMP_TINY)
-    return config.scale * math.cos(theta_eff - config.margin)
+    return config.scale * (math.cos(theta) - config.margin)
 
 
 def cluster_similarity(p_hat: np.ndarray, f: np.ndarray, rho: float, s: float) -> float:
@@ -155,18 +145,7 @@ def _core(
     # d(logit)/d(cos), needed for the backward pass; negatives are linear in cos.
     gprime = np.full((batch, n + k), s)
 
-    target_cos = cos_cls[rows, labels]
-    if config.kind == KIND_COSFACE:
-        logits[rows, labels] = s * (target_cos - m)
-    else:
-        ct = np.clip(target_cos, -1.0 + _COS_EPS, 1.0 - _COS_EPS)
-        theta = np.arccos(ct)
-        clamp_limit = math.pi - m + _ARC_CLAMP_TINY
-        clamped = theta > clamp_limit
-        theta_eff = np.where(clamped, clamp_limit, theta)
-        logits[rows, labels] = s * np.cos(theta_eff - m)
-        dlogit = np.where(clamped, 0.0, s * np.sin(theta_eff - m) / np.sin(theta))
-        gprime[rows, labels] = dlogit
+    logits[rows, labels] = s * (cos_cls[rows, labels] - m)
 
     if k:
         cos_clu = np.clip(f_hat @ cluster_centers.T, -1.0 + _COS_EPS, 1.0 - _COS_EPS)

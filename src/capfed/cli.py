@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import clustering, dp, federation, losses, synth
-from .errors import CapfedError, ParseError, ValidationError
-from .geometry import checked_row_norms, normalize_rows, occupancy_ratio
+from .errors import CapfedError, ParseError, ValidationError, ZeroVectorError
+from .geometry import checked_row_norms, occupancy_ratio
 
 OUTDIR_ENV = "CAPFED_OUTDIR"
 EMBEDDINGS_MAGIC = b"DPLC"
@@ -167,7 +167,7 @@ def read_embeddings(path) -> np.ndarray:
     """Load a CSV or binary embeddings file (sniffed by magic bytes).
 
     Returns float64 values that are exactly the stored float32 values, all
-    of them finite.
+    of them finite, in at least one row.
     """
     p = Path(path)
     if not p.is_file():
@@ -201,16 +201,26 @@ def read_embeddings(path) -> np.ndarray:
             if len(parts) != d:
                 raise ParseError(f"{path}:{i}: expected {d} values, got {len(parts)}")
             rows[i - 2] = [np.float32(p) for p in parts]
+    if rows.shape[0] == 0:
+        raise ParseError(f"{path}: no embedding rows")
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise ParseError(f"{path}: row {int(np.argmin(finite))} holds a non-finite value")
     return rows.astype(float)
 
 
+def _input_row_norms(path, rows: np.ndarray) -> np.ndarray:
+    """Row norms of an embeddings file's rows; a zero row is an input error naming it."""
+    try:
+        return checked_row_norms(rows)
+    except ZeroVectorError as exc:
+        raise ParseError(f"{path}: {exc}; a zero vector has no direction") from exc
+
+
 def load_unit_embeddings(path) -> np.ndarray:
     """Load embeddings and normalize rows, warning when renormalization bites."""
     arr = read_embeddings(path)
-    norms = checked_row_norms(arr)
+    norms = _input_row_norms(path, arr)
     if np.any(np.abs(norms - 1.0) > 1e-6):
         print(f"warning: {path}: rows are not unit norm; normalizing on load", file=sys.stderr)
     return arr / norms[:, None]
@@ -372,9 +382,11 @@ def cmd_attack(args) -> int:
     if args.k < 1:
         raise ValidationError("k: must be >= 1")
     exposed = read_embeddings(args.exposed)
+    _input_row_norms(args.exposed, exposed)  # knn_attack matches exposed rows by direction
     gallery_vectors = read_embeddings(args.gallery)
     gallery = synth.AttackGallery(
-        np.arange(gallery_vectors.shape[0]), normalize_rows(gallery_vectors)
+        np.arange(gallery_vectors.shape[0]),
+        gallery_vectors / _input_row_norms(args.gallery, gallery_vectors)[:, None],
     )
     if args.targets:
         try:

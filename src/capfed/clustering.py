@@ -6,9 +6,10 @@ the noise-free mean covers. Release stops as soon as a candidate cluster
 falls below the minimum size, so small groups are never published.
 
 Neighbour counts are streamed, never held as an n x n matrix: the upper
-triangle of the Gram matrix is computed once, at most _BLOCK_COSINES
-cosines at a time, to count every row's rho-neighbours, and after a release
-only the removed rows' contribution is subtracted, again in blocks. These
+triangle of the Gram matrix is computed once, at most _BLOCK_ROWS rows and
+_BLOCK_COSINES cosines at a time, to count every row's rho-neighbours, and
+after a release only the removed rows' contribution is subtracted, again in
+blocks. These
 block products are float32 (sgemm runs about twice as fast as dgemm); the
 seed's 1 x n query and the removal test stay float64. Working memory is
 O(n * d + _BLOCK_COSINES).
@@ -116,6 +117,11 @@ class ClusteringReport:
 # Most cosines computed at once (8 MiB of float32), and most float64 entries of
 # each of the two row gathers in a band re-check (16 MiB): the working-set bound.
 _BLOCK_COSINES = 1 << 21
+# Most rows in one block of the upper-triangle walk. A block of r rows also
+# computes the r * (r - 1) / 2 cosines below its diagonal, which the walk does
+# not need; capping r keeps them under a fraction _BLOCK_ROWS / n of the
+# n^2 / 2 it needs (without the cap, n <= 1448 rows fit one n x n block).
+_BLOCK_ROWS = 256
 
 
 def _within_rho(cos: np.ndarray, rows, cols, centers: np.ndarray, rho: float) -> np.ndarray:
@@ -164,9 +170,10 @@ def _neighbor_counts(
     """Number of rows within rho of each row (itself included), over all n rows.
 
     Walks the upper triangle of the Gram matrix in blocks of whole rows, each
-    block holding at most _BLOCK_COSINES cosines (one row at least): a pair
-    is decided once and counted for both of its rows. The products are taken
-    over single, centers as float32, made here when not passed.
+    block holding at most _BLOCK_ROWS rows and _BLOCK_COSINES cosines (one
+    row at least): a pair is decided once and counted for both of its rows.
+    The products are taken over single, centers as float32, made here when
+    not passed.
     """
     n = centers.shape[0]
     if single is None:
@@ -174,7 +181,7 @@ def _neighbor_counts(
     counts = np.zeros(n, dtype=np.int64)
     start = 0
     while start < n:
-        stop = min(n, start + max(1, _BLOCK_COSINES // (n - start)))
+        stop = min(n, start + max(1, min(_BLOCK_ROWS, _BLOCK_COSINES // (n - start))))
         rows = np.arange(start, stop)
         mask = _within_rho(
             single[start:stop] @ single[start:].T, rows, np.arange(start, n), centers, rho

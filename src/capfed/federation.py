@@ -9,6 +9,18 @@ only ever holds embedder parameters and released cluster centers.
 
 All randomness is drawn from streams keyed by (seed, purpose, round, client),
 so identical runs replay identically.
+
+Training follows the dtype of the client shards, which
+synth.generate_federation makes float32: the embedders, features, class
+centers, loss kernel, SGD updates, FedAvg and the verification eval run in
+it, and float64 shards give the float64 bits of the same code. What decides
+or releases a private vector stays float64: run_clustering receives the
+centers upcast to float64 and renormalized (its unit-row check holds rows
+to 1e-9, which float32 normalization misses by about sqrt(d) * 6e-8), and
+the cap mean, the noise calibration and draw, the normalization of the
+released centers and the ledger are float64 there. The released centers
+are cast to the training dtype once per round, when each client's
+ConsensusContext is built.
 """
 
 from __future__ import annotations
@@ -95,9 +107,9 @@ class ClientState:
     """One client's private world: embedder copy, class centers, and shard."""
 
     client_id: int
-    embedder: np.ndarray  # (embed_dim, input_dim)
-    centers: np.ndarray  # (n_classes, embed_dim), unit rows
-    inputs: np.ndarray  # (N, input_dim)
+    embedder: np.ndarray  # (embed_dim, input_dim), in the inputs' dtype
+    centers: np.ndarray  # (n_classes, embed_dim), unit rows, in the inputs' dtype
+    inputs: np.ndarray  # (N, input_dim), the shard as generated (float32 from synth)
     labels: np.ndarray  # (N,) local class indexes in [0, n_classes)
     global_ids: np.ndarray  # (n_classes,) global identity per local class
 
@@ -112,8 +124,8 @@ class ServerState:
 
 
 def embed(embedder: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Unit-normalized linear features for a batch of raw inputs."""
-    feats = np.asarray(inputs, dtype=float) @ embedder.T
+    """Unit-normalized linear features for a batch of raw inputs, in their dtype."""
+    feats = np.asarray(inputs) @ embedder.T
     feats /= checked_row_norms(feats)[:, None]
     return feats
 
@@ -127,7 +139,8 @@ def initialize_clients(
 
     The embedder init is broadcast (identical for every client). Class
     centers start as the normalized per-class feature means under that init,
-    standing in for a warm start.
+    standing in for a warm start. The embedder is drawn in float64 and cast
+    to the shards' dtype, which everything here then follows.
     """
     if config.shared_public_shard and fed.public_inputs is None:
         raise ValidationError("shared_public_shard requires a federation with public identities")
@@ -135,6 +148,7 @@ def initialize_clients(
     d, d_in = fed.params.embed_dim, fed.params.input_dim
     init_rng = derive_rng(seed, "init")
     embedder0 = init_rng.standard_normal((d, d_in)) / np.sqrt(d_in)
+    embedder0 = embedder0.astype(fed.client_inputs[0].dtype, copy=False)
 
     states = []
     for c in range(fed.params.clients):
@@ -150,7 +164,7 @@ def initialize_clients(
                 client_id=c,
                 embedder=embedder0.copy(),
                 centers=centers,
-                inputs=np.asarray(x, dtype=float),
+                inputs=x,
                 labels=y_local,
                 global_ids=ids,
             )
@@ -171,13 +185,13 @@ def _class_means(feats: np.ndarray, labels: np.ndarray, classes: int) -> np.ndar
     rank = np.empty_like(by_class)
     rank[by_class] = np.arange(labels.size) - np.repeat(np.cumsum(counts) - counts, counts)
     by_rank = np.argsort(rank, kind="stable")
-    sums = np.zeros((classes, feats.shape[1]))
+    sums = np.zeros((classes, feats.shape[1]), dtype=feats.dtype)
     start = 0
     for end in np.cumsum(np.bincount(rank)):
         rows = by_rank[start:end]
         sums[labels[rows]] += feats[rows]
         start = end
-    return sums / counts[:, None]
+    return sums / counts[:, None].astype(feats.dtype)
 
 
 def client_local_round(
@@ -191,12 +205,13 @@ def client_local_round(
 
     Syncs the broadcast embedder, then runs local_epochs passes of minibatch
     SGD on the consensus loss. Class-center rows are renormalized after every
-    step. Returns the updated state and the mean minibatch loss.
+    step. Returns the updated state and the mean minibatch loss. The local
+    embedder is a copy of the broadcast one in the shard's dtype.
     """
     n = state.inputs.shape[0]
     if n == 0:
         raise EmptyShardError(f"client {state.client_id} has no data")
-    a = np.array(broadcast_embedder, dtype=float)
+    a = broadcast_embedder.astype(state.inputs.dtype)
     w = state.centers.copy()
     rho = config.clustering_params.rho
     lr, wd = config.learning_rate, config.weight_decay
@@ -247,7 +262,7 @@ def aggregate_fedavg(models: Sequence[np.ndarray]) -> np.ndarray:
     shapes = {m.shape for m in models}
     if len(shapes) != 1:
         raise ShapeMismatchError(f"mismatched shapes {sorted(shapes)}")
-    stack = np.sort(np.stack([np.asarray(m, dtype=float) for m in models]), axis=0)
+    stack = np.sort(np.stack(models), axis=0)
     total = _pairwise_tree_sum([stack[i] for i in range(stack.shape[0])])
     return total / len(models)
 
@@ -338,8 +353,11 @@ def run_federation(
         if cluster_mode is not None:
             params = replace(config.clustering_params, mode=cluster_mode)
             for c in online:
+                centers = clients[c].centers
+                if centers.dtype != np.float64:  # renormalized: float32 rows miss the 1e-9 check
+                    centers = normalize_rows(centers.astype(np.float64))
                 report = clustering.run_clustering(
-                    clients[c].centers,
+                    centers,
                     params,
                     derive_rng(seed, "cluster", t, c),
                     client=c,
@@ -358,7 +376,7 @@ def run_federation(
             clients[c], loss_by_client[c] = client_local_round(
                 clients[c],
                 server.embedder,
-                losses.ConsensusContext.from_clusters(released, c, dim),
+                losses.ConsensusContext.from_clusters(released, c, dim, clients[c].inputs.dtype),
                 config,
                 derive_rng(seed, "local", t, c),
             )

@@ -1,8 +1,11 @@
 """Unit-sphere primitives: normalization, cap areas, uniform directions.
 
-Everything here is double precision. Cap areas go down to ~1e-10 for the
-margins and dimensions this package targets, so the incomplete beta function
-is evaluated with a continued fraction rather than a series.
+Row norms and row normalization follow the array's dtype: float32 rows (the
+training path's) stay float32, and anything else is taken as float64.
+`has_unit_rows` and everything else here is double precision. Cap areas go
+down to ~1e-10 for the margins and dimensions this package targets, so the
+incomplete beta function is evaluated with a continued fraction rather than
+a series.
 """
 
 from __future__ import annotations
@@ -29,6 +32,12 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
+def float_array(m) -> np.ndarray:
+    """m as an array of float32 if it is one, else of float64 (no copy when it already is)."""
+    m = np.asarray(m)
+    return m if m.dtype == np.float32 else m.astype(float, copy=False)
+
+
 def row_norms(m: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row (the last axis) of a float array.
 
@@ -49,8 +58,8 @@ def checked_row_norms(m: np.ndarray) -> np.ndarray:
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Normalize every row of a matrix to unit length."""
-    m = np.asarray(m, dtype=float)
+    """Normalize every row of a matrix to unit length, in its float_array dtype."""
+    m = float_array(m)
     return m / checked_row_norms(m)[..., None]
 
 

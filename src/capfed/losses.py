@@ -8,7 +8,8 @@ rows, and the logits are
     other classes     s * cos theta_j
     foreign clusters  s * cos(max(theta_p - rho, 0))
 
-The loss is the batch mean of logsumexp(logits) minus the target logit.
+The loss is the batch mean of logsumexp(logits) minus the target logit,
+where logsumexp floors each logit at softmax_floor below the row's largest.
 A cluster logit saturates at s inside the cap (theta_p <= rho), where its
 gradient is 0, and decays beyond it, so pushing an embedding out of foreign
 clusters lowers the loss, which is what couples the clients. With K = 0
@@ -22,6 +23,16 @@ tangent to the sphere whenever the inputs are already unit.
 The kernel works in place, but only on temporaries it allocated itself: it
 never writes the caller's arrays, and the returned gradients are fresh
 arrays the caller owns.
+
+Precision follows the inputs: float32 embeddings and centers (the training
+path's, since the synthetic shards are float32) give float32 cosines,
+logits, softmax and gradients, float64 inputs float64 throughout. One block
+is float64 in either case: the (batch, K) cluster angles, because float32
+rounds the clip bound 1 - 1e-12 to 1.0, where theta_p = 0 and the cluster
+derivative sin(theta_p - rho) / sin(theta_p) is 0 / 0. Their logits and
+derivatives are rounded to the input dtype before they enter the softmax.
+The foreign centers are released in float64 and cast to the training dtype
+once per round, by ConsensusContext.from_clusters.
 """
 
 from __future__ import annotations
@@ -34,9 +45,10 @@ import numpy as np
 
 from .clustering import SanitizedCluster
 from .errors import DomainError, LabelOutOfRangeError, ShapeMismatchError
-from .geometry import row_norms
+from .geometry import float_array, row_norms
 
-# Keeps the cluster cosines away from arccos's domain edges when differentiating.
+# Keeps the cluster cosines away from arccos's domain edges when differentiating;
+# the clip and the angles are float64 for every input dtype.
 _COS_EPS = 1e-12
 
 
@@ -73,11 +85,11 @@ class ConsensusContext:
         clusters: Iterable[SanitizedCluster],
         own_client: Hashable,
         dim: int,
+        dtype=np.float64,
     ) -> "ConsensusContext":
+        """The other clients' released centers, cast once to the training dtype."""
         foreign = [c.center for c in clusters if c.client != own_client]
-        if not foreign:
-            return cls.empty(dim)
-        return cls(np.asarray(foreign, dtype=float))
+        return cls(np.asarray(foreign, dtype=dtype).reshape(-1, dim))
 
 
 @dataclass
@@ -87,6 +99,19 @@ class GradientBundle:
     d_embeddings: np.ndarray  # same shape as the embedding batch
     d_centers: np.ndarray  # same shape as the center matrix
     loss: float
+
+
+def softmax_floor(dtype) -> float:
+    """Smallest shifted logit the softmax exponentiates: ln(sqrt(tiny)) of the dtype.
+
+    That is -43.7 in float32 and -354 in float64. It keeps the softmax terms
+    and the gradient products made from them normal numbers: at s = 64 the
+    float32 terms go subnormal, which makes exp, the divisions and sgemm
+    several times slower. Such a term is far below the rounding error of the
+    row's largest, which is 1. Shifted logits are at least -(2 + m) * s, so
+    in float64 the floor binds only for s above about 150.
+    """
+    return 0.5 * math.log(np.finfo(dtype).tiny)
 
 
 def _check_batch(embeddings: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> None:
@@ -129,10 +154,11 @@ def loss_gradients(
     the floating-point order of the one-array-per-expression form kept in
     tests/train_oracle.py, so the bits are the same.
     """
-    embeddings = np.asarray(embeddings, dtype=float)
+    embeddings = float_array(embeddings)
     labels = np.asarray(labels, dtype=int)
-    centers = np.asarray(centers, dtype=float)
-    cluster_centers = np.asarray(context.centers, dtype=float).reshape(-1, embeddings.shape[1])
+    centers = float_array(centers)
+    dtype = np.result_type(embeddings, centers)
+    cluster_centers = np.asarray(context.centers, dtype=dtype).reshape(-1, embeddings.shape[1])
     _check_batch(embeddings, labels, centers)
 
     batch, _ = embeddings.shape
@@ -143,13 +169,13 @@ def loss_gradients(
     f_hat, f_norm = _unit_rows_and_norms(embeddings)
     w_hat, w_norm = _unit_rows_and_norms(centers)
     # Class cosines in the first n columns, cluster cosines in the last K.
-    cos_all = np.empty((batch, n + k))
+    cos_all = np.empty((batch, n + k), dtype=dtype)
     cos_cls = cos_all[:, :n]
     np.matmul(f_hat, w_hat.T, out=cos_cls)
     np.clip(cos_cls, -1.0, 1.0, out=cos_cls)
 
     rows = np.arange(batch)
-    logits = np.empty((batch, n + k))
+    logits = np.empty((batch, n + k), dtype=dtype)
     np.multiply(cos_cls, s, out=logits[:, :n])
     # d(logit)/d(cos) is s for every class logit and cluster_gprime for the
     # cluster logits.
@@ -158,8 +184,9 @@ def loss_gradients(
     if k:
         cos_clu = cos_all[:, n:]
         np.matmul(f_hat, cluster_centers.T, out=cos_clu)
-        np.clip(cos_clu, -1.0 + _COS_EPS, 1.0 - _COS_EPS, out=cos_clu)
-        theta_p = np.arccos(cos_clu)
+        clipped = np.clip(cos_clu.astype(float), -1.0 + _COS_EPS, 1.0 - _COS_EPS)
+        cos_clu[...] = clipped
+        theta_p = np.arccos(clipped)
         beyond = theta_p > rho
         logits[:, n:] = s * np.cos(np.where(beyond, theta_p - rho, 0.0))
         # Subgradient 0 at theta == rho: inside the margin the term is flat.
@@ -169,6 +196,7 @@ def loss_gradients(
     row_max = logits.max(axis=1, keepdims=True)
     a = logits
     a -= row_max
+    np.maximum(a, softmax_floor(dtype), out=a)
     np.exp(a, out=a)
     denom = a.sum(axis=1, keepdims=True)
     lse = row_max[:, 0] + np.log(denom[:, 0])
@@ -180,7 +208,7 @@ def loss_gradients(
     a[:, :n] *= s / batch
     if k:
         cluster_gprime /= batch
-        a[:, n:] *= cluster_gprime
+        a[:, n:] *= cluster_gprime.astype(dtype, copy=False)
 
     d_f_hat = a[:, :n] @ w_hat
     if k:

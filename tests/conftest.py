@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,3 +25,11 @@ def planted_bundle(center: np.ndarray, count: int, max_angle: float, rng) -> np.
         tangent = normalize_rows(tangent)
         pts[bad] = cos_limit * center[None, :] + math.sin(max_angle) * tangent
     return pts
+
+
+def with_shard_dtype(fed, dtype):
+    """The same federation with its client and public shards cast to dtype."""
+    public = None if fed.public_inputs is None else fed.public_inputs.astype(dtype)
+    return dataclasses.replace(
+        fed, client_inputs=[x.astype(dtype) for x in fed.client_inputs], public_inputs=public
+    )

@@ -32,7 +32,7 @@ def _sample_inputs(
     labels = np.repeat(ids, per_identity)
     noise = rng.normal(0.0, 1.0 / math.sqrt(concentration), size=(labels.size, d))
     points = normalize_rows(directions[labels] + noise)
-    return points @ lift.T, labels
+    return (points @ lift.T).astype(np.float32), labels
 
 
 def make_verification_pairs(
@@ -108,8 +108,8 @@ def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[floa
     same = np.asarray(pairs.same, dtype=bool)
     if same.all() or (~same).all():
         raise DegenerateInputError("verification needs both positive and negative pairs")
-    fa = np.asarray(embed(pairs.a), dtype=float)
-    fb = np.asarray(embed(pairs.b), dtype=float)
+    fa = np.asarray(embed(pairs.a))
+    fb = np.asarray(embed(pairs.b))
     scores = np.sum(normalize_rows(fa) * normalize_rows(fb), axis=1)
     pos = scores[same]
     neg = np.sort(scores[~same])

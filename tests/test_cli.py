@@ -14,7 +14,7 @@ from capfed.cli import (
     parse_config,
     read_embeddings,
 )
-from capfed.errors import ParseError, ValidationError, ZeroVectorError
+from capfed.errors import ParseError, ValidationError
 from capfed.geometry import normalize_rows, occupancy_ratio, sample_uniform_directions
 
 
@@ -255,7 +255,7 @@ class TestEmbeddingsFiles:
         assert "rows are not unit norm" in capsys.readouterr().err
         arr[4] = 0.0
         write_embeddings_binary(raw_path, arr)
-        with pytest.raises(ZeroVectorError, match="row 4"):
+        with pytest.raises(ParseError, match="row 4 has norm 0"):
             load_unit_embeddings(raw_path)
 
     def test_binary_round_trip(self, tmp_path):
@@ -533,6 +533,42 @@ class TestExitCodes:
             assert main(argv + ["--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert f"validation error: {dirty}: row 5 holds a non-finite value" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("writer", [write_embeddings_csv, write_embeddings_binary])
+    def test_embeddings_without_rows_are_two_without_output(self, tmp_path, capsys, writer):
+        empty, rows = tmp_path / "empty", tmp_path / "rows"
+        writer(empty, np.zeros((0, 4)))
+        writer(rows, np.eye(4))
+        out = tmp_path / "out.json"
+        runs = [
+            ["attack", "--exposed", str(empty), "--gallery", str(rows)],
+            ["attack", "--exposed", str(rows), "--gallery", str(empty)],
+            ["cluster", "--embeddings", str(empty), "--min-size", "1"],
+        ]
+        for argv in runs:
+            assert main(argv + ["--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"validation error: {empty}: no embedding rows" in err
+            assert "warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("writer", [write_embeddings_csv, write_embeddings_binary])
+    def test_zero_embedding_rows_are_two_without_output(self, tmp_path, capsys, writer):
+        rows = sample_uniform_directions(6, 4, np.random.default_rng(4))
+        clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+        writer(clean, rows)
+        rows[3] = 0.0
+        writer(dirty, rows)
+        out = tmp_path / "out.json"
+        runs = [
+            ["attack", "--exposed", str(dirty), "--gallery", str(clean)],
+            ["attack", "--exposed", str(clean), "--gallery", str(dirty)],
+            ["cluster", "--embeddings", str(dirty), "--min-size", "2"],
+        ]
+        for argv in runs:
+            assert main(argv + ["--out", str(out)]) == 2
+            assert f"validation error: {dirty}: row 3 has norm 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_attack_k_below_one_is_two_without_output(self, tmp_path, capsys):

@@ -461,3 +461,26 @@ def test_neighbour_counts_recheck_each_in_band_pair_once(monkeypatch, block):
     within = np.array([np.arccos(np.clip(np.sum(v * w, axis=1), -1.0, 1.0)) <= rho for v in w])
     np.fill_diagonal(within, True)
     np.testing.assert_array_equal(counts, within.sum(axis=1))
+
+
+ROWS = clustering._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, 200, ROWS, ROWS + 1, 700, 1500])
+def test_neighbour_counts_walk_the_upper_triangle(monkeypatch, n):
+    # n <= _BLOCK_ROWS is one block; every larger n up to 1448 was one block of n x n cosines
+    rng = np.random.default_rng([26, n])
+    w = np.concatenate([sample_uniform_directions(n - n // 4, 24, rng),
+                        planted_bundle(np.ones(24), n // 4, 0.6, rng)])
+    computed = []
+    within_rho = clustering._within_rho
+
+    def counting(cos, *args):
+        computed.append(cos.size)
+        return within_rho(cos, *args)
+
+    monkeypatch.setattr(clustering, "_within_rho", counting)
+    counts = clustering._neighbor_counts(w, 1.0)
+    np.testing.assert_array_equal(counts, (pairwise_angles(w) <= 1.0).sum(axis=1))
+    # the squares on the diagonal add at most _BLOCK_ROWS / n to the n (n + 1) / 2 needed
+    assert sum(computed) <= n * (n + 1) // 2 + n * clustering._BLOCK_ROWS // 2

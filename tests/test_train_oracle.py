@@ -2,7 +2,10 @@
 
 Equality here is exact: the same loss float and the same gradient, embedder
 and center bytes, because the rewrite keeps every floating-point operation
-and its order. The oracle's own central-difference check is tested last.
+and its order. Both follow their inputs' dtype, and each check runs in both:
+the kernel cases are drawn in float64 and also cast to float32, and the
+federations are generated with float32 shards and also upcast to float64.
+The oracle's own central-difference check is tested last.
 """
 
 import dataclasses
@@ -26,6 +29,7 @@ from capfed.federation import (
 from capfed.geometry import checked_row_norms, normalize_rows, row_norms
 from capfed.losses import ConsensusContext, LossConfig, loss_gradients
 from capfed.synth import SynthParams, generate_federation
+from conftest import with_shard_dtype
 
 
 def assert_same_bundle(live, ref):
@@ -50,8 +54,7 @@ def kernel_case(rng, k, scale=1.5, b=24, n=30, d=12, rho=0.6):
     return f, labels, w, normalize_rows(clusters) if k else clusters, rho
 
 
-@pytest.mark.parametrize("k", [0, 5])
-def test_kernel_matches_oracle(k):
+def check_kernel_cases(k, dtype):
     rng = np.random.default_rng(11)
     for case in range(40):
         scale = float(rng.uniform(1.0, 64.0))
@@ -65,16 +68,31 @@ def test_kernel_matches_oracle(k):
             d=int(rng.integers(2, 24)),
             rho=float(rng.uniform(0.05, 1.5)),
         )
+        f, w, clusters = (x.astype(dtype) for x in (f, w, clusters))
         live = loss_gradients(f, labels, w, ConsensusContext(clusters), rho, config)
         ref = oracle._core(f, labels, w, clusters, rho, config)
+        assert live.d_embeddings.dtype == dtype
         assert_same_bundle(live, ref)
 
 
-def test_kernel_matches_oracle_at_paper_shape():
+@pytest.mark.parametrize("k", [0, 5])
+def test_kernel_matches_oracle(k):
+    check_kernel_cases(k, np.float64)
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_kernel_matches_oracle_in_float32(k):
+    check_kernel_cases(k, np.float32)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_kernel_matches_oracle_at_paper_shape(dtype):
     rng = np.random.default_rng(13)
     f, labels, w, clusters, rho = kernel_case(rng, 24, b=256, n=1000, d=512, rho=1.3)
+    f, w, clusters = (x.astype(dtype) for x in (f, w, clusters))
     config = LossConfig(64.0)
     live = loss_gradients(f, labels, w, ConsensusContext(clusters), rho, config)
+    assert live.d_embeddings.dtype == dtype
     assert_same_bundle(live, oracle._core(f, labels, w, clusters, rho, config))
 
 
@@ -92,14 +110,16 @@ def test_integer_scale_is_the_float_scale():
 def test_row_norms_are_linalg_norm_bits():
     rng = np.random.default_rng(14)
     for shape in [(7,), (5, 3), (40, 512), (2, 3, 9)]:
-        m = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
-        assert row_norms(m).tobytes() == np.linalg.norm(m, axis=-1).tobytes()
+        for dtype in (np.float64, np.float32):
+            m = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)).astype(dtype)
+            assert row_norms(m).tobytes() == np.linalg.norm(m, axis=-1).tobytes()
     m = rng.standard_normal((30, 17))
     assert normalize_rows(m).tobytes() == oracle.normalize_rows(m).tobytes()
     assert checked_row_norms(m).tobytes() == np.linalg.norm(m, axis=1).tobytes()
 
 
-def tiny_fed(seed=0, **kw):
+def tiny_fed(seed=0, dtype=np.float32, **kw):
+    """A small generated federation, its shards cast to dtype (generated as float32)."""
     base = dict(
         clients=3,
         ids_per_client=10,
@@ -109,7 +129,8 @@ def tiny_fed(seed=0, **kw):
         concentration=48.0,
     )
     base.update(kw)
-    return generate_federation(SynthParams(**base), np.random.default_rng(seed))
+    fed = generate_federation(SynthParams(**base), np.random.default_rng(seed))
+    return with_shard_dtype(fed, dtype)
 
 
 def tiny_config(**kw):
@@ -130,36 +151,58 @@ def tiny_config(**kw):
     return FederationConfig(**base)
 
 
-def foreign_context(rng, dim, k):
-    return ConsensusContext(normalize_rows(rng.standard_normal((k, dim))) if k else np.zeros((0, dim)))
+def foreign_context(rng, dim, k, dtype=np.float64):
+    return ConsensusContext(normalize_rows(rng.standard_normal((k, dim))).astype(dtype))
+
+
+def check_local_round(k, lr, dtype):
+    fed = tiny_fed(1, dtype)
+    config = tiny_config(learning_rate=lr, local_epochs=2, batch_size=7)
+    states, embedder0 = initialize_clients(fed, config, 5)
+    foreign = foreign_context(np.random.default_rng(2), fed.params.embed_dim, k, dtype)
+    live, live_loss = client_local_round(states[0], embedder0, foreign, config, derive_rng(5, "t"))
+    ref, ref_loss = oracle.client_local_round(states[0], embedder0, foreign, config, derive_rng(5, "t"))
+    assert live_loss == ref_loss
+    assert live.embedder.dtype == live.centers.dtype == dtype
+    assert live.embedder.tobytes() == ref.embedder.tobytes()
+    assert live.centers.tobytes() == ref.centers.tobytes()
 
 
 @pytest.mark.parametrize("k", [0, 4])
 @pytest.mark.parametrize("lr", [0.05, 0.3])
 def test_local_round_matches_oracle(k, lr):
-    fed = tiny_fed(1)
-    config = tiny_config(learning_rate=lr, local_epochs=2, batch_size=7)
-    states, embedder0 = initialize_clients(fed, config, 5)
-    foreign = foreign_context(np.random.default_rng(2), fed.params.embed_dim, k)
-    live, live_loss = client_local_round(states[0], embedder0, foreign, config, derive_rng(5, "t"))
-    ref, ref_loss = oracle.client_local_round(states[0], embedder0, foreign, config, derive_rng(5, "t"))
-    assert live_loss == ref_loss
-    assert live.embedder.tobytes() == ref.embedder.tobytes()
-    assert live.centers.tobytes() == ref.centers.tobytes()
+    check_local_round(k, lr, np.float32)
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_initialize_clients_matches_oracle(shared):
-    fed = tiny_fed(3, public_identities=5 if shared else 0, ids_per_client=13, samples_per_identity=5)
+@pytest.mark.parametrize("k", [0, 4])
+@pytest.mark.parametrize("lr", [0.05, 0.3])
+def test_local_round_matches_oracle_in_float64(k, lr):
+    check_local_round(k, lr, np.float64)
+
+
+def check_initialize_clients(shared, dtype):
+    fed = tiny_fed(3, dtype, public_identities=5 if shared else 0, ids_per_client=13,
+                   samples_per_identity=5)
     config = tiny_config(shared_public_shard=shared)
     live, live_e = initialize_clients(fed, config, 9)
     ref, ref_e = oracle.initialize_clients(fed, config, 9)
+    assert live_e.dtype == live[0].centers.dtype == dtype
     assert live_e.tobytes() == ref_e.tobytes()
     for a, b in zip(live, ref, strict=True):
         assert a.centers.tobytes() == b.centers.tobytes()
         assert a.inputs.tobytes() == b.inputs.tobytes()
         assert np.array_equal(a.labels, b.labels) and a.labels.dtype.kind == b.labels.dtype.kind
         assert a.global_ids.tobytes() == b.global_ids.tobytes()
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_initialize_clients_matches_oracle(shared):
+    check_initialize_clients(shared, np.float32)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_initialize_clients_matches_oracle_in_float64(shared):
+    check_initialize_clients(shared, np.float64)
 
 
 def test_class_means_match_masked_means():
@@ -180,9 +223,8 @@ def use_oracle(monkeypatch):
     monkeypatch.setattr(synth, "normalize_rows", oracle.normalize_rows)
 
 
-@pytest.mark.parametrize("mode", ["phi", "phi-hat", "phi-p"])
-def test_run_federation_matches_oracle(monkeypatch, mode):
-    fed = tiny_fed(4)
+def check_run_federation(monkeypatch, mode, dtype):
+    fed = tiny_fed(4, dtype)
     config = tiny_config(mode=mode, offline_probability=0.3)
     live = run_federation(config, fed, 21)
     with monkeypatch.context() as patched:
@@ -190,11 +232,22 @@ def test_run_federation_matches_oracle(monkeypatch, mode):
         ref = run_federation(config, fed, 21)
     if mode != "phi":
         assert any(r.queries_by_client[c] for r in live.rounds for c in r.queries_by_client)
+    assert live.server.embedder.dtype == dtype
     assert live.rounds == ref.rounds
     assert live.server.embedder.tobytes() == ref.server.embedder.tobytes()
     for a, b in zip(live.final_clients, ref.final_clients, strict=True):
         assert a.centers.tobytes() == b.centers.tobytes()
         assert a.embedder.tobytes() == b.embedder.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["phi", "phi-hat", "phi-p"])
+def test_run_federation_matches_oracle(monkeypatch, mode):
+    check_run_federation(monkeypatch, mode, np.float32)
+
+
+@pytest.mark.parametrize("mode", ["phi", "phi-hat", "phi-p"])
+def test_run_federation_matches_oracle_in_float64(monkeypatch, mode):
+    check_run_federation(monkeypatch, mode, np.float64)
 
 
 def snapshot(*arrays):

@@ -4,9 +4,13 @@
 work in place on their own buffers; this module keeps the straightforward
 versions they replaced, one fresh array per expression, so tests can demand
 the same loss bits and gradient bytes from both. The row norms go through
-np.linalg.norm, as they did before `geometry.row_norms`. Helpers whose
-behaviour did not change (`_check_batch`, `GradientBundle`, the loss
-constants) are imported from the package. `margin_similarity` and
+np.linalg.norm, as they did before `geometry.row_norms`. Like the package,
+every function here follows its inputs' dtype (`geometry.float_array`):
+float64 inputs give the float64 bits, float32 inputs the float32 bits, and
+the kernel takes the cluster angles in float64 and rounds their logits and
+derivatives to the input dtype. Helpers whose behaviour did not change
+(`_check_batch`, `GradientBundle`, the loss constants, `float_array`) are
+imported from the package. `margin_similarity` and
 `cluster_similarity` are the scalar, one-angle forms of the kernel's logits,
 and `finite_diff_check` is the central-difference check the gradient tests
 judge `loss_gradients` by.
@@ -29,13 +33,13 @@ from capfed.errors import (
     ZeroVectorError,
 )
 from capfed.federation import ClientState, FederationConfig, derive_rng
-from capfed.geometry import ZERO_NORM_FLOOR
+from capfed.geometry import ZERO_NORM_FLOOR, float_array
 from capfed.losses import _COS_EPS, GradientBundle, LossConfig, _check_batch
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
     """Normalize every row of a matrix to unit length."""
-    m = np.asarray(m, dtype=float)
+    m = float_array(m)
     norms = np.linalg.norm(m, axis=-1, keepdims=True)
     if np.any(norms <= ZERO_NORM_FLOOR):
         bad = int(np.argmax(norms <= ZERO_NORM_FLOOR))
@@ -124,10 +128,11 @@ def _core(
     target class logit uses the margin form, the other class logits the plain
     s*cos form, and cluster logits the saturating cluster similarity.
     """
-    embeddings = np.asarray(embeddings, dtype=float)
+    embeddings = float_array(embeddings)
     labels = np.asarray(labels, dtype=int)
-    centers = np.asarray(centers, dtype=float)
-    cluster_centers = np.asarray(cluster_centers, dtype=float).reshape(-1, embeddings.shape[1])
+    centers = float_array(centers)
+    dtype = np.result_type(embeddings, centers)
+    cluster_centers = np.asarray(cluster_centers, dtype=dtype).reshape(-1, embeddings.shape[1])
     _check_batch(embeddings, labels, centers)
 
     batch, _ = embeddings.shape
@@ -140,15 +145,16 @@ def _core(
     cos_cls = np.clip(f_hat @ w_hat.T, -1.0, 1.0)
 
     rows = np.arange(batch)
-    logits = np.empty((batch, n + k))
+    logits = np.empty((batch, n + k), dtype=dtype)
     logits[:, :n] = s * cos_cls
-    # d(logit)/d(cos), needed for the backward pass; negatives are linear in cos.
+    # d(logit)/d(cos) in float64, needed for the backward pass; negatives are linear in cos.
     gprime = np.full((batch, n + k), s)
 
     logits[rows, labels] = s * (cos_cls[rows, labels] - m)
 
     if k:
-        cos_clu = np.clip(f_hat @ cluster_centers.T, -1.0 + _COS_EPS, 1.0 - _COS_EPS)
+        cos_clu = (f_hat @ cluster_centers.T).astype(float)
+        cos_clu = np.clip(cos_clu, -1.0 + _COS_EPS, 1.0 - _COS_EPS)
         theta_p = np.arccos(cos_clu)
         beyond = theta_p > rho
         logits[:, n:] = s * np.cos(np.where(beyond, theta_p - rho, 0.0))
@@ -157,7 +163,7 @@ def _core(
 
     row_max = logits.max(axis=1, keepdims=True)
     shifted = logits - row_max
-    exp = np.exp(shifted)
+    exp = np.exp(np.maximum(shifted, losses.softmax_floor(dtype)))
     denom = exp.sum(axis=1, keepdims=True)
     lse = row_max[:, 0] + np.log(denom[:, 0])
     loss = float(np.mean(lse - logits[rows, labels]))
@@ -165,9 +171,9 @@ def _core(
     soft = exp / denom
     a = soft.copy()
     a[rows, labels] -= 1.0
-    a *= gprime / batch
+    a *= (gprime / batch).astype(dtype)
 
-    cos_all = cos_cls if k == 0 else np.concatenate([cos_cls, cos_clu], axis=1)
+    cos_all = cos_cls if k == 0 else np.concatenate([cos_cls, cos_clu.astype(dtype)], axis=1)
     d_f_hat = a[:, :n] @ w_hat
     if k:
         d_f_hat = d_f_hat + a[:, n:] @ cluster_centers
@@ -202,7 +208,7 @@ def client_local_round(
     n = state.inputs.shape[0]
     if n == 0:
         raise EmptyShardError(f"client {state.client_id} has no data")
-    a = np.array(broadcast_embedder, dtype=float)
+    a = np.array(broadcast_embedder, dtype=state.inputs.dtype)
     w = state.centers.copy()
     rho = config.clustering_params.rho
     lr, wd = config.learning_rate, config.weight_decay
@@ -225,7 +231,7 @@ def client_local_round(
 
 def embed(embedder: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Unit-normalized linear features for a batch of raw inputs."""
-    return normalize_rows(np.asarray(inputs, dtype=float) @ embedder.T)
+    return normalize_rows(np.asarray(inputs) @ embedder.T)
 
 
 def initialize_clients(
@@ -243,8 +249,9 @@ def initialize_clients(
         raise ValidationError("shared_public_shard requires a federation with public identities")
 
     d, d_in = fed.params.embed_dim, fed.params.input_dim
+    x0 = fed.client_inputs[0]
     init_rng = derive_rng(seed, "init")
-    embedder0 = init_rng.standard_normal((d, d_in)) / np.sqrt(d_in)
+    embedder0 = (init_rng.standard_normal((d, d_in)) / np.sqrt(d_in)).astype(x0.dtype)
 
     states = []
     for c in range(fed.params.clients):
@@ -265,7 +272,7 @@ def initialize_clients(
                 client_id=c,
                 embedder=embedder0.copy(),
                 centers=centers,
-                inputs=np.asarray(x, dtype=float),
+                inputs=x,
                 labels=y_local,
                 global_ids=ids,
             )

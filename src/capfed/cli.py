@@ -193,6 +193,8 @@ def read_embeddings(path) -> np.ndarray:
             n, d = (int(part) for part in lines[0].split(","))
         except ValueError as exc:
             raise ParseError(f"{path}:1: header must be 'n,d'") from exc
+        if n < 0 or d < 0:
+            raise ParseError(f"{path}:1: header sizes must be >= 0, got {n},{d}")
         if len(lines) - 1 != n:
             raise ParseError(f"{path}: header says {n} rows, found {len(lines) - 1}")
         rows = np.empty((n, d), dtype=np.float32)
@@ -384,8 +386,12 @@ def cmd_attack(args) -> int:
     exposed = read_embeddings(args.exposed)
     _input_row_norms(args.exposed, exposed)  # knn_attack matches exposed rows by direction
     gallery_vectors = read_embeddings(args.gallery)
+    if exposed.shape[1] != gallery_vectors.shape[1]:
+        raise ValidationError(f"{args.exposed} has dim {exposed.shape[1]} but "
+                              f"{args.gallery} has dim {gallery_vectors.shape[1]}")
+    n_gallery = gallery_vectors.shape[0]
     gallery = synth.AttackGallery(
-        np.arange(gallery_vectors.shape[0]),
+        np.arange(n_gallery),
         gallery_vectors / _input_row_norms(args.gallery, gallery_vectors)[:, None],
     )
     if args.targets:
@@ -394,17 +400,18 @@ def cmd_attack(args) -> int:
         except (OSError, ValueError) as exc:
             raise ValidationError(f"targets: {exc}") from exc
         sets = [t if type(t) is list else [t] for t in targets] if type(targets) is list else None
-        if sets is None or len(sets) != len(exposed) or not all(
-            ids and all(type(i) is int for i in ids) for ids in sets
-        ):
-            raise ValidationError("targets: need one integer or non-empty integer list per "
-                                  "exposed vector")
+        if sets is None or len(sets) != len(exposed):
+            raise ValidationError("targets: need a list with one entry per exposed vector")
+        for entry, ids in enumerate(sets):
+            if not ids or not all(type(i) is int and 0 <= i < n_gallery for i in ids):
+                raise ValidationError(f"targets: entry {entry} is not a gallery row in [0, "
+                                      f"{n_gallery}) or a non-empty list of them: {ids}")
     else:
         targets = [[i] for i in range(exposed.shape[0])]
     result = synth.knn_attack(exposed, gallery, args.k, targets)
     payload = {
         "k": args.k,
-        "gallery_size": int(gallery_vectors.shape[0]),
+        "gallery_size": n_gallery,
         "exposed": int(exposed.shape[0]),
         "success_rate": result.success_rate,
         "per_exposed": [float(v) for v in result.per_exposed],

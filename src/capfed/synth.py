@@ -177,85 +177,76 @@ def _gather_rows(shards: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_of_rank(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (i, j), i < j, at each rank of the order (0, 1), (0, 2), (1, 2), (0, 3), ...
+
+    Pair (i, j) has rank j(j - 1)/2 + i. The float square root gives j to
+    within one, and one integer step either way makes it exact.
+    """
+    j = ((1.0 + np.sqrt(8.0 * rank + 1.0)) / 2.0).astype(np.int64)
+    j -= j * (j - 1) // 2 > rank
+    j += (j + 1) * j // 2 <= rank
+    return rank - j * (j - 1) // 2, j
+
+
 def make_verification_pairs(
     fed: SyntheticFederation,
     positives: int,
     negatives: int,
     rng: np.random.Generator,
 ) -> VerificationPairs:
-    """Sample balanced verification pairs from the federation's private shards.
+    """Sample distinct verification pairs from the federation's private shards.
 
-    Positive pairs take two distinct samples of one identity. Negative pairs
-    take one sample each from two identities of different clients, which is
-    the regime federation consensus is supposed to improve.
-
-    Samples are numbered by their row in the shards laid end to end, but the
-    shards are never concatenated: only the pairs' rows are copied out.
+    Positives are uniform over the distinct pairs of two samples of one
+    identity, negatives over the distinct pairs of one sample from each of
+    two clients (the regime consensus is supposed to improve): with k_g
+    samples of identity g and N_c in shard c, sum_g k_g (k_g - 1)/2 and
+    sum_{c<c'} N_c N_c' pairs. A request above either count raises
+    DegenerateInputError before rng is used. Else one rng.choice(count, size,
+    replace=False) per kind draws ranks: positives by identity, then by
+    _pair_of_rank over its ascending rows; negatives by client pair (c < c',
+    row-major), then row in c, then row in c'. Rows number the shards laid
+    end to end; only the pairs' rows are copied out, positives first.
     """
-    all_y = np.concatenate(fed.client_labels, axis=0)
-    order = np.argsort(all_y, kind="stable")  # each identity's rows ascending, as flatnonzero
-    ids, starts, sizes = np.unique(all_y[order], return_index=True, return_counts=True)
-    by_id = {int(g): order[i : i + n] for g, i, n in zip(ids, starts, sizes)}
-    client_of = {int(g): int(fed.identity_client[g]) for g in by_id}
-
-    seen: set[tuple[int, int]] = set()
-    idx_a: list[int] = []
-    idx_b: list[int] = []
-    same: list[bool] = []
-
-    def _push(i: int, j: int, flag: bool) -> bool:
-        key = (min(i, j), max(i, j))
-        if key in seen or i == j:
-            return False
-        seen.add(key)
-        idx_a.append(i)
-        idx_b.append(j)
-        same.append(flag)
-        return True
-
-    eligible = ids[sizes >= 2]
-    if eligible.size == 0 and positives > 0:
-        raise DegenerateInputError("no identity has two samples; cannot build positive pairs")
-    tries = 0
-    limit = 50 * (positives + negatives) + 1000
-    made_pos = 0
-    while made_pos < positives and tries < limit:
-        tries += 1
-        g = int(rng.choice(eligible))
-        i, j = rng.choice(by_id[g], size=2, replace=False)
-        if _push(int(i), int(j), True):
-            made_pos += 1
-    made_neg = 0
-    while made_neg < negatives and tries < limit:
-        tries += 1
-        g, h = rng.choice(ids, size=2, replace=False)
-        g, h = int(g), int(h)
-        if client_of[g] == client_of[h]:
-            continue
-        i = int(rng.choice(by_id[g]))
-        j = int(rng.choice(by_id[h]))
-        if _push(i, j, False):
-            made_neg += 1
-    if made_pos < positives or made_neg < negatives:
-        raise DegenerateInputError("could not assemble the requested number of distinct pairs")
-    a, b = (_gather_rows(fed.client_inputs, np.array(i, dtype=np.intp)) for i in (idx_a, idx_b))
-    return VerificationPairs(a, b, np.array(same, dtype=bool))
+    labels = np.concatenate(fed.client_labels)
+    order = np.argsort(labels, kind="stable")  # each identity's rows, ascending
+    _, id_start, k = np.unique(labels[order], return_index=True, return_counts=True)
+    pos_start = np.concatenate(([0], np.cumsum(k * (k - 1) // 2)))
+    n = np.array([y.size for y in fed.client_labels], dtype=np.int64)
+    row_start = np.concatenate(([0], np.cumsum(n)))
+    first, second = np.triu_indices(n.size, 1)
+    neg_start = np.concatenate(([0], np.cumsum(n[first] * n[second])))
+    if pos_start[-1] < positives or neg_start[-1] < negatives:
+        raise DegenerateInputError("could not assemble the requested number of distinct pairs: "
+                                   f"{positives} positives of {pos_start[-1]} and "
+                                   f"{negatives} negatives of {neg_start[-1]}")
+    rank = rng.choice(pos_start[-1], size=positives, replace=False)
+    g = np.searchsorted(pos_start, rank, side="right") - 1
+    i, j = _pair_of_rank(rank - pos_start[g])
+    pos_a, pos_b = order[id_start[g] + i], order[id_start[g] + j]
+    rank = rng.choice(neg_start[-1], size=negatives, replace=False)
+    block = np.searchsorted(neg_start, rank, side="right") - 1
+    i, j = np.divmod(rank - neg_start[block], n[second[block]])
+    idx_a = np.concatenate((pos_a, row_start[first[block]] + i))
+    idx_b = np.concatenate((pos_b, row_start[second[block]] + j))
+    a, b = (_gather_rows(fed.client_inputs, idx) for idx in (idx_a, idx_b))
+    return VerificationPairs(a, b, np.arange(positives + negatives) < positives)
 
 
 def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[float, float]:
-    """True-accept rate at each false-accept target, by cosine threshold sweep.
+    """True-accept rate at each false-accept target, by score threshold sweep.
 
-    The threshold for a target is the (k+1)-th largest negative score with
-    k = floor(target * #negatives), and acceptance is strict (score > thr):
-    the largest attainable TAR whose realized FAR is guaranteed <= target.
-    What embed returns is never written: the unit rows are new arrays.
+    A pair's score is the dot product of its embedded rows: their cosine when
+    embed returns unit rows, as federation.embed does. The threshold for a
+    target is the (k+1)-th largest negative score with k = floor(target *
+    #negatives), and acceptance is strict (score > thr): the largest
+    attainable TAR whose realized FAR is guaranteed <= target. What embed
+    returns is never written.
     """
     same = np.asarray(pairs.same, dtype=bool)
     if same.all() or (~same).all():
         raise DegenerateInputError("verification needs both positive and negative pairs")
-    prod = normalize_rows(embed(pairs.a))
-    prod *= normalize_rows(embed(pairs.b))
-    scores = np.sum(prod, axis=1)
+    scores = np.sum(embed(pairs.a) * embed(pairs.b), axis=1)
     pos = scores[same]
     neg = np.sort(scores[~same])
     out: dict[float, float] = {}

@@ -1,12 +1,13 @@
 """Reference sampling and evaluation: the federation's allocating versions.
 
-`capfed.synth` samples inputs and evaluates pairs in place, and gathers pair
-rows straight from the clients' shards; this module keeps the versions they
-replaced, which concatenate the shards, group samples by identity with one
-mask per identity and normalize out of place, so tests can demand the same
-shard, pair and TAR bytes from both. `knn_attack` keeps the per-row loop
-that skipped repeated gallery identities, so tests can demand the same scores
-from the vectorized top-k. The reference `embed` lives in train_oracle.
+`capfed.synth` samples inputs in place, unranks verification pairs with
+array arithmetic and gathers their rows straight from the clients' shards.
+This module keeps versions that normalize out of place, list every distinct
+pair over the concatenated shards and index that list with the same draws,
+so tests can demand the same shard, pair and TAR bytes from both.
+`knn_attack` keeps the per-row loop that skipped repeated gallery
+identities, so tests can demand the same scores from the vectorized top-k.
+The reference `embed` lives in train_oracle.
 """
 
 from __future__ import annotations
@@ -41,65 +42,38 @@ def make_verification_pairs(
     negatives: int,
     rng: np.random.Generator,
 ) -> VerificationPairs:
-    """Sample balanced verification pairs from the federation's private shards.
+    """Every distinct pair listed in rank order, then the same draws by rank.
 
-    Positive pairs take two distinct samples of one identity. Negative pairs
-    take one sample each from two identities of different clients, which is
-    the regime federation consensus is supposed to improve.
+    Positives are each identity's pairs of rows (ascending identity), listed
+    as (rows[i], rows[j]) for j ascending and i < j ascending; negatives are
+    each client pair's row pairs, client pairs and rows in row-major order.
     """
     all_x = np.concatenate(fed.client_inputs, axis=0)
     all_y = np.concatenate(fed.client_labels, axis=0)
-    by_id: dict[int, np.ndarray] = {
-        int(g): np.flatnonzero(all_y == g) for g in np.unique(all_y)
-    }
-    client_of = {int(g): int(fed.identity_client[g]) for g in by_id}
-
-    seen: set[tuple[int, int]] = set()
-    idx_a: list[int] = []
-    idx_b: list[int] = []
-    same: list[bool] = []
-
-    def _push(i: int, j: int, flag: bool) -> bool:
-        key = (min(i, j), max(i, j))
-        if key in seen or i == j:
-            return False
-        seen.add(key)
-        idx_a.append(i)
-        idx_b.append(j)
-        same.append(flag)
-        return True
-
-    ids = np.array(sorted(by_id))
-    eligible = np.array([g for g in ids if by_id[int(g)].size >= 2])
-    if eligible.size == 0 and positives > 0:
-        raise DegenerateInputError("no identity has two samples; cannot build positive pairs")
-    tries = 0
-    limit = 50 * (positives + negatives) + 1000
-    made_pos = 0
-    while made_pos < positives and tries < limit:
-        tries += 1
-        g = int(rng.choice(eligible))
-        i, j = rng.choice(by_id[g], size=2, replace=False)
-        if _push(int(i), int(j), True):
-            made_pos += 1
-    made_neg = 0
-    while made_neg < negatives and tries < limit:
-        tries += 1
-        g, h = rng.choice(ids, size=2, replace=False)
-        g, h = int(g), int(h)
-        if client_of[g] == client_of[h]:
-            continue
-        i = int(rng.choice(by_id[g]))
-        j = int(rng.choice(by_id[h]))
-        if _push(i, j, False):
-            made_neg += 1
-    if made_pos < positives or made_neg < negatives:
+    pos = []
+    for g in np.unique(all_y):
+        rows = np.flatnonzero(all_y == g).tolist()
+        pos += [(rows[i], rows[j]) for j in range(len(rows)) for i in range(j)]
+    offsets = np.cumsum([0] + [y.size for y in fed.client_labels]).tolist()
+    neg = [
+        (i, j)
+        for c in range(len(offsets) - 1)
+        for e in range(c + 1, len(offsets) - 1)
+        for i in range(offsets[c], offsets[c + 1])
+        for j in range(offsets[e], offsets[e + 1])
+    ]
+    if len(pos) < positives or len(neg) < negatives:
         raise DegenerateInputError("could not assemble the requested number of distinct pairs")
-    return VerificationPairs(all_x[idx_a], all_x[idx_b], np.array(same, dtype=bool))
+    picked = [pos[r] for r in rng.choice(len(pos), size=positives, replace=False)]
+    picked += [neg[r] for r in rng.choice(len(neg), size=negatives, replace=False)]
+    idx_a = [i for i, _ in picked]
+    idx_b = [j for _, j in picked]
+    same = np.array([True] * positives + [False] * negatives)
+    return VerificationPairs(all_x[idx_a], all_x[idx_b], same)
 
 
 def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[float, float]:
-    """True-accept rate at each false-accept target, by cosine threshold sweep.
+    """True-accept rate at each false-accept target, by score threshold sweep.
 
     The threshold for a target is the (k+1)-th largest negative score with
     k = floor(target * #negatives), and acceptance is strict (score > thr):
@@ -110,7 +84,7 @@ def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[floa
         raise DegenerateInputError("verification needs both positive and negative pairs")
     fa = np.asarray(embed(pairs.a))
     fb = np.asarray(embed(pairs.b))
-    scores = np.sum(normalize_rows(fa) * normalize_rows(fb), axis=1)
+    scores = np.sum(fa * fb, axis=1)
     pos = scores[same]
     neg = np.sort(scores[~same])
     out: dict[float, float] = {}
@@ -121,7 +95,6 @@ def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[floa
         thr = neg[neg.size - 1 - k] if k < neg.size else -np.inf
         out[float(target)] = float(np.mean(pos > thr))
     return out
-
 
 
 def knn_attack(exposed, gallery: AttackGallery, k: int, targets: list) -> AttackResult:

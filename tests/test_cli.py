@@ -282,6 +282,15 @@ class TestEmbeddingsFiles:
         with pytest.raises(ParseError):
             read_embeddings(path)
 
+    @pytest.mark.parametrize("header", ["1,-2", "-1,2"])
+    def test_negative_csv_header_size_rejected(self, tmp_path, capsys, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n1.0,0.0\n")
+        with pytest.raises(ParseError, match="header sizes must be >= 0"):
+            read_embeddings(path)
+        assert main(["cluster", "--embeddings", str(path), "--min-size", "1"]) == 2
+        assert f"validation error: {path}:1: header sizes must be >= 0" in capsys.readouterr().err
+
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("3,2\n1.0,0.0\n0.0,1.0\n")
@@ -603,6 +612,32 @@ class TestExitCodes:
         assert main(argv) == 0
         assert json.loads(out.read_text())["per_exposed"] == [0.5, 1.0, 1.0]
 
+    def test_attack_dim_mismatch_is_two_naming_both_files(self, tmp_path, capsys):
+        gallery, exposed = tmp_path / "gallery.csv", tmp_path / "exposed.csv"
+        write_embeddings_csv(gallery, np.eye(4))
+        write_embeddings_csv(exposed, np.eye(3))
+        out = tmp_path / "attack.json"
+        argv = ["attack", "--exposed", str(exposed), "--gallery", str(gallery), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"validation error: {exposed} has dim 3 but {gallery} has dim 4" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[0, 99, 2]", "[0, -1, 2]", "[0, [1, 4], 2]"])
+    def test_attack_targets_outside_the_gallery_are_two(self, tmp_path, capsys, text):
+        gallery, exposed = tmp_path / "gallery.csv", tmp_path / "exposed.csv"
+        write_embeddings_csv(gallery, np.eye(4))
+        write_embeddings_csv(exposed, np.eye(4)[:3])
+        targets = tmp_path / "targets.json"
+        targets.write_text(text)
+        out = tmp_path / "attack.json"
+        argv = ["attack", "--exposed", str(exposed), "--gallery", str(gallery),
+                "--targets", str(targets), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "validation error: targets: entry 1 is not a gallery row in [0, 4)" in err
+        assert not out.exists()
+
     def test_removed_gradcheck_is_a_usage_error(self, capsys):
         assert main(["gradcheck"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -747,12 +782,11 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_runtime_error_is_three(self, tmp_path, capsys):
-        gallery = tmp_path / "gallery.csv"
-        exposed = tmp_path / "exposed.csv"
-        write_embeddings_csv(gallery, np.eye(4))
-        write_embeddings_csv(exposed, np.eye(3))
-        assert (
-            main(["attack", "--exposed", str(exposed), "--gallery", str(gallery), "--k", "1"])
-            == 3
-        )
-        capsys.readouterr()
+        # 4 clients x 2 identities x 2 samples hold 8 distinct positive pairs
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("synth.ids_per_client = 2\nsynth.samples_per_identity = 2\n"
+                       "dplc.min_cluster_size = 1\n")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 3
+        assert ("runtime error: could not assemble the requested number of distinct pairs: "
+                "1000 positives of 8 and 1000 negatives of 96") in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()

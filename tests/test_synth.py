@@ -1,9 +1,11 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from capfed import synth
 from capfed.dp import PrivacyBudget, gaussian_perturb, naive_sigma
 from capfed.errors import DegenerateInputError, DimensionMismatchError, DomainError
 from capfed.geometry import normalize_rows, sample_uniform_directions
@@ -98,6 +100,13 @@ class TestGeneration:
                 SynthParams(public_identities=3, public_samples_per_identity=per_identity)
 
 
+def pair_rows(monkeypatch, fed, positives, negatives, rng):
+    """The sampled pairs as rows of the shards laid end to end, and the same flags."""
+    monkeypatch.setattr(synth, "_gather_rows", lambda shards, idx: idx)
+    pairs = make_verification_pairs(fed, positives, negatives, rng)
+    return pairs.a, pairs.b, pairs.same
+
+
 class TestVerificationPairs:
     def test_no_duplicates_and_balance(self):
         fed = small_fed()
@@ -124,6 +133,68 @@ class TestVerificationPairs:
                 assert ga == gb
             else:
                 assert fed.identity_client[ga] != fed.identity_client[gb]
+
+    def test_every_positive_once_and_one_more_raises_before_drawing(self, monkeypatch):
+        fed = small_fed(clients=2, ids_per_client=3, samples_per_identity=4)
+        rows = pair_rows(monkeypatch, fed, 36, 1, np.random.default_rng(4))
+        labels = np.concatenate(fed.client_labels)
+        expected = {(i, j) for g in np.unique(labels)
+                    for i, j in itertools.combinations(np.flatnonzero(labels == g).tolist(), 2)}
+        assert len(expected) == 36
+        got = [(int(i), int(j)) for i, j, same in zip(*rows) if same]
+        assert len(got) == 36 and set(got) == expected
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        for pos, neg in ((37, 1), (36, 12 * 12 + 1)):
+            with pytest.raises(DegenerateInputError, match=(
+                "could not assemble the requested number of distinct pairs: "
+                f"{pos} positives of 36 and {neg} negatives of 144"
+            )):
+                make_verification_pairs(fed, pos, neg, rng)
+            assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 13])
+    def test_pair_unranking_follows_combinations_by_larger_row(self, k):
+        i, j = synth._pair_of_rank(np.arange(k * (k - 1) // 2))
+        expected = sorted(itertools.combinations(range(k), 2), key=lambda p: (p[1], p[0]))
+        assert list(zip(i.tolist(), j.tolist())) == expected
+
+    def test_pair_unranking_is_exact_for_large_ranks(self):
+        rank = np.array([2**31, 2**40 + 7, 2**52 - 1, 10**15, 4 * 10**15 + 3], dtype=np.int64)
+        i, j = synth._pair_of_rank(rank)
+        assert (0 <= i).all() and (i < j).all()
+        assert (j * (j - 1) // 2 + i == rank).all()
+
+    def test_negative_blocks_match_an_explicit_enumeration(self, monkeypatch):
+        fed = small_fed(clients=3, ids_per_client=2, samples_per_identity=3)
+        offsets = [0, 6, 12, 18]
+        expected = [(i, j) for c in range(3) for e in range(c + 1, 3)
+                    for i in range(offsets[c], offsets[c + 1])
+                    for j in range(offsets[e], offsets[e + 1])]
+        assert len(expected) == 108
+        # a draw of every rank is a permutation of the ranks, so sorting by rank restores order
+        rng = np.random.default_rng(5)
+        ranks = np.random.default_rng(5).choice(108, size=108, replace=False)
+        a, b, same = pair_rows(monkeypatch, fed, 0, 108, rng)
+        assert not same.any()
+        got = sorted(zip(ranks.tolist(), a.tolist(), b.tolist()))
+        assert [(i, j) for _, i, j in got] == expected
+
+    def test_draws_are_uniform_over_identities_and_client_pairs(self, monkeypatch):
+        fed = generate_federation(SynthParams(), np.random.default_rng(6))
+        positives, negatives = 1000, 6000
+        a, b, same = pair_rows(monkeypatch, fed, positives, negatives, np.random.default_rng(7))
+        labels = np.concatenate(fed.client_labels)
+        per_id = np.bincount(labels[a[same]], minlength=labels.max() + 1)
+        client = fed.identity_client[labels]
+        blocks = np.unique(4 * client[a[~same]] + client[b[~same]], return_counts=True)[1]
+        # each identity holds 28 of the 7168 positive pairs, each client pair 1/6 of the negatives
+        for counts, draws, share, total in ((per_id, positives, 28 / 7168, 7168),
+                                            (blocks, negatives, 1 / 6, 6 * 512 * 512)):
+            assert counts.sum() == draws
+            mean = draws * share
+            sd = math.sqrt(mean * (1 - share) * (total - draws) / (total - 1))
+            assert np.all(np.abs(counts - mean) <= 5 * sd), (counts.min(), counts.max(), mean)
 
     def test_peak_memory_below_the_shards(self):
         # concatenating the shards to gather the pair rows peaks at 1.9x their bytes
@@ -186,8 +257,8 @@ class TestVerificationEval:
         fed = small_fed()
         pairs = make_verification_pairs(fed, 100, 100, rng)
         q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
-        base = verification_eval(lambda x: x, pairs, [0.1, 0.01])
-        rotated = verification_eval(lambda x: x @ q.T, pairs, [0.1, 0.01])
+        base = verification_eval(normalize_rows, pairs, [0.1, 0.01])
+        rotated = verification_eval(lambda x: normalize_rows(x @ q.T), pairs, [0.1, 0.01])
         for far in base:
             assert rotated[far] == pytest.approx(base[far], abs=1e-12)
 

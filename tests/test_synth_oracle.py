@@ -94,8 +94,10 @@ def test_pairs_match_oracle_on_uneven_hand_built_shards():
         client_inputs=[rng.standard_normal((n, 8)) for n in sizes],
         client_labels=labels,
     )
-    live = make_verification_pairs(fed, 5, 12, np.random.default_rng(2))
-    ref = oracle.make_verification_pairs(fed, 5, 12, np.random.default_rng(2))
+    rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+    live = make_verification_pairs(fed, 5, 12, rng)
+    ref = oracle.make_verification_pairs(fed, 5, 12, ref_rng)
+    assert state_of(rng) == state_of(ref_rng)
     for x, y in ((live.a, ref.a), (live.b, ref.b), (live.same, ref.same)):
         assert x.tobytes() == y.tobytes()
 
@@ -133,11 +135,11 @@ def test_eval_and_embed_match_oracle(monkeypatch, case):
     for embedder in embedders:
         assert embed(embedder, x).tobytes() == train_oracle.embed(embedder, x).tobytes()
     live = [verification_eval(lambda v: embed(e, v), pairs, targets) for e in embedders]
-    live.append(verification_eval(lambda v: v, pairs, targets))  # scores of the raw inputs
+    live.append(verification_eval(normalize_rows, pairs, targets))  # cosines of raw inputs
     live_scores, neg_scores = neg_scores, []
     ref = [oracle.verification_eval(lambda v: train_oracle.embed(e, v), pairs, targets)
            for e in embedders]
-    ref.append(oracle.verification_eval(lambda v: v, pairs, targets))
+    ref.append(oracle.verification_eval(normalize_rows, pairs, targets))
     assert live == ref
     assert [s.tobytes() for s in live_scores] == [s.tobytes() for s in neg_scores]
 

@@ -40,22 +40,12 @@ EMBEDDINGS_MAGIC = b"DPLC"
 # configuration schema
 
 
-def _cast_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _cast_float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in str(raw).split(",") if part.strip())
 
 
 # Casters by field annotation (the dataclass modules use postponed annotations).
-_CASTERS = {"int": int, "float": float, "str": str, "bool": _cast_bool,
-            "tuple[float, ...]": _cast_float_list}
+_CASTERS = {"int": int, "float": float, "str": str, "tuple[float, ...]": _cast_float_list}
 # FederationConfig fields that are keyed eval.* instead of fed.*.
 _EVAL_FIELDS = ("eval_positives", "eval_negatives", "far_targets")
 
@@ -332,12 +322,17 @@ def cmd_simulate(args) -> int:
     if synth_params.clients < 2:
         raise ValidationError("synth.clients: a simulation needs at least 2 clients, "
                               "since every negative verification pair spans two")
-    if fed_config.shared_public_shard and not synth_params.public_identities:
-        raise ValidationError("fed.shared_public_shard: needs synth.public_identities >= 1")
+    c, s = synth_params.clients, synth_params.samples_per_identity
+    shard = synth_params.ids_per_client * s
+    for key, asked, held in (  # the distinct pairs synth.make_verification_pairs draws from
+        ("eval.positives", fed_config.eval_positives, c * shard * (s - 1) // 2),
+        ("eval.negatives", fed_config.eval_negatives, math.comb(c, 2) * shard**2),
+    ):
+        if asked > held:
+            raise ValidationError(f"{key}: {asked} pairs requested, but the federation "
+                                  f"holds only {held} distinct ones")
     mode = fed_config.mode
     classes = synth_params.ids_per_client
-    if fed_config.shared_public_shard:
-        classes += synth_params.public_identities
     min_size = fed_config.clustering_params.min_cluster_size
     if mode != federation.MODE_PHI and min_size > classes:
         print(

@@ -164,20 +164,15 @@ def _within_rho(cos: np.ndarray, rows, cols, centers: np.ndarray, rho: float) ->
     return mask
 
 
-def _neighbor_counts(
-    centers: np.ndarray, rho: float, single: np.ndarray | None = None
-) -> np.ndarray:
+def _neighbor_counts(centers: np.ndarray, rho: float, single: np.ndarray) -> np.ndarray:
     """Number of rows within rho of each row (itself included), over all n rows.
 
     Walks the upper triangle of the Gram matrix in blocks of whole rows, each
     block holding at most _BLOCK_ROWS rows and _BLOCK_COSINES cosines (one
     row at least): a pair is decided once and counted for both of its rows.
-    The products are taken over single, centers as float32, made here when
-    not passed.
+    The products are taken over single, centers as float32.
     """
     n = centers.shape[0]
-    if single is None:
-        single = centers.astype(np.float32)
     counts = np.zeros(n, dtype=np.int64)
     start = 0
     while start < n:
@@ -228,7 +223,9 @@ def run_clustering(
     noise-free direction, so the local bookkeeping is sharper than what is
     released. noise_free mode consumes no randomness and charges nothing;
     naive_per_center ignores clustering entirely and charges one release per
-    center at sensitivity 2.
+    center at sensitivity 2. The noise covers one swapped row of centers, the
+    other rows fixed, not an identity or the embedder; release counts,
+    covered_count and the seed choice carry no noise (see the dp module).
 
     The densest cap is the active seed with the most active rho-neighbours
     (itself included), ties going to the lowest index. Neighbour counts are

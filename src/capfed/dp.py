@@ -13,6 +13,13 @@ positive: the mechanism is private only with noise, so a calibration or a
 perturbation with sigma <= 0 raises DomainError. The tight sensitivity rounds
 to 0 below rho ~ 5.27e-9; its exact form 2 sin(rho) / |S| is left to the
 calibration rework in ROADMAP.md, because it changes sigma's bits at some rho.
+
+The privacy unit is one row of one client's center matrix: neighbouring
+inputs differ in one swapped row, the other rows fixed. Neither
+identity-level privacy nor the privacy of the embedder is claimed. The
+release counts, each release's covered_count and the choice of seed are
+published without noise, so no bound covers them. Sampled floating-point
+noise can also leak through its low bits (Mironov, CCS 2012).
 """
 
 from __future__ import annotations

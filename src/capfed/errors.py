@@ -9,10 +9,6 @@ class ZeroVectorError(CapfedError):
     """A vector with (near-)zero norm cannot be normalized."""
 
 
-class DimensionMismatchError(CapfedError):
-    """Operands live in different ambient dimensions."""
-
-
 class DomainError(CapfedError):
     """An argument lies outside the mathematical domain of the operation."""
 

@@ -76,7 +76,6 @@ class FederationConfig:
     batch_size: int = 64
     local_epochs: int = 1
     offline_probability: float = 0.0
-    shared_public_shard: bool = False
     eval_positives: int = 1000
     eval_negatives: int = 1000
     far_targets: tuple[float, ...] = (1e-2,)
@@ -140,11 +139,9 @@ def initialize_clients(
     The embedder init is broadcast (identical for every client). Class
     centers start as the normalized per-class feature means under that init,
     standing in for a warm start. The embedder is drawn in float64 and cast
-    to the shards' dtype, which everything here then follows.
+    to the shards' dtype, which everything here then follows. No field of
+    config is read.
     """
-    if config.shared_public_shard and fed.public_inputs is None:
-        raise ValidationError("shared_public_shard requires a federation with public identities")
-
     d, d_in = fed.params.embed_dim, fed.params.input_dim
     init_rng = derive_rng(seed, "init")
     embedder0 = init_rng.standard_normal((d, d_in)) / np.sqrt(d_in)
@@ -153,11 +150,7 @@ def initialize_clients(
     states = []
     for c in range(fed.params.clients):
         x = fed.client_inputs[c]
-        y_global = fed.client_labels[c]
-        if config.shared_public_shard:
-            x = np.concatenate([x, fed.public_inputs], axis=0)
-            y_global = np.concatenate([y_global, fed.public_labels])
-        ids, y_local = np.unique(y_global, return_inverse=True)
+        ids, y_local = np.unique(fed.client_labels[c], return_inverse=True)
         centers = normalize_rows(_class_means(embed(embedder0, x), y_local, ids.size))
         states.append(
             ClientState(
@@ -324,10 +317,16 @@ def run_federation(
     client queries_used releases per round in sanitized mode. Identical
     (config, fed, seed) replay bit-identically.
 
+    Privacy is claimed only for each release, for one swapped row of a
+    client's center matrix with the other rows fixed; release counts,
+    covered_count and seed choices are published without noise. One
+    identity's samples move every trained center and the embedder, and
+    FedAvg averages embedders without noise, so neither identity-level
+    privacy nor the embedder's privacy is claimed.
+
     Held for the whole run: the federation's arrays, whose shards the client
-    states share and nothing concatenates (shared_public_shard gives each
-    state a copy joined to the public shard), each client's embedder and
-    centers, the server's embedder and the verification pairs' rows.
+    states share, each client's embedder and centers, the server's embedder
+    and the verification pairs' rows.
     """
     clients, embedder0 = initialize_clients(fed, config, seed)
     server = ServerState(embedder=embedder0)  # replaced each round, never written in place

@@ -76,10 +76,6 @@ class ConsensusContext:
     centers: np.ndarray  # (K, d), unit rows; K may be 0
 
     @classmethod
-    def empty(cls, dim: int) -> "ConsensusContext":
-        return cls(np.zeros((0, dim)))
-
-    @classmethod
     def from_clusters(
         cls,
         clusters: Iterable[SanitizedCluster],

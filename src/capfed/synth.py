@@ -6,7 +6,7 @@ identities usually belong to different clients, so cross-client consensus has
 something to resolve. Raw inputs live in a higher-dimensional space reached
 through a fixed random isometry, and the embedder has to undo it.
 
-The raw shards (private and public) are float32, the dtype the training
+The raw client shards are float32, the dtype the training
 path then follows (sgemm runs about twice as fast as dgemm, and the shards
 take half the memory): each is lifted in float64 and rounded once. The ground
 truth (identity directions and the lift) stays float64. Verification pairs
@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    DomainError,
-    EmptyInputError,
-)
+from .errors import DegenerateInputError, DomainError, EmptyInputError, ShapeMismatchError
 from .geometry import checked_row_norms, normalize_rows, sample_uniform_directions
 
 
@@ -35,9 +30,7 @@ class SynthParams:
     """Generation knobs for a synthetic federation.
 
     concentration kappa sets the per-coordinate sample noise variance to
-    1/kappa around each identity direction; public_identities > 0 adds a
-    block of identities shared by every client (a stand-in for a small
-    public dataset).
+    1/kappa around each identity direction.
     """
 
     clients: int = 4
@@ -46,8 +39,6 @@ class SynthParams:
     embed_dim: int = 32
     input_dim: int = 48
     concentration: float = 64.0
-    public_identities: int = 0
-    public_samples_per_identity: int = 4
 
     def __post_init__(self) -> None:
         if self.clients < 1:
@@ -64,12 +55,6 @@ class SynthParams:
             )
         if not self.concentration > 0.0:
             raise DomainError(f"concentration={self.concentration} must be positive")
-        if self.public_identities < 0:
-            raise DomainError("public_identities must be >= 0")
-        if self.public_samples_per_identity < 1:
-            raise DomainError(
-                f"public_samples_per_identity={self.public_samples_per_identity} must be >= 1"
-            )
 
 
 @dataclass
@@ -78,18 +63,16 @@ class SyntheticFederation:
 
     Identity labels are dense global integers, disjoint across clients;
     identity g belongs to client g mod C. directions holds the true unit
-    direction of every identity (private + public) and lift the fixed
-    isometry from embedding space to input space.
+    direction of every identity and lift the fixed isometry from embedding
+    space to input space.
     """
 
     params: SynthParams
-    directions: np.ndarray  # (G_total, d)
-    identity_client: np.ndarray  # (G_private,) owning client per private identity
+    directions: np.ndarray  # (G, d)
+    identity_client: np.ndarray  # (G,) owning client per identity
     lift: np.ndarray  # (input_dim, embed_dim), orthonormal columns
     client_inputs: list[np.ndarray]  # per client, (N_c, input_dim), float32
     client_labels: list[np.ndarray]  # per client, (N_c,) global identity ids
-    public_inputs: np.ndarray | None = None
-    public_labels: np.ndarray | None = None
 
 
 def _sample_inputs(
@@ -115,10 +98,9 @@ def generate_federation(params: SynthParams, rng: np.random.Generator) -> Synthe
     the identity direction plus isotropic Gaussian noise, renormalized, then
     lifted to input space by a fixed random isometry and rounded to float32.
     """
-    g_private = params.clients * params.ids_per_client
-    g_total = g_private + params.public_identities
-    directions = sample_uniform_directions(g_total, params.embed_dim, rng)
-    identity_client = np.arange(g_private) % params.clients
+    g = params.clients * params.ids_per_client
+    directions = sample_uniform_directions(g, params.embed_dim, rng)
+    identity_client = np.arange(g) % params.clients
 
     raw = rng.standard_normal((params.input_dim, params.embed_dim))
     lift, _ = np.linalg.qr(raw)
@@ -126,25 +108,12 @@ def generate_federation(params: SynthParams, rng: np.random.Generator) -> Synthe
     client_inputs = []
     client_labels = []
     for c in range(params.clients):
-        ids = np.arange(g_private)[identity_client == c]
+        ids = np.arange(g)[identity_client == c]
         x, y = _sample_inputs(
             directions, ids, params.samples_per_identity, params.concentration, lift, rng
         )
         client_inputs.append(x)
         client_labels.append(y)
-
-    public_inputs = None
-    public_labels = None
-    if params.public_identities:
-        public_ids = np.arange(g_private, g_total)
-        public_inputs, public_labels = _sample_inputs(
-            directions,
-            public_ids,
-            params.public_samples_per_identity,
-            params.concentration,
-            lift,
-            rng,
-        )
     return SyntheticFederation(
         params=params,
         directions=directions,
@@ -152,8 +121,6 @@ def generate_federation(params: SynthParams, rng: np.random.Generator) -> Synthe
         lift=lift,
         client_inputs=client_inputs,
         client_labels=client_labels,
-        public_inputs=public_inputs,
-        public_labels=public_labels,
     )
 
 
@@ -310,7 +277,7 @@ def knn_attack(
     """
     exposed = np.atleast_2d(np.asarray(exposed, dtype=float))
     if exposed.shape[1] != gallery.vectors.shape[1]:
-        raise DimensionMismatchError(
+        raise ShapeMismatchError(
             f"exposed dim {exposed.shape[1]} != gallery dim {gallery.vectors.shape[1]}"
         )
     if gallery.vectors.shape[0] == 0:

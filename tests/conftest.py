@@ -28,8 +28,5 @@ def planted_bundle(center: np.ndarray, count: int, max_angle: float, rng) -> np.
 
 
 def with_shard_dtype(fed, dtype):
-    """The same federation with its client and public shards cast to dtype."""
-    public = None if fed.public_inputs is None else fed.public_inputs.astype(dtype)
-    return dataclasses.replace(
-        fed, client_inputs=[x.astype(dtype) for x in fed.client_inputs], public_inputs=public
-    )
+    """The same federation with its client shards cast to dtype."""
+    return dataclasses.replace(fed, client_inputs=[x.astype(dtype) for x in fed.client_inputs])

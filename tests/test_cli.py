@@ -60,8 +60,6 @@ class TestParseConfig:
             "synth.embed_dim": 32,
             "synth.input_dim": 48,
             "synth.concentration": 64.0,
-            "synth.public_identities": 0,
-            "synth.public_samples_per_identity": 4,
             "dplc.rho": 1.3,
             "dplc.min_cluster_size": 512,
             "dplc.max_queries": 1,
@@ -76,7 +74,6 @@ class TestParseConfig:
             "fed.batch_size": 64,
             "fed.local_epochs": 1,
             "fed.offline_probability": 0.0,
-            "fed.shared_public_shard": False,
             "eval.positives": 1000,
             "eval.negatives": 1000,
             "eval.far_targets": [0.01],
@@ -650,11 +647,15 @@ class TestExitCodes:
             pytest.param("fed.center_init = uniform", id="center_init"),
             pytest.param("fed.init_scale = 2.0", id="init_scale"),
             pytest.param("loss.kind = cosface", id="loss_kind"),
+            pytest.param("synth.public_identities = 3", id="public_identities"),
+            pytest.param("synth.public_samples_per_identity = 2", id="public_samples"),
+            pytest.param("fed.shared_public_shard = true", id="shared_public_shard"),
         ],
     )
     def test_removed_aggregation_key_is_two(self, tmp_path, capsys, line):
-        # FedAvg is the only aggregation, class means the only center init and
-        # CosFace the only margin form; the keys that chose otherwise are gone.
+        # FedAvg is the only aggregation, class means the only center init,
+        # CosFace the only margin form, and every identity private to one
+        # client; the keys that chose otherwise are gone.
         cfg = tmp_path / "old.cfg"
         cfg.write_text(SIM_CONFIG + f"fed.rounds = 1\n{line}\nout_dir = {tmp_path / 'run'}\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
@@ -675,19 +676,37 @@ class TestExitCodes:
         assert "validation error: synth.clients: " in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_public_shard_without_public_identities_is_two_before_generation(
-        self, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            # 4 clients x 2 identities x 2 samples hold 8 distinct positive pairs
+            ("", "eval.positives: 1000 pairs requested, but the federation holds only 8 "),
+            ("eval.positives = 8", "eval.negatives: 1000 pairs requested, but the federation "
+                                   "holds only 96 "),
+        ],
+    )
+    def test_impossible_eval_pairs_are_two_before_generation(
+        self, tmp_path, capsys, monkeypatch, line, message
     ):
         def generate(*args):
             raise AssertionError("generated a federation for a rejected config")
 
         monkeypatch.setattr(synth, "generate_federation", generate)
-        cfg = tmp_path / "shard.cfg"
-        cfg.write_text(SIM_CONFIG + "fed.shared_public_shard = true\nfed.rounds = 1\n"
-                       f"out_dir = {tmp_path / 'run'}\n")
-        assert main(["simulate", "--config", str(cfg)]) == 2
-        assert "validation error: fed.shared_public_shard: " in capsys.readouterr().err
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("synth.ids_per_client = 2\nsynth.samples_per_identity = 2\n"
+                       f"dplc.min_cluster_size = 1\n{line}\n")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 2
+        assert f"validation error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_every_distinct_eval_pair_can_be_requested(self, tmp_path, capsys):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("synth.ids_per_client = 2\nsynth.samples_per_identity = 2\n"
+                       "dplc.min_cluster_size = 1\nfed.rounds = 1\n"
+                       "eval.positives = 8\neval.negatives = 96\n")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "phi_hat_summary.json").is_file()
+        capsys.readouterr()
 
     @pytest.mark.parametrize("rho", ["1e-9", "8e-9"])
     def test_calibrate_at_rho_whose_cosine_is_one_is_two_without_output(
@@ -744,9 +763,6 @@ class TestExitCodes:
             "loss.scale = inf",
             "loss.margin = nan",
             "loss.margin = inf",
-            "synth.public_identities = 3\nsynth.public_samples_per_identity = -1",
-            "synth.public_identities = 3\nsynth.public_samples_per_identity = 0\n"
-            "fed.shared_public_shard = true",
             "eval.positives = 0",
             "eval.negatives = 0",
             "eval.far_targets =",
@@ -782,11 +798,11 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_runtime_error_is_three(self, tmp_path, capsys):
-        # 4 clients x 2 identities x 2 samples hold 8 distinct positive pairs
-        cfg = tmp_path / "small.cfg"
-        cfg.write_text("synth.ids_per_client = 2\nsynth.samples_per_identity = 2\n"
-                       "dplc.min_cluster_size = 1\n")
-        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 3
-        assert ("runtime error: could not assemble the requested number of distinct pairs: "
-                "1000 positives of 8 and 1000 negatives of 96") in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        # the outputs' directory is an existing regular file: writing them fails
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(SIM_CONFIG + "fed.rounds = 1\n")
+        blocker = tmp_path / "run"
+        blocker.write_text("not a directory\n")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(blocker)]) == 3
+        assert "runtime error: " in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory\n"

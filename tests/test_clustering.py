@@ -349,7 +349,8 @@ class TestNeighbourEdgeCases:
         base = base[np.sum(base * base, axis=1) < 1.0][:30]
         assert base.shape[0] == 30
         w = np.tile(base, (3, 1))[rng.permutation(90)]
-        np.testing.assert_array_equal(clustering._neighbor_counts(w, TINY_RHO), 3)
+        counts = clustering._neighbor_counts(w, TINY_RHO, w.astype(np.float32))
+        np.testing.assert_array_equal(counts, 3)
         p = params(rho=TINY_RHO, min_cluster_size=1, max_queries=1, mode=MODE_NOISE_FREE)
         (members,) = run_clustering(w, p, rng).member_indexes
         np.testing.assert_array_equal(members, np.flatnonzero(np.all(w == w[0], axis=1)))
@@ -359,7 +360,8 @@ class TestNeighbourEdgeCases:
         rng = np.random.default_rng(21)
         # norms 5e-10 short of 1, within tolerance: every self-cosine is below cos(rho)
         w = sample_uniform_directions(40, 4, rng) * (1.0 - 5e-10)
-        np.testing.assert_array_equal(clustering._neighbor_counts(w, TINY_RHO), 1)
+        counts = clustering._neighbor_counts(w, TINY_RHO, w.astype(np.float32))
+        np.testing.assert_array_equal(counts, 1)
         p = params(rho=TINY_RHO, min_cluster_size=1, max_queries=1, mode=MODE_NOISE_FREE)
         assert [m.tolist() for m in run_clustering(w, p, rng).member_indexes] == [[0]]
 
@@ -454,7 +456,7 @@ def test_neighbour_counts_recheck_each_in_band_pair_once(monkeypatch, block):
         return arccos(x, *args, **kw)
 
     monkeypatch.setattr(np, "arccos", counting_arccos)
-    counts = clustering._neighbor_counts(w, rho)
+    counts = clustering._neighbor_counts(w, rho, w.astype(np.float32))
     monkeypatch.undo()
     assert sum(rechecked) == n * (n - 1) // 2  # 44,850 pairs, not 89,700
     # each pair decided by the row-wise float64 dot, as the re-check does; a row counts itself
@@ -480,7 +482,7 @@ def test_neighbour_counts_walk_the_upper_triangle(monkeypatch, n):
         return within_rho(cos, *args)
 
     monkeypatch.setattr(clustering, "_within_rho", counting)
-    counts = clustering._neighbor_counts(w, 1.0)
+    counts = clustering._neighbor_counts(w, 1.0, w.astype(np.float32))
     np.testing.assert_array_equal(counts, (pairwise_angles(w) <= 1.0).sum(axis=1))
     # the squares on the diagonal add at most _BLOCK_ROWS / n to the n (n + 1) / 2 needed
     assert sum(computed) <= n * (n + 1) // 2 + n * clustering._BLOCK_ROWS // 2

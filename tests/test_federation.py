@@ -1,5 +1,7 @@
 import dataclasses
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,7 +120,7 @@ class TestClientLocalRound:
         state = self._client()
         config = tiny_config(weight_decay=0.0)
         new, loss = client_local_round(
-            state, state.embedder.copy(), ConsensusContext.empty(6), config,
+            state, state.embedder.copy(), ConsensusContext(np.zeros((0, 6))), config,
             np.random.default_rng(0),
         )
         assert isinstance(loss, float)
@@ -130,7 +132,7 @@ class TestClientLocalRound:
         new, _ = client_local_round(
             state,
             state.embedder.copy(),
-            ConsensusContext.empty(6),
+            ConsensusContext(np.zeros((0, 6))),
             config,
             np.random.default_rng(1),
         )
@@ -146,7 +148,7 @@ class TestClientLocalRound:
             client_local_round(
                 empty,
                 state.embedder,
-                ConsensusContext.empty(6),
+                ConsensusContext(np.zeros((0, 6))),
                 tiny_config(),
                 np.random.default_rng(0),
             )
@@ -161,7 +163,7 @@ class TestClientLocalRound:
             new, _ = client_local_round(
                 state,
                 state.embedder.copy(),
-                ConsensusContext.empty(6),
+                ConsensusContext(np.zeros((0, 6))),
                 config,
                 np.random.default_rng(9),
             )
@@ -273,7 +275,7 @@ class TestRunFederation:
                 items = nxt
             return items[0] / len(mats)
 
-        ctx = ConsensusContext.empty(fed.params.embed_dim)
+        ctx = ConsensusContext(np.zeros((0, fed.params.embed_dim)))
         for t in range(1, 4):
             new_models = []
             for c in range(4):
@@ -308,7 +310,7 @@ class TestRunFederation:
         assert len(online) == 3
 
         clients, embedder0 = initialize_clients(fed, config, seed=17)
-        ctx = ConsensusContext.empty(fed.params.embed_dim)
+        ctx = ConsensusContext(np.zeros((0, fed.params.embed_dim)))
         local = [
             client_local_round(clients[c], embedder0, ctx, config, derive_rng(17, "local", 1, c))[0]
             for c in online
@@ -341,19 +343,6 @@ class TestRunFederation:
         for cluster in server.received_clusters:
             for w in client_centers:
                 assert not any(np.array_equal(cluster.center, row) for row in w)
-
-    def test_shared_public_shard_requires_public_identities(self):
-        fed = tiny_fed(8)
-        with pytest.raises(ValidationError):
-            initialize_clients(fed, tiny_config(shared_public_shard=True), seed=0)
-
-    def test_shared_public_shard_adds_common_classes(self):
-        fed = tiny_fed(8, public_identities=3)
-        config = tiny_config(shared_public_shard=True)
-        clients, _ = initialize_clients(fed, config, seed=0)
-        for s in clients:
-            assert s.centers.shape[0] == 12 + 3
-            assert set(range(48, 51)).issubset(set(int(g) for g in s.global_ids))
 
     def test_cross_client_margin_reported(self):
         fed = tiny_fed(9)
@@ -390,6 +379,15 @@ class TestDeriveRng:
         a = derive_rng(7, "x", 5).standard_normal(3)
         b = derive_rng(7, "x", 5).standard_normal(3)
         np.testing.assert_array_equal(a, b)
+
+    def test_package_stream_keys_fold_to_distinct_integers(self):
+        # The fold is a weighted byte sum, not injective ("ad" and "cc" both give
+        # 297), so a new key that collides with an old one would share its stream.
+        source = "".join(p.read_text() for p in Path(federation.__file__).parent.glob("*.py"))
+        keys = set(re.findall(r"derive_rng\(\s*[^,()]+,\s*\"([^\"]+)\"", source))
+        assert keys >= {"synth", "init", "eval", "offline", "cluster", "local", "cli-cluster"}
+        folded = {key: derive_rng(0, key).bit_generator.seed_seq.entropy[1] for key in keys}
+        assert len(set(folded.values())) == len(keys), folded
 
 
 def test_run_peak_memory_is_a_bounded_multiple_of_the_shards():

@@ -29,9 +29,8 @@ GRADIENT_TOLERANCE = 1e-5
 
 
 def test_generated_shards_are_float32_and_ground_truth_float64():
-    fed = generate_federation(SynthParams(public_identities=3), np.random.default_rng(0))
+    fed = generate_federation(SynthParams(), np.random.default_rng(0))
     assert {x.dtype for x in fed.client_inputs} == {np.dtype(np.float32)}
-    assert fed.public_inputs.dtype == np.float32
     assert fed.directions.dtype == fed.lift.dtype == np.float64
 
 

@@ -17,7 +17,8 @@ from train_oracle import cluster_similarity, finite_diff_check, margin_similarit
 
 def plain_loss(f, labels, w, config):
     """The margin-softmax loss alone: an empty consensus context."""
-    return loss_gradients(f, labels, w, ConsensusContext.empty(f.shape[1]), 0.0, config).loss
+    empty = ConsensusContext(np.zeros((0, f.shape[1])))
+    return loss_gradients(f, labels, w, empty, 0.0, config).loss
 
 
 def random_instance(rng, n=8, d=16, batch=4, clusters=2):
@@ -169,7 +170,7 @@ class TestConsensusLoss:
         f, labels, w, _ = random_instance(rng)
         config = LossConfig(24.0)
         plain = plain_loss(f, labels, w, config)
-        empty = loss_gradients(f, labels, w, ConsensusContext.empty(16), 1.3, config).loss
+        empty = loss_gradients(f, labels, w, ConsensusContext(np.zeros((0, 16))), 1.3, config).loss
         assert plain == empty
 
     def test_never_below_classification(self):
@@ -249,7 +250,7 @@ class TestGradients:
         f = sample_uniform_directions(3, 8, rng)
         w = sample_uniform_directions(1, 8, rng)
         bundle = loss_gradients(
-            f, np.zeros(3, dtype=int), w, ConsensusContext.empty(8), 1.0, LossConfig()
+            f, np.zeros(3, dtype=int), w, ConsensusContext(np.zeros((0, 8))), 1.0, LossConfig()
         )
         assert bundle.loss == 0.0
         np.testing.assert_allclose(bundle.d_embeddings, 0.0, atol=1e-15)

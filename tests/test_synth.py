@@ -7,7 +7,7 @@ import pytest
 
 from capfed import synth
 from capfed.dp import PrivacyBudget, gaussian_perturb, naive_sigma
-from capfed.errors import DegenerateInputError, DimensionMismatchError, DomainError
+from capfed.errors import DegenerateInputError, DomainError, ShapeMismatchError
 from capfed.geometry import normalize_rows, sample_uniform_directions
 from capfed.synth import (
     AttackGallery,
@@ -83,11 +83,6 @@ class TestGeneration:
         for x in fed.client_inputs:
             np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-9)
 
-    def test_public_shard(self):
-        fed = small_fed(public_identities=5, public_samples_per_identity=3)
-        assert fed.public_inputs.shape == (15, 12)
-        assert set(int(v) for v in fed.public_labels) == set(range(64, 69))
-
     def test_validation(self):
         with pytest.raises(DomainError):
             SynthParams(clients=0)
@@ -95,9 +90,6 @@ class TestGeneration:
             SynthParams(embed_dim=16, input_dim=8)
         with pytest.raises(DomainError):
             SynthParams(concentration=0.0)
-        for per_identity in (0, -1):
-            with pytest.raises(DomainError, match="public_samples_per_identity"):
-                SynthParams(public_identities=3, public_samples_per_identity=per_identity)
 
 
 def pair_rows(monkeypatch, fed, positives, negatives, rng):
@@ -334,7 +326,7 @@ class TestKnnAttack:
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(11)
         gallery = gallery_from_directions(sample_uniform_directions(5, 8, rng), 0, rng)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ShapeMismatchError):
             knn_attack(np.ones((2, 4)), gallery, 1, [[0], [1]])
 
     def test_centroid_gallery_uniqueness_enforced(self):

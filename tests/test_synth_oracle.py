@@ -30,10 +30,9 @@ from capfed.synth import (
 FEDERATIONS = [
     dict(clients=3, ids_per_client=10, samples_per_identity=4, embed_dim=8, input_dim=12),
     dict(clients=4, ids_per_client=16, samples_per_identity=2, embed_dim=6, input_dim=6),
-    dict(clients=2, ids_per_client=25, samples_per_identity=3, embed_dim=16, input_dim=24,
-         public_identities=7, public_samples_per_identity=3),
+    dict(clients=2, ids_per_client=25, samples_per_identity=3, embed_dim=16, input_dim=24),
     dict(clients=5, ids_per_client=12, samples_per_identity=5, embed_dim=32, input_dim=40,
-         concentration=8.0, public_identities=4),
+         concentration=8.0),
     dict(clients=1, ids_per_client=30, samples_per_identity=3, embed_dim=4, input_dim=9),
 ]
 
@@ -57,9 +56,6 @@ def test_generated_shards_match_oracle(monkeypatch, case):
     for x, y in zip(live.client_inputs + live.client_labels, ref.client_inputs + ref.client_labels,
                     strict=True):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-    if params.public_identities:
-        assert live.public_inputs.tobytes() == ref.public_inputs.tobytes()
-        assert live.public_labels.tobytes() == ref.public_labels.tobytes()
 
 
 @pytest.mark.parametrize("case", range(len(FEDERATIONS)))
@@ -193,9 +189,9 @@ def use_oracle(monkeypatch):
     monkeypatch.setattr(federation, "embed", train_oracle.embed)
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_run_federation_matches_oracle(monkeypatch, shared):
-    fed = generate_federation(SynthParams(**FEDERATIONS[2]), np.random.default_rng(11))
+@pytest.mark.parametrize("case", [2, 3])
+def test_run_federation_matches_oracle(monkeypatch, case):
+    fed = generate_federation(SynthParams(**FEDERATIONS[case]), np.random.default_rng(11))
     config = FederationConfig(
         rounds=3,
         mode="phi-hat",
@@ -205,7 +201,6 @@ def test_run_federation_matches_oracle(monkeypatch, shared):
         loss=LossConfig(16.0),
         learning_rate=0.2,
         batch_size=16,
-        shared_public_shard=shared,
         eval_positives=40,
         eval_negatives=40,
         far_targets=(0.05, 0.2),

@@ -180,10 +180,17 @@ def test_local_round_matches_oracle_in_float64(k, lr):
     check_local_round(k, lr, np.float64)
 
 
-def check_initialize_clients(shared, dtype):
-    fed = tiny_fed(3, dtype, public_identities=5 if shared else 0, ids_per_client=13,
-                   samples_per_identity=5)
-    config = tiny_config(shared_public_shard=shared)
+# two shapes: more identities than the embedding has dimensions, and a single
+# client whose identities hold two samples each
+INIT_SHAPES = [
+    pytest.param(dict(ids_per_client=13, samples_per_identity=5), id="13x5"),
+    pytest.param(dict(clients=1, ids_per_client=6, samples_per_identity=2), id="1-client"),
+]
+
+
+def check_initialize_clients(shape, dtype):
+    fed = tiny_fed(3, dtype, **shape)
+    config = tiny_config()
     live, live_e = initialize_clients(fed, config, 9)
     ref, ref_e = oracle.initialize_clients(fed, config, 9)
     assert live_e.dtype == live[0].centers.dtype == dtype
@@ -195,14 +202,14 @@ def check_initialize_clients(shared, dtype):
         assert a.global_ids.tobytes() == b.global_ids.tobytes()
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_initialize_clients_matches_oracle(shared):
-    check_initialize_clients(shared, np.float32)
+@pytest.mark.parametrize("shape", INIT_SHAPES)
+def test_initialize_clients_matches_oracle(shape):
+    check_initialize_clients(shape, np.float32)
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_initialize_clients_matches_oracle_in_float64(shared):
-    check_initialize_clients(shared, np.float64)
+@pytest.mark.parametrize("shape", INIT_SHAPES)
+def test_initialize_clients_matches_oracle_in_float64(shape):
+    check_initialize_clients(shape, np.float64)
 
 
 def test_class_means_match_masked_means():

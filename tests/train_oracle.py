@@ -29,7 +29,6 @@ from capfed.errors import (
     DomainError,
     EmptyShardError,
     ShapeMismatchError,
-    ValidationError,
     ZeroVectorError,
 )
 from capfed.federation import ClientState, FederationConfig, derive_rng
@@ -245,9 +244,6 @@ def initialize_clients(
     centers start as the normalized per-class feature means under that init,
     standing in for a warm start.
     """
-    if config.shared_public_shard and fed.public_inputs is None:
-        raise ValidationError("shared_public_shard requires a federation with public identities")
-
     d, d_in = fed.params.embed_dim, fed.params.input_dim
     x0 = fed.client_inputs[0]
     init_rng = derive_rng(seed, "init")
@@ -257,9 +253,6 @@ def initialize_clients(
     for c in range(fed.params.clients):
         x = fed.client_inputs[c]
         y_global = fed.client_labels[c]
-        if config.shared_public_shard:
-            x = np.concatenate([x, fed.public_inputs], axis=0)
-            y_global = np.concatenate([y_global, fed.public_labels])
         ids = np.unique(y_global)
         local_of = {int(g): i for i, g in enumerate(ids)}
         y_local = np.array([local_of[int(g)] for g in y_global])

@@ -3,7 +3,6 @@
 from .clustering import (
     ClusteringParams,
     ClusteringReport,
-    SanitizedCluster,
     run_clustering,
 )
 from .dp import (
@@ -34,7 +33,6 @@ from .geometry import (
     sample_uniform_directions,
 )
 from .losses import (
-    ConsensusContext,
     GradientBundle,
     LossConfig,
     loss_gradients,

@@ -296,21 +296,18 @@ def cmd_cluster(args) -> int:
         )
     rng = federation.derive_rng(cfg.seed, "cli-cluster")
     report = clustering.run_clustering(centers, params, rng)
+    margin = 0.0 if args.mode == clustering.MODE_NAIVE_PER_CENTER else params.rho
+    budget = params.budget
     payload = {
         "config": cfg.resolved,
         "seed": cfg.seed,
         "mode": args.mode,
         "clusters": [
-            {
-                "center": [float(v) for v in c.center],
-                "margin": c.margin,
-                "size": c.covered_count,
-                "query_index": i,
-            }
-            for i, c in enumerate(report.clusters, 1)
+            {"center": [float(v) for v in row], "margin": margin, "size": size, "query_index": i}
+            for i, (row, size) in enumerate(zip(report.centers, report.sizes), 1)
         ],
         "queries_used": report.queries_used,
-        "ledger_delta": list(report.ledger_delta),
+        "ledger_delta": [report.charged * budget.epsilon, report.charged * budget.delta],
     }
     _emit_json(payload, args, "clusters.json", cfg.out_dir)
     return 0

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable
 
 import numpy as np
 
@@ -81,34 +80,26 @@ class ClusteringParams:
             raise DomainError(f"mode={self.mode!r} not one of {MODES}")
 
 
-@dataclass(frozen=True)
-class SanitizedCluster:
-    """One released cluster center with its margin and provenance.
-
-    In naive_per_center mode the center is a single noised class center: it is
-    not renormalized (the noise magnitude is part of what attack evaluation
-    measures), covered_count is 1 and margin is 0.
-    """
-
-    center: np.ndarray
-    margin: float
-    covered_count: int
-    client: Hashable = 0
-
-
 @dataclass
 class ClusteringReport:
     """Everything one clustering run produced.
 
+    centers holds one released row per query, (queries_used, d) float64;
+    in naive_per_center mode these are the n noised class centers, not
+    renormalized (the noise magnitude is part of what attack evaluation
+    measures). sizes holds each query's covered count, all 1 in naive mode.
+    charged is how many releases at params.budget the run spends:
+    queries_used when sanitized, n when naive_per_center, 0 when noise_free.
     fidelities holds the scalar cos(released center, noise-free direction)
     per query. member_indexes / removed_indexes are local ground truth for
     evaluation harnesses (which rows each query covered and which it knocked
     out of the active set); they are never part of a release payload.
     """
 
-    clusters: list[SanitizedCluster]
+    centers: np.ndarray
+    sizes: list[int]
     queries_used: int
-    ledger_delta: tuple[float, float]
+    charged: int
     fidelities: list[float]
     member_indexes: list[np.ndarray] = field(default_factory=list)
     removed_indexes: list[np.ndarray] = field(default_factory=list)
@@ -212,7 +203,6 @@ def run_clustering(
     centers: np.ndarray,
     params: ClusteringParams,
     rng: np.random.Generator,
-    client: Hashable = 0,
 ) -> ClusteringReport:
     """Run the full greedy covering release on one client's class centers.
 
@@ -221,11 +211,14 @@ def run_clustering(
     normalized) cap mean and drop every center within rho of the noise-free
     mean direction; otherwise stop. Removal deliberately tests against the
     noise-free direction, so the local bookkeeping is sharper than what is
-    released. noise_free mode consumes no randomness and charges nothing;
-    naive_per_center ignores clustering entirely and charges one release per
-    center at sensitivity 2. The noise covers one swapped row of centers, the
-    other rows fixed, not an identity or the embedder; release counts,
-    covered_count and the seed choice carry no noise (see the dp module).
+    released. The seed is always removed, also where rounding puts its
+    cosine with the direction below cos(rho), as it can for rho near 1e-8;
+    an identical copy of the seed that rounding keeps is released later as
+    its own seed. noise_free mode consumes no randomness and charges
+    nothing; naive_per_center ignores clustering entirely and charges one
+    release per center at sensitivity 2. The noise covers one swapped row of
+    centers, the other rows fixed, not an identity or the embedder; release
+    counts, sizes and the seed choice carry no noise (see the dp module).
 
     The densest cap is the active seed with the most active rho-neighbours
     (itself included), ties going to the lowest index. Neighbour counts are
@@ -240,26 +233,23 @@ def run_clustering(
         raise EmptyInputError("center matrix must have at least one row")
     if not has_unit_rows(centers):
         raise DomainError("center matrix rows must be unit norm")
-    n, _ = centers.shape
+    n, d = centers.shape
     budget = params.budget
 
     if params.mode == MODE_NAIVE_PER_CENTER:
         noised = dp.gaussian_perturb(centers, dp.naive_sigma(budget).sigma, rng)
-        clusters = [
-            SanitizedCluster(row, margin=0.0, covered_count=1, client=client) for row in noised
-        ]
         fidelities = np.sum(normalize_rows(noised) * centers, axis=1).tolist()
-        return ClusteringReport(clusters, n, (n * budget.epsilon, n * budget.delta), fidelities)
+        return ClusteringReport(noised, [1] * n, n, n, fidelities)
 
     # float32 copy for the neighbour-count products: n * d * 4 bytes beside centers
     single = centers.astype(np.float32)
     counts = _neighbor_counts(centers, params.rho, single)
     active = np.arange(n)
-    clusters = []
+    released_rows = []
+    sizes: list[int] = []
     fidelities = []
     member_indexes: list[np.ndarray] = []
     removed_indexes: list[np.ndarray] = []
-    queries_used = 0
     for _ in range(params.max_queries):
         if active.size == 0:
             break
@@ -272,39 +262,31 @@ def run_clustering(
         if members.size < params.min_cluster_size:
             break
         p = centers[members].mean(axis=0)
-        queries_used += 1
         member_indexes.append(members.copy())
         direction = normalize(p)
         if params.mode == MODE_SANITIZED:
             calibration = dp.sigma_tight(int(members.size), params.rho, budget)
             released = normalize(dp.gaussian_perturb(p, calibration.sigma, rng))
         else:
-            released = direction.copy()
-        clusters.append(
-            SanitizedCluster(
-                center=released,
-                margin=params.rho,
-                covered_count=int(members.size),
-                client=client,
-            )
-        )
+            released = direction
+        released_rows.append(released)
+        sizes.append(int(members.size))
         fidelities.append(float(np.dot(released, direction)))
         cos_to_direction = np.clip(centers[active] @ direction, -1.0, 1.0)
         keep = np.arccos(cos_to_direction) > params.rho
+        keep[seed_pos] = False
         removed = active[~keep]
         removed_indexes.append(removed)
         active = active[keep]
-        if queries_used < params.max_queries:
+        if len(sizes) < params.max_queries:
             counts[active] -= _count_within(centers, single, active, removed, params.rho)
 
-    if params.mode == MODE_SANITIZED:
-        delta = (queries_used * budget.epsilon, queries_used * budget.delta)
-    else:
-        delta = (0.0, 0.0)
+    queries_used = len(sizes)
     return ClusteringReport(
-        clusters,
+        np.array(released_rows, dtype=float).reshape(queries_used, d),
+        sizes,
         queries_used,
-        delta,
+        queries_used if params.mode == MODE_SANITIZED else 0,
         fidelities,
         member_indexes,
         removed_indexes,

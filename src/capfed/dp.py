@@ -17,7 +17,7 @@ calibration rework in ROADMAP.md, because it changes sigma's bits at some rho.
 The privacy unit is one row of one client's center matrix: neighbouring
 inputs differ in one swapped row, the other rows fixed. Neither
 identity-level privacy nor the privacy of the embedder is claimed. The
-release counts, each release's covered_count and the choice of seed are
+release counts, each release's size and the choice of seed are
 published without noise, so no bound covers them. Sampled floating-point
 noise can also leak through its low bits (Mironov, CCS 2012).
 """

@@ -25,10 +25,6 @@ class ShapeMismatchError(CapfedError):
     """Arrays that must share a shape do not."""
 
 
-class EmptyShardError(CapfedError):
-    """A client has no local training data."""
-
-
 class DegenerateInputError(CapfedError):
     """The input carries only one class of outcomes and the metric is undefined."""
 

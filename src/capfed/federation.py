@@ -19,8 +19,7 @@ centers upcast to float64 and renormalized (its unit-row check holds rows
 to 1e-9, which float32 normalization misses by about sqrt(d) * 6e-8), and
 the cap mean, the noise calibration and draw, the normalization of the
 released centers and the ledger are float64 there. The released centers
-are cast to the training dtype once per round, when each client's
-ConsensusContext is built.
+are cast to the training dtype once per round, by foreign_centers.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import clustering, dp, losses, synth
-from .errors import EmptyShardError, ShapeMismatchError, ValidationError
+from .errors import EmptyInputError, ShapeMismatchError, ValidationError
 from .geometry import checked_row_norms, normalize_rows
 
 MODE_PHI = "phi"  # conventional: no clusters exchanged
@@ -118,7 +117,7 @@ class ServerState:
     """What the coordinator is allowed to hold: no class centers, ever."""
 
     embedder: np.ndarray
-    received_clusters: list[clustering.SanitizedCluster] = field(default_factory=list)
+    received_clusters: dict[int, np.ndarray] = field(default_factory=dict)  # client -> (q, d)
     ledger: dp.PrivacyLedger = field(default_factory=dp.PrivacyLedger)
 
 
@@ -187,10 +186,20 @@ def _class_means(feats: np.ndarray, labels: np.ndarray, classes: int) -> np.ndar
     return sums / counts[:, None].astype(feats.dtype)
 
 
+def foreign_centers(released: dict[int, np.ndarray], own: int, dim: int, dtype) -> np.ndarray:
+    """The other clients' released rows, (K, dim): client order, then query order.
+
+    Own rows are left out, since a client is not pushed away from its own
+    data. The float64 releases are cast to the training dtype once, here.
+    """
+    rows = [released[c] for c in sorted(released) if c != own]
+    return np.concatenate([np.empty((0, dim)), *rows], dtype=dtype)
+
+
 def client_local_round(
     state: ClientState,
     broadcast_embedder: np.ndarray,
-    foreign: losses.ConsensusContext,
+    foreign: np.ndarray,
     config: FederationConfig,
     rng: np.random.Generator,
 ) -> tuple[ClientState, float]:
@@ -203,7 +212,7 @@ def client_local_round(
     """
     n = state.inputs.shape[0]
     if n == 0:
-        raise EmptyShardError(f"client {state.client_id} has no data")
+        raise EmptyInputError(f"client {state.client_id} has no data")
     a = broadcast_embedder.astype(state.inputs.dtype)
     w = state.centers.copy()
     rho = config.clustering_params.rho
@@ -251,7 +260,7 @@ def aggregate_fedavg(models: Sequence[np.ndarray]) -> np.ndarray:
     of 2^k identical models is exactly that model.
     """
     if not models:
-        raise EmptyShardError("cannot average an empty list of models")
+        raise EmptyInputError("cannot average an empty list of models")
     shapes = {m.shape for m in models}
     if len(shapes) != 1:
         raise ShapeMismatchError(f"mismatched shapes {sorted(shapes)}")
@@ -314,12 +323,13 @@ def run_federation(
     online client (skipped in mode "phi"), gather and redistribute clusters,
     let each online client optimize locally from the broadcast embedder, and
     average the returned embedders (FedAvg). The ledger charges each online
-    client queries_used releases per round in sanitized mode. Identical
+    client the releases its report charges: queries_used per round in
+    sanitized mode, none in noise-free mode. Identical
     (config, fed, seed) replay bit-identically.
 
     Privacy is claimed only for each release, for one swapped row of a
     client's center matrix with the other rows fixed; release counts,
-    covered_count and seed choices are published without noise. One
+    cluster sizes and seed choices are published without noise. One
     identity's samples move every trained center and the embedder, and
     FedAvg averages embedders without noise, so neither identity-level
     privacy nor the embedder's privacy is claimed.
@@ -348,26 +358,19 @@ def run_federation(
 
         queries_by_client: dict[int, int] = {c: 0 for c in online}
         round_fidelities: list[float] = []
-        released: list[clustering.SanitizedCluster] = []
+        released: dict[int, np.ndarray] = {}
         if cluster_mode is not None:
             params = replace(config.clustering_params, mode=cluster_mode)
             for c in online:
                 centers = clients[c].centers
                 if centers.dtype != np.float64:  # renormalized: float32 rows miss the 1e-9 check
                     centers = normalize_rows(centers.astype(np.float64))
-                report = clustering.run_clustering(
-                    centers,
-                    params,
-                    derive_rng(seed, "cluster", t, c),
-                    client=c,
-                )
-                released.extend(report.clusters)
+                cluster_rng = derive_rng(seed, "cluster", t, c)
+                report = clustering.run_clustering(centers, params, cluster_rng)
+                released[c] = report.centers
                 queries_by_client[c] = report.queries_used
                 round_fidelities.extend(report.fidelities)
-                if cluster_mode == clustering.MODE_SANITIZED:
-                    server.ledger = server.ledger.compose(
-                        c, t, config.clustering_params.budget, report.queries_used
-                    )
+                server.ledger = server.ledger.compose(c, t, params.budget, report.charged)
         server.received_clusters = released
 
         loss_by_client = {}
@@ -375,7 +378,7 @@ def run_federation(
             clients[c], loss_by_client[c] = client_local_round(
                 clients[c],
                 server.embedder,
-                losses.ConsensusContext.from_clusters(released, c, dim, clients[c].inputs.dtype),
+                foreign_centers(released, c, dim, clients[c].inputs.dtype),
                 config,
                 derive_rng(seed, "local", t, c),
             )

@@ -32,18 +32,16 @@ rounds the clip bound 1 - 1e-12 to 1.0, where theta_p = 0 and the cluster
 derivative sin(theta_p - rho) / sin(theta_p) is 0 / 0. Their logits and
 derivatives are rounded to the input dtype before they enter the softmax.
 The foreign centers are released in float64 and cast to the training dtype
-once per round, by ConsensusContext.from_clusters.
+once per round, by federation.foreign_centers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable
 
 import numpy as np
 
-from .clustering import SanitizedCluster
 from .errors import DomainError, LabelOutOfRangeError, ShapeMismatchError
 from .geometry import float_array, row_norms
 
@@ -64,28 +62,6 @@ class LossConfig:
             raise DomainError(f"scale={self.scale} must be finite and positive")
         if not (math.isfinite(self.margin) and self.margin >= 0.0):
             raise DomainError(f"margin={self.margin} must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
-class ConsensusContext:
-    """Foreign cluster centers repelling this client's embeddings.
-
-    Own clusters are excluded: a client is not pushed away from its own data.
-    """
-
-    centers: np.ndarray  # (K, d), unit rows; K may be 0
-
-    @classmethod
-    def from_clusters(
-        cls,
-        clusters: Iterable[SanitizedCluster],
-        own_client: Hashable,
-        dim: int,
-        dtype=np.float64,
-    ) -> "ConsensusContext":
-        """The other clients' released centers, cast once to the training dtype."""
-        foreign = [c.center for c in clusters if c.client != own_client]
-        return cls(np.asarray(foreign, dtype=dtype).reshape(-1, dim))
 
 
 @dataclass
@@ -133,14 +109,16 @@ def loss_gradients(
     embeddings: np.ndarray,
     labels: np.ndarray,
     centers: np.ndarray,
-    context: ConsensusContext,
+    foreign: np.ndarray,
     rho: float,
     config: LossConfig,
 ) -> GradientBundle:
     """Consensus loss with analytic gradients for embeddings and centers.
 
-    The loss equals the plain margin-softmax loss exactly when the context is
-    empty, and is never smaller otherwise: each foreign cluster adds a
+    foreign holds the K foreign cluster centers as a (K, d) array, K may be
+    0; a client is not pushed away from its own clusters, so they are not
+    among them. The loss equals the plain margin-softmax loss exactly when
+    K = 0, and is never smaller otherwise: each foreign cluster adds a
     positive term to every denominator.
 
     Logit layout per row: n class logits followed by K cluster logits, as
@@ -154,7 +132,7 @@ def loss_gradients(
     labels = np.asarray(labels, dtype=int)
     centers = float_array(centers)
     dtype = np.result_type(embeddings, centers)
-    cluster_centers = np.asarray(context.centers, dtype=dtype).reshape(-1, embeddings.shape[1])
+    cluster_centers = np.asarray(foreign, dtype=dtype).reshape(-1, embeddings.shape[1])
     _check_batch(embeddings, labels, centers)
 
     batch, _ = embeddings.shape

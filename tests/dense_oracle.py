@@ -14,7 +14,6 @@ from capfed.clustering import (
     MODE_SANITIZED,
     ClusteringParams,
     ClusteringReport,
-    SanitizedCluster,
 )
 from capfed.errors import EmptyInputError
 from capfed.geometry import normalize
@@ -34,13 +33,13 @@ def densest_cap(
     active: np.ndarray,
     rho: float,
     theta: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Largest seed-neighborhood among the active rows, and its mean.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Largest seed-neighborhood among the active rows, its mean and its seed.
 
     For each active seed i the candidate set is every active j with
     theta[i, j] <= rho (the seed included). Returns the member indexes of the
-    winning seed (ties broken by the lowest seed index) and the plain
-    arithmetic mean of those rows, not normalized.
+    winning seed (ties broken by the lowest seed index), the plain
+    arithmetic mean of those rows, not normalized, and the seed's index.
     """
     centers = np.asarray(centers, dtype=float)
     active = np.asarray(active, dtype=int)
@@ -54,7 +53,7 @@ def densest_cap(
     seed_pos = int(np.argmax(counts))  # argmax takes the first max: lowest index wins
     members = active[neighbor[seed_pos]]
     p = centers[members].mean(axis=0)
-    return members, p
+    return members, p, int(active[seed_pos])
 
 
 def dense_run_clustering(
@@ -65,11 +64,11 @@ def dense_run_clustering(
     budget = params.budget
     theta = pairwise_angles(centers)
     active = np.arange(centers.shape[0])
-    clusters, fidelities, member_indexes, removed_indexes = [], [], [], []
+    released_rows, sizes, fidelities, member_indexes, removed_indexes = [], [], [], [], []
     for _ in range(params.max_queries):
         if active.size == 0:
             break
-        members, p = densest_cap(centers, active, params.rho, theta)
+        members, p, seed = densest_cap(centers, active, params.rho, theta)
         if members.size < params.min_cluster_size:
             break
         member_indexes.append(members)
@@ -79,16 +78,20 @@ def dense_run_clustering(
             released = normalize(dp.gaussian_perturb(p, calibration.sigma, rng))
         else:
             released = direction.copy()
-        clusters.append(SanitizedCluster(released, params.rho, int(members.size)))
+        released_rows.append(released)
+        sizes.append(int(members.size))
         fidelities.append(float(np.dot(released, direction)))
         keep = np.arccos(np.clip(centers[active] @ direction, -1.0, 1.0)) > params.rho
+        keep[active == seed] = False  # the seed is always removed
         removed_indexes.append(active[~keep])
         active = active[keep]
-    queries = len(clusters)
-    if params.mode == MODE_SANITIZED:
-        delta = (queries * budget.epsilon, queries * budget.delta)
-    else:
-        delta = (0.0, 0.0)
+    queries = len(sizes)
     return ClusteringReport(
-        clusters, queries, delta, fidelities, member_indexes, removed_indexes
+        np.array(released_rows, dtype=float).reshape(queries, centers.shape[1]),
+        sizes,
+        queries,
+        queries if params.mode == MODE_SANITIZED else 0,
+        fidelities,
+        member_indexes,
+        removed_indexes,
     )

@@ -344,7 +344,8 @@ class TestCommands:
         ratios = [float(r) for _, r in rows]
         assert all(b >= a for a, b in zip(ratios, ratios[1:]))
 
-    def test_cluster_command(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["sanitized", "noise_free", "naive_per_center"])
+    def test_cluster_command(self, tmp_path, capsys, mode):
         rng = np.random.default_rng(3)
         centers = sample_uniform_directions(120, 8, rng) * 2.0  # non-unit on disk
         emb = tmp_path / "centers.csv"
@@ -363,6 +364,8 @@ class TestCommands:
                 "3",
                 "--seed",
                 "4",
+                "--mode",
+                mode,
                 "--out",
                 str(out),
             ]
@@ -371,11 +374,18 @@ class TestCommands:
         assert code == 0
         assert "normalizing on load" in captured.err
         payload = json.loads(out.read_text())
-        assert payload["queries_used"] >= 1
-        assert payload["ledger_delta"][0] == payload["queries_used"] * 1.0
+        naive = mode == "naive_per_center"
+        q = payload["queries_used"]
+        assert (q == 120) if naive else (q >= 1)
+        assert [c["query_index"] for c in payload["clusters"]] == list(range(1, q + 1))
+        budget = dp.PrivacyBudget()
+        charged = 0 if mode == "noise_free" else q
+        assert payload["ledger_delta"] == [charged * budget.epsilon, charged * budget.delta]
         for cluster in payload["clusters"]:
-            assert cluster["size"] >= 5
-            assert np.linalg.norm(cluster["center"]) == pytest.approx(1.0, abs=1e-6)
+            assert cluster["margin"] == (0.0 if naive else 1.2)
+            assert (cluster["size"] == 1) if naive else (cluster["size"] >= 5)
+            if not naive:
+                assert np.linalg.norm(cluster["center"]) == pytest.approx(1.0, abs=1e-6)
 
     def test_simulate_byte_identical_and_mode_isolation(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

@@ -9,7 +9,7 @@ import pytest
 from capfed import clustering, federation
 from capfed.clustering import ClusteringParams
 from capfed.dp import PrivacyBudget
-from capfed.errors import DegenerateInputError, EmptyShardError, ShapeMismatchError, ValidationError
+from capfed.errors import DegenerateInputError, EmptyInputError, ShapeMismatchError, ValidationError
 from capfed.federation import (
     ClientState,
     FederationConfig,
@@ -18,11 +18,12 @@ from capfed.federation import (
     client_local_round,
     derive_rng,
     embed,
+    foreign_centers,
     initialize_clients,
     run_federation,
 )
 from capfed.geometry import normalize_rows
-from capfed.losses import ConsensusContext, LossConfig, loss_gradients
+from capfed.losses import LossConfig, loss_gradients
 from capfed.synth import SynthParams, generate_federation
 
 
@@ -86,8 +87,34 @@ class TestAggregation:
             aggregate_fedavg([np.zeros((2, 2)), np.zeros((3, 2))])
 
     def test_empty(self):
-        with pytest.raises(EmptyShardError):
+        with pytest.raises(EmptyInputError):
             aggregate_fedavg([])
+
+
+class TestForeignCenters:
+    def test_own_clusters_filtered(self):
+        rows = normalize_rows(np.random.default_rng(0).standard_normal((7, 3)))
+        released = {3: rows[5:7], 0: rows[0:2], 1: rows[2:3], 2: rows[3:5]}
+        foreign = foreign_centers(released, 1, 3, np.float64)
+        assert foreign.tobytes() == rows[[0, 1, 3, 4, 5, 6]].tobytes()
+
+    def test_float32_rows_are_the_float64_rows_rounded_once(self):
+        rows = normalize_rows(np.random.default_rng(1).standard_normal((5, 4)))
+        foreign = foreign_centers({0: rows[:2], 1: rows[2:]}, 2, 4, np.float32)
+        assert foreign.dtype == np.float32
+        want = np.array([[np.float32(v) for v in row] for row in rows])
+        assert foreign.tobytes() == want.tobytes()
+
+    def test_nothing_foreign_is_an_empty_block(self):
+        rows = normalize_rows(np.random.default_rng(2).standard_normal((2, 5)))
+        for released, own in (({0: rows}, 0), ({0: rows, 1: np.zeros((0, 5))}, 0), ({}, 0)):
+            foreign = foreign_centers(released, own, 5, np.float32)
+            assert foreign.shape == (0, 5) and foreign.dtype == np.float32
+
+    def test_phi_exchanges_nothing(self):
+        fed = tiny_fed(4)
+        report = run_federation(tiny_config(mode="phi", rounds=1), fed, seed=3)
+        assert report.server.received_clusters == {}
 
 
 class TestClientLocalRound:
@@ -120,7 +147,7 @@ class TestClientLocalRound:
         state = self._client()
         config = tiny_config(weight_decay=0.0)
         new, loss = client_local_round(
-            state, state.embedder.copy(), ConsensusContext(np.zeros((0, 6))), config,
+            state, state.embedder.copy(), np.zeros((0, 6)), config,
             np.random.default_rng(0),
         )
         assert isinstance(loss, float)
@@ -132,7 +159,7 @@ class TestClientLocalRound:
         new, _ = client_local_round(
             state,
             state.embedder.copy(),
-            ConsensusContext(np.zeros((0, 6))),
+            np.zeros((0, 6)),
             config,
             np.random.default_rng(1),
         )
@@ -144,11 +171,11 @@ class TestClientLocalRound:
         empty = dataclasses.replace(
             state, inputs=np.zeros((0, 8)), labels=np.zeros(0, dtype=int)
         )
-        with pytest.raises(EmptyShardError):
+        with pytest.raises(EmptyInputError):
             client_local_round(
                 empty,
                 state.embedder,
-                ConsensusContext(np.zeros((0, 6))),
+                np.zeros((0, 6)),
                 tiny_config(),
                 np.random.default_rng(0),
             )
@@ -163,7 +190,7 @@ class TestClientLocalRound:
             new, _ = client_local_round(
                 state,
                 state.embedder.copy(),
-                ConsensusContext(np.zeros((0, 6))),
+                np.zeros((0, 6)),
                 config,
                 np.random.default_rng(9),
             )
@@ -275,7 +302,7 @@ class TestRunFederation:
                 items = nxt
             return items[0] / len(mats)
 
-        ctx = ConsensusContext(np.zeros((0, fed.params.embed_dim)))
+        ctx = np.zeros((0, fed.params.embed_dim))
         for t in range(1, 4):
             new_models = []
             for c in range(4):
@@ -310,7 +337,7 @@ class TestRunFederation:
         assert len(online) == 3
 
         clients, embedder0 = initialize_clients(fed, config, seed=17)
-        ctx = ConsensusContext(np.zeros((0, fed.params.embed_dim)))
+        ctx = np.zeros((0, fed.params.embed_dim))
         local = [
             client_local_round(clients[c], embedder0, ctx, config, derive_rng(17, "local", 1, c))[0]
             for c in online
@@ -336,13 +363,13 @@ class TestRunFederation:
             "ledger",
         }
         client_centers = [s.centers for s in report.final_clients]
-        server_arrays = [server.embedder] + [c.center for c in server.received_clusters]
+        server_arrays = [server.embedder, *server.received_clusters.values()]
         for arr in server_arrays:
             for w in client_centers:
                 assert not np.shares_memory(arr, w)
-        for cluster in server.received_clusters:
+        for released in server.received_clusters.values():
             for w in client_centers:
-                assert not any(np.array_equal(cluster.center, row) for row in w)
+                assert not any(np.array_equal(center, row) for center in released for row in w)
 
     def test_cross_client_margin_reported(self):
         fed = tiny_fed(9)

@@ -27,7 +27,7 @@ from capfed.federation import (
     run_federation,
 )
 from capfed.geometry import checked_row_norms, normalize_rows, row_norms
-from capfed.losses import ConsensusContext, LossConfig, loss_gradients
+from capfed.losses import LossConfig, loss_gradients
 from capfed.synth import SynthParams, generate_federation
 from conftest import with_shard_dtype
 
@@ -69,7 +69,7 @@ def check_kernel_cases(k, dtype):
             rho=float(rng.uniform(0.05, 1.5)),
         )
         f, w, clusters = (x.astype(dtype) for x in (f, w, clusters))
-        live = loss_gradients(f, labels, w, ConsensusContext(clusters), rho, config)
+        live = loss_gradients(f, labels, w, clusters, rho, config)
         ref = oracle._core(f, labels, w, clusters, rho, config)
         assert live.d_embeddings.dtype == dtype
         assert_same_bundle(live, ref)
@@ -91,7 +91,7 @@ def test_kernel_matches_oracle_at_paper_shape(dtype):
     f, labels, w, clusters, rho = kernel_case(rng, 24, b=256, n=1000, d=512, rho=1.3)
     f, w, clusters = (x.astype(dtype) for x in (f, w, clusters))
     config = LossConfig(64.0)
-    live = loss_gradients(f, labels, w, ConsensusContext(clusters), rho, config)
+    live = loss_gradients(f, labels, w, clusters, rho, config)
     assert live.d_embeddings.dtype == dtype
     assert_same_bundle(live, oracle._core(f, labels, w, clusters, rho, config))
 
@@ -101,9 +101,8 @@ def test_integer_scale_is_the_float_scale():
     # scale, which truncated the cluster derivatives.
     rng = np.random.default_rng(16)
     f, labels, w, clusters, rho = kernel_case(rng, 4)
-    ctx = ConsensusContext(clusters)
-    as_int = loss_gradients(f, labels, w, ctx, rho, LossConfig(16))
-    as_float = loss_gradients(f, labels, w, ctx, rho, LossConfig(16.0))
+    as_int = loss_gradients(f, labels, w, clusters, rho, LossConfig(16))
+    as_float = loss_gradients(f, labels, w, clusters, rho, LossConfig(16.0))
     assert_same_bundle(as_int, as_float)
 
 
@@ -151,15 +150,15 @@ def tiny_config(**kw):
     return FederationConfig(**base)
 
 
-def foreign_context(rng, dim, k, dtype=np.float64):
-    return ConsensusContext(normalize_rows(rng.standard_normal((k, dim))).astype(dtype))
+def foreign_rows(rng, dim, k, dtype=np.float64):
+    return normalize_rows(rng.standard_normal((k, dim))).astype(dtype)
 
 
 def check_local_round(k, lr, dtype):
     fed = tiny_fed(1, dtype)
     config = tiny_config(learning_rate=lr, local_epochs=2, batch_size=7)
     states, embedder0 = initialize_clients(fed, config, 5)
-    foreign = foreign_context(np.random.default_rng(2), fed.params.embed_dim, k, dtype)
+    foreign = foreign_rows(np.random.default_rng(2), fed.params.embed_dim, k, dtype)
     live, live_loss = client_local_round(states[0], embedder0, foreign, config, derive_rng(5, "t"))
     ref, ref_loss = oracle.client_local_round(states[0], embedder0, foreign, config, derive_rng(5, "t"))
     assert live_loss == ref_loss
@@ -265,22 +264,21 @@ def test_loss_gradients_leaves_inputs_unchanged():
     rng = np.random.default_rng(15)
     config = LossConfig(30.0)
     f, labels, w, clusters, rho = kernel_case(rng, 4)
-    ctx = ConsensusContext(clusters)
     before = snapshot(f, labels, w, clusters)
-    loss_gradients(f, labels, w, ctx, rho, config)
-    assert snapshot(f, labels, w, ctx.centers) == before
+    loss_gradients(f, labels, w, clusters, rho, config)
+    assert snapshot(f, labels, w, clusters) == before
 
 
 def test_client_steps_leave_inputs_unchanged():
     fed = tiny_fed(6)
     config = tiny_config(local_epochs=2, batch_size=8)
     states, embedder0 = initialize_clients(fed, config, 3)
-    foreign = foreign_context(np.random.default_rng(7), fed.params.embed_dim, 3)
+    foreign = foreign_rows(np.random.default_rng(7), fed.params.embed_dim, 3)
     state = states[1]
     fields = [getattr(state, f.name) for f in dataclasses.fields(state) if f.name != "client_id"]
-    before = snapshot(embedder0, foreign.centers, *fields)
+    before = snapshot(embedder0, foreign, *fields)
     new_state, _ = client_local_round(state, embedder0, foreign, config, derive_rng(3, "x"))
-    assert snapshot(embedder0, foreign.centers, *fields) == before
+    assert snapshot(embedder0, foreign, *fields) == before
     assert not np.shares_memory(new_state.embedder, embedder0)
     assert not np.shares_memory(new_state.centers, state.centers)
 

@@ -27,7 +27,7 @@ import numpy as np
 from capfed import losses, synth
 from capfed.errors import (
     DomainError,
-    EmptyShardError,
+    EmptyInputError,
     ShapeMismatchError,
     ZeroVectorError,
 )
@@ -121,7 +121,7 @@ def _core(
     rho: float,
     config: LossConfig,
 ) -> GradientBundle:
-    """The loss/gradient kernel behind loss_gradients.
+    """The allocating reference for capfed.losses.loss_gradients.
 
     Logit layout per row: n class logits followed by K cluster logits. The
     target class logit uses the margin form, the other class logits the plain
@@ -186,15 +186,10 @@ def _core(
     return GradientBundle(d_embeddings, d_centers, loss)
 
 
-def loss_gradients(embeddings, labels, centers, context, rho, config) -> GradientBundle:
-    """Consensus loss with analytic gradients for embeddings and centers."""
-    return _core(embeddings, labels, centers, context.centers, rho, config)
-
-
 def client_local_round(
     state: ClientState,
     broadcast_embedder: np.ndarray,
-    foreign: losses.ConsensusContext,
+    foreign: np.ndarray,
     config: FederationConfig,
     rng: np.random.Generator,
 ) -> tuple[ClientState, float]:
@@ -206,7 +201,7 @@ def client_local_round(
     """
     n = state.inputs.shape[0]
     if n == 0:
-        raise EmptyShardError(f"client {state.client_id} has no data")
+        raise EmptyInputError(f"client {state.client_id} has no data")
     a = np.array(broadcast_embedder, dtype=state.inputs.dtype)
     w = state.centers.copy()
     rho = config.clustering_params.rho
@@ -219,7 +214,7 @@ def client_local_round(
             rows = order[start : start + batch]
             x = state.inputs[rows]
             raw = x @ a.T
-            bundle = loss_gradients(raw, state.labels[rows], w, foreign, rho, config.loss)
+            bundle = _core(raw, state.labels[rows], w, foreign, rho, config.loss)
             batch_losses.append(bundle.loss)
             d_a = bundle.d_embeddings.T @ x
             a -= lr * (d_a + wd * a)

@@ -33,6 +33,7 @@ from .geometry import (
     sample_uniform_directions,
 )
 from .losses import (
+    ConsensusContext,
     GradientBundle,
     LossConfig,
     loss_gradients,

@@ -98,11 +98,14 @@ class ClusteringReport:
 
     centers: np.ndarray
     sizes: list[int]
-    queries_used: int
     charged: int
     fidelities: list[float]
     member_indexes: list[np.ndarray] = field(default_factory=list)
     removed_indexes: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def queries_used(self) -> int:
+        return len(self.sizes)
 
 
 # Most cosines computed at once (8 MiB of float32), and most float64 entries of
@@ -239,7 +242,7 @@ def run_clustering(
     if params.mode == MODE_NAIVE_PER_CENTER:
         noised = dp.gaussian_perturb(centers, dp.naive_sigma(budget).sigma, rng)
         fidelities = np.sum(normalize_rows(noised) * centers, axis=1).tolist()
-        return ClusteringReport(noised, [1] * n, n, n, fidelities)
+        return ClusteringReport(noised, [1] * n, n, fidelities)
 
     # float32 copy for the neighbour-count products: n * d * 4 bytes beside centers
     single = centers.astype(np.float32)
@@ -281,13 +284,6 @@ def run_clustering(
         if len(sizes) < params.max_queries:
             counts[active] -= _count_within(centers, single, active, removed, params.rho)
 
-    queries_used = len(sizes)
-    return ClusteringReport(
-        np.array(released_rows, dtype=float).reshape(queries_used, d),
-        sizes,
-        queries_used,
-        queries_used if params.mode == MODE_SANITIZED else 0,
-        fidelities,
-        member_indexes,
-        removed_indexes,
-    )
+    rows = np.array(released_rows, dtype=float).reshape(len(sizes), d)
+    charged = len(sizes) if params.mode == MODE_SANITIZED else 0
+    return ClusteringReport(rows, sizes, charged, fidelities, member_indexes, removed_indexes)

@@ -187,12 +187,12 @@ def _class_means(feats: np.ndarray, labels: np.ndarray, classes: int) -> np.ndar
 
 
 def foreign_centers(released: dict[int, np.ndarray], own: int, dim: int, dtype) -> np.ndarray:
-    """The other clients' released rows, (K, dim): client order, then query order.
+    """The other clients' released rows, (K, dim), in released's order, then query order.
 
     Own rows are left out, since a client is not pushed away from its own
     data. The float64 releases are cast to the training dtype once, here.
     """
-    rows = [released[c] for c in sorted(released) if c != own]
+    rows = [block for c, block in released.items() if c != own]
     return np.concatenate([np.empty((0, dim)), *rows], dtype=dtype)
 
 
@@ -206,9 +206,10 @@ def client_local_round(
     """One client's local optimization pass for a round.
 
     Syncs the broadcast embedder, then runs local_epochs passes of minibatch
-    SGD on the consensus loss. Class-center rows are renormalized after every
-    step. Returns the updated state and the mean minibatch loss. The local
-    embedder is a copy of the broadcast one in the shard's dtype.
+    SGD on the consensus loss against foreign, the (K, d) foreign cluster
+    centers. Class-center rows are renormalized after every step. Returns
+    the updated state and the mean minibatch loss. The local embedder is a
+    copy of the broadcast one in the shard's dtype.
     """
     n = state.inputs.shape[0]
     if n == 0:
@@ -218,6 +219,7 @@ def client_local_round(
     rho = config.clustering_params.rho
     lr, wd = config.learning_rate, config.weight_decay
     batch = min(config.batch_size, n)
+    context = losses.ConsensusContext(foreign)
     batch_losses = []
     for _ in range(config.local_epochs):
         order = rng.permutation(n)
@@ -226,7 +228,7 @@ def client_local_round(
             x = state.inputs[rows]
             raw = x @ a.T
             bundle = losses.loss_gradients(
-                raw, state.labels[rows], w, foreign, rho, config.loss
+                raw, state.labels[rows], w, context, rho, config.loss
             )
             batch_losses.append(bundle.loss)
             # a -= lr * (d_a + wd * a) and w = normalize_rows(w - lr * d_w),

@@ -64,6 +64,17 @@ class LossConfig:
             raise DomainError(f"margin={self.margin} must be finite and nonnegative")
 
 
+@dataclass(frozen=True)
+class ConsensusContext:
+    """The (K, d) foreign cluster centers for loss_gradients; K may be 0.
+
+    A bare array would do; the holder stays because the benchmark harness
+    (benchmarks/tracing.py) counts K from the `.centers` of this argument.
+    """
+
+    centers: np.ndarray
+
+
 @dataclass
 class GradientBundle:
     """Loss value with ambient gradients for the embeddings and class centers."""
@@ -109,14 +120,14 @@ def loss_gradients(
     embeddings: np.ndarray,
     labels: np.ndarray,
     centers: np.ndarray,
-    foreign: np.ndarray,
+    context: ConsensusContext,
     rho: float,
     config: LossConfig,
 ) -> GradientBundle:
     """Consensus loss with analytic gradients for embeddings and centers.
 
-    foreign holds the K foreign cluster centers as a (K, d) array, K may be
-    0; a client is not pushed away from its own clusters, so they are not
+    context holds the K foreign cluster centers, (K, d), K may be 0; a
+    client is not pushed away from its own clusters, so they are not
     among them. The loss equals the plain margin-softmax loss exactly when
     K = 0, and is never smaller otherwise: each foreign cluster adds a
     positive term to every denominator.
@@ -132,7 +143,7 @@ def loss_gradients(
     labels = np.asarray(labels, dtype=int)
     centers = float_array(centers)
     dtype = np.result_type(embeddings, centers)
-    cluster_centers = np.asarray(foreign, dtype=dtype).reshape(-1, embeddings.shape[1])
+    cluster_centers = np.asarray(context.centers, dtype=dtype).reshape(-1, embeddings.shape[1])
     _check_batch(embeddings, labels, centers)
 
     batch, _ = embeddings.shape

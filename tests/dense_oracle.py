@@ -85,12 +85,10 @@ def dense_run_clustering(
         keep[active == seed] = False  # the seed is always removed
         removed_indexes.append(active[~keep])
         active = active[keep]
-    queries = len(sizes)
     return ClusteringReport(
-        np.array(released_rows, dtype=float).reshape(queries, centers.shape[1]),
+        np.array(released_rows, dtype=float).reshape(len(sizes), centers.shape[1]),
         sizes,
-        queries,
-        queries if params.mode == MODE_SANITIZED else 0,
+        len(sizes) if params.mode == MODE_SANITIZED else 0,
         fidelities,
         member_indexes,
         removed_indexes,

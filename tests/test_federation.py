@@ -23,7 +23,7 @@ from capfed.federation import (
     run_federation,
 )
 from capfed.geometry import normalize_rows
-from capfed.losses import LossConfig, loss_gradients
+from capfed.losses import ConsensusContext, LossConfig, loss_gradients
 from capfed.synth import SynthParams, generate_federation
 
 
@@ -94,7 +94,7 @@ class TestAggregation:
 class TestForeignCenters:
     def test_own_clusters_filtered(self):
         rows = normalize_rows(np.random.default_rng(0).standard_normal((7, 3)))
-        released = {3: rows[5:7], 0: rows[0:2], 1: rows[2:3], 2: rows[3:5]}
+        released = {0: rows[0:2], 1: rows[2:3], 2: rows[3:5], 3: rows[5:7]}
         foreign = foreign_centers(released, 1, 3, np.float64)
         assert foreign.tobytes() == rows[[0, 1, 3, 4, 5, 6]].tobytes()
 
@@ -302,7 +302,7 @@ class TestRunFederation:
                 items = nxt
             return items[0] / len(mats)
 
-        ctx = np.zeros((0, fed.params.embed_dim))
+        ctx = ConsensusContext(np.zeros((0, fed.params.embed_dim)))
         for t in range(1, 4):
             new_models = []
             for c in range(4):

@@ -18,7 +18,7 @@ from capfed.clustering import ClusteringParams
 from capfed.dp import PrivacyBudget
 from capfed.federation import FederationConfig, derive_rng, run_federation
 from capfed.geometry import has_unit_rows, normalize_rows
-from capfed.losses import LossConfig, loss_gradients
+from capfed.losses import ConsensusContext, LossConfig, loss_gradients
 from capfed.synth import SynthParams, generate_federation
 from conftest import with_shard_dtype
 
@@ -43,7 +43,7 @@ def test_float32_embedding_at_a_foreign_center_is_finite(inside):
     f = center + inside * rng.standard_normal((1, 16))
     f = np.concatenate([f, rng.standard_normal((3, 16))]).astype(np.float32)
     w = normalize_rows(rng.standard_normal((5, 16))).astype(np.float32)
-    context = center.astype(np.float32)
+    context = ConsensusContext(center.astype(np.float32))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bundle = loss_gradients(f, np.array([0, 1, 2, 3]), w, context, 0.8, LossConfig())
@@ -62,9 +62,9 @@ def test_float32_gradients_at_paper_shape_match_float64():
     # a third of the clusters sit close to batch rows, inside their caps
     clusters[:8] = normalize_rows(f[:8] + 0.3 * rng.standard_normal((8, d)) / math.sqrt(d))
     clusters = clusters.astype(np.float32)  # both runs see the same float32 values
-    single = loss_gradients(f, labels, w, clusters, rho, LossConfig())
+    single = loss_gradients(f, labels, w, ConsensusContext(clusters), rho, LossConfig())
     double = loss_gradients(
-        f.astype(float), labels, w.astype(float), clusters.astype(float),
+        f.astype(float), labels, w.astype(float), ConsensusContext(clusters.astype(float)),
         rho, LossConfig(),
     )
     assert abs(single.loss - double.loss) <= 1e-6 * abs(double.loss)

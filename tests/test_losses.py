@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 
 from capfed.errors import DomainError, LabelOutOfRangeError, ShapeMismatchError
 from capfed.geometry import normalize, normalize_rows, sample_uniform_directions
-from capfed.losses import LossConfig, loss_gradients
+from capfed.losses import (
+    ConsensusContext,
+    LossConfig,
+    loss_gradients,
+)
 from train_oracle import cluster_similarity, finite_diff_check, margin_similarity
 
 
 def plain_loss(f, labels, w, config):
-    """The margin-softmax loss alone: no foreign centers."""
-    empty = np.zeros((0, f.shape[1]))
+    """The margin-softmax loss alone: an empty consensus context."""
+    empty = ConsensusContext(np.zeros((0, f.shape[1])))
     return loss_gradients(f, labels, w, empty, 0.0, config).loss
 
 
@@ -21,7 +25,7 @@ def random_instance(rng, n=8, d=16, batch=4, clusters=2):
     w = normalize_rows(rng.standard_normal((n, d)))
     f = normalize_rows(rng.standard_normal((batch, d)))
     labels = rng.integers(0, n, size=batch)
-    ctx = normalize_rows(rng.standard_normal((clusters, d)))
+    ctx = ConsensusContext(normalize_rows(rng.standard_normal((clusters, d))))
     return f, labels, w, ctx
 
 
@@ -123,7 +127,7 @@ class TestKernelAgainstScalarLogits:
             top = max(logits)
             want = top + math.log(math.fsum(math.exp(v - top) for v in logits)) - logits[label]
             got = loss_gradients(
-                f[None, :], np.array([label]), w, clusters, rho, config
+                f[None, :], np.array([label]), w, ConsensusContext(clusters), rho, config
             ).loss
             assert got == pytest.approx(want, rel=1e-9)
 
@@ -166,7 +170,7 @@ class TestConsensusLoss:
         f, labels, w, _ = random_instance(rng)
         config = LossConfig(24.0)
         plain = plain_loss(f, labels, w, config)
-        empty = loss_gradients(f, labels, w, np.zeros((0, 16)), 1.3, config).loss
+        empty = loss_gradients(f, labels, w, ConsensusContext(np.zeros((0, 16))), 1.3, config).loss
         assert plain == empty
 
     def test_never_below_classification(self):
@@ -185,7 +189,7 @@ class TestConsensusLoss:
         w = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         labels = np.array([0])
         config = LossConfig(s, 0.0)
-        ctx = np.array([[1.0, 0.0, 0.0]])
+        ctx = ConsensusContext(np.array([[1.0, 0.0, 0.0]]))
         expected = -math.log(math.exp(s) / (math.exp(s) + 1.0 + math.exp(s)))
         loss = loss_gradients(f, labels, w, ctx, 1.3, config).loss
         assert loss == pytest.approx(expected, rel=1e-12)
@@ -195,7 +199,9 @@ class TestConsensusLoss:
         f, labels, w, ctx = random_instance(rng, clusters=1)
         config = LossConfig(10.0)
         base = loss_gradients(f, labels, w, ctx, 1.0, config).loss
-        extra = np.concatenate([ctx, sample_uniform_directions(1, 16, rng)])
+        extra = ConsensusContext(
+            np.concatenate([ctx.centers, sample_uniform_directions(1, 16, rng)])
+        )
         assert loss_gradients(f, labels, w, extra, 1.0, config).loss >= base
 
     def test_permutation_invariance(self):
@@ -208,7 +214,7 @@ class TestConsensusLoss:
         inverse[perm] = np.arange(perm.size)
         shuffled = loss_gradients(f, inverse[labels], w[perm], ctx, 1.0, config).loss
         assert shuffled == pytest.approx(base, rel=1e-12)
-        cluster_perm = ctx[::-1].copy()
+        cluster_perm = ConsensusContext(ctx.centers[::-1].copy())
         assert loss_gradients(f, labels, w, cluster_perm, 1.0, config).loss == pytest.approx(
             base, rel=1e-12
         )
@@ -219,10 +225,11 @@ class TestConsensusLoss:
         w = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
         cluster = np.array([[1.0, 0.0, 0.0]])
         labels = np.array([0])
+        ctx = ConsensusContext(cluster)
         losses = []
         for theta in np.linspace(0.9, 2.2, 12):
             f = np.array([[math.cos(theta), math.sin(theta), 0.0]])
-            losses.append(loss_gradients(f, labels, w, cluster, 0.8, config).loss)
+            losses.append(loss_gradients(f, labels, w, ctx, 0.8, config).loss)
         # angle to the cluster grows along the sweep while the class geometry
         # stays symmetric enough for the first steps to strictly improve
         assert losses[1] < losses[0]
@@ -234,7 +241,7 @@ class TestGradients:
         f = sample_uniform_directions(3, 8, rng)
         w = sample_uniform_directions(1, 8, rng)
         bundle = loss_gradients(
-            f, np.zeros(3, dtype=int), w, np.zeros((0, 8)), 1.0, LossConfig()
+            f, np.zeros(3, dtype=int), w, ConsensusContext(np.zeros((0, 8))), 1.0, LossConfig()
         )
         assert bundle.loss == 0.0
         np.testing.assert_allclose(bundle.d_embeddings, 0.0, atol=1e-15)

@@ -27,7 +27,7 @@ from capfed.federation import (
     run_federation,
 )
 from capfed.geometry import checked_row_norms, normalize_rows, row_norms
-from capfed.losses import LossConfig, loss_gradients
+from capfed.losses import ConsensusContext, LossConfig, loss_gradients
 from capfed.synth import SynthParams, generate_federation
 from conftest import with_shard_dtype
 
@@ -69,7 +69,7 @@ def check_kernel_cases(k, dtype):
             rho=float(rng.uniform(0.05, 1.5)),
         )
         f, w, clusters = (x.astype(dtype) for x in (f, w, clusters))
-        live = loss_gradients(f, labels, w, clusters, rho, config)
+        live = loss_gradients(f, labels, w, ConsensusContext(clusters), rho, config)
         ref = oracle._core(f, labels, w, clusters, rho, config)
         assert live.d_embeddings.dtype == dtype
         assert_same_bundle(live, ref)
@@ -91,7 +91,7 @@ def test_kernel_matches_oracle_at_paper_shape(dtype):
     f, labels, w, clusters, rho = kernel_case(rng, 24, b=256, n=1000, d=512, rho=1.3)
     f, w, clusters = (x.astype(dtype) for x in (f, w, clusters))
     config = LossConfig(64.0)
-    live = loss_gradients(f, labels, w, clusters, rho, config)
+    live = loss_gradients(f, labels, w, ConsensusContext(clusters), rho, config)
     assert live.d_embeddings.dtype == dtype
     assert_same_bundle(live, oracle._core(f, labels, w, clusters, rho, config))
 
@@ -101,8 +101,9 @@ def test_integer_scale_is_the_float_scale():
     # scale, which truncated the cluster derivatives.
     rng = np.random.default_rng(16)
     f, labels, w, clusters, rho = kernel_case(rng, 4)
-    as_int = loss_gradients(f, labels, w, clusters, rho, LossConfig(16))
-    as_float = loss_gradients(f, labels, w, clusters, rho, LossConfig(16.0))
+    ctx = ConsensusContext(clusters)
+    as_int = loss_gradients(f, labels, w, ctx, rho, LossConfig(16))
+    as_float = loss_gradients(f, labels, w, ctx, rho, LossConfig(16.0))
     assert_same_bundle(as_int, as_float)
 
 
@@ -265,7 +266,7 @@ def test_loss_gradients_leaves_inputs_unchanged():
     config = LossConfig(30.0)
     f, labels, w, clusters, rho = kernel_case(rng, 4)
     before = snapshot(f, labels, w, clusters)
-    loss_gradients(f, labels, w, clusters, rho, config)
+    loss_gradients(f, labels, w, ConsensusContext(clusters), rho, config)
     assert snapshot(f, labels, w, clusters) == before
 
 

@@ -10,6 +10,18 @@ only ever holds embedder parameters and released cluster centers.
 All randomness is drawn from streams keyed by (seed, purpose, round, client),
 so identical runs replay identically.
 
+Local SGD steps the online clients in lockstep. Clients with equal shard
+shape, class count and dtype are stacked along a leading client axis, and
+each SGD step makes one chain of NumPy calls for the whole group: one
+batch gather into a (C, b, d_in) buffer, one stacked loss kernel call and
+one update of the (C, d, d_in) embedders and (C, n, d) centers. At small
+shapes a step is mostly NumPy dispatch, which this pays once per group
+instead of once per client. Each client's shuffle, reductions and bits are
+those of stepping it alone (losses states which reductions run per client
+and why). A group's stacked step arrays stay within _LOCKSTEP_BYTES, so a
+paper-shaped client, with 2 MB of centers, steps alone: stacking those
+buys no dispatch and costs memory and time.
+
 Training follows the dtype of the client shards, which
 synth.generate_federation makes float32: the embedders, features, class
 centers, loss kernel, SGD updates, FedAvg and the verification eval run in
@@ -31,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from . import clustering, dp, losses, synth
-from .errors import EmptyInputError, ShapeMismatchError, ValidationError
+from .errors import EmptyInputError, LabelOutOfRangeError, ShapeMismatchError, ValidationError
 from .geometry import checked_row_norms, normalize_rows
 
 MODE_PHI = "phi"  # conventional: no clusters exchanged
@@ -43,6 +55,9 @@ _CLUSTER_MODE_FOR_RUN = {
     MODE_PHI_HAT: clustering.MODE_SANITIZED,
     MODE_PHI_P: clustering.MODE_NOISE_FREE,
 }
+
+# Bound on one lockstep group's stacked step arrays, in bytes (module docstring).
+_LOCKSTEP_BYTES = 1 << 18
 
 
 def derive_rng(seed: int, *key) -> np.random.Generator:
@@ -196,53 +211,98 @@ def foreign_centers(released: dict[int, np.ndarray], own: int, dim: int, dtype) 
     return np.concatenate([np.empty((0, dim)), *rows], dtype=dtype)
 
 
-def client_local_round(
-    state: ClientState,
-    broadcast_embedder: np.ndarray,
-    foreign: np.ndarray,
-    config: FederationConfig,
-    rng: np.random.Generator,
-) -> tuple[ClientState, float]:
-    """One client's local optimization pass for a round.
+def _shape_key(state: ClientState) -> tuple:
+    return state.inputs.shape, state.centers.shape, state.inputs.dtype
 
-    Syncs the broadcast embedder, then runs local_epochs passes of minibatch
-    SGD on the consensus loss against foreign, the (K, d) foreign cluster
-    centers. Class-center rows are renormalized after every step. Returns
-    the updated state and the mean minibatch loss. The local embedder is a
-    copy of the broadcast one in the shard's dtype.
+
+def client_local_round(
+    group: Sequence[ClientState],
+    broadcast_embedder: np.ndarray,
+    foreign: Sequence[np.ndarray],
+    config: FederationConfig,
+    rngs: Sequence[np.random.Generator],
+) -> tuple[list[ClientState], list[float]]:
+    """The local optimization pass of a round for a group of clients, stepped together.
+
+    The clients of group share shard shape, class count and dtype; foreign
+    and rngs hold each one's (K_c, d) foreign cluster centers and shuffle
+    stream. Each client syncs the broadcast embedder, then runs
+    local_epochs passes of minibatch SGD on the consensus loss, its
+    class-center rows renormalized after every step. Each step gathers
+    every client's batch into one stack and makes one kernel call and one
+    update for all of them; each client's bits are those of stepping it
+    alone. Returns the updated states, whose embedder and centers are views
+    of the group's stacks in the shard dtype, and the mean minibatch losses.
     """
-    n = state.inputs.shape[0]
-    if n == 0:
-        raise EmptyInputError(f"client {state.client_id} has no data")
-    a = broadcast_embedder.astype(state.inputs.dtype)
-    w = state.centers.copy()
+    shape = _shape_key(group[0])
+    (n, d_in), (classes, d), dtype = shape
+    for state in group:
+        if state.inputs.shape[0] == 0:
+            raise EmptyInputError(f"client {state.client_id} has no data")
+        if _shape_key(state) != shape:
+            raise ShapeMismatchError("a lockstep group needs equal shards, class counts and dtypes")
+        # The labels are fixed for the round, so they are checked once, here.
+        if state.labels.min() < 0 or state.labels.max() >= classes:
+            raise LabelOutOfRangeError(
+                f"client {state.client_id}: labels must lie in [0, {classes - 1}]"
+            )
+    a = np.empty((len(group), d, d_in), dtype=dtype)
+    a[...] = broadcast_embedder
+    w = np.stack([state.centers for state in group])
+    labels = np.stack([state.labels for state in group])
+    foreign = [np.asarray(p, dtype=dtype).reshape(-1, d) for p in foreign]
     rho = config.clustering_params.rho
     lr, wd = config.learning_rate, config.weight_decay
     batch = min(config.batch_size, n)
-    context = losses.ConsensusContext(foreign)
     batch_losses = []
     for _ in range(config.local_epochs):
-        order = rng.permutation(n)
+        orders = np.stack([rng.permutation(n) for rng in rngs])
         for start in range(0, n, batch):
-            rows = order[start : start + batch]
-            x = state.inputs[rows]
-            raw = x @ a.T
-            bundle = losses.loss_gradients(
-                raw, state.labels[rows], w, context, rho, config.loss
+            rows = orders[:, start : start + batch]
+            x = np.empty((len(group), rows.shape[1], d_in), dtype=dtype)
+            for c, state in enumerate(group):
+                # Rows of a permutation are in range, so "clip" never clips; it
+                # writes into x directly, where take's "raise" goes through a buffer.
+                np.take(state.inputs, rows[c], axis=0, out=x[c], mode="clip")
+            raw = x @ a.swapaxes(1, 2)
+            bundle = losses.stacked_loss_gradients(
+                raw, np.take_along_axis(labels, rows, axis=1), w, foreign, rho, config.loss
             )
             batch_losses.append(bundle.loss)
             # a -= lr * (d_a + wd * a) and w = normalize_rows(w - lr * d_w),
             # in the same floating-point order, in place on arrays this round owns.
-            step = bundle.d_embeddings.T @ x
+            step = bundle.d_embeddings.swapaxes(1, 2) @ x
             step += wd * a
             step *= lr
             a -= step
             d_w = bundle.d_centers
             d_w *= lr
             w -= d_w
-            w /= checked_row_norms(w)[:, None]
-    new_state = replace(state, embedder=a, centers=w)
-    return new_state, float(np.mean(batch_losses))
+            w /= checked_row_norms(w)[..., None]
+    # One 1-d mean per client: a mean over axis 0 of the table would sum in another order.
+    by_step = np.array(batch_losses, dtype=float)
+    new_states = [replace(state, embedder=a[c], centers=w[c]) for c, state in enumerate(group)]
+    return new_states, [float(np.mean(by_step[:, c])) for c in range(len(group))]
+
+
+def _lockstep_groups(states: Sequence[ClientState], batch_size: int) -> list[list[int]]:
+    """The client ids of states in groups that client_local_round steps together.
+
+    A group's clients have equal shard shape, class count and dtype, and
+    its stacked step arrays (embedders, centers, a batch of rows and its
+    class logits per client) stay within _LOCKSTEP_BYTES; a client whose
+    own arrays exceed that steps alone. Ids keep states' order.
+    """
+    by_shape: dict[tuple, list[int]] = {}
+    for state in states:
+        by_shape.setdefault(_shape_key(state), []).append(state.client_id)
+    groups = []
+    for ((rows, d_in), (classes, d), dtype), ids in by_shape.items():
+        b = min(batch_size, rows)
+        per_client = dtype.itemsize * (d * d_in + classes * d + b * (d_in + classes))
+        size = max(1, _LOCKSTEP_BYTES // per_client)
+        groups += [ids[i : i + size] for i in range(0, len(ids), size)]
+    return groups
 
 
 def _pairwise_tree_sum(items: list[np.ndarray]) -> np.ndarray:
@@ -266,7 +326,8 @@ def aggregate_fedavg(models: Sequence[np.ndarray]) -> np.ndarray:
     shapes = {m.shape for m in models}
     if len(shapes) != 1:
         raise ShapeMismatchError(f"mismatched shapes {sorted(shapes)}")
-    stack = np.sort(np.stack(models), axis=0)
+    stack = np.stack(models)
+    stack.sort(axis=0)  # in place: np.sort would hold a second copy of the stack
     total = _pairwise_tree_sum([stack[i] for i in range(stack.shape[0])])
     return total / len(models)
 
@@ -338,7 +399,10 @@ def run_federation(
 
     Held for the whole run: the federation's arrays, whose shards the client
     states share, each client's embedder and centers, the server's embedder
-    and the verification pairs' rows.
+    and the verification pairs' rows. A client's embedder and centers are
+    views of the stacks of its last lockstep group, so a client that goes
+    offline keeps that group's stacks, at most _LOCKSTEP_BYTES, alive. The
+    local phase holds one group's stacks at a time.
     """
     clients, embedder0 = initialize_clients(fed, config, seed)
     server = ServerState(embedder=embedder0)  # replaced each round, never written in place
@@ -375,15 +439,19 @@ def run_federation(
                 server.ledger = server.ledger.compose(c, t, params.budget, report.charged)
         server.received_clusters = released
 
-        loss_by_client = {}
-        for c in online:
-            clients[c], loss_by_client[c] = client_local_round(
-                clients[c],
+        round_losses = {}
+        for ids in _lockstep_groups([clients[c] for c in online], config.batch_size):
+            new_states, group_losses = client_local_round(
+                [clients[c] for c in ids],
                 server.embedder,
-                foreign_centers(released, c, dim, clients[c].inputs.dtype),
+                [foreign_centers(released, c, dim, clients[c].inputs.dtype) for c in ids],
                 config,
-                derive_rng(seed, "local", t, c),
+                [derive_rng(seed, "local", t, c) for c in ids],
             )
+            for state, loss in zip(new_states, group_losses):
+                clients[state.client_id] = state
+                round_losses[state.client_id] = loss
+        loss_by_client = {c: round_losses[c] for c in online}
         server.embedder = aggregate_fedavg([clients[c].embedder for c in online])
 
         tar = synth.verification_eval(

@@ -48,12 +48,17 @@ def row_norms(m: np.ndarray) -> np.ndarray:
 
 
 def checked_row_norms(m: np.ndarray) -> np.ndarray:
-    """row_norms, raising ZeroVectorError when a row's norm is <= 1e-12."""
+    """row_norms, raising ZeroVectorError when a row's norm is <= 1e-12.
+
+    The error names the row within its matrix, and for a stack of matrices
+    also the matrix's index in the stack.
+    """
     norms = row_norms(m)
     small = norms <= ZERO_NORM_FLOOR
     if np.any(small):
-        bad = int(np.argmax(small))
-        raise ZeroVectorError(f"row {bad} has norm {float(norms.flat[bad]):.3e}")
+        index = tuple(int(i) for i in np.unravel_index(np.argmax(small), norms.shape))
+        stack = f" of matrix {', '.join(map(str, index[:-1]))}" if len(index) > 1 else ""
+        raise ZeroVectorError(f"row {index[-1]}{stack} has norm {float(norms[index]):.3e}")
     return norms
 
 

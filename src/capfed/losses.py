@@ -20,6 +20,21 @@ cosine is computed between internally normalized rows, so the returned
 gradients are the ambient gradients through the normalization map and are
 tangent to the sphere whenever the inputs are already unit.
 
+One kernel, stacked_loss_gradients, serves a stack of C clients, each with
+its own batch, class centers and K_c foreign centers; loss_gradients is its
+call for a stack of one. Stacked, every client's logit rows are padded to
+n + K columns, K = max K_c, and a client's bits are those of its own call:
+- Passes that treat each element alone or reduce over the batch or over d
+  run once on the whole stack: the row norms, the three class-center
+  products (np.matmul on stacks runs one gemm per client), the softmax and
+  gradient passes and the class-column sums.
+- What reduces along a logit row runs per client, on its own n + K_c
+  columns: the softmax denominator, the projection row sum, and both
+  products with its foreign centers. A pairwise sum's grouping and a gemm's
+  blocking depend on the length they run over, so a padded row or product
+  would change the bits. Padded cluster logits are -inf, which the row
+  maxima skip, and no sum reads a padded column.
+
 The kernel works in place, but only on temporaries it allocated itself: it
 never writes the caller's arrays, and the returned gradients are fresh
 arrays the caller owns.
@@ -27,7 +42,7 @@ arrays the caller owns.
 Precision follows the inputs: float32 embeddings and centers (the training
 path's, since the synthetic shards are float32) give float32 cosines,
 logits, softmax and gradients, float64 inputs float64 throughout. One block
-is float64 in either case: the (batch, K) cluster angles, because float32
+is float64 in either case: the (C, batch, K) cluster angles, because float32
 rounds the clip bound 1 - 1e-12 to 1.0, where theta_p = 0 and the cluster
 derivative sin(theta_p - rho) / sin(theta_p) is 0 / 0. Their logits and
 derivatives are rounded to the input dtype before they enter the softmax.
@@ -81,7 +96,7 @@ class GradientBundle:
 
     d_embeddings: np.ndarray  # same shape as the embedding batch
     d_centers: np.ndarray  # same shape as the center matrix
-    loss: float
+    loss: float | np.ndarray  # one float, or a (C,) array for a stack of C clients
 
 
 def softmax_floor(dtype) -> float:
@@ -113,7 +128,7 @@ def _check_batch(embeddings: np.ndarray, labels: np.ndarray, centers: np.ndarray
 
 def _unit_rows_and_norms(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = row_norms(m)
-    return m / norms[:, None], norms
+    return m / norms[..., None], norms
 
 
 def loss_gradients(
@@ -132,12 +147,8 @@ def loss_gradients(
     K = 0, and is never smaller otherwise: each foreign cluster adds a
     positive term to every denominator.
 
-    Logit layout per row: n class logits followed by K cluster logits, as
-    the module docstring states them.
-
-    Every (batch, n + K) pass runs in place on the kernel's own buffers, in
-    the floating-point order of the one-array-per-expression form kept in
-    tests/train_oracle.py, so the bits are the same.
+    This is stacked_loss_gradients for a stack of one, with the batch's
+    shapes and labels checked.
     """
     embeddings = float_array(embeddings)
     labels = np.asarray(labels, dtype=int)
@@ -145,71 +156,108 @@ def loss_gradients(
     dtype = np.result_type(embeddings, centers)
     cluster_centers = np.asarray(context.centers, dtype=dtype).reshape(-1, embeddings.shape[1])
     _check_batch(embeddings, labels, centers)
+    bundle = stacked_loss_gradients(
+        embeddings[None], labels[None], centers[None], [cluster_centers], rho, config
+    )
+    return GradientBundle(bundle.d_embeddings[0], bundle.d_centers[0], float(bundle.loss[0]))
 
-    batch, _ = embeddings.shape
-    n = centers.shape[0]
-    k = cluster_centers.shape[0]
+
+def stacked_loss_gradients(
+    embeddings: np.ndarray,
+    labels: np.ndarray,
+    centers: np.ndarray,
+    foreign: list[np.ndarray],
+    rho: float,
+    config: LossConfig,
+) -> GradientBundle:
+    """loss_gradients for a stack of C clients, each with its own batch and centers.
+
+    embeddings is (C, b, d), labels (C, b) integers, centers (C, n, d) and
+    foreign C blocks of (K_c, d) foreign centers in the dtype of the
+    embeddings and centers. Labels are not range-checked: the caller checks
+    them. Returns the (C, b, d) and (C, n, d) gradients and a (C,) array of
+    losses, each client's bits those of its own loss_gradients call.
+
+    Logit layout per row: n class logits followed by the client's K_c
+    cluster logits, padded to K = max K_c, as the module docstring states
+    them. Every (C, b, n + K) pass runs in place on the kernel's own
+    buffers, in the floating-point order of the one-array-per-expression
+    form kept in tests/train_oracle.py, so the bits are the same.
+    """
+    dtype = np.result_type(embeddings, centers)
+    stack, batch, _ = embeddings.shape
+    n = centers.shape[1]
+    ks = [p.shape[0] for p in foreign]
+    k = max(ks)
     s, m = config.scale, config.margin
 
     f_hat, f_norm = _unit_rows_and_norms(embeddings)
     w_hat, w_norm = _unit_rows_and_norms(centers)
     # Class cosines in the first n columns, cluster cosines in the last K.
-    cos_all = np.empty((batch, n + k), dtype=dtype)
-    cos_cls = cos_all[:, :n]
-    np.matmul(f_hat, w_hat.T, out=cos_cls)
+    cos_all = np.empty((stack, batch, n + k), dtype=dtype)
+    cos_cls = cos_all[..., :n]
+    np.matmul(f_hat, w_hat.swapaxes(1, 2), out=cos_cls)
     np.clip(cos_cls, -1.0, 1.0, out=cos_cls)
 
-    rows = np.arange(batch)
-    logits = np.empty((batch, n + k), dtype=dtype)
-    np.multiply(cos_cls, s, out=logits[:, :n])
+    target = (np.arange(stack)[:, None], np.arange(batch), labels)
+    logits = np.empty((stack, batch, n + k), dtype=dtype)
+    np.multiply(cos_cls, s, out=logits[..., :n])
     # d(logit)/d(cos) is s for every class logit and cluster_gprime for the
     # cluster logits.
-    logits[rows, labels] = s * (cos_cls[rows, labels] - m)
+    logits[target] = s * (cos_cls[target] - m)
 
     if k:
-        cos_clu = cos_all[:, n:]
-        np.matmul(f_hat, cluster_centers.T, out=cos_clu)
+        cos_clu = cos_all[..., n:]
+        for c, p in enumerate(foreign):
+            np.matmul(f_hat[c], p.T, out=cos_clu[c, :, : ks[c]])
+            cos_clu[c, :, ks[c] :] = 0.0
         clipped = np.clip(cos_clu.astype(float), -1.0 + _COS_EPS, 1.0 - _COS_EPS)
         cos_clu[...] = clipped
         theta_p = np.arccos(clipped)
         beyond = theta_p > rho
-        logits[:, n:] = s * np.cos(np.where(beyond, theta_p - rho, 0.0))
+        logits[..., n:] = s * np.cos(np.where(beyond, theta_p - rho, 0.0))
         # Subgradient 0 at theta == rho: inside the margin the term is flat.
         cluster_gprime = np.where(beyond, s * np.sin(theta_p - rho) / np.sin(theta_p), 0.0)
+        for c in range(stack):  # the row maxima skip padded columns
+            logits[c, :, n + ks[c] :] = -np.inf
 
-    target_logits = logits[rows, labels]
-    row_max = logits.max(axis=1, keepdims=True)
+    target_logits = logits[target]
+    row_max = logits.max(axis=-1, keepdims=True)
     a = logits
     a -= row_max
     np.maximum(a, softmax_floor(dtype), out=a)
     np.exp(a, out=a)
-    denom = a.sum(axis=1, keepdims=True)
-    lse = row_max[:, 0] + np.log(denom[:, 0])
-    loss = float(np.mean(lse - target_logits))
+    denom = np.empty_like(row_max)
+    for c in range(stack):
+        np.sum(a[c, :, : n + ks[c]], axis=-1, keepdims=True, out=denom[c])
+    lse = row_max[..., 0] + np.log(denom[..., 0])
+    loss = np.mean(lse - target_logits, axis=-1)
 
     # a = (softmax - onehot) * gprime / batch
     a /= denom
-    a[rows, labels] -= 1.0
-    a[:, :n] *= s / batch
+    a[target] -= 1.0
+    a[..., :n] *= s / batch
     if k:
         cluster_gprime /= batch
-        a[:, n:] *= cluster_gprime.astype(dtype, copy=False)
+        a[..., n:] *= cluster_gprime.astype(dtype, copy=False)
 
-    d_f_hat = a[:, :n] @ w_hat
-    if k:
-        d_f_hat += a[:, n:] @ cluster_centers
-    d_w_hat = a[:, :n].T @ f_hat
+    d_f_hat = a[..., :n] @ w_hat
+    d_w_hat = a[..., :n].swapaxes(1, 2) @ f_hat
     # a * cos, row sums for the embeddings and class-column sums for the centers.
     a_cos = cos_all
     a_cos *= a
-    proj_f = a_cos.sum(axis=1, keepdims=True)
-    proj_w = a_cos[:, :n].sum(axis=0)
+    proj_f = np.empty_like(denom)
+    for c, p in enumerate(foreign):
+        if ks[c]:
+            d_f_hat[c] += a[c, :, n : n + ks[c]] @ p
+        np.sum(a_cos[c, :, : n + ks[c]], axis=-1, keepdims=True, out=proj_f[c])
+    proj_w = a_cos[..., :n].sum(axis=1)
 
     # The unit rows are not read again: they take the products proj * unit.
     f_hat *= proj_f
     d_f_hat -= f_hat
-    d_f_hat /= f_norm[:, None]
-    w_hat *= proj_w[:, None]
+    d_f_hat /= f_norm[..., None]
+    w_hat *= proj_w[..., None]
     d_w_hat -= w_hat
-    d_w_hat /= w_norm[:, None]
+    d_w_hat /= w_norm[..., None]
     return GradientBundle(d_f_hat, d_w_hat, loss)

@@ -146,9 +146,9 @@ class TestClientLocalRound:
     def test_zero_weight_decay_trains(self):
         state = self._client()
         config = tiny_config(weight_decay=0.0)
-        new, loss = client_local_round(
-            state, state.embedder.copy(), np.zeros((0, 6)), config,
-            np.random.default_rng(0),
+        (new,), (loss,) = client_local_round(
+            [state], state.embedder.copy(), [np.zeros((0, 6))], config,
+            [np.random.default_rng(0)],
         )
         assert isinstance(loss, float)
         assert not np.array_equal(new.embedder, state.embedder)
@@ -156,12 +156,12 @@ class TestClientLocalRound:
     def test_centers_stay_unit(self):
         state = self._client()
         config = tiny_config()
-        new, _ = client_local_round(
-            state,
+        (new,), _ = client_local_round(
+            [state],
             state.embedder.copy(),
-            np.zeros((0, 6)),
+            [np.zeros((0, 6))],
             config,
-            np.random.default_rng(1),
+            [np.random.default_rng(1)],
         )
         np.testing.assert_allclose(np.linalg.norm(new.centers, axis=1), 1.0, atol=1e-12)
         assert not np.array_equal(new.embedder, state.embedder)
@@ -173,11 +173,11 @@ class TestClientLocalRound:
         )
         with pytest.raises(EmptyInputError):
             client_local_round(
-                empty,
+                [empty],
                 state.embedder,
-                np.zeros((0, 6)),
+                [np.zeros((0, 6))],
                 tiny_config(),
-                np.random.default_rng(0),
+                [np.random.default_rng(0)],
             )
 
     def test_identical_clients_aggregate_to_the_same_model(self):
@@ -187,12 +187,12 @@ class TestClientLocalRound:
         results = []
         for _ in range(4):
             state = self._client(seed=3)
-            new, _ = client_local_round(
-                state,
+            (new,), _ = client_local_round(
+                [state],
                 state.embedder.copy(),
-                np.zeros((0, 6)),
+                [np.zeros((0, 6))],
                 config,
-                np.random.default_rng(9),
+                [np.random.default_rng(9)],
             )
             results.append(new.embedder)
         mean = aggregate_fedavg(results)
@@ -339,7 +339,7 @@ class TestRunFederation:
         clients, embedder0 = initialize_clients(fed, config, seed=17)
         ctx = np.zeros((0, fed.params.embed_dim))
         local = [
-            client_local_round(clients[c], embedder0, ctx, config, derive_rng(17, "local", 1, c))[0]
+            client_local_round([clients[c]], embedder0, [ctx], config, [derive_rng(17, "local", 1, c)])[0][0]
             for c in online
         ]
         np.testing.assert_array_equal(

@@ -160,8 +160,12 @@ def check_local_round(k, lr, dtype):
     config = tiny_config(learning_rate=lr, local_epochs=2, batch_size=7)
     states, embedder0 = initialize_clients(fed, config, 5)
     foreign = foreign_rows(np.random.default_rng(2), fed.params.embed_dim, k, dtype)
-    live, live_loss = client_local_round(states[0], embedder0, foreign, config, derive_rng(5, "t"))
-    ref, ref_loss = oracle.client_local_round(states[0], embedder0, foreign, config, derive_rng(5, "t"))
+    (live,), (live_loss,) = client_local_round(
+        [states[0]], embedder0, [foreign], config, [derive_rng(5, "t")]
+    )
+    (ref,), (ref_loss,) = oracle.client_local_round(
+        [states[0]], embedder0, [foreign], config, [derive_rng(5, "t")]
+    )
     assert live_loss == ref_loss
     assert live.embedder.dtype == live.centers.dtype == dtype
     assert live.embedder.tobytes() == ref.embedder.tobytes()
@@ -278,7 +282,7 @@ def test_client_steps_leave_inputs_unchanged():
     state = states[1]
     fields = [getattr(state, f.name) for f in dataclasses.fields(state) if f.name != "client_id"]
     before = snapshot(embedder0, foreign, *fields)
-    new_state, _ = client_local_round(state, embedder0, foreign, config, derive_rng(3, "x"))
+    (new_state,), _ = client_local_round([state], embedder0, [foreign], config, [derive_rng(3, "x")])
     assert snapshot(embedder0, foreign, *fields) == before
     assert not np.shares_memory(new_state.embedder, embedder0)
     assert not np.shares_memory(new_state.centers, state.centers)

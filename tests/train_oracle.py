@@ -1,8 +1,9 @@
 """Reference training path: the allocating loss kernel and local SGD round.
 
 `capfed.losses.loss_gradients` and `capfed.federation.client_local_round`
-work in place on their own buffers; this module keeps the straightforward
-versions they replaced, one fresh array per expression, so tests can demand
+work in place on their own buffers and step a group of clients as one
+stack; this module keeps the straightforward versions they replaced, one
+fresh array per expression and one client at a time, so tests can demand
 the same loss bits and gradient bytes from both. The row norms go through
 np.linalg.norm, as they did before `geometry.row_norms`. Like the package,
 every function here follows its inputs' dtype (`geometry.float_array`):
@@ -187,6 +188,21 @@ def _core(
 
 
 def client_local_round(
+    group: list[ClientState],
+    broadcast_embedder: np.ndarray,
+    foreign: list[np.ndarray],
+    config: FederationConfig,
+    rngs: list[np.random.Generator],
+) -> tuple[list[ClientState], list[float]]:
+    """The group signature of the package's local round, one client at a time."""
+    rounds = [
+        _one_client_round(state, broadcast_embedder, p, config, rng)
+        for state, p, rng in zip(group, foreign, rngs, strict=True)
+    ]
+    return [state for state, _ in rounds], [loss for _, loss in rounds]
+
+
+def _one_client_round(
     state: ClientState,
     broadcast_embedder: np.ndarray,
     foreign: np.ndarray,

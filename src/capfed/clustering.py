@@ -7,9 +7,11 @@ falls below the minimum size, so small groups are never published.
 
 Neighbour counts are streamed, never held as an n x n matrix: the upper
 triangle of the Gram matrix is computed once, at most _BLOCK_ROWS rows and
-_BLOCK_COSINES cosines at a time, to count every row's rho-neighbours, and
-after a release only the removed rows' contribution is subtracted, again in
-blocks. These
+_BLOCK_COSINES cosines at a time, to count every row's rho-neighbours.
+Removing rows can only lower a count, so after a release the counts are
+upper bounds, and they are checked lazily (Minoux's accelerated greedy):
+the seed's own query gives its exact count, and only when the top bound is
+stale are the rows that could still win recounted, again in blocks. These
 block products are float32 (sgemm runs about twice as fast as dgemm); the
 seed's 1 x n query and the removal test stay float64. Working memory is
 O(n * d + _BLOCK_COSINES).
@@ -186,12 +188,15 @@ def _neighbor_counts(centers: np.ndarray, rho: float, single: np.ndarray) -> np.
 def _count_within(
     centers: np.ndarray, single: np.ndarray, rows: np.ndarray, cols: np.ndarray, rho: float
 ) -> np.ndarray:
-    """For each of rows, how many of cols lie within rho of it; rows and cols disjoint.
+    """For each of rows, how many of cols lie within rho of it.
 
-    The products are taken over single, centers as float32.
+    A row that is also one of cols counts itself, by _within_rho's rule for
+    identical rows, so for rows a subset of cols these are the exact
+    neighbour counts within cols. The products are taken over single,
+    centers as float32, at most _BLOCK_COSINES cosines at a time.
     """
     counts = np.zeros(rows.size, dtype=np.int64)
-    if cols.size == 0:
+    if rows.size == 0:
         return counts
     other = single[cols]
     step = max(1, _BLOCK_COSINES // cols.size)
@@ -200,6 +205,20 @@ def _count_within(
         mask = _within_rho(single[block] @ other.T, block, cols, centers, rho)
         counts[start : start + step] = mask.sum(axis=1)
     return counts
+
+
+def _seed_cap(centers: np.ndarray, active: np.ndarray, seed_pos: int, rho: float) -> np.ndarray:
+    """Mask over active of the rows within rho of active[seed_pos], the seed included.
+
+    The seed's 1 x n query is float64; its decisions are those of the block
+    products (see the module docstring), so the mask's size is the seed's
+    exact neighbour count within active.
+    """
+    seed = active[seed_pos : seed_pos + 1]
+    cos = (centers[seed] @ centers.T)[:, active]
+    within = _within_rho(cos, seed, active, centers, rho)[0]
+    within[seed_pos] = True
+    return within
 
 
 def run_clustering(
@@ -225,11 +244,21 @@ def run_clustering(
 
     The densest cap is the active seed with the most active rho-neighbours
     (itself included), ties going to the lowest index. Neighbour counts are
-    computed once in blocks of at most _BLOCK_COSINES cosines and reduced
-    by the removed rows after each release, so memory is O(n * d +
-    _BLOCK_COSINES), not n x n. The neighbour test is theta <= rho, decided
-    on float32 block cosines with a float64 arccos re-check near cos(rho); a
-    row always neighbours itself (see the module docstring).
+    computed once, over all n rows, in blocks of at most _BLOCK_COSINES
+    cosines; once rows leave they are upper bounds on the active counts.
+    Each query takes r, the first active row with the highest bound, and its
+    cap, whose size is r's exact count. If that equals r's bound, r is the
+    densest seed: every other row's count is at most its bound, and a row
+    whose bound ties r's has a higher index. Otherwise r's bound drops to
+    its exact count, and the active rows with a higher bound, or an equal
+    one and a lower index, are recounted in one pass; the first highest
+    bound is then the seed. So a query makes at most one recount pass, of
+    fewer than |active| rows against the |active| active rows: at worst
+    about twice the cosines of the initial count, which decides each pair
+    once, in the same blocks. Memory is O(n * d + _BLOCK_COSINES), not
+    n x n. The neighbour test is theta <= rho, decided on float32 block
+    cosines with a float64 arccos re-check near cos(rho); a row always
+    neighbours itself (see the module docstring).
     """
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] == 0:
@@ -256,15 +285,24 @@ def run_clustering(
     for _ in range(params.max_queries):
         if active.size == 0:
             break
-        seed_pos = int(np.argmax(counts[active]))  # first max: lowest index wins
-        seed = active[seed_pos : seed_pos + 1]
-        cos = (centers[seed] @ centers.T)[:, active]
-        within = _within_rho(cos, seed, active, centers, params.rho)[0]
-        within[seed_pos] = True
+        bounds = counts[active]
+        seed_pos = int(bounds.argmax())  # first max: lowest index wins
+        within = _seed_cap(centers, active, seed_pos, params.rho)
+        exact = np.count_nonzero(within)
+        if exact < bounds[seed_pos]:  # a stale top bound
+            bounds[seed_pos] = exact
+            ahead = bounds > exact
+            ahead[:seed_pos] = bounds[:seed_pos] >= exact
+            bounds[ahead] = _count_within(centers, single, active[ahead], active, params.rho)
+            counts[active] = bounds
+            top = int(bounds.argmax())
+            if top != seed_pos:
+                seed_pos = top
+                within = _seed_cap(centers, active, seed_pos, params.rho)
         members = active[within]
         if members.size < params.min_cluster_size:
             break
-        p = centers[members].mean(axis=0)
+        p = np.add.reduce(centers[members], axis=0) / members.size  # the bits of np.mean
         member_indexes.append(members.copy())
         direction = normalize(p)
         if params.mode == MODE_SANITIZED:
@@ -275,14 +313,13 @@ def run_clustering(
         released_rows.append(released)
         sizes.append(int(members.size))
         fidelities.append(float(np.dot(released, direction)))
-        cos_to_direction = np.clip(centers[active] @ direction, -1.0, 1.0)
+        cos_to_direction = centers[active] @ direction
+        np.maximum(cos_to_direction, -1.0, out=cos_to_direction)  # clip into arccos's domain
+        np.minimum(cos_to_direction, 1.0, out=cos_to_direction)
         keep = np.arccos(cos_to_direction) > params.rho
         keep[seed_pos] = False
-        removed = active[~keep]
-        removed_indexes.append(removed)
+        removed_indexes.append(active[~keep])
         active = active[keep]
-        if len(sizes) < params.max_queries:
-            counts[active] -= _count_within(centers, single, active, removed, params.rho)
 
     rows = np.array(released_rows, dtype=float).reshape(len(sizes), d)
     charged = len(sizes) if params.mode == MODE_SANITIZED else 0

@@ -26,7 +26,8 @@ def normalize(v: np.ndarray) -> np.ndarray:
     Raises ZeroVectorError when ||v||_2 <= 1e-12.
     """
     v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
+    flat = v.ravel(order="K")
+    norm = math.sqrt(flat.dot(flat))  # what np.linalg.norm computes, without its dispatch
     if norm <= ZERO_NORM_FLOOR:
         raise ZeroVectorError(f"cannot normalize vector with norm {norm:.3e}")
     return v / norm

@@ -214,10 +214,10 @@ def stacked_loss_gradients(
         clipped = np.clip(cos_clu.astype(float), -1.0 + _COS_EPS, 1.0 - _COS_EPS)
         cos_clu[...] = clipped
         theta_p = np.arccos(clipped)
-        beyond = theta_p > rho
-        logits[..., n:] = s * np.cos(np.where(beyond, theta_p - rho, 0.0))
-        # Subgradient 0 at theta == rho: inside the margin the term is flat.
-        cluster_gprime = np.where(beyond, s * np.sin(theta_p - rho) / np.sin(theta_p), 0.0)
+        past = np.maximum(theta_p - rho, 0.0)
+        logits[..., n:] = s * np.cos(past)
+        # Subgradient 0 at theta == rho: inside the margin the term is flat (sin(0) = 0).
+        cluster_gprime = s * np.sin(past) / np.sin(theta_p)
         for c in range(stack):  # the row maxima skip padded columns
             logits[c, :, n + ks[c] :] = -np.inf
 

@@ -349,6 +349,9 @@ class TestNeighbourEdgeCases:
         w = np.tile(base, (3, 1))[rng.permutation(90)]
         counts = clustering._neighbor_counts(w, TINY_RHO, w.astype(np.float32))
         np.testing.assert_array_equal(counts, 3)
+        rows = np.arange(0, 90, 7)  # a recount of rows among all the rows they belong to
+        recount = clustering._count_within(w, w.astype(np.float32), rows, np.arange(90), TINY_RHO)
+        np.testing.assert_array_equal(recount, 3)
         p = params(rho=TINY_RHO, min_cluster_size=1, max_queries=1, mode=MODE_NOISE_FREE)
         (members,) = run_clustering(w, p, rng).member_indexes
         np.testing.assert_array_equal(members, np.flatnonzero(np.all(w == w[0], axis=1)))
@@ -360,6 +363,8 @@ class TestNeighbourEdgeCases:
         w = sample_uniform_directions(40, 4, rng) * (1.0 - 5e-10)
         counts = clustering._neighbor_counts(w, TINY_RHO, w.astype(np.float32))
         np.testing.assert_array_equal(counts, 1)
+        recount = clustering._count_within(w, w.astype(np.float32), np.arange(40), np.arange(40), TINY_RHO)
+        np.testing.assert_array_equal(recount, 1)
         p = params(rho=TINY_RHO, min_cluster_size=1, max_queries=1, mode=MODE_NOISE_FREE)
         assert [m.tolist() for m in run_clustering(w, p, rng).member_indexes] == [[0]]
 
@@ -394,6 +399,91 @@ class TestNeighbourEdgeCases:
         report = run_clustering(w, p, rng)
         assert report.queries_used == 1
         np.testing.assert_array_equal(report.removed_indexes[0], np.arange(50))
+
+
+def _circle(groups):
+    # unit rows in the plane: `count` copies of the point at angle `angle` per (angle, count)
+    angles = np.concatenate([np.full(count, angle) for angle, count in groups])
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+def _count_recounts(monkeypatch):
+    # the rows of every recount pass run_clustering makes
+    recounted = []
+    count_within = clustering._count_within
+
+    def counting(centers, single, rows, cols, rho):
+        recounted.append(rows.tolist())
+        return count_within(centers, single, rows, cols, rho)
+
+    monkeypatch.setattr(clustering, "_count_within", counting)
+    return recounted
+
+
+class TestLazyBounds:
+    """Neighbour counts are upper bounds once rows leave; only a stale top bound is recounted."""
+
+    # at rho = 0.3 on the circle: a cap of 30 at 0 and 5 at 0.25 is released first (seed at
+    # 0.25), taking the row at 0.5 as a member but leaving it; that row's bound 14 (itself, the
+    # 5 at 0.25 and 8 at 0.75) is then the stale top, its exact count 9
+    RELEASED_FIRST = [(0.0, 30), (0.25, 5)]
+
+    @pytest.mark.parametrize("mode", [MODE_SANITIZED, MODE_NOISE_FREE])
+    def test_stale_top_bound_overtaken_after_one_recount(self, monkeypatch, mode):
+        # 10 rows at 2.0 (bound and count 10) beat the stale top's 9
+        w = _circle([(0.5, 1), (2.0, 10), (0.75, 8)] + self.RELEASED_FIRST)
+        recounted = _count_recounts(monkeypatch)
+        p = params(rho=0.3, min_cluster_size=1, max_queries=4, mode=mode)
+        _assert_same_as_dense(w, p, 0)
+        report = run_clustering(w, p, np.random.default_rng(0))
+        assert [m.tolist() for m in report.member_indexes] == [
+            [0] + list(range(19, 54)), list(range(1, 11)), [0] + list(range(11, 19))
+        ]
+        # one pass per run, over the rows whose bound exceeds 9: the ten at 2.0
+        assert recounted == [list(range(1, 11))] * 2
+
+    def test_tie_after_a_recount_goes_to_the_lowest_index(self, monkeypatch):
+        # the stale top (the row at 0.5, now last) falls to 9, and the 9 rows at 2.0 and the 8
+        # at 0.75 ahead of it recount to 9 too: the first row at 2.0 is the seed
+        w = _circle([(2.0, 9), (0.75, 8)] + self.RELEASED_FIRST + [(0.5, 1)])
+        recounted = _count_recounts(monkeypatch)
+        p = params(rho=0.3, min_cluster_size=1, max_queries=4, mode=MODE_NOISE_FREE)
+        _assert_same_as_dense(w, p, 0)
+        report = run_clustering(w, p, np.random.default_rng(0))
+        assert [m.tolist() for m in report.member_indexes] == [
+            list(range(17, 53)), list(range(9)), list(range(9, 17)) + [52]
+        ]
+        assert recounted == [list(range(17))] * 2
+
+    def test_caps_farther_apart_than_rho_take_no_recount(self, monkeypatch):
+        # each release removes one whole cap and touches no other row's count, so every top
+        # bound is exact: the shape of the cluster-large benchmark
+        rng = np.random.default_rng(27)
+        axes = np.eye(32)[:6]
+        w = np.concatenate(
+            [planted_bundle(axis, size, 0.1, rng) for axis, size in zip(axes, (40, 35, 30, 25, 20, 15))]
+            + [sample_uniform_directions(200, 32, rng)]
+        )[rng.permutation(365)]
+        recounted = _count_recounts(monkeypatch)
+        p = params(rho=0.5, min_cluster_size=15, max_queries=8)
+        _assert_same_as_dense(w, p, 0)
+        assert run_clustering(w, p, np.random.default_rng(0)).sizes == [40, 35, 30, 25, 20, 15]
+        assert recounted == []
+
+    @pytest.mark.parametrize("mode", [MODE_SANITIZED, MODE_NOISE_FREE])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_mostly_stale_bounds_up_to_n_queries(self, monkeypatch, d, mode):
+        # uniform rows at rho = 1: caps overlap heavily, and most releases after the first
+        # leave the top bound stale, until single rows are released
+        recounted = _count_recounts(monkeypatch)
+        later = 0
+        for seed in range(4):
+            w = sample_uniform_directions(60, d, np.random.default_rng([28, d, seed]))
+            p = params(rho=1.0, min_cluster_size=1, max_queries=60, mode=mode)
+            _assert_same_as_dense(w, p, seed)
+            later += run_clustering(w, p, np.random.default_rng(seed)).queries_used - 1
+        passes = len(recounted) // 2  # each run twice: against the oracle and here
+        assert 2 * passes > later
 
 
 def test_peak_memory_grows_subquadratically():

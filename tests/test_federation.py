@@ -419,9 +419,9 @@ class TestDeriveRng:
 
 def test_run_peak_memory_is_a_bounded_multiple_of_the_shards():
     # a mid shape, 4 x 200 ids x 4 samples at d=128: the run's own persistent arrays (client
-    # states, pairs) take 0.69x the shards' bytes and the run peaks at 1.12x. A run that keeps
-    # every old client state alive through a round peaks at 1.40x; one that also concatenates
-    # the shards for the pairs, at 1.80x.
+    # states, the embedder, pairs) take 0.67x the shards' bytes and the run peaks at 1.26x
+    # (tracemalloc). A run that keeps every old client state alive through a round peaks at
+    # 1.53x; one that also holds the shards concatenated for the whole run, at 2.53x.
     fed = tiny_fed(1, ids_per_client=200, embed_dim=128, input_dim=160)
     config = tiny_config(
         rounds=2,

@@ -210,12 +210,17 @@ def _input_row_norms(path, rows: np.ndarray) -> np.ndarray:
 
 
 def load_unit_embeddings(path) -> np.ndarray:
-    """Load embeddings and normalize rows, warning when renormalization bites."""
+    """Load embeddings and normalize rows, warning when renormalization bites.
+
+    The rows are divided by their norms in place, in the fresh float64 array
+    read_embeddings returns, so no second (n, d) array is made.
+    """
     arr = read_embeddings(path)
     norms = _input_row_norms(path, arr)
     if np.any(np.abs(norms - 1.0) > 1e-6):
         print(f"warning: {path}: rows are not unit norm; normalizing on load", file=sys.stderr)
-    return arr / norms[:, None]
+    arr /= norms[:, None]
+    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,13 @@ block products are float32 (sgemm runs about twice as fast as dgemm); the
 seed's 1 x n query and the removal test stay float64. Working memory is
 O(n * d + _BLOCK_COSINES).
 
+A block's neighbour mask is summed along each axis as its bytes, viewed as
+uint8: bool's own sum goes through int64 and takes two to six times as long.
+A sum along an axis of at most 65,535 entries accumulates in uint16, a
+longer one in int32, and the counts are int32. uint8 would not do: a
+block's column sums reach _BLOCK_ROWS = 256. A row's count reaches n, past
+uint16 from n = 65,536 on; int32 holds any n that fits in memory.
+
 Two rows are neighbours when theta <= rho, theta the arccos of their
 clipped dot product. Cosines are compared with cos(rho) directly; only
 pairs within a band of 4 * d * eps of cos(rho), eps that of the block's
@@ -118,6 +125,7 @@ _BLOCK_COSINES = 1 << 21
 # not need; capping r keeps them under a fraction _BLOCK_ROWS / n of the
 # n^2 / 2 it needs (without the cap, n <= 1448 rows fit one n x n block).
 _BLOCK_ROWS = 256
+_UINT16_MAX = np.iinfo(np.uint16).max
 
 
 def _within_rho(cos: np.ndarray, rows, cols, centers: np.ndarray, rho: float) -> np.ndarray:
@@ -160,6 +168,12 @@ def _within_rho(cos: np.ndarray, rows, cols, centers: np.ndarray, rho: float) ->
     return mask
 
 
+def _mask_sum(mask: np.ndarray, axis: int) -> np.ndarray:
+    """How many True entries a boolean mask holds along axis (see the module docstring)."""
+    dtype = np.uint16 if mask.shape[axis] <= _UINT16_MAX else np.int32
+    return np.add.reduce(mask.view(np.uint8), axis=axis, dtype=dtype)
+
+
 def _neighbor_counts(centers: np.ndarray, rho: float, single: np.ndarray) -> np.ndarray:
     """Number of rows within rho of each row (itself included), over all n rows.
 
@@ -169,7 +183,7 @@ def _neighbor_counts(centers: np.ndarray, rho: float, single: np.ndarray) -> np.
     The products are taken over single, centers as float32.
     """
     n = centers.shape[0]
-    counts = np.zeros(n, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int32)
     start = 0
     while start < n:
         stop = min(n, start + max(1, min(_BLOCK_ROWS, _BLOCK_COSINES // (n - start))))
@@ -179,8 +193,8 @@ def _neighbor_counts(centers: np.ndarray, rho: float, single: np.ndarray) -> np.
         )
         size = stop - start
         mask[np.arange(size), np.arange(size)] = True
-        counts[start:stop] += mask.sum(axis=1)
-        counts[stop:] += mask[:, size:].sum(axis=0)
+        counts[start:stop] += _mask_sum(mask, 1)
+        counts[stop:] += _mask_sum(mask[:, size:], 0)
         start = stop
     return counts
 
@@ -195,7 +209,7 @@ def _count_within(
     neighbour counts within cols. The products are taken over single,
     centers as float32, at most _BLOCK_COSINES cosines at a time.
     """
-    counts = np.zeros(rows.size, dtype=np.int64)
+    counts = np.zeros(rows.size, dtype=np.int32)
     if rows.size == 0:
         return counts
     other = single[cols]
@@ -203,7 +217,7 @@ def _count_within(
     for start in range(0, rows.size, step):
         block = rows[start : start + step]
         mask = _within_rho(single[block] @ other.T, block, cols, centers, rho)
-        counts[start : start + step] = mask.sum(axis=1)
+        counts[start : start + step] = _mask_sum(mask, 1)
     return counts
 
 

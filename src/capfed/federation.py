@@ -254,6 +254,7 @@ def client_local_round(
     a[...] = broadcast_embedder
     w = np.stack([state.centers for state in group])
     labels = np.stack([state.labels for state in group])
+    client_rows = np.arange(len(group))[:, None]
     foreign = [np.asarray(p, dtype=dtype).reshape(-1, d) for p in foreign]
     rho = config.clustering_params.rho
     lr, wd = config.learning_rate, config.weight_decay
@@ -270,7 +271,7 @@ def client_local_round(
                 np.take(state.inputs, rows[c], axis=0, out=x[c], mode="clip")
             raw = x @ a.swapaxes(1, 2)
             bundle = losses.stacked_loss_gradients(
-                raw, np.take_along_axis(labels, rows, axis=1), w, foreign, rho, config.loss
+                raw, labels[client_rows, rows], w, foreign, rho, config.loss
             )
             batch_losses.append(bundle.loss)
             # a -= lr * (d_a + wd * a) and w = normalize_rows(w - lr * d_w),

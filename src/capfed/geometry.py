@@ -69,10 +69,22 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / checked_row_norms(m)[..., None]
 
 
+# Rows has_unit_rows squares at once (512 KiB of float64 at d = 512).
+_UNIT_CHECK_ROWS = 128
+
+
 def has_unit_rows(m: np.ndarray, atol: float = UNIT_ROW_ATOL) -> bool:
-    """True when every row's norm is 1 within atol."""
-    norms = row_norms(np.asarray(m, dtype=float))
-    return bool(np.all(np.abs(norms - 1.0) <= atol))
+    """True when every row of the matrix m has norm 1 within atol.
+
+    The norms are those of row_norms, taken _UNIT_CHECK_ROWS rows at a time,
+    so the check holds no temporary of the whole matrix's size.
+    """
+    m = np.asarray(m, dtype=float)
+    for start in range(0, m.shape[0], _UNIT_CHECK_ROWS):
+        norms = row_norms(m[start : start + _UNIT_CHECK_ROWS])
+        if not np.all(np.abs(norms - 1.0) <= atol):
+            return False
+    return True
 
 
 _BETACF_MAX_ITERATIONS = 1000

@@ -197,21 +197,26 @@ def stacked_loss_gradients(
     cos_all = np.empty((stack, batch, n + k), dtype=dtype)
     cos_cls = cos_all[..., :n]
     np.matmul(f_hat, w_hat.swapaxes(1, 2), out=cos_cls)
-    np.clip(cos_cls, -1.0, 1.0, out=cos_cls)
+    np.maximum(cos_cls, -1.0, out=cos_cls)  # clip into [-1, 1]
+    np.minimum(cos_cls, 1.0, out=cos_cls)
 
-    target = (np.arange(stack)[:, None], np.arange(batch), labels)
+    # Each row's target column, as one flat index into the (C, b, n + K) buffers.
+    target = (np.arange(stack * batch) * (n + k)).reshape(stack, batch) + labels
     logits = np.empty((stack, batch, n + k), dtype=dtype)
+    flat_logits = logits.reshape(-1)
     np.multiply(cos_cls, s, out=logits[..., :n])
     # d(logit)/d(cos) is s for every class logit and cluster_gprime for the
     # cluster logits.
-    logits[target] = s * (cos_cls[target] - m)
+    flat_logits[target] = s * (cos_all.reshape(-1)[target] - m)
 
     if k:
         cos_clu = cos_all[..., n:]
         for c, p in enumerate(foreign):
             np.matmul(f_hat[c], p.T, out=cos_clu[c, :, : ks[c]])
             cos_clu[c, :, ks[c] :] = 0.0
-        clipped = np.clip(cos_clu.astype(float), -1.0 + _COS_EPS, 1.0 - _COS_EPS)
+        clipped = cos_clu.astype(float)
+        np.maximum(clipped, -1.0 + _COS_EPS, out=clipped)
+        np.minimum(clipped, 1.0 - _COS_EPS, out=clipped)
         cos_clu[...] = clipped
         theta_p = np.arccos(clipped)
         past = np.maximum(theta_p - rho, 0.0)
@@ -221,7 +226,7 @@ def stacked_loss_gradients(
         for c in range(stack):  # the row maxima skip padded columns
             logits[c, :, n + ks[c] :] = -np.inf
 
-    target_logits = logits[target]
+    target_logits = flat_logits[target]
     row_max = logits.max(axis=-1, keepdims=True)
     a = logits
     a -= row_max
@@ -235,7 +240,7 @@ def stacked_loss_gradients(
 
     # a = (softmax - onehot) * gprime / batch
     a /= denom
-    a[target] -= 1.0
+    flat_logits[target] -= 1.0
     a[..., :n] *= s / batch
     if k:
         cluster_gprime /= batch

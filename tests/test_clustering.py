@@ -568,12 +568,27 @@ def test_neighbour_counts_recheck_each_in_band_pair_once(monkeypatch, block):
 ROWS = clustering._BLOCK_ROWS
 
 
-@pytest.mark.parametrize("n", [1, 200, ROWS, ROWS + 1, 700, 1500])
-def test_neighbour_counts_walk_the_upper_triangle(monkeypatch, n):
-    # n <= _BLOCK_ROWS is one block; every larger n up to 1448 was one block of n x n cosines
+@pytest.mark.parametrize("length", [255, 256, 65535, 65536])
+def test_mask_sums_hold_the_length_of_their_axis(length):
+    mask = np.ones((2, length), dtype=bool)
+    np.testing.assert_array_equal(clustering._mask_sum(mask, 1), [length, length])
+    np.testing.assert_array_equal(clustering._mask_sum(mask.T, 0), [length, length])
+
+
+@pytest.mark.parametrize(
+    "n, tight", [(n, 0) for n in (1, 200, ROWS, ROWS + 1, 700, 1500)] + [(900, 600)]
+)
+def test_neighbour_counts_walk_the_upper_triangle(monkeypatch, n, tight):
+    # n <= _BLOCK_ROWS is one block; every larger n up to 1448 was one block of n x n cosines.
+    # The tight rows are all within 0.9 of each other: each counts at least 600, and a block
+    # of _BLOCK_ROWS of them adds 256 to every later one, so a byte-wide count wraps.
     rng = np.random.default_rng([26, n])
-    w = np.concatenate([sample_uniform_directions(n - n // 4, 24, rng),
-                        planted_bundle(np.ones(24), n // 4, 0.6, rng)])
+    loose = n - tight
+    w = np.concatenate([sample_uniform_directions(loose - loose // 4, 24, rng),
+                        planted_bundle(np.ones(24), loose // 4, 0.6, rng),
+                        planted_bundle(-np.ones(24), tight, 0.45, rng)])
+    if tight:
+        assert np.all(pairwise_angles(w[loose:]) <= 1.0)
     computed = []
     within_rho = clustering._within_rho
 

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from capfed import geometry
 from capfed.errors import DomainError, ZeroVectorError
 from capfed.geometry import (
+    has_unit_rows,
     normalize,
     normalize_rows,
     occupancy_ratio,
@@ -44,6 +46,15 @@ class TestNormalize:
         m = rng.standard_normal((20, 5)) * 3.0
         out = normalize_rows(m)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
+
+
+def test_has_unit_rows_checks_every_row_block():
+    block = geometry._UNIT_CHECK_ROWS
+    m = sample_uniform_directions(3 * block + 5, 6, np.random.default_rng(12))
+    assert has_unit_rows(m)
+    m[3 * block] *= 1.0 + 1e-8  # the first row of the last, partial block
+    assert not has_unit_rows(m)
+    assert has_unit_rows(m[: 3 * block])
 
 
 class TestRegIncBeta:

@@ -192,7 +192,10 @@ def read_embeddings(path) -> np.ndarray:
             parts = line.split(",")
             if len(parts) != d:
                 raise ParseError(f"{path}:{i}: expected {d} values, got {len(parts)}")
-            rows[i - 2] = [np.float32(p) for p in parts]
+            try:
+                rows[i - 2] = [np.float32(p) for p in parts]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{i}: {exc}") from exc
     if rows.shape[0] == 0:
         raise ParseError(f"{path}: no embedding rows")
     finite = np.isfinite(rows).all(axis=1)

@@ -63,8 +63,10 @@ _LOCKSTEP_BYTES = 1 << 18
 def derive_rng(seed: int, *key) -> np.random.Generator:
     """Independent generator for one (purpose, round, client, ...) slot.
 
-    Strings in the key are folded into integers so distinct purposes get
-    distinct streams.
+    A string part folds to sum((i + 1) * byte_i) over its UTF-8 bytes, and
+    every part to 32 bits. The fold is not injective ("ad" and "cc" both give
+    297, and share a stream); test_package_stream_keys_fold_to_distinct_integers
+    checks that the package's own purpose keys fold apart.
     """
     ints = [int(seed) & 0xFFFFFFFF]
     for part in key:

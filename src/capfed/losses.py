@@ -21,9 +21,9 @@ gradients are the ambient gradients through the normalization map and are
 tangent to the sphere whenever the inputs are already unit.
 
 One kernel, stacked_loss_gradients, serves a stack of C clients, each with
-its own batch, class centers and K_c foreign centers; loss_gradients is its
-call for a stack of one. Stacked, every client's logit rows are padded to
-n + K columns, K = max K_c, and a client's bits are those of its own call:
+its own batch, class centers and K_c foreign centers; one client is a stack
+of one. Every client's logit rows are padded to n + K columns, K = max K_c,
+and a client's bits are those of its call as a stack of one:
 - Passes that treat each element alone or reduce over the batch or over d
   run once on the whole stack: the row norms, the three class-center
   products (np.matmul on stacks runs one gemm per client), the softmax and
@@ -46,8 +46,6 @@ is float64 in either case: the (C, batch, K) cluster angles, because float32
 rounds the clip bound 1 - 1e-12 to 1.0, where theta_p = 0 and the cluster
 derivative sin(theta_p - rho) / sin(theta_p) is 0 / 0. Their logits and
 derivatives are rounded to the input dtype before they enter the softmax.
-The foreign centers are released in float64 and cast to the training dtype
-once per round, by federation.foreign_centers.
 """
 
 from __future__ import annotations
@@ -57,8 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LabelOutOfRangeError, ShapeMismatchError
-from .geometry import float_array, row_norms
+from .errors import DomainError
+from .geometry import row_norms
 
 # Keeps the cluster cosines away from arccos's domain edges when differentiating;
 # the clip and the angles are float64 for every input dtype.
@@ -79,24 +77,13 @@ class LossConfig:
             raise DomainError(f"margin={self.margin} must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class ConsensusContext:
-    """The (K, d) foreign cluster centers for loss_gradients; K may be 0.
-
-    A bare array would do; the holder stays because the benchmark harness
-    (benchmarks/tracing.py) counts K from the `.centers` of this argument.
-    """
-
-    centers: np.ndarray
-
-
 @dataclass
 class GradientBundle:
-    """Loss value with ambient gradients for the embeddings and class centers."""
+    """Per-client losses with ambient gradients for the embeddings and class centers."""
 
-    d_embeddings: np.ndarray  # same shape as the embedding batch
-    d_centers: np.ndarray  # same shape as the center matrix
-    loss: float | np.ndarray  # one float, or a (C,) array for a stack of C clients
+    d_embeddings: np.ndarray  # (C, b, d), the shape of the embedding stack
+    d_centers: np.ndarray  # (C, n, d), the shape of the center stack
+    loss: np.ndarray  # (C,), one batch-mean loss per client
 
 
 def softmax_floor(dtype) -> float:
@@ -112,54 +99,9 @@ def softmax_floor(dtype) -> float:
     return 0.5 * math.log(np.finfo(dtype).tiny)
 
 
-def _check_batch(embeddings: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> None:
-    if embeddings.ndim != 2 or centers.ndim != 2:
-        raise ShapeMismatchError("embeddings and centers must be 2-d arrays")
-    if embeddings.shape[1] != centers.shape[1]:
-        raise ShapeMismatchError(
-            f"embedding dim {embeddings.shape[1]} != center dim {centers.shape[1]}"
-        )
-    if labels.shape != (embeddings.shape[0],):
-        raise ShapeMismatchError("labels must be one integer per batch row")
-    n = centers.shape[0]
-    if labels.size and (labels.min() < 0 or labels.max() >= n):
-        raise LabelOutOfRangeError(f"labels must lie in [0, {n - 1}]")
-
-
 def _unit_rows_and_norms(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = row_norms(m)
     return m / norms[..., None], norms
-
-
-def loss_gradients(
-    embeddings: np.ndarray,
-    labels: np.ndarray,
-    centers: np.ndarray,
-    context: ConsensusContext,
-    rho: float,
-    config: LossConfig,
-) -> GradientBundle:
-    """Consensus loss with analytic gradients for embeddings and centers.
-
-    context holds the K foreign cluster centers, (K, d), K may be 0; a
-    client is not pushed away from its own clusters, so they are not
-    among them. The loss equals the plain margin-softmax loss exactly when
-    K = 0, and is never smaller otherwise: each foreign cluster adds a
-    positive term to every denominator.
-
-    This is stacked_loss_gradients for a stack of one, with the batch's
-    shapes and labels checked.
-    """
-    embeddings = float_array(embeddings)
-    labels = np.asarray(labels, dtype=int)
-    centers = float_array(centers)
-    dtype = np.result_type(embeddings, centers)
-    cluster_centers = np.asarray(context.centers, dtype=dtype).reshape(-1, embeddings.shape[1])
-    _check_batch(embeddings, labels, centers)
-    bundle = stacked_loss_gradients(
-        embeddings[None], labels[None], centers[None], [cluster_centers], rho, config
-    )
-    return GradientBundle(bundle.d_embeddings[0], bundle.d_centers[0], float(bundle.loss[0]))
 
 
 def stacked_loss_gradients(
@@ -170,13 +112,13 @@ def stacked_loss_gradients(
     rho: float,
     config: LossConfig,
 ) -> GradientBundle:
-    """loss_gradients for a stack of C clients, each with its own batch and centers.
+    """The consensus loss with analytic gradients for a stack of C clients.
 
     embeddings is (C, b, d), labels (C, b) integers, centers (C, n, d) and
     foreign C blocks of (K_c, d) foreign centers in the dtype of the
     embeddings and centers. Labels are not range-checked: the caller checks
     them. Returns the (C, b, d) and (C, n, d) gradients and a (C,) array of
-    losses, each client's bits those of its own loss_gradients call.
+    losses, each client's bits those of its call as a stack of one.
 
     Logit layout per row: n class logits followed by the client's K_c
     cluster logits, padded to K = max K_c, as the module docstring states

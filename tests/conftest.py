@@ -4,6 +4,7 @@ import math
 import numpy as np
 
 from capfed.geometry import normalize, normalize_rows
+from capfed.losses import GradientBundle, stacked_loss_gradients
 
 
 def planted_bundle(center: np.ndarray, count: int, max_angle: float, rng) -> np.ndarray:
@@ -30,3 +31,9 @@ def planted_bundle(center: np.ndarray, count: int, max_angle: float, rng) -> np.
 def with_shard_dtype(fed, dtype):
     """The same federation with its client shards cast to dtype."""
     return dataclasses.replace(fed, client_inputs=[x.astype(dtype) for x in fed.client_inputs])
+
+
+def one_client_loss(f, labels, w, foreign, rho, config):
+    """stacked_loss_gradients on a stack of one: 2-d gradients and the loss as a float."""
+    bundle = stacked_loss_gradients(f[None], labels[None], w[None], [foreign], rho, config)
+    return GradientBundle(bundle.d_embeddings[0], bundle.d_centers[0], float(bundle.loss[0]))

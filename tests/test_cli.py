@@ -279,14 +279,28 @@ class TestEmbeddingsFiles:
         with pytest.raises(ParseError):
             read_embeddings(path)
 
-    @pytest.mark.parametrize("header", ["1,-2", "-1,2"])
-    def test_negative_csv_header_size_rejected(self, tmp_path, capsys, header):
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("1,-2\n1.0,0.0\n", "1: header sizes must be >= 0"),
+            ("-1,2\n1.0,0.0\n", "1: header sizes must be >= 0"),
+            ("2,2\n1,0\nabc,1\n", "3: could not convert string to float: 'abc'"),
+        ],
+        ids=["negative-d", "negative-n", "non-numeric"],
+    )
+    def test_malformed_csv_rejected(self, tmp_path, capsys, text, where):
         path = tmp_path / "bad.csv"
-        path.write_text(f"{header}\n1.0,0.0\n")
-        with pytest.raises(ParseError, match="header sizes must be >= 0"):
+        path.write_text(text)
+        with pytest.raises(ParseError, match=where.partition(": ")[2]):
             read_embeddings(path)
-        assert main(["cluster", "--embeddings", str(path), "--min-size", "1"]) == 2
-        assert f"validation error: {path}:1: header sizes must be >= 0" in capsys.readouterr().err
+        out = tmp_path / "out.json"
+        for argv in (
+            ["cluster", "--embeddings", str(path), "--min-size", "1"],
+            ["attack", "--exposed", str(path), "--gallery", str(path)],
+        ):
+            assert main(argv + ["--out", str(out)]) == 2
+            assert f"validation error: {path}:{where}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

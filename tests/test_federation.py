@@ -23,8 +23,9 @@ from capfed.federation import (
     run_federation,
 )
 from capfed.geometry import normalize_rows
-from capfed.losses import ConsensusContext, LossConfig, loss_gradients
+from capfed.losses import LossConfig
 from capfed.synth import SynthParams, generate_federation
+from conftest import one_client_loss
 
 
 def tiny_config(**kw):
@@ -302,7 +303,7 @@ class TestRunFederation:
                 items = nxt
             return items[0] / len(mats)
 
-        ctx = ConsensusContext(np.zeros((0, fed.params.embed_dim)))
+        ctx = np.zeros((0, fed.params.embed_dim))
         for t in range(1, 4):
             new_models = []
             for c in range(4):
@@ -315,7 +316,7 @@ class TestRunFederation:
                 for start in range(0, n, batch):
                     rows = order[start : start + batch]
                     x = inputs[c][rows]
-                    bundle = loss_gradients(
+                    bundle = one_client_loss(
                         x @ a.T, labels[c][rows], w, ctx, config.clustering_params.rho, config.loss
                     )
                     a -= config.learning_rate * (

@@ -18,9 +18,9 @@ from capfed.clustering import ClusteringParams
 from capfed.dp import PrivacyBudget
 from capfed.federation import FederationConfig, derive_rng, run_federation
 from capfed.geometry import has_unit_rows, normalize_rows
-from capfed.losses import ConsensusContext, LossConfig, loss_gradients
+from capfed.losses import LossConfig
 from capfed.synth import SynthParams, generate_federation
-from conftest import with_shard_dtype
+from conftest import one_client_loss, with_shard_dtype
 
 # Largest |float32 - float64| over seeds 1-3 of the default shape, as a TAR fraction.
 TAR_TOLERANCE = 0.02
@@ -43,10 +43,10 @@ def test_float32_embedding_at_a_foreign_center_is_finite(inside):
     f = center + inside * rng.standard_normal((1, 16))
     f = np.concatenate([f, rng.standard_normal((3, 16))]).astype(np.float32)
     w = normalize_rows(rng.standard_normal((5, 16))).astype(np.float32)
-    context = ConsensusContext(center.astype(np.float32))
+    foreign = center.astype(np.float32)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bundle = loss_gradients(f, np.array([0, 1, 2, 3]), w, context, 0.8, LossConfig())
+        bundle = one_client_loss(f, np.array([0, 1, 2, 3]), w, foreign, 0.8, LossConfig())
     assert math.isfinite(bundle.loss)
     assert bundle.d_embeddings.dtype == bundle.d_centers.dtype == np.float32
     assert np.isfinite(bundle.d_embeddings).all() and np.isfinite(bundle.d_centers).all()
@@ -62,10 +62,9 @@ def test_float32_gradients_at_paper_shape_match_float64():
     # a third of the clusters sit close to batch rows, inside their caps
     clusters[:8] = normalize_rows(f[:8] + 0.3 * rng.standard_normal((8, d)) / math.sqrt(d))
     clusters = clusters.astype(np.float32)  # both runs see the same float32 values
-    single = loss_gradients(f, labels, w, ConsensusContext(clusters), rho, LossConfig())
-    double = loss_gradients(
-        f.astype(float), labels, w.astype(float), ConsensusContext(clusters.astype(float)),
-        rho, LossConfig(),
+    single = one_client_loss(f, labels, w, clusters, rho, LossConfig())
+    double = one_client_loss(
+        f.astype(float), labels, w.astype(float), clusters.astype(float), rho, LossConfig()
     )
     assert abs(single.loss - double.loss) <= 1e-6 * abs(double.loss)
     for x, y in ((single.d_embeddings, double.d_embeddings), (single.d_centers, double.d_centers)):

@@ -25,9 +25,9 @@ from capfed.federation import (
     run_federation,
 )
 from capfed.geometry import normalize_rows
-from capfed.losses import ConsensusContext, LossConfig, loss_gradients, stacked_loss_gradients
+from capfed.losses import LossConfig, stacked_loss_gradients
 from capfed.synth import SynthParams, generate_federation
-from conftest import with_shard_dtype
+from conftest import one_client_loss, with_shard_dtype
 
 DTYPES = [np.float32, np.float64]
 ARRAY_FIELDS = ("embedder", "centers", "inputs", "labels", "global_ids")
@@ -118,7 +118,7 @@ def test_group_steps_are_each_clients_own_steps(dtype):
 # matrix-vector product into a gemm.
 @pytest.mark.parametrize("ks, d", [([40, 0, 3, 90], 8), ([24, 3, 6, 1], 32)])
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_stacked_kernel_is_each_clients_loss_gradients(ks, d, dtype):
+def test_stacked_kernel_is_each_clients_stack_of_one(ks, d, dtype):
     rng = np.random.default_rng(3)
     batch, n = 13, 11
     f = (rng.standard_normal((4, batch, d)) * 2.0).astype(dtype)
@@ -129,7 +129,7 @@ def test_stacked_kernel_is_each_clients_loss_gradients(ks, d, dtype):
     stacked = stacked_loss_gradients(f, labels, w, foreign, 0.7, config)
     assert stacked.loss.shape == (4,)
     for c in range(4):
-        alone = loss_gradients(f[c], labels[c], w[c], ConsensusContext(foreign[c]), 0.7, config)
+        alone = one_client_loss(f[c], labels[c], w[c], foreign[c], 0.7, config)
         assert alone.loss == float(stacked.loss[c])
         assert alone.d_embeddings.tobytes() == stacked.d_embeddings[c].tobytes()
         assert alone.d_centers.tobytes() == stacked.d_centers[c].tobytes()

@@ -27,9 +27,9 @@ from capfed.federation import (
     run_federation,
 )
 from capfed.geometry import checked_row_norms, normalize_rows, row_norms
-from capfed.losses import ConsensusContext, LossConfig, loss_gradients
+from capfed.losses import LossConfig, stacked_loss_gradients
 from capfed.synth import SynthParams, generate_federation
-from conftest import with_shard_dtype
+from conftest import one_client_loss, with_shard_dtype
 
 
 def assert_same_bundle(live, ref):
@@ -69,7 +69,7 @@ def check_kernel_cases(k, dtype):
             rho=float(rng.uniform(0.05, 1.5)),
         )
         f, w, clusters = (x.astype(dtype) for x in (f, w, clusters))
-        live = loss_gradients(f, labels, w, ConsensusContext(clusters), rho, config)
+        live = one_client_loss(f, labels, w, clusters, rho, config)
         ref = oracle._core(f, labels, w, clusters, rho, config)
         assert live.d_embeddings.dtype == dtype
         assert_same_bundle(live, ref)
@@ -91,7 +91,7 @@ def test_kernel_matches_oracle_at_paper_shape(dtype):
     f, labels, w, clusters, rho = kernel_case(rng, 24, b=256, n=1000, d=512, rho=1.3)
     f, w, clusters = (x.astype(dtype) for x in (f, w, clusters))
     config = LossConfig(64.0)
-    live = loss_gradients(f, labels, w, ConsensusContext(clusters), rho, config)
+    live = one_client_loss(f, labels, w, clusters, rho, config)
     assert live.d_embeddings.dtype == dtype
     assert_same_bundle(live, oracle._core(f, labels, w, clusters, rho, config))
 
@@ -101,9 +101,8 @@ def test_integer_scale_is_the_float_scale():
     # scale, which truncated the cluster derivatives.
     rng = np.random.default_rng(16)
     f, labels, w, clusters, rho = kernel_case(rng, 4)
-    ctx = ConsensusContext(clusters)
-    as_int = loss_gradients(f, labels, w, ctx, rho, LossConfig(16))
-    as_float = loss_gradients(f, labels, w, ctx, rho, LossConfig(16.0))
+    as_int = one_client_loss(f, labels, w, clusters, rho, LossConfig(16))
+    as_float = one_client_loss(f, labels, w, clusters, rho, LossConfig(16.0))
     assert_same_bundle(as_int, as_float)
 
 
@@ -265,13 +264,23 @@ def snapshot(*arrays):
     return [(np.asarray(x).dtype, np.asarray(x).shape, np.asarray(x).tobytes()) for x in arrays]
 
 
-def test_loss_gradients_leaves_inputs_unchanged():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_stacked_kernel_leaves_inputs_unchanged(dtype):
+    # three clients with K_c = 4, 0, 7, so the kernel pads cluster columns; read-only
+    # inputs make any write into them raise
     rng = np.random.default_rng(15)
-    config = LossConfig(30.0)
-    f, labels, w, clusters, rho = kernel_case(rng, 4)
-    before = snapshot(f, labels, w, clusters)
-    loss_gradients(f, labels, w, ConsensusContext(clusters), rho, config)
-    assert snapshot(f, labels, w, clusters) == before
+    cases = [kernel_case(rng, k) for k in (4, 0, 7)]
+    f, labels, w = (np.stack([case[i] for case in cases]) for i in range(3))
+    f, w = f.astype(dtype), w.astype(dtype)
+    foreign = [case[3].astype(dtype) for case in cases]
+    inputs = (f, labels, w, *foreign)
+    before = snapshot(*inputs)
+    for x in inputs:
+        x.flags.writeable = False
+    bundle = stacked_loss_gradients(f, labels, w, foreign, cases[0][4], LossConfig(30.0))
+    assert snapshot(*inputs) == before
+    for out in (bundle.d_embeddings, bundle.d_centers):
+        assert out.flags.writeable and not any(np.shares_memory(out, x) for x in inputs)
 
 
 def test_client_steps_leave_inputs_unchanged():

@@ -1,20 +1,20 @@
 """Reference training path: the allocating loss kernel and local SGD round.
 
-`capfed.losses.loss_gradients` and `capfed.federation.client_local_round`
-work in place on their own buffers and step a group of clients as one
-stack; this module keeps the straightforward versions they replaced, one
-fresh array per expression and one client at a time, so tests can demand
-the same loss bits and gradient bytes from both. The row norms go through
-np.linalg.norm, as they did before `geometry.row_norms`. Like the package,
-every function here follows its inputs' dtype (`geometry.float_array`):
-float64 inputs give the float64 bits, float32 inputs the float32 bits, and
-the kernel takes the cluster angles in float64 and rounds their logits and
-derivatives to the input dtype. Helpers whose behaviour did not change
-(`_check_batch`, `GradientBundle`, the loss constants, `float_array`) are
-imported from the package. `margin_similarity` and
-`cluster_similarity` are the scalar, one-angle forms of the kernel's logits,
-and `finite_diff_check` is the central-difference check the gradient tests
-judge `loss_gradients` by.
+`capfed.losses.stacked_loss_gradients` and
+`capfed.federation.client_local_round` work in place on their own buffers
+and step a group of clients as one stack; this module keeps the
+straightforward versions they replaced, one fresh array per expression and
+one client at a time, so tests can demand the same loss bits and gradient
+bytes from both. The row norms go through np.linalg.norm, as they did
+before `geometry.row_norms`. Like the package, every function here follows
+its inputs' dtype (`geometry.float_array`): float64 inputs give the float64
+bits, float32 inputs the float32 bits, and the kernel takes the cluster
+angles in float64 and rounds their logits and derivatives to the input
+dtype. Helpers whose behaviour did not change (`GradientBundle`, the loss
+constants, `float_array`) are imported from the package.
+`margin_similarity` and `cluster_similarity` are the scalar, one-angle
+forms of the kernel's logits, and `finite_diff_check` is the
+central-difference check the gradient tests judge the kernel by.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from capfed.errors import (
 )
 from capfed.federation import ClientState, FederationConfig, derive_rng
 from capfed.geometry import ZERO_NORM_FLOOR, float_array
-from capfed.losses import _COS_EPS, GradientBundle, LossConfig, _check_batch
+from capfed.losses import _COS_EPS, GradientBundle, LossConfig
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -122,7 +122,7 @@ def _core(
     rho: float,
     config: LossConfig,
 ) -> GradientBundle:
-    """The allocating reference for capfed.losses.loss_gradients.
+    """The allocating reference for one client of capfed.losses.stacked_loss_gradients.
 
     Logit layout per row: n class logits followed by K cluster logits. The
     target class logit uses the margin form, the other class logits the plain
@@ -133,7 +133,6 @@ def _core(
     centers = float_array(centers)
     dtype = np.result_type(embeddings, centers)
     cluster_centers = np.asarray(cluster_centers, dtype=dtype).reshape(-1, embeddings.shape[1])
-    _check_batch(embeddings, labels, centers)
 
     batch, _ = embeddings.shape
     n = centers.shape[0]

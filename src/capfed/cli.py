@@ -257,16 +257,16 @@ def cmd_calibrate(args) -> int:
     budget = cfg.fed_config.clustering_params.budget
     rho = cfg.fed_config.clustering_params.rho
     size = args.size
-    cals = {
-        "tight": dp.sigma_tight(size, rho, budget),
-        "weak": dp.sigma_weak(size, rho, budget),
-        "naive": dp.naive_sigma(budget),
+    sensitivity = {
+        "tight": dp.tight_sensitivity(size, rho),
+        "weak": dp.weak_sensitivity(size, rho),
+        "naive": dp.NAIVE_SENSITIVITY,
     }
     payload = {
         "config": cfg.resolved,
         "inputs": {"size": size, "rho": rho, "epsilon": budget.epsilon, "delta": budget.delta},
-        "sigma": {bound: cal.sigma for bound, cal in cals.items()},
-        "sensitivity": {bound: cal.sensitivity for bound, cal in cals.items()},
+        "sigma": {bound: dp.gaussian_sigma(s, budget) for bound, s in sensitivity.items()},
+        "sensitivity": sensitivity,
     }
     _emit_json(payload, args, "calibrate.json", cfg.out_dir)
     return 0

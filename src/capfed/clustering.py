@@ -283,7 +283,7 @@ def run_clustering(
     budget = params.budget
 
     if params.mode == MODE_NAIVE_PER_CENTER:
-        noised = dp.gaussian_perturb(centers, dp.naive_sigma(budget).sigma, rng)
+        noised = dp.gaussian_perturb(centers, dp.gaussian_sigma(dp.NAIVE_SENSITIVITY, budget), rng)
         fidelities = np.sum(normalize_rows(noised) * centers, axis=1).tolist()
         return ClusteringReport(noised, [1] * n, n, fidelities)
 
@@ -320,8 +320,8 @@ def run_clustering(
         member_indexes.append(members.copy())
         direction = normalize(p)
         if params.mode == MODE_SANITIZED:
-            calibration = dp.sigma_tight(int(members.size), params.rho, budget)
-            released = normalize(dp.gaussian_perturb(p, calibration.sigma, rng))
+            sigma = dp.gaussian_sigma(dp.tight_sensitivity(int(members.size), params.rho), budget)
+            released = normalize(dp.gaussian_perturb(p, sigma, rng))
         else:
             released = direction
         released_rows.append(released)

@@ -1,18 +1,24 @@
 """Gaussian-mechanism calibration, noise application, and additive privacy accounting.
 
-Three noise scales are supported for releasing a mean of unit vectors whose
-pairwise angles are bounded by the cluster margin:
+A release adds Gaussian noise scaled to how far it can move when one input
+row is swapped. Three sensitivities are defined:
 
-* ``tight``  per-release sensitivity sqrt(2 - 2 cos(2 rho)) / |S|,
-* ``weak``   the looser triangle-inequality bound 2 sqrt(2 - 2 cos rho) / |S|,
-* ``naive``  sensitivity 2, for releasing each unit class center individually.
+* ``tight_sensitivity``  sqrt(2 - 2 cos(2 rho)) / |S|, for the mean of a
+  cluster S of unit vectors within angle rho of a common center;
+* ``weak_sensitivity``   the looser triangle-inequality bound
+  2 sqrt(2 - 2 cos rho) / |S| on the same mean;
+* ``NAIVE_SENSITIVITY``  2, for releasing each unit class center individually.
 
-Each calibration returns the minimal standard deviation satisfying
-sigma >= sensitivity / epsilon * sqrt(2 ln(1.25 / delta)), and sigma must be
-positive: the mechanism is private only with noise, so a calibration or a
-perturbation with sigma <= 0 raises DomainError. The tight sensitivity rounds
-to 0 below rho ~ 5.27e-9; its exact form 2 sin(rho) / |S| is left to the
-calibration rework in ROADMAP.md, because it changes sigma's bits at some rho.
+``gaussian_sigma`` turns any of them into one noise scale, the classical
+sigma = sensitivity / epsilon * sqrt(2 ln(1.25 / delta)). That bound is
+proved only for epsilon < 1 (Dwork & Roth 2014, Thm A.1), while the default
+epsilon is 1; the analytic Gaussian that holds for every epsilon is left to
+the calibration rework in ROADMAP.md. sigma must be positive and finite: the
+mechanism is private only with noise, and an infinite sigma (a tiny epsilon)
+turns every release into inf or NaN, so a calibration or a perturbation
+with such a sigma raises DomainError. The tight sensitivity rounds to 0
+below rho ~ 5.27e-9; its exact form 2 sin(rho) / |S| is left to the same
+rework, because it changes sigma's bits at some rho.
 
 The privacy unit is one row of one client's center matrix: neighbouring
 inputs differ in one swapped row, the other rows fixed. Neither
@@ -34,8 +40,6 @@ from .errors import DomainError
 
 DEFAULT_DELTA = 5e-5
 
-_CALIBRATION_SLACK = 1e-12
-
 
 def _std_factor(delta: float) -> float:
     return math.sqrt(2.0 * math.log(1.25 / delta))
@@ -55,26 +59,6 @@ class PrivacyBudget:
             raise DomainError(f"delta={self.delta} must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class MechanismCalibration:
-    """A noise scale together with the sensitivity and budget that justify it."""
-
-    sigma: float
-    sensitivity: float
-    budget: PrivacyBudget
-    bound_kind: str  # "tight" | "weak" | "naive"
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma={self.sigma} must be positive ({self.bound_kind} "
-                              f"sensitivity {self.sensitivity})")
-        lower = self.sensitivity / self.budget.epsilon * _std_factor(self.budget.delta)
-        if self.sigma < lower - _CALIBRATION_SLACK:
-            raise DomainError(
-                f"sigma={self.sigma} below the Gaussian-mechanism bound {lower}"
-            )
-
-
 def _check_cluster_inputs(cluster_size: int, rho: float) -> None:
     if int(cluster_size) != cluster_size or cluster_size < 1:
         raise DomainError(f"cluster_size={cluster_size} must be an integer >= 1")
@@ -82,50 +66,54 @@ def _check_cluster_inputs(cluster_size: int, rho: float) -> None:
         raise DomainError(f"rho={rho} outside (0, pi/2]")
 
 
-def sigma_tight(cluster_size: int, rho: float, budget: PrivacyBudget) -> MechanismCalibration:
-    """Minimal noise scale for releasing a cluster mean, tight sensitivity bound.
+def tight_sensitivity(cluster_size: int, rho: float) -> float:
+    """How far the mean of a cluster moves when one member is swapped.
 
     The mean of |S| unit vectors that all lie within angle rho of a common
-    center moves by at most sqrt(2 - 2 cos(2 rho)) / |S| when one member is
-    swapped, because any two members are within 2 rho of each other.
+    center moves by at most sqrt(2 - 2 cos(2 rho)) / |S|, because any two
+    members are within 2 rho of each other.
     """
     _check_cluster_inputs(cluster_size, rho)
-    sensitivity = math.sqrt(2.0 - 2.0 * math.cos(2.0 * rho)) / cluster_size
-    sigma = sensitivity / budget.epsilon * _std_factor(budget.delta)
-    return MechanismCalibration(sigma, sensitivity, budget, "tight")
+    return math.sqrt(2.0 - 2.0 * math.cos(2.0 * rho)) / cluster_size
 
 
-def sigma_weak(cluster_size: int, rho: float, budget: PrivacyBudget) -> MechanismCalibration:
-    """Minimal noise scale under the looser two-hop sensitivity bound.
+def weak_sensitivity(cluster_size: int, rho: float) -> float:
+    """The looser two-hop bound on the same swap distance.
 
     Bounds the swap distance through the common center instead of directly:
     ||w - w'|| <= ||w - o|| + ||w' - o|| <= 2 sqrt(2 - 2 cos rho). Always at
-    least as large as the tight calibration; the ratio is exactly cos(rho / 2).
+    least the tight sensitivity; the ratio tight / weak is exactly cos(rho / 2).
     """
     _check_cluster_inputs(cluster_size, rho)
-    sensitivity = 2.0 * math.sqrt(2.0 - 2.0 * math.cos(rho)) / cluster_size
+    return 2.0 * math.sqrt(2.0 - 2.0 * math.cos(rho)) / cluster_size
+
+
+# Two unit vectors can be up to distance 2 apart: the sensitivity of
+# releasing one unit class center directly.
+NAIVE_SENSITIVITY = 2.0
+
+
+def gaussian_sigma(sensitivity: float, budget: PrivacyBudget) -> float:
+    """sensitivity / epsilon * sqrt(2 ln(1.25 / delta)), which must be positive and finite."""
     sigma = sensitivity / budget.epsilon * _std_factor(budget.delta)
-    return MechanismCalibration(sigma, sensitivity, budget, "weak")
+    _check_sigma(sigma)
+    return sigma
 
 
-def naive_sigma(budget: PrivacyBudget) -> MechanismCalibration:
-    """Noise scale for releasing a single unit class center directly.
-
-    Two unit vectors can be up to distance 2 apart, so the sensitivity is 2.
-    """
-    sensitivity = 2.0
-    sigma = sensitivity / budget.epsilon * _std_factor(budget.delta)
-    return MechanismCalibration(sigma, sensitivity, budget, "naive")
+def _check_sigma(sigma: float) -> None:
+    if not sigma > 0.0:
+        raise DomainError(f"sigma={sigma} must be positive")
+    if not math.isfinite(sigma):
+        raise DomainError(f"sigma={sigma} must be finite")
 
 
 def gaussian_perturb(p: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Return p + v with v drawn i.i.d. N(0, sigma^2) per coordinate; sigma > 0.
+    """Return p + v with v drawn i.i.d. N(0, sigma^2) per coordinate; sigma > 0 and finite.
 
     The draws fill v in C order, so one call over an (n, d) matrix takes
     the same bits from rng as n calls over its rows.
     """
-    if not sigma > 0.0:
-        raise DomainError(f"sigma={sigma} must be positive")
+    _check_sigma(sigma)
     p = np.asarray(p, dtype=float)
     return p + rng.normal(0.0, sigma, size=p.shape)
 

@@ -23,13 +23,16 @@ UNIT_ROW_ATOL = 1e-9
 def normalize(v: np.ndarray) -> np.ndarray:
     """Return v / ||v||_2, preserving direction.
 
-    Raises ZeroVectorError when ||v||_2 <= 1e-12.
+    Raises ZeroVectorError when ||v||_2 <= 1e-12, and DomainError when
+    ||v||_2 is not finite (dividing by an overflowed norm gives 0 or NaN).
     """
     v = np.asarray(v, dtype=float)
     flat = v.ravel(order="K")
     norm = math.sqrt(flat.dot(flat))  # what np.linalg.norm computes, without its dispatch
     if norm <= ZERO_NORM_FLOOR:
         raise ZeroVectorError(f"cannot normalize vector with norm {norm:.3e}")
+    if not math.isfinite(norm):
+        raise DomainError(f"cannot normalize vector with norm {norm}")
     return v / norm
 
 

@@ -74,8 +74,8 @@ def dense_run_clustering(
         member_indexes.append(members)
         direction = normalize(p)
         if params.mode == MODE_SANITIZED:
-            calibration = dp.sigma_tight(int(members.size), params.rho, budget)
-            released = normalize(dp.gaussian_perturb(p, calibration.sigma, rng))
+            sigma = dp.gaussian_sigma(dp.tight_sensitivity(int(members.size), params.rho), budget)
+            released = normalize(dp.gaussian_perturb(p, sigma, rng))
         else:
             released = direction.copy()
         released_rows.append(released)

@@ -317,9 +317,12 @@ class TestCommands:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         budget = dp.PrivacyBudget(1.0, 5e-5)
-        assert payload["sigma"]["tight"] == dp.sigma_tight(512, 1.3, budget).sigma
-        assert payload["sigma"]["weak"] == dp.sigma_weak(512, 1.3, budget).sigma
-        assert payload["sigma"]["naive"] == dp.naive_sigma(budget).sigma
+        sensitivity = {"tight": dp.tight_sensitivity(512, 1.3),
+                       "weak": dp.weak_sensitivity(512, 1.3),
+                       "naive": dp.NAIVE_SENSITIVITY}
+        assert payload["sensitivity"] == sensitivity
+        sigma = {bound: dp.gaussian_sigma(s, budget) for bound, s in sensitivity.items()}
+        assert payload["sigma"] == sigma
         assert "config" in payload
 
     def test_calibrate_byte_identical(self, tmp_path, capsys):
@@ -813,6 +816,39 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert "validation error" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("mode", ["sanitized", "naive_per_center"])
+    def test_cluster_at_subnormal_epsilon_is_three_without_output(self, tmp_path, capsys, mode):
+        # sigma = sensitivity / 1e-320 overflows to inf: the releases would be NaN
+        emb = tmp_path / "centers.bin"
+        write_embeddings_binary(emb, sample_uniform_directions(40, 4, np.random.default_rng(0)))
+        out = tmp_path / "clusters.json"
+        argv = ["cluster", "--embeddings", str(emb), "--eps", "1e-320", "--min-size", "2",
+                "--mode", mode, "--out", str(out)]
+        assert main(argv) == 3
+        assert "runtime error: sigma=inf must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cluster_whose_noised_mean_overflows_is_three_without_output(self, tmp_path, capsys):
+        # sigma ~ 1e199 is finite, but the noised mean's squared norm overflows: dividing
+        # by that inf norm would release a zero vector as a unit center
+        emb = tmp_path / "centers.bin"
+        write_embeddings_binary(emb, sample_uniform_directions(40, 4, np.random.default_rng(0)))
+        out = tmp_path / "clusters.json"
+        argv = ["cluster", "--embeddings", str(emb), "--eps", "1e-200", "--min-size", "2",
+                "--out", str(out)]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(argv) == 3
+        assert "runtime error: cannot normalize vector with norm inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_calibrate_at_subnormal_epsilon_is_three_without_output(self, tmp_path, capsys):
+        out = tmp_path / "calibrate.json"
+        assert main(["calibrate", "--size", "8", "--eps", "1e-320", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "runtime error: sigma=inf must be finite" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_validation_error_is_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

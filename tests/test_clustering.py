@@ -15,7 +15,7 @@ from capfed.clustering import (
     ClusteringParams,
     run_clustering,
 )
-from capfed.dp import PrivacyBudget, naive_sigma
+from capfed.dp import PrivacyBudget, tight_sensitivity
 from capfed.errors import DomainError, EmptyInputError
 from capfed.geometry import normalize, normalize_rows, sample_uniform_directions
 from conftest import planted_bundle
@@ -140,6 +140,22 @@ class TestRunClustering:
             raw_direction = normalize(w[members].mean(axis=0))
             assert not np.array_equal(center, raw_direction)
 
+    def test_sanitized_release_is_the_written_gaussian_mechanism(self):
+        # sigma = sqrt(2 - 2 cos(2 rho)) / |S| / epsilon * sqrt(2 ln(1.25 / delta)), spelled
+        # out here: the weak bound, or any other |S|, draws other bits
+        w = sample_uniform_directions(300, 8, np.random.default_rng(6))
+        rng, ref = np.random.default_rng(15), np.random.default_rng(15)
+        report = run_clustering(w, params(min_cluster_size=20, max_queries=3), rng)
+        assert len(set(report.sizes)) == 3
+        for center, members in zip(report.centers, report.member_indexes):
+            size = members.size
+            sigma = math.sqrt(2.0 - 2.0 * math.cos(2.0 * 1.3)) / size / 1.0 * math.sqrt(
+                2.0 * math.log(1.25 / 5e-5)
+            )
+            want = normalize(np.mean(w[members], axis=0) + ref.normal(0.0, sigma, 8))
+            assert center.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_noise_free_deterministic_and_stream_untouched(self):
         rng_data = np.random.default_rng(7)
         w = sample_uniform_directions(150, 8, rng_data)
@@ -201,7 +217,7 @@ class TestRunClustering:
         w = sample_uniform_directions(37, 9, np.random.default_rng(13))
         rng, ref = np.random.default_rng(14), np.random.default_rng(14)
         report = run_clustering(w, params(mode=MODE_NAIVE_PER_CENTER), rng)
-        sigma = naive_sigma(BUDGET).sigma
+        sigma = 2.0 / 1.0 * math.sqrt(2.0 * math.log(1.25 / 5e-5))  # sensitivity 2
         want = [w[i] + ref.normal(0.0, sigma, 9) for i in range(37)]
         assert [c.tobytes() for c in report.centers] == [v.tobytes() for v in want]
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -275,6 +291,64 @@ def _with_duplicates(n, d, rng):
     copies = base[rng.integers(0, base.shape[0], n // 3)]
     w = np.concatenate([base, copies])
     return w[rng.permutation(n)]
+
+
+def rows_at_angles(axis, angles, rng):
+    """Unit rows at the given angles from the unit vector axis, each toward a random direction."""
+    u = rng.standard_normal((len(angles), axis.size))
+    u = normalize_rows(u - np.outer(u @ axis, axis))
+    angles = np.asarray(angles, dtype=float)[:, None]
+    return normalize_rows(np.cos(angles) * axis + np.sin(angles) * u)
+
+
+class TestTightSensitivity:
+    """Noise-free neighbours: one member swapped for another row of the same cap.
+
+    Row 0 is the cap's seed: every cap row lies within rho of it, so its count
+    is the largest and wins any tie. A swap that keeps the new row inside the
+    cap keeps the members, and the mean moves by ||w_i - w_i'|| / |S|.
+    """
+
+    @staticmethod
+    def swap_ratio(w, i, row, rho):
+        """||p - p'|| / tight_sensitivity(|S|, rho) for w and w with row i replaced."""
+        swapped = w.copy()
+        swapped[i] = row
+        cap = params(rho=rho, min_cluster_size=2, max_queries=1, mode=MODE_NOISE_FREE)
+        before = run_clustering(w, cap, np.random.default_rng(0)).member_indexes[0]
+        after = run_clustering(swapped, cap, np.random.default_rng(0)).member_indexes[0]
+        np.testing.assert_array_equal(before, after)
+        assert i in before
+        move = np.mean(w[before], axis=0) - np.mean(swapped[before], axis=0)
+        return float(np.linalg.norm(move)) / tight_sensitivity(before.size, rho)
+
+    @staticmethod
+    def cap_with_background(d, rho, rng):
+        axis = normalize(rng.standard_normal(d))
+        members = rows_at_angles(axis, rng.uniform(0.0, 0.999 * rho, 29), rng)
+        background = rows_at_angles(-axis, rng.uniform(0.0, 0.2, 10), rng)
+        return axis, np.vstack([axis, members, background])
+
+    @pytest.mark.parametrize("rho", [0.4, 1.3])
+    @pytest.mark.parametrize("d", [3, 32, 512])
+    def test_swapping_a_member_moves_the_mean_at_most_the_sensitivity(self, d, rho):
+        rng = np.random.default_rng(d)
+        axis, w = self.cap_with_background(d, rho, rng)
+        for _ in range(20):
+            i = int(rng.integers(1, 30))
+            row = rows_at_angles(axis, [rng.uniform(0.0, 0.999 * rho)], rng)[0]
+            assert self.swap_ratio(w, i, row, rho) <= 1.0
+
+    @pytest.mark.parametrize("rho", [0.4, 1.3, math.pi / 2])
+    @pytest.mark.parametrize("d", [3, 32, 512])
+    def test_members_on_opposite_edges_reach_the_sensitivity(self, d, rho):
+        rng = np.random.default_rng(d)
+        axis, w = self.cap_with_background(d, min(rho, 1.3), rng)
+        u = rows_at_angles(axis, [math.pi / 2], rng)[0]  # a unit vector orthogonal to axis
+        edge = rho - 1e-13
+        w[5] = normalize(math.cos(edge) * axis + math.sin(edge) * u)
+        mirror = normalize(math.cos(edge) * axis - math.sin(edge) * u)
+        assert abs(self.swap_ratio(w, 5, mirror, rho) - 1.0) <= 1e-12
 
 
 class TestStreamingMatchesDense:

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capfed.dp import (
-    MechanismCalibration,
+    NAIVE_SENSITIVITY,
     PrivacyBudget,
     PrivacyLedger,
     gaussian_perturb,
-    naive_sigma,
-    sigma_tight,
-    sigma_weak,
+    gaussian_sigma,
+    tight_sensitivity,
+    weak_sensitivity,
 )
 from capfed.errors import DomainError
 from capfed.geometry import sample_uniform_directions
@@ -39,72 +39,81 @@ class TestBudget:
                 PrivacyBudget(epsilon)
 
 
+def tight_sigma(cluster_size, rho, budget=BUDGET):
+    return gaussian_sigma(tight_sensitivity(cluster_size, rho), budget)
+
+
+def weak_sigma(cluster_size, rho, budget=BUDGET):
+    return gaussian_sigma(weak_sensitivity(cluster_size, rho), budget)
+
+
 class TestCalibrations:
     def test_tight_reference_value(self):
-        cal = sigma_tight(512, 1.3, BUDGET)
-        assert cal.sigma == pytest.approx(0.016939, abs=1e-5)
-        assert cal.bound_kind == "tight"
+        assert tight_sigma(512, 1.3) == pytest.approx(0.016939, abs=1e-5)
 
     def test_tight_halves_with_doubled_size(self):
-        one = sigma_tight(512, 1.3, BUDGET)
-        two = sigma_tight(1024, 1.3, BUDGET)
-        assert two.sigma == one.sigma / 2.0
+        assert tight_sigma(1024, 1.3) == tight_sigma(512, 1.3) / 2.0
 
     def test_weak_reference_value(self):
-        assert sigma_weak(512, 1.3, BUDGET).sigma == pytest.approx(0.021278, abs=1e-5)
+        assert weak_sigma(512, 1.3) == pytest.approx(0.021278, abs=1e-5)
 
     def test_tight_weak_ratio_is_half_angle_cosine(self):
         for rho in np.linspace(0.05, math.pi / 2, 40):
-            t = sigma_tight(97, float(rho), BUDGET).sigma
-            w = sigma_weak(97, float(rho), BUDGET).sigma
+            t = tight_sigma(97, float(rho))
+            w = weak_sigma(97, float(rho))
             assert abs(t / w - math.cos(rho / 2.0)) <= 1e-12
 
     def test_weak_vanishes_with_margin(self):
-        assert 0.0 < sigma_weak(10, 1e-6, BUDGET).sigma < 1e-5
+        assert 0.0 < weak_sigma(10, 1e-6) < 1e-5
 
     def test_weak_dominates_tight(self):
         for rho in np.linspace(0.01, math.pi / 2, 25):
-            assert sigma_weak(31, float(rho), BUDGET).sigma >= sigma_tight(31, float(rho), BUDGET).sigma
+            assert weak_sigma(31, float(rho)) >= tight_sigma(31, float(rho))
 
     def test_naive_reference_value(self):
-        cal = naive_sigma(BUDGET)
-        assert cal.sigma == pytest.approx(9.0008, abs=1e-3)
-        assert cal.sensitivity == 2.0
+        assert gaussian_sigma(NAIVE_SENSITIVITY, BUDGET) == pytest.approx(9.0008, abs=1e-3)
+        assert NAIVE_SENSITIVITY == 2.0
 
     def test_naive_scales_inverse_epsilon(self):
-        assert naive_sigma(PrivacyBudget(2.0, 5e-5)).sigma == naive_sigma(BUDGET).sigma / 2.0
+        naive = gaussian_sigma(NAIVE_SENSITIVITY, BUDGET)
+        assert gaussian_sigma(NAIVE_SENSITIVITY, PrivacyBudget(2.0, 5e-5)) == naive / 2.0
 
     def test_sensitivity_ratio_vs_naive(self):
-        dplc = sigma_tight(512, 1.4, BUDGET).sensitivity
+        dplc = tight_sensitivity(512, 1.4)
         assert dplc / 2.0 == pytest.approx(1.93e-3, rel=0.01)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sigma_tight(0, 1.3, BUDGET)
+            tight_sensitivity(0, 1.3)
         with pytest.raises(DomainError):
-            sigma_tight(16, 2.0, BUDGET)  # beyond pi/2
+            tight_sensitivity(16, 2.0)  # beyond pi/2
         with pytest.raises(DomainError):
-            sigma_weak(16, 0.0, BUDGET)
+            weak_sensitivity(16, 0.0)
 
     def test_calibration_meets_gaussian_bound(self):
-        for cal in (sigma_tight(64, 1.0, BUDGET), sigma_weak(64, 1.0, BUDGET), naive_sigma(BUDGET)):
-            lower = cal.sensitivity / cal.budget.epsilon * math.sqrt(2 * math.log(1.25 / cal.budget.delta))
-            assert cal.sigma >= lower - 1e-12
+        # the classical bound, written out: sensitivity / epsilon * sqrt(2 ln(1.25 / delta))
+        budget = PrivacyBudget(0.7, 1e-6)
+        for s in (tight_sensitivity(64, 1.0), weak_sensitivity(64, 1.0), NAIVE_SENSITIVITY):
+            assert gaussian_sigma(s, budget) == s / 0.7 * math.sqrt(2.0 * math.log(1.25 / 1e-6))
 
-    def test_undersized_sigma_rejected(self):
-        with pytest.raises(DomainError):
-            MechanismCalibration(0.1, 2.0, BUDGET, "naive")
-
-    @pytest.mark.parametrize("calibrate", [sigma_tight, sigma_weak])
-    def test_sensitivity_rounding_to_zero_rejected(self, calibrate):
+    @pytest.mark.parametrize("sensitivity", [tight_sensitivity, weak_sensitivity])
+    def test_sensitivity_rounding_to_zero_rejected(self, sensitivity):
         # at rho = 1e-9, cos(rho) and cos(2 rho) round to 1: the sensitivity and sigma are 0
         with pytest.raises(DomainError, match="must be positive"):
-            calibrate(8, 1e-9, BUDGET)
+            gaussian_sigma(sensitivity(8, 1e-9), BUDGET)
 
-    @pytest.mark.parametrize("sigma", [0.0, -0.0, math.nan])
-    def test_nonpositive_sigma_rejected(self, sigma):
+    @pytest.mark.parametrize("sensitivity", [0.0, -0.0, math.nan])
+    def test_nonpositive_sigma_rejected(self, sensitivity):
         with pytest.raises(DomainError, match="must be positive"):
-            MechanismCalibration(sigma, 0.0, BUDGET, "tight")
+            gaussian_sigma(sensitivity, BUDGET)
+
+    @pytest.mark.parametrize("epsilon", [1e-320, 5e-324])
+    def test_infinite_sigma_rejected(self, epsilon):
+        # a valid but subnormal epsilon overflows sigma to inf: the noise would be inf or NaN
+        with pytest.raises(DomainError, match="must be finite"):
+            gaussian_sigma(NAIVE_SENSITIVITY, PrivacyBudget(epsilon))
+        with pytest.raises(DomainError, match="must be finite"):
+            tight_sigma(8, 1.3, PrivacyBudget(epsilon))
 
 
 class TestGaussianPerturb:
@@ -125,6 +134,14 @@ class TestGaussianPerturb:
     def test_negative_sigma_rejected(self):
         with pytest.raises(DomainError):
             gaussian_perturb(np.zeros(3), -1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_infinite_sigma_rejected_and_stream_untouched(self, sigma):
+        rng = np.random.default_rng(0)
+        before = copy.deepcopy(rng.bit_generator.state)
+        with pytest.raises(DomainError, match="must be"):
+            gaussian_perturb(np.array([0.3, -0.2, 0.9]), sigma, rng)
+        assert rng.bit_generator.state == before
 
     def test_chi_square_mean(self):
         # mean of ||v||^2 over many draws should sit near sigma^2 * d

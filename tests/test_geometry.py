@@ -41,6 +41,17 @@ class TestNormalize:
         with pytest.raises(ZeroVectorError):
             normalize(np.full(4, 1e-14))
 
+    def test_overflowing_norm_rejected(self):
+        # ||v||^2 overflows to inf: v / inf would be a zero "unit" vector
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(DomainError, match="norm inf"):
+                normalize([1e200, -1e200, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_norm_rejected(self, bad):
+        with pytest.raises(DomainError):
+            normalize([0.5, bad, 0.0])
+
     def test_rows(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((20, 5)) * 3.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from capfed import synth
-from capfed.dp import PrivacyBudget, gaussian_perturb, naive_sigma
+from capfed.dp import gaussian_perturb
 from capfed.errors import DegenerateInputError, DomainError, ShapeMismatchError
 from capfed.geometry import normalize_rows, sample_uniform_directions
 from capfed.synth import (
@@ -307,7 +307,7 @@ class TestKnnAttack:
         rng = np.random.default_rng(9)
         directions = sample_uniform_directions(128, 16, rng)
         gallery = gallery_from_directions(directions, 1280, rng)
-        sigma = naive_sigma(PrivacyBudget(1.0, 5e-5)).sigma
+        sigma = 2.0 / 1.0 * math.sqrt(2.0 * math.log(1.25 / 5e-5))  # sensitivity 2, (1, 5e-5)
         exposed = np.stack([gaussian_perturb(d, sigma, rng) for d in directions])
         result = knn_attack(exposed, gallery, 1, [[i] for i in range(128)])
         p = 1.0 / gallery.ids.size

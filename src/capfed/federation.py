@@ -2,10 +2,12 @@
 
 Each round: every online client releases sanitized (or noise-free) clusters
 of its class centers, receives everyone else's clusters, starts from the
-broadcast embedder and runs local SGD on the consensus loss, and the server
-replaces the broadcast embedder with the coordinate-wise mean of the
-returned ones (FedAvg). Class centers never leave their client; the server
-only ever holds embedder parameters and released cluster centers.
+broadcast embedder and runs local SGD on the consensus loss, in which
+every received center is one more negative column of the margin softmax
+(losses), and the server replaces the broadcast embedder with the
+coordinate-wise mean of the returned ones (FedAvg). Class centers never
+leave their client; the server only ever holds embedder parameters and
+released cluster centers.
 
 All randomness is drawn from streams keyed by (seed, purpose, round, client),
 so identical runs replay identically.
@@ -134,7 +136,6 @@ class ServerState:
     """What the coordinator is allowed to hold: no class centers, ever."""
 
     embedder: np.ndarray
-    received_clusters: dict[int, np.ndarray] = field(default_factory=dict)  # client -> (q, d)
     ledger: dp.PrivacyLedger = field(default_factory=dp.PrivacyLedger)
 
 
@@ -258,7 +259,6 @@ def client_local_round(
     labels = np.stack([state.labels for state in group])
     client_rows = np.arange(len(group))[:, None]
     foreign = [np.asarray(p, dtype=dtype).reshape(-1, d) for p in foreign]
-    rho = config.clustering_params.rho
     lr, wd = config.learning_rate, config.weight_decay
     batch = min(config.batch_size, n)
     batch_losses = []
@@ -273,7 +273,7 @@ def client_local_round(
                 np.take(state.inputs, rows[c], axis=0, out=x[c], mode="clip")
             raw = x @ a.swapaxes(1, 2)
             bundle = losses.stacked_loss_gradients(
-                raw, labels[client_rows, rows], w, foreign, rho, config.loss
+                raw, labels[client_rows, rows], w, foreign, config.loss
             )
             batch_losses.append(bundle.loss)
             # a -= lr * (d_a + wd * a) and w = normalize_rows(w - lr * d_w),
@@ -444,7 +444,6 @@ def run_federation(
                 queries_by_client[c] = report.queries_used
                 round_fidelities.extend(report.fidelities)
                 server.ledger = server.ledger.compose(c, t, params.budget, report.charged)
-        server.received_clusters = released
 
         round_losses = {}
         for ids in _lockstep_groups([clients[c] for c in online], config.batch_size):

@@ -1,19 +1,22 @@
-"""The consensus-aware margin-softmax loss: CosFace plus foreign-cluster terms.
+"""The consensus-aware margin-softmax loss: CosFace plus foreign negative columns.
 
 For one embedding f with label y, n class centers w_j and K foreign cluster
-centers p (cap half-angle rho), every angle is taken between normalized
-rows, and the logits are
+centers p, every angle is taken between normalized rows, and the logits are
 
     target class      s * (cos theta_y - m)           (CosFace, Wang et al. 2018)
     other classes     s * cos theta_j
-    foreign clusters  s * cos(max(theta_p - rho, 0))
+    foreign centers   s * cos theta_p
 
-The loss is the batch mean of logsumexp(logits) minus the target logit,
-where logsumexp floors each logit at softmax_floor below the row's largest.
-A cluster logit saturates at s inside the cap (theta_p <= rho), where its
-gradient is 0, and decays beyond it, so pushing an embedding out of foreign
-clusters lowers the loss, which is what couples the clients. With K = 0
-the loss is the plain CosFace margin softmax.
+so each foreign center is one more negative column of the one margin
+softmax, with d(logit)/d(cos) = s like any other class. The loss is the
+batch mean of logsumexp(logits) minus the target logit, where logsumexp
+floors each logit at softmax_floor below the row's largest. Moving an
+embedding away from the other clients' released centers lowers the loss,
+which is what couples the clients. With K = 0 the loss is the plain CosFace
+margin softmax. A foreign logit does not saturate inside a cap: a saturated
+logit s has zero gradient there, and when most samples sat inside some
+foreign cap its constant mass swamped the class softmax and training
+collapsed.
 
 Losses and gradients are defined for raw (not necessarily unit) inputs: every
 cosine is computed between internally normalized rows, so the returned
@@ -32,8 +35,8 @@ and a client's bits are those of its call as a stack of one:
   columns: the softmax denominator, the projection row sum, and both
   products with its foreign centers. A pairwise sum's grouping and a gemm's
   blocking depend on the length they run over, so a padded row or product
-  would change the bits. Padded cluster logits are -inf, which the row
-  maxima skip, and no sum reads a padded column.
+  would change the bits. Padded logits are -inf, which the row maxima skip,
+  and no sum reads a padded column.
 
 The kernel works in place, but only on temporaries it allocated itself: it
 never writes the caller's arrays, and the returned gradients are fresh
@@ -41,11 +44,7 @@ arrays the caller owns.
 
 Precision follows the inputs: float32 embeddings and centers (the training
 path's, since the synthetic shards are float32) give float32 cosines,
-logits, softmax and gradients, float64 inputs float64 throughout. One block
-is float64 in either case: the (C, batch, K) cluster angles, because float32
-rounds the clip bound 1 - 1e-12 to 1.0, where theta_p = 0 and the cluster
-derivative sin(theta_p - rho) / sin(theta_p) is 0 / 0. Their logits and
-derivatives are rounded to the input dtype before they enter the softmax.
+logits, softmax and gradients, float64 inputs float64 throughout.
 """
 
 from __future__ import annotations
@@ -57,10 +56,6 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import row_norms
-
-# Keeps the cluster cosines away from arccos's domain edges when differentiating;
-# the clip and the angles are float64 for every input dtype.
-_COS_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,6 @@ def stacked_loss_gradients(
     labels: np.ndarray,
     centers: np.ndarray,
     foreign: list[np.ndarray],
-    rho: float,
     config: LossConfig,
 ) -> GradientBundle:
     """The consensus loss with analytic gradients for a stack of C clients.
@@ -121,10 +115,11 @@ def stacked_loss_gradients(
     losses, each client's bits those of its call as a stack of one.
 
     Logit layout per row: n class logits followed by the client's K_c
-    cluster logits, padded to K = max K_c, as the module docstring states
-    them. Every (C, b, n + K) pass runs in place on the kernel's own
-    buffers, in the floating-point order of the one-array-per-expression
-    form kept in tests/train_oracle.py, so the bits are the same.
+    foreign logits, padded to K = max K_c, as the module docstring states
+    them: every column but the target is s * cos theta, and none saturates.
+    Every (C, b, n + K) pass runs in place on the kernel's own buffers, in
+    the floating-point order of the one-array-per-expression form kept in
+    tests/train_oracle.py, so the bits are the same.
     """
     dtype = np.result_type(embeddings, centers)
     stack, batch, _ = embeddings.shape
@@ -135,38 +130,22 @@ def stacked_loss_gradients(
 
     f_hat, f_norm = _unit_rows_and_norms(embeddings)
     w_hat, w_norm = _unit_rows_and_norms(centers)
-    # Class cosines in the first n columns, cluster cosines in the last K.
+    # Class cosines in the first n columns, foreign cosines in the last K.
     cos_all = np.empty((stack, batch, n + k), dtype=dtype)
-    cos_cls = cos_all[..., :n]
-    np.matmul(f_hat, w_hat.swapaxes(1, 2), out=cos_cls)
-    np.maximum(cos_cls, -1.0, out=cos_cls)  # clip into [-1, 1]
-    np.minimum(cos_cls, 1.0, out=cos_cls)
+    np.matmul(f_hat, w_hat.swapaxes(1, 2), out=cos_all[..., :n])
+    for c, p in enumerate(foreign):
+        np.matmul(f_hat[c], p.T, out=cos_all[c, :, n : n + ks[c]])
+        cos_all[c, :, n + ks[c] :] = 0.0
+    np.maximum(cos_all, -1.0, out=cos_all)  # clip into [-1, 1]
+    np.minimum(cos_all, 1.0, out=cos_all)
 
     # Each row's target column, as one flat index into the (C, b, n + K) buffers.
     target = (np.arange(stack * batch) * (n + k)).reshape(stack, batch) + labels
-    logits = np.empty((stack, batch, n + k), dtype=dtype)
+    logits = np.multiply(cos_all, s)
     flat_logits = logits.reshape(-1)
-    np.multiply(cos_cls, s, out=logits[..., :n])
-    # d(logit)/d(cos) is s for every class logit and cluster_gprime for the
-    # cluster logits.
     flat_logits[target] = s * (cos_all.reshape(-1)[target] - m)
-
-    if k:
-        cos_clu = cos_all[..., n:]
-        for c, p in enumerate(foreign):
-            np.matmul(f_hat[c], p.T, out=cos_clu[c, :, : ks[c]])
-            cos_clu[c, :, ks[c] :] = 0.0
-        clipped = cos_clu.astype(float)
-        np.maximum(clipped, -1.0 + _COS_EPS, out=clipped)
-        np.minimum(clipped, 1.0 - _COS_EPS, out=clipped)
-        cos_clu[...] = clipped
-        theta_p = np.arccos(clipped)
-        past = np.maximum(theta_p - rho, 0.0)
-        logits[..., n:] = s * np.cos(past)
-        # Subgradient 0 at theta == rho: inside the margin the term is flat (sin(0) = 0).
-        cluster_gprime = s * np.sin(past) / np.sin(theta_p)
-        for c in range(stack):  # the row maxima skip padded columns
-            logits[c, :, n + ks[c] :] = -np.inf
+    for c in range(stack):  # the row maxima skip padded columns
+        logits[c, :, n + ks[c] :] = -np.inf
 
     target_logits = flat_logits[target]
     row_max = logits.max(axis=-1, keepdims=True)
@@ -180,13 +159,10 @@ def stacked_loss_gradients(
     lse = row_max[..., 0] + np.log(denom[..., 0])
     loss = np.mean(lse - target_logits, axis=-1)
 
-    # a = (softmax - onehot) * gprime / batch
+    # a = (softmax - onehot) * s / batch; d(logit)/d(cos) is s in every column.
     a /= denom
     flat_logits[target] -= 1.0
-    a[..., :n] *= s / batch
-    if k:
-        cluster_gprime /= batch
-        a[..., n:] *= cluster_gprime.astype(dtype, copy=False)
+    a *= s / batch
 
     d_f_hat = a[..., :n] @ w_hat
     d_w_hat = a[..., :n].swapaxes(1, 2) @ f_hat

@@ -33,7 +33,7 @@ def with_shard_dtype(fed, dtype):
     return dataclasses.replace(fed, client_inputs=[x.astype(dtype) for x in fed.client_inputs])
 
 
-def one_client_loss(f, labels, w, foreign, rho, config):
+def one_client_loss(f, labels, w, foreign, config):
     """stacked_loss_gradients on a stack of one: 2-d gradients and the loss as a float."""
-    bundle = stacked_loss_gradients(f[None], labels[None], w[None], [foreign], rho, config)
+    bundle = stacked_loss_gradients(f[None], labels[None], w[None], [foreign], config)
     return GradientBundle(bundle.d_embeddings[0], bundle.d_centers[0], float(bundle.loss[0]))

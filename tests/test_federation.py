@@ -59,6 +59,19 @@ def tiny_fed(seed=0, **kw):
     return generate_federation(SynthParams(**base), np.random.default_rng(seed))
 
 
+def record_releases(monkeypatch):
+    """Patch foreign_centers to record the released dict of each of its calls; returns the list."""
+    received = []
+    select = federation.foreign_centers
+
+    def recording(released, own, dim, dtype):
+        received.append(released)
+        return select(released, own, dim, dtype)
+
+    monkeypatch.setattr(federation, "foreign_centers", recording)
+    return received
+
+
 class TestAggregation:
     def test_identical_models(self):
         rng = np.random.default_rng(0)
@@ -112,10 +125,11 @@ class TestForeignCenters:
             foreign = foreign_centers(released, own, 5, np.float32)
             assert foreign.shape == (0, 5) and foreign.dtype == np.float32
 
-    def test_phi_exchanges_nothing(self):
+    def test_phi_exchanges_nothing(self, monkeypatch):
+        received = record_releases(monkeypatch)
         fed = tiny_fed(4)
-        report = run_federation(tiny_config(mode="phi", rounds=1), fed, seed=3)
-        assert report.server.received_clusters == {}
+        run_federation(tiny_config(mode="phi", rounds=1), fed, seed=3)
+        assert received and all(released == {} for released in received)
 
 
 class TestClientLocalRound:
@@ -317,7 +331,7 @@ class TestRunFederation:
                     rows = order[start : start + batch]
                     x = inputs[c][rows]
                     bundle = one_client_loss(
-                        x @ a.T, labels[c][rows], w, ctx, config.clustering_params.rho, config.loss
+                        x @ a.T, labels[c][rows], w, ctx, config.loss
                     )
                     a -= config.learning_rate * (
                         bundle.d_embeddings.T @ x + config.weight_decay * a
@@ -352,23 +366,21 @@ class TestRunFederation:
         np.testing.assert_array_equal(report.final_clients[offline].embedder, embedder0)
         np.testing.assert_array_equal(report.final_clients[offline].centers, clients[offline].centers)
 
-    def test_information_flow_no_center_escapes(self):
+    def test_information_flow_no_center_escapes(self, monkeypatch):
+        received = record_releases(monkeypatch)
         fed = tiny_fed(7)
         config = tiny_config(mode="phi-hat")
         report = run_federation(config, fed, seed=41)
         server = report.server
         assert not hasattr(server, "centers")
-        assert {f.name for f in dataclasses.fields(ServerState)} == {
-            "embedder",
-            "received_clusters",
-            "ledger",
-        }
+        assert {f.name for f in dataclasses.fields(ServerState)} == {"embedder", "ledger"}
         client_centers = [s.centers for s in report.final_clients]
-        server_arrays = [server.embedder, *server.received_clusters.values()]
-        for arr in server_arrays:
+        releases = [block for released in received for block in released.values()]
+        assert any(block.size for block in releases)
+        for arr in [server.embedder, *releases]:
             for w in client_centers:
                 assert not np.shares_memory(arr, w)
-        for released in server.received_clusters.values():
+        for released in releases:
             for w in client_centers:
                 assert not any(np.array_equal(center, row) for center in released for row in w)
 
@@ -442,3 +454,23 @@ def test_run_peak_memory_is_a_bounded_multiple_of_the_shards():
     finally:
         tracemalloc.stop()
     assert peak < 1.3 * shards
+
+
+def test_exchanging_clusters_does_not_collapse_training():
+    # Default federation, rho 1.3, clusters of 8 or more, 4 queries, 30 rounds. A foreign
+    # logit that saturates at s inside a cap, with zero gradient there, left phi-hat's
+    # final TAR@1e-2 at 0.59-0.71 on these seeds against phi's 0.98-0.99.
+    for seed in (1, 2, 3):
+        fed = generate_federation(SynthParams(), derive_rng(seed, "synth"))
+        tar = {}
+        for mode in ("phi", "phi-hat"):
+            config = FederationConfig(
+                rounds=30,
+                mode=mode,
+                clustering_params=ClusteringParams(rho=1.3, min_cluster_size=8, max_queries=4),
+            )
+            report = run_federation(config, fed, seed)
+            tar[mode] = report.rounds[-1].tar_by_far[1e-2]
+            if mode == "phi-hat":
+                assert sum(sum(r.queries_by_client.values()) for r in report.rounds) > 0
+        assert tar["phi-hat"] >= tar["phi"] - 0.02, (seed, tar)

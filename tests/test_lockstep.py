@@ -126,10 +126,10 @@ def test_stacked_kernel_is_each_clients_stack_of_one(ks, d, dtype):
     labels = rng.integers(0, n, size=(4, batch))
     foreign = foreign_blocks(d, ks, dtype)
     config = LossConfig(30.0)
-    stacked = stacked_loss_gradients(f, labels, w, foreign, 0.7, config)
+    stacked = stacked_loss_gradients(f, labels, w, foreign, config)
     assert stacked.loss.shape == (4,)
     for c in range(4):
-        alone = one_client_loss(f[c], labels[c], w[c], foreign[c], 0.7, config)
+        alone = one_client_loss(f[c], labels[c], w[c], foreign[c], config)
         assert alone.loss == float(stacked.loss[c])
         assert alone.d_embeddings.tobytes() == stacked.d_embeddings[c].tobytes()
         assert alone.d_centers.tobytes() == stacked.d_centers[c].tobytes()

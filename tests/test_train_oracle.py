@@ -39,19 +39,19 @@ def assert_same_bundle(live, ref):
         assert x.tobytes() == y.tobytes()
 
 
-def kernel_case(rng, k, scale=1.5, b=24, n=30, d=12, rho=0.6):
-    """Raw (non-unit) embeddings and centers; clusters half inside, half beyond rho."""
+def kernel_case(rng, k, scale=1.5, b=24, n=30, d=12, spread=0.6):
+    """Raw (non-unit) embeddings and centers; unit clusters 0.5 or 1.8 times spread from a row."""
     w = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, size=(n, 1))
     labels = rng.integers(0, n, size=b)
     f = rng.standard_normal((b, d)) * scale
     clusters = np.zeros((k, d))
     for j in range(k):
         anchor = normalize_rows(f[j % b][None, :])[0]
-        angle = rho * (0.5 if j % 2 == 0 else 1.8)  # inside, then beyond the margin
+        angle = spread * (0.5 if j % 2 == 0 else 1.8)  # near a batch row, then farther
         side = normalize_rows(rng.standard_normal((1, d)))[0]
         side -= (side @ anchor) * anchor
         clusters[j] = math.cos(angle) * anchor + math.sin(angle) * normalize_rows(side[None, :])[0]
-    return f, labels, w, normalize_rows(clusters) if k else clusters, rho
+    return f, labels, w, normalize_rows(clusters) if k else clusters
 
 
 def check_kernel_cases(k, dtype):
@@ -59,18 +59,18 @@ def check_kernel_cases(k, dtype):
     for case in range(40):
         scale = float(rng.uniform(1.0, 64.0))
         config = LossConfig(scale, 0.35 if case % 3 else float(rng.uniform(0.0, 1.2)))
-        f, labels, w, clusters, rho = kernel_case(
+        f, labels, w, clusters = kernel_case(
             rng,
             k,
             scale=float(rng.uniform(0.2, 4.0)),
             b=int(rng.integers(1, 40)),
             n=int(rng.integers(1, 50)),
             d=int(rng.integers(2, 24)),
-            rho=float(rng.uniform(0.05, 1.5)),
+            spread=float(rng.uniform(0.05, 1.5)),
         )
         f, w, clusters = (x.astype(dtype) for x in (f, w, clusters))
-        live = one_client_loss(f, labels, w, clusters, rho, config)
-        ref = oracle._core(f, labels, w, clusters, rho, config)
+        live = one_client_loss(f, labels, w, clusters, config)
+        ref = oracle._core(f, labels, w, clusters, config)
         assert live.d_embeddings.dtype == dtype
         assert_same_bundle(live, ref)
 
@@ -88,21 +88,20 @@ def test_kernel_matches_oracle_in_float32(k):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_kernel_matches_oracle_at_paper_shape(dtype):
     rng = np.random.default_rng(13)
-    f, labels, w, clusters, rho = kernel_case(rng, 24, b=256, n=1000, d=512, rho=1.3)
+    f, labels, w, clusters = kernel_case(rng, 24, b=256, n=1000, d=512, spread=1.3)
     f, w, clusters = (x.astype(dtype) for x in (f, w, clusters))
     config = LossConfig(64.0)
-    live = one_client_loss(f, labels, w, clusters, rho, config)
+    live = one_client_loss(f, labels, w, clusters, config)
     assert live.d_embeddings.dtype == dtype
-    assert_same_bundle(live, oracle._core(f, labels, w, clusters, rho, config))
+    assert_same_bundle(live, oracle._core(f, labels, w, clusters, config))
 
 
 def test_integer_scale_is_the_float_scale():
-    # The reference's np.full(..., s) block was an integer array for an int
-    # scale, which truncated the cluster derivatives.
+    # An int scale must not change any dtype or rounding on the way to the bits.
     rng = np.random.default_rng(16)
-    f, labels, w, clusters, rho = kernel_case(rng, 4)
-    as_int = one_client_loss(f, labels, w, clusters, rho, LossConfig(16))
-    as_float = one_client_loss(f, labels, w, clusters, rho, LossConfig(16.0))
+    f, labels, w, clusters = kernel_case(rng, 4)
+    as_int = one_client_loss(f, labels, w, clusters, LossConfig(16))
+    as_float = one_client_loss(f, labels, w, clusters, LossConfig(16.0))
     assert_same_bundle(as_int, as_float)
 
 
@@ -277,7 +276,7 @@ def test_stacked_kernel_leaves_inputs_unchanged(dtype):
     before = snapshot(*inputs)
     for x in inputs:
         x.flags.writeable = False
-    bundle = stacked_loss_gradients(f, labels, w, foreign, cases[0][4], LossConfig(30.0))
+    bundle = stacked_loss_gradients(f, labels, w, foreign, LossConfig(30.0))
     assert snapshot(*inputs) == before
     for out in (bundle.d_embeddings, bundle.d_centers):
         assert out.flags.writeable and not any(np.shares_memory(out, x) for x in inputs)

@@ -8,13 +8,12 @@ one client at a time, so tests can demand the same loss bits and gradient
 bytes from both. The row norms go through np.linalg.norm, as they did
 before `geometry.row_norms`. Like the package, every function here follows
 its inputs' dtype (`geometry.float_array`): float64 inputs give the float64
-bits, float32 inputs the float32 bits, and the kernel takes the cluster
-angles in float64 and rounds their logits and derivatives to the input
-dtype. Helpers whose behaviour did not change (`GradientBundle`, the loss
-constants, `float_array`) are imported from the package.
-`margin_similarity` and `cluster_similarity` are the scalar, one-angle
-forms of the kernel's logits, and `finite_diff_check` is the
-central-difference check the gradient tests judge the kernel by.
+bits, float32 inputs the float32 bits. Helpers whose behaviour did not
+change (`GradientBundle`, the loss constants, `float_array`) are imported
+from the package. `margin_similarity` is the scalar, one-angle form of the
+kernel's logits (a foreign center's logit is the "negative" one), and
+`finite_diff_check` is the central-difference check the gradient tests
+judge the kernel by.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from capfed.errors import (
 )
 from capfed.federation import ClientState, FederationConfig, derive_rng
 from capfed.geometry import ZERO_NORM_FLOOR, float_array
-from capfed.losses import _COS_EPS, GradientBundle, LossConfig
+from capfed.losses import GradientBundle, LossConfig
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -60,17 +59,6 @@ def margin_similarity(config: LossConfig, theta: float, role: str) -> float:
     if role != "positive":
         raise DomainError(f"role={role!r} not 'positive' or 'negative'")
     return config.scale * (math.cos(theta) - config.margin)
-
-
-def cluster_similarity(p_hat: np.ndarray, f: np.ndarray, rho: float, s: float) -> float:
-    """Similarity between an embedding and a cluster of margin rho.
-
-    Saturates at s while the embedding sits inside the margin and decays as
-    s * cos(theta - rho) beyond it; continuous at the boundary.
-    """
-    c = float(np.clip(np.dot(np.asarray(p_hat, float), np.asarray(f, float)), -1.0, 1.0))
-    theta = math.acos(c)
-    return s * math.cos(max(theta - rho, 0.0))
 
 
 def finite_diff_check(
@@ -119,14 +107,13 @@ def _core(
     labels: np.ndarray,
     centers: np.ndarray,
     cluster_centers: np.ndarray,
-    rho: float,
     config: LossConfig,
 ) -> GradientBundle:
     """The allocating reference for one client of capfed.losses.stacked_loss_gradients.
 
-    Logit layout per row: n class logits followed by K cluster logits. The
-    target class logit uses the margin form, the other class logits the plain
-    s*cos form, and cluster logits the saturating cluster similarity.
+    Logit layout per row: n class logits followed by K foreign logits. The
+    target class logit uses the margin form and every other logit, class or
+    foreign, the plain s*cos form, so d(logit)/d(cos) is s in every column.
     """
     embeddings = float_array(embeddings)
     labels = np.asarray(labels, dtype=int)
@@ -136,29 +123,17 @@ def _core(
 
     batch, _ = embeddings.shape
     n = centers.shape[0]
-    k = cluster_centers.shape[0]
     s, m = config.scale, config.margin
 
     f_hat, f_norm = _unit_rows_and_norms(embeddings)
     w_hat, w_norm = _unit_rows_and_norms(centers)
     cos_cls = np.clip(f_hat @ w_hat.T, -1.0, 1.0)
+    cos_clu = np.clip(f_hat @ cluster_centers.T, -1.0, 1.0)
+    cos_all = np.concatenate([cos_cls, cos_clu], axis=1)
 
     rows = np.arange(batch)
-    logits = np.empty((batch, n + k), dtype=dtype)
-    logits[:, :n] = s * cos_cls
-    # d(logit)/d(cos) in float64, needed for the backward pass; negatives are linear in cos.
-    gprime = np.full((batch, n + k), s)
-
+    logits = s * cos_all
     logits[rows, labels] = s * (cos_cls[rows, labels] - m)
-
-    if k:
-        cos_clu = (f_hat @ cluster_centers.T).astype(float)
-        cos_clu = np.clip(cos_clu, -1.0 + _COS_EPS, 1.0 - _COS_EPS)
-        theta_p = np.arccos(cos_clu)
-        beyond = theta_p > rho
-        logits[:, n:] = s * np.cos(np.where(beyond, theta_p - rho, 0.0))
-        # Subgradient 0 at theta == rho: inside the margin the term is flat.
-        gprime[:, n:] = np.where(beyond, s * np.sin(theta_p - rho) / np.sin(theta_p), 0.0)
 
     row_max = logits.max(axis=1, keepdims=True)
     shifted = logits - row_max
@@ -170,11 +145,10 @@ def _core(
     soft = exp / denom
     a = soft.copy()
     a[rows, labels] -= 1.0
-    a *= (gprime / batch).astype(dtype)
+    a = a * (s / batch)
 
-    cos_all = cos_cls if k == 0 else np.concatenate([cos_cls, cos_clu.astype(dtype)], axis=1)
     d_f_hat = a[:, :n] @ w_hat
-    if k:
+    if cluster_centers.shape[0]:
         d_f_hat = d_f_hat + a[:, n:] @ cluster_centers
     proj_f = np.sum(a * cos_all, axis=1, keepdims=True)
     d_embeddings = (d_f_hat - proj_f * f_hat) / f_norm[:, None]
@@ -219,7 +193,6 @@ def _one_client_round(
         raise EmptyInputError(f"client {state.client_id} has no data")
     a = np.array(broadcast_embedder, dtype=state.inputs.dtype)
     w = state.centers.copy()
-    rho = config.clustering_params.rho
     lr, wd = config.learning_rate, config.weight_decay
     batch = min(config.batch_size, n)
     batch_losses = []
@@ -229,7 +202,7 @@ def _one_client_round(
             rows = order[start : start + batch]
             x = state.inputs[rows]
             raw = x @ a.T
-            bundle = _core(raw, state.labels[rows], w, foreign, rho, config.loss)
+            bundle = _core(raw, state.labels[rows], w, foreign, config.loss)
             batch_losses.append(bundle.loss)
             d_a = bundle.d_embeddings.T @ x
             a -= lr * (d_a + wd * a)

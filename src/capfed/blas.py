@@ -8,8 +8,17 @@ the verification pairs, and its rounds are shorter than that spin: on two
 cores the spinning worker holds one core through every local phase, and the
 run takes about twice as long while another process wants that core.
 one_thread runs such a product on the calling thread, so the workers stay
-asleep. OpenBLAS splits a product's output over its threads, not its sums,
-so the bits are those of the split product.
+asleep.
+
+A product on one thread does not always have the bits of the same product
+split over threads. With OpenBLAS 0.3.31 (Haswell kernels) on two cores, a
+256 x 1000 @ 1000 x 512 float32 product differs between one thread and two
+in about 98,000 of its 131,072 entries, and a 2000 x 1000 @ 1000 x 8 one,
+below _SMALL_PRODUCT, in about 12,000 of 16,000; at inner dimensions 48,
+512, 640 and 1024 the two agree. What holds is replay: matmul decides from
+the product's shape alone whether to run it on one thread, so a product of
+a given shape takes the same path, and gets the same bits, in every run
+with the same BLAS and thread setting.
 
 The thread count is OpenBLAS's one process-wide setting, so one_thread is
 not for products that other threads run at the same time. With another

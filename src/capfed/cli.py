@@ -30,7 +30,7 @@ import numpy as np
 
 from . import clustering, dp, federation, losses, synth
 from .errors import CapfedError, ParseError, ValidationError, ZeroVectorError
-from .geometry import checked_row_norms, occupancy_ratio
+from .geometry import blocked_row_norms, nonzero_norms, occupancy_ratio
 
 OUTDIR_ENV = "CAPFED_OUTDIR"
 EMBEDDINGS_MAGIC = b"DPLC"
@@ -205,9 +205,9 @@ def read_embeddings(path) -> np.ndarray:
 
 
 def _input_row_norms(path, rows: np.ndarray) -> np.ndarray:
-    """Row norms of an embeddings file's rows; a zero row is an input error naming it."""
+    """Blocked row norms of an embeddings file's rows; a zero row is an input error naming it."""
     try:
-        return checked_row_norms(rows)
+        return nonzero_norms(blocked_row_norms(rows))
     except ZeroVectorError as exc:
         raise ParseError(f"{path}: {exc}; a zero vector has no direction") from exc
 
@@ -215,8 +215,9 @@ def _input_row_norms(path, rows: np.ndarray) -> np.ndarray:
 def load_unit_embeddings(path) -> np.ndarray:
     """Load embeddings and normalize rows, warning when renormalization bites.
 
-    The rows are divided by their norms in place, in the fresh float64 array
-    read_embeddings returns, so no second (n, d) array is made.
+    The norms are taken in blocks of rows and the rows are divided by them in
+    place, in the fresh float64 array read_embeddings returns, so no second
+    (n, d) array is made.
     """
     arr = read_embeddings(path)
     norms = _input_row_norms(path, arr)

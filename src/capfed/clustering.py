@@ -38,6 +38,17 @@ rounded by at most u; the float64 dot adds under d * 2**-53. A row is
 always its own neighbour, and so is an identical copy of it whose cosine
 falls in that band: their angle is 0, though the rounded cosine may sit
 below 1.
+
+Removal decides on one float64 product over all n rows,
+(centers @ direction)[active], with no copy of the active rows. A dgemv
+row's last bit depends on the row's position in the matrix, but this
+product and the gathered centers[active] @ direction are both length-d dots
+of unit vectors, so they differ by at most about 2 * d * 2**-53, and a row
+whose cosine lies more than 4 * d * eps (eps = 2**-52) from cos(rho) gets
+the same arccos(...) > rho decision from either: the band rule above. A
+query with an active cosine inside the band takes the gathered product
+instead, so every removal keeps its bits. Removal against the released
+direction, which changes those bits anyway, would delete this fallback.
 """
 
 from __future__ import annotations
@@ -221,6 +232,15 @@ def _count_within(
     return counts
 
 
+def _near_cos_rho(cos: np.ndarray, d: int, rho: float) -> bool:
+    """Whether any of the float64 cosines of length-d unit rows is within 4 * d * eps of cos(rho).
+
+    Outside that band, any two products of the rows decide theta > rho alike
+    (see the module docstring).
+    """
+    return bool((np.abs(cos - math.cos(rho)) <= 4.0 * d * 2.0**-52).any())
+
+
 def _seed_cap(centers: np.ndarray, active: np.ndarray, seed_pos: int, rho: float) -> np.ndarray:
     """Mask over active of the rows within rho of active[seed_pos], the seed included.
 
@@ -273,6 +293,12 @@ def run_clustering(
     n x n. The neighbour test is theta <= rho, decided on float32 block
     cosines with a float64 arccos re-check near cos(rho); a row always
     neighbours itself (see the module docstring).
+
+    Removal decides on (centers @ direction)[active], with no copy of the
+    active rows, and a query with an active cosine within 4 * d * eps of
+    cos(rho) falls back to centers[active] @ direction, so the removals are
+    those of the gathered product; removal against the released direction
+    would delete that fallback (see the module docstring).
     """
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] == 0:
@@ -284,7 +310,9 @@ def run_clustering(
 
     if params.mode == MODE_NAIVE_PER_CENTER:
         noised = dp.gaussian_perturb(centers, dp.gaussian_sigma(dp.NAIVE_SENSITIVITY, budget), rng)
-        fidelities = np.sum(normalize_rows(noised) * centers, axis=1).tolist()
+        # an exact power-of-two scale keeps the squared norms of a huge sigma's rows finite
+        _, exponent = np.frexp(np.max(np.abs(noised), axis=1, keepdims=True))
+        fidelities = np.sum(normalize_rows(np.ldexp(noised, -exponent)) * centers, axis=1).tolist()
         return ClusteringReport(noised, [1] * n, n, fidelities)
 
     # float32 copy for the neighbour-count products: n * d * 4 bytes beside centers
@@ -327,7 +355,9 @@ def run_clustering(
         released_rows.append(released)
         sizes.append(int(members.size))
         fidelities.append(float(np.dot(released, direction)))
-        cos_to_direction = centers[active] @ direction
+        cos_to_direction = (centers @ direction)[active]
+        if _near_cos_rho(cos_to_direction, d, params.rho):
+            cos_to_direction = centers[active] @ direction
         np.maximum(cos_to_direction, -1.0, out=cos_to_direction)  # clip into arccos's domain
         np.minimum(cos_to_direction, 1.0, out=cos_to_direction)
         keep = np.arccos(cos_to_direction) > params.rho

@@ -51,13 +51,12 @@ def row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(m * m, axis=-1))
 
 
-def checked_row_norms(m: np.ndarray) -> np.ndarray:
-    """row_norms, raising ZeroVectorError when a row's norm is <= 1e-12.
+def nonzero_norms(norms: np.ndarray) -> np.ndarray:
+    """norms, raising ZeroVectorError when one of them is <= 1e-12.
 
-    The error names the row within its matrix, and for a stack of matrices
-    also the matrix's index in the stack.
+    The error names the row within its matrix, and for the norms of a stack
+    of matrices also the matrix's index in the stack.
     """
-    norms = row_norms(m)
     small = norms <= ZERO_NORM_FLOOR
     if np.any(small):
         index = tuple(int(i) for i in np.unravel_index(np.argmax(small), norms.shape))
@@ -66,28 +65,38 @@ def checked_row_norms(m: np.ndarray) -> np.ndarray:
     return norms
 
 
+def checked_row_norms(m: np.ndarray) -> np.ndarray:
+    """row_norms, raising ZeroVectorError when a row's norm is <= 1e-12 (see nonzero_norms)."""
+    return nonzero_norms(row_norms(m))
+
+
 def normalize_rows(m: np.ndarray) -> np.ndarray:
     """Normalize every row of a matrix to unit length, in its float_array dtype."""
     m = float_array(m)
     return m / checked_row_norms(m)[..., None]
 
 
-# Rows has_unit_rows squares at once (512 KiB of float64 at d = 512).
+# Rows blocked_row_norms squares at once (512 KiB of float64 at d = 512).
 _UNIT_CHECK_ROWS = 128
 
 
-def has_unit_rows(m: np.ndarray, atol: float = UNIT_ROW_ATOL) -> bool:
-    """True when every row of the matrix m has norm 1 within atol.
+def blocked_row_norms(m: np.ndarray) -> np.ndarray:
+    """row_norms of a float matrix, taken _UNIT_CHECK_ROWS rows at a time.
 
-    The norms are those of row_norms, taken _UNIT_CHECK_ROWS rows at a time,
-    so the check holds no temporary of the whole matrix's size.
+    A row's norm does not depend on the other rows reduced with it, so the
+    bits are those of row_norms, without a temporary of the whole matrix's
+    size.
     """
-    m = np.asarray(m, dtype=float)
+    norms = np.empty(m.shape[0], dtype=m.dtype)
     for start in range(0, m.shape[0], _UNIT_CHECK_ROWS):
-        norms = row_norms(m[start : start + _UNIT_CHECK_ROWS])
-        if not np.all(np.abs(norms - 1.0) <= atol):
-            return False
-    return True
+        norms[start : start + _UNIT_CHECK_ROWS] = row_norms(m[start : start + _UNIT_CHECK_ROWS])
+    return norms
+
+
+def has_unit_rows(m: np.ndarray, atol: float = UNIT_ROW_ATOL) -> bool:
+    """True when every row of the matrix m has norm 1 within atol (norms of blocked_row_norms)."""
+    norms = blocked_row_norms(np.asarray(m, dtype=float))
+    return bool(np.all(np.abs(norms - 1.0) <= atol))
 
 
 _BETACF_MAX_ITERATIONS = 1000

@@ -1,4 +1,9 @@
-"""blas: small products run on one OpenBLAS thread, with the bits of a @ b."""
+"""blas: small products run on one OpenBLAS thread, restoring the count after.
+
+The bit-equality test covers inner dimension 48 only: at other inner
+dimensions (1000, say) a one-thread product can differ from a @ b split
+over the threads.
+"""
 
 import numpy as np
 import pytest

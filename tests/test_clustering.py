@@ -1,12 +1,14 @@
 import copy
 import math
+import struct
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from capfed import clustering
+from capfed import clustering, dp
+from capfed.cli import load_unit_embeddings
 from capfed.clustering import (
     MODE_NAIVE_PER_CENTER,
     MODE_NOISE_FREE,
@@ -16,8 +18,14 @@ from capfed.clustering import (
     run_clustering,
 )
 from capfed.dp import PrivacyBudget, tight_sensitivity
-from capfed.errors import DomainError, EmptyInputError
-from capfed.geometry import normalize, normalize_rows, sample_uniform_directions
+from capfed.errors import DomainError, EmptyInputError, ParseError
+from capfed.geometry import (
+    blocked_row_norms,
+    normalize,
+    normalize_rows,
+    row_norms,
+    sample_uniform_directions,
+)
 from conftest import planted_bundle
 from dense_oracle import dense_run_clustering, densest_cap, pairwise_angles
 
@@ -224,6 +232,23 @@ class TestRunClustering:
         assert report.fidelities == pytest.approx(
             [float(np.dot(normalize(v), w[i])) for i, v in enumerate(want)], abs=1e-15
         )
+
+    def test_naive_fidelities_keep_the_bits_of_the_unscaled_rows(self):
+        # the power-of-two scale before normalizing is exact
+        w = sample_uniform_directions(200, 32, np.random.default_rng(16))
+        report = run_clustering(w, params(mode=MODE_NAIVE_PER_CENTER), np.random.default_rng(17))
+        sigma = dp.gaussian_sigma(dp.NAIVE_SENSITIVITY, BUDGET)
+        noised = dp.gaussian_perturb(w, sigma, np.random.default_rng(17))
+        assert report.fidelities == np.sum(normalize_rows(noised) * w, axis=1).tolist()
+
+    def test_naive_fidelities_are_finite_at_a_tiny_epsilon(self):
+        # sigma ~ 9e200: the noised rows' squared norms overflowed, and every fidelity read 0.0
+        w = sample_uniform_directions(200, 32, np.random.default_rng(18))
+        p = params(mode=MODE_NAIVE_PER_CENTER, budget=PrivacyBudget(1e-200, 5e-5))
+        fidelities = np.array(run_clustering(w, p, np.random.default_rng(19)).fidelities)
+        assert np.all(np.isfinite(fidelities))
+        assert np.all(np.abs(fidelities) <= 1.0)
+        assert np.count_nonzero(fidelities) == 200
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -558,6 +583,89 @@ class TestLazyBounds:
             later += run_clustering(w, p, np.random.default_rng(seed)).queries_used - 1
         passes = len(recounted) // 2  # each run twice: against the oracle and here
         assert 2 * passes > later
+
+
+class TestUngatheredRemoval:
+    """Removal decides on (centers @ direction)[active], and gathers only near cos(rho)."""
+
+    @pytest.mark.parametrize("mode", [MODE_SANITIZED, MODE_NOISE_FREE])
+    @pytest.mark.parametrize("d", [16, 512])
+    def test_rows_at_rho_from_the_direction_take_the_gathered_product(self, monkeypatch, d, mode):
+        # a cap of 40 rows in a plane, and 20 probes at rho +- 1 ulp from its noise-free
+        # direction, toward directions orthogonal to the plane: no probe is within rho of a
+        # cap row, so the probes change neither the seed nor the members, hence nor the direction
+        rng = np.random.default_rng([31, d])
+        rho = 1.0
+        a, b = np.linalg.qr(rng.standard_normal((d, 2)))[0].T
+        phi = np.concatenate([rng.uniform(0.0, 0.05, 30), rng.uniform(0.75, 0.8, 10)])
+        cap = np.outer(np.cos(phi), a) + np.outer(np.sin(phi), b)
+        first = params(rho=rho, min_cluster_size=1, max_queries=1, mode=MODE_NOISE_FREE)
+        (direction,) = run_clustering(cap, first, np.random.default_rng(0)).centers
+        tangent = rng.standard_normal((20, d))
+        tangent = normalize_rows(tangent - np.outer(tangent @ a, a) - np.outer(tangent @ b, b))
+        theta = np.nextafter(rho, rng.choice([-np.inf, np.inf], 20))
+        probes = np.outer(np.cos(theta), direction) + np.sin(theta)[:, None] * tangent
+        w = np.concatenate([cap, probes])
+        band = 4.0 * d * np.finfo(float).eps
+        assert np.all(np.abs(probes @ direction - math.cos(rho)) <= band)
+
+        near = []
+        near_cos_rho = clustering._near_cos_rho
+
+        def recording(*args):
+            near.append(near_cos_rho(*args))
+            return near[-1]
+
+        monkeypatch.setattr(clustering, "_near_cos_rho", recording)
+        p = params(rho=rho, min_cluster_size=1, max_queries=3, mode=mode)
+        report = run_clustering(w, p, np.random.default_rng(1))
+        assert near[0]  # the first query takes the fallback
+        np.testing.assert_array_equal(report.member_indexes[0], np.arange(40))
+        removed = report.removed_indexes[0]
+        assert 40 < removed.size < 60  # the probes fall on both sides of rho
+        if mode == MODE_NOISE_FREE:
+            assert report.centers[0].tobytes() == direction.tobytes()
+        _assert_same_as_dense(w, p, 1)
+
+    @pytest.mark.parametrize("d", [16, 512])
+    def test_ungathered_decisions_equal_the_gathered_ones(self, d):
+        # the product over all rows differs from the gathered one in the last bit of a few
+        # rows; rho is put just outside the band around such a row, where the rule still
+        # decides on the ungathered product
+        rng = np.random.default_rng([32, d])
+        w = sample_uniform_directions(6000, d, rng)
+        band = 4.0 * d * np.finfo(float).eps
+        differing = 0
+        for _ in range(200):
+            active = np.flatnonzero(rng.random(6000) < 0.5)  # about 3,000 rows
+            direction = normalize(rng.standard_normal(d))
+            gathered = w[active] @ direction
+            ungathered = (w @ direction)[active]
+            differs = np.flatnonzero(gathered != ungathered)
+            differing += differs.size
+            row = int(rng.choice(differs)) if differs.size else int(rng.integers(active.size))
+            assert clustering._near_cos_rho(ungathered, d, math.acos(ungathered[row]))
+            rho = math.acos(ungathered[row] + rng.choice([-1.25, 1.25]) * band)
+            if clustering._near_cos_rho(ungathered, d, rho):
+                continue  # another row is inside the band: the query would gather
+            np.testing.assert_array_equal(np.arccos(ungathered) > rho, np.arccos(gathered) > rho)
+        assert differing > 0
+
+
+class TestBlockedLoadNorms:
+    """capfed cluster takes the loaded rows' norms _UNIT_CHECK_ROWS rows at a time."""
+
+    def test_blocked_norms_have_the_bits_of_row_norms(self):
+        m = np.random.default_rng(33).standard_normal((1000, 512))
+        assert blocked_row_norms(m).tobytes() == row_norms(m).tobytes()
+
+    def test_zero_row_in_a_late_block_is_named_by_its_global_index(self, tmp_path):
+        rows = sample_uniform_directions(1000, 8, np.random.default_rng(34)).astype("<f4")
+        rows[905] = 0.0  # in the eighth block of 128 rows
+        path = tmp_path / "centers.bin"
+        path.write_bytes(b"DPLC" + struct.pack("<II", *rows.shape) + rows.tobytes())
+        with pytest.raises(ParseError, match="row 905 has norm 0"):
+            load_unit_embeddings(path)
 
 
 def test_peak_memory_grows_subquadratically():

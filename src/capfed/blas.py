@@ -4,11 +4,11 @@ OpenBLAS splits a product over its worker threads once the product has a
 few hundred thousand multiply-adds, and the woken workers then spin for
 about 0.1 s, waiting for the next product, before they sleep. At small
 shapes a simulation makes one such product in every round, when it embeds
-the verification pairs, and its rounds are shorter than that spin: on two
-cores the spinning worker holds one core through every local phase, and the
-run takes about twice as long while another process wants that core.
-one_thread runs such a product on the calling thread, so the workers stay
-asleep.
+the verification pairs' distinct input rows, and its rounds are shorter
+than that spin: on two cores the spinning worker holds one core through
+every local phase, and the run takes about twice as long while another
+process wants that core. one_thread runs such a product on the calling
+thread, so the workers stay asleep.
 
 A product on one thread does not always have the bits of the same product
 split over threads. With OpenBLAS 0.3.31 (Haswell kernels) on two cores, a
@@ -18,7 +18,10 @@ below _SMALL_PRODUCT, in about 12,000 of 16,000; at inner dimensions 48,
 512, 640 and 1024 the two agree. What holds is replay: matmul decides from
 the product's shape alone whether to run it on one thread, so a product of
 a given shape takes the same path, and gets the same bits, in every run
-with the same BLAS and thread setting.
+with the same BLAS and thread setting. The eval also needs a row's bits
+not to depend on the other rows of its product, since it embeds each
+distinct row once where a pair would embed it again; tests/test_synth_oracle.py
+checks that on one thread and split over threads.
 
 The thread count is OpenBLAS's one process-wide setting, so one_thread is
 not for products that other threads run at the same time. With another

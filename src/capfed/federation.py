@@ -46,7 +46,7 @@ import numpy as np
 
 from . import blas, clustering, dp, losses, synth
 from .errors import EmptyInputError, LabelOutOfRangeError, ShapeMismatchError, ValidationError
-from .geometry import checked_row_norms, normalize_rows
+from .geometry import blocked_row_norms, checked_row_norms, nonzero_norms, normalize_rows
 
 MODE_PHI = "phi"  # conventional: no clusters exchanged
 MODE_PHI_HAT = "phi-hat"  # sanitized clusters
@@ -143,10 +143,11 @@ def embed(embedder: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Unit-normalized linear features for a batch of raw inputs, in their dtype.
 
     A small batch is embedded on one BLAS thread (blas module docstring):
-    the verification eval embeds one in every round.
+    the verification eval embeds one in every round. The norms are taken in
+    blocks, so no temporary is as large as the features.
     """
     feats = blas.matmul(np.asarray(inputs), embedder.T)
-    feats /= checked_row_norms(feats)[:, None]
+    feats /= nonzero_norms(blocked_row_norms(feats))[:, None]
     return feats
 
 
@@ -321,22 +322,55 @@ def _pairwise_tree_sum(items: list[np.ndarray]) -> np.ndarray:
     return items[0]
 
 
+def _flip_negatives(keys: np.ndarray) -> None:
+    """Map floats' integer bits to total-order keys, or back (the map is its own inverse).
+
+    A key is the bits with the magnitude bits flipped when the sign bit is
+    set: as signed integers the keys order as the floats do, with -0 below +0
+    and each sign's NaNs beyond that sign's infinity.
+    """
+    mask = keys >> (8 * keys.itemsize - 1)
+    mask &= np.iinfo(keys.dtype).max
+    keys ^= mask
+
+
 def aggregate_fedavg(models: Sequence[np.ndarray]) -> np.ndarray:
     """Coordinate-wise mean of the received embedder parameters.
 
     Values are sorted per coordinate before a pairwise-tree summation, so the
     result is bit-identical under any reordering of the models, and the mean
     of 2^k identical models is exactly that model.
+
+    The sort is an odd-even transposition network: k rounds of
+    compare-exchanges of neighbouring models, two whole-model NumPy calls
+    each, where sort(axis=0) walks every coordinate's strided column. It
+    compares integer total-order keys, not the floats: on a {+0.0, -0.0}
+    pair np.minimum and np.maximum both return the same operand, which would
+    turn a mean of +0 into -0. The mean has the bits of sorting with np.sort
+    (kept in tests/test_federation.py) except in a NaN's sign and payload:
+    np.sort writes every NaN as the positive quiet NaN.
     """
     if not models:
         raise EmptyInputError("cannot average an empty list of models")
     shapes = {m.shape for m in models}
     if len(shapes) != 1:
         raise ShapeMismatchError(f"mismatched shapes {sorted(shapes)}")
-    stack = np.stack(models)
-    stack.sort(axis=0)  # in place: np.sort would hold a second copy of the stack
-    total = _pairwise_tree_sum([stack[i] for i in range(stack.shape[0])])
-    return total / len(models)
+    k = len(models)
+    stack = np.empty((k + 1, *models[0].shape), dtype=np.result_type(np.float32, *models))
+    for j, m in enumerate(models):  # row k is the network's spare
+        stack[j] = m
+    keys = stack.view(f"i{stack.itemsize}")
+    _flip_negatives(keys)
+    order, spare = list(range(k)), k
+    for r in range(k):
+        for i in range(r % 2, k - 1, 2):
+            lo, hi = keys[order[i]], keys[order[i + 1]]
+            np.minimum(lo, hi, out=keys[spare])
+            np.maximum(lo, hi, out=hi)
+            order[i], spare = spare, order[i]
+    _flip_negatives(keys)
+    total = _pairwise_tree_sum([stack[j] for j in order])
+    return total / k
 
 
 def tar_payload(tar_by_far: dict[float, float]) -> dict[str, float]:

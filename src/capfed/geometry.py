@@ -76,20 +76,26 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / checked_row_norms(m)[..., None]
 
 
-# Rows blocked_row_norms squares at once (512 KiB of float64 at d = 512).
-_UNIT_CHECK_ROWS = 128
+# Bytes of rows blocked_row_norms squares at once (128 rows of float64 at d = 512).
+ROW_BLOCK_BYTES = 1 << 19
+
+
+def block_rows(m: np.ndarray) -> int:
+    """How many rows of the 2-d array m make one ROW_BLOCK_BYTES block (at least 1)."""
+    return max(1, ROW_BLOCK_BYTES // max(1, m.shape[1] * m.itemsize))
 
 
 def blocked_row_norms(m: np.ndarray) -> np.ndarray:
-    """row_norms of a float matrix, taken _UNIT_CHECK_ROWS rows at a time.
+    """row_norms of a float matrix, taken block_rows(m) rows at a time.
 
     A row's norm does not depend on the other rows reduced with it, so the
     bits are those of row_norms, without a temporary of the whole matrix's
     size.
     """
     norms = np.empty(m.shape[0], dtype=m.dtype)
-    for start in range(0, m.shape[0], _UNIT_CHECK_ROWS):
-        norms[start : start + _UNIT_CHECK_ROWS] = row_norms(m[start : start + _UNIT_CHECK_ROWS])
+    step = block_rows(m)
+    for start in range(0, m.shape[0], step):
+        norms[start : start + step] = row_norms(m[start : start + step])
     return norms
 
 

@@ -29,14 +29,17 @@ of one. Every client's logit rows are padded to n + K columns, K = max K_c,
 and a client's bits are those of its call as a stack of one:
 - Passes that treat each element alone or reduce over the batch or over d
   run once on the whole stack: the row norms, the three class-center
-  products (np.matmul on stacks runs one gemm per client), the softmax and
-  gradient passes and the class-column sums.
+  products (np.matmul on stacks runs one gemm per client), the clip, the
+  softmax and gradient passes, the class-column sums and the padding
+  writes. At small shapes a step is mostly NumPy dispatch, so each pass is
+  one call for the whole stack wherever the bits allow.
 - What reduces along a logit row runs per client, on its own n + K_c
   columns: the softmax denominator, the projection row sum, and both
-  products with its foreign centers. A pairwise sum's grouping and a gemm's
-  blocking depend on the length they run over, so a padded row or product
-  would change the bits. Padded logits are -inf, which the row maxima skip,
-  and no sum reads a padded column.
+  products with its foreign centers, which a client with K_c = 0 skips. A
+  pairwise sum's grouping and a gemm's blocking depend on the length they
+  run over, so a padded row or product would change the bits. Padded
+  cosines are 0 and padded logits -inf, which the row maxima skip, and no
+  sum reads a padded column.
 
 The kernel works in place, but only on temporaries it allocated itself: it
 never writes the caller's arrays, and the returned gradients are fresh
@@ -133,31 +136,35 @@ def stacked_loss_gradients(
     # Class cosines in the first n columns, foreign cosines in the last K.
     cos_all = np.empty((stack, batch, n + k), dtype=dtype)
     np.matmul(f_hat, w_hat.swapaxes(1, 2), out=cos_all[..., :n])
+    cos_all[..., n:] = 0.0  # padding: finite, and never read by a sum
     for c, p in enumerate(foreign):
-        np.matmul(f_hat[c], p.T, out=cos_all[c, :, n : n + ks[c]])
-        cos_all[c, :, n + ks[c] :] = 0.0
-    np.maximum(cos_all, -1.0, out=cos_all)  # clip into [-1, 1]
-    np.minimum(cos_all, 1.0, out=cos_all)
+        if ks[c]:
+            np.matmul(f_hat[c], p.T, out=cos_all[c, :, n : n + ks[c]])
+    np.clip(cos_all, -1.0, 1.0, out=cos_all)
 
     # Each row's target column, as one flat index into the (C, b, n + K) buffers.
     target = (np.arange(stack * batch) * (n + k)).reshape(stack, batch) + labels
     logits = np.multiply(cos_all, s)
     flat_logits = logits.reshape(-1)
     flat_logits[target] = s * (cos_all.reshape(-1)[target] - m)
-    for c in range(stack):  # the row maxima skip padded columns
-        logits[c, :, n + ks[c] :] = -np.inf
+    # The row maxima skip padded columns.
+    padded = np.arange(k) >= np.array(ks)[:, None, None]
+    np.copyto(logits[..., n:], -np.inf, where=padded)
 
     target_logits = flat_logits[target]
-    row_max = logits.max(axis=-1, keepdims=True)
+    row_max = np.maximum.reduce(logits, axis=-1, keepdims=True)
     a = logits
     a -= row_max
     np.maximum(a, softmax_floor(dtype), out=a)
     np.exp(a, out=a)
     denom = np.empty_like(row_max)
     for c in range(stack):
-        np.sum(a[c, :, : n + ks[c]], axis=-1, keepdims=True, out=denom[c])
+        np.add.reduce(a[c, :, : n + ks[c]], axis=-1, keepdims=True, out=denom[c])
     lse = row_max[..., 0] + np.log(denom[..., 0])
-    loss = np.mean(lse - target_logits, axis=-1)
+    # The batch mean's bits: np.mean divides in float64 and rounds once, which
+    # is the correctly rounded quotient in float32 too.
+    loss = np.add.reduce(lse - target_logits, axis=-1)
+    loss /= batch
 
     # a = (softmax - onehot) * s / batch; d(logit)/d(cos) is s in every column.
     a /= denom
@@ -173,8 +180,8 @@ def stacked_loss_gradients(
     for c, p in enumerate(foreign):
         if ks[c]:
             d_f_hat[c] += a[c, :, n : n + ks[c]] @ p
-        np.sum(a_cos[c, :, : n + ks[c]], axis=-1, keepdims=True, out=proj_f[c])
-    proj_w = a_cos[..., :n].sum(axis=1)
+        np.add.reduce(a_cos[c, :, : n + ks[c]], axis=-1, keepdims=True, out=proj_f[c])
+    proj_w = np.add.reduce(a_cos[..., :n], axis=1)
 
     # The unit rows are not read again: they take the products proj * unit.
     f_hat *= proj_f

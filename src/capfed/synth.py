@@ -10,8 +10,9 @@ The raw client shards are float32, the dtype the training
 path then follows (sgemm runs about twice as fast as dgemm, and the shards
 take half the memory): each is lifted in float64 and rounded once. The ground
 truth (identity directions and the lift) stays float64. Verification pairs
-are gathered from the shards, so they are float32 too, and the eval and the
-cross-client margin work in the dtype of what they are given.
+keep each shard row they use once, gathered from the shards, so they are
+float32 too, and the eval and the cross-client margin work in the dtype of
+what they are given.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, EmptyInputError, ShapeMismatchError
-from .geometry import checked_row_norms, normalize_rows, sample_uniform_directions
+from .geometry import block_rows, checked_row_norms, normalize_rows, sample_uniform_directions
 
 
 @dataclass(frozen=True)
@@ -126,10 +127,15 @@ def generate_federation(params: SynthParams, rng: np.random.Generator) -> Synthe
 
 @dataclass
 class VerificationPairs:
-    """Raw input pairs with a same-identity flag; no pair appears twice."""
+    """Raw input pairs with a same-identity flag; no pair appears twice.
 
-    a: np.ndarray  # (P, input_dim)
-    b: np.ndarray
+    Pair i is (rows[ia[i]], rows[ib[i]]), and rows holds each input the pairs
+    use once, so an eval embeds an input once however many pairs share it.
+    """
+
+    rows: np.ndarray  # (U, input_dim), the distinct inputs
+    ia: np.ndarray  # (P,) row of each pair's first input
+    ib: np.ndarray  # (P,) row of its second
     same: np.ndarray  # (P,) bool
 
 
@@ -173,7 +179,8 @@ def make_verification_pairs(
     replace=False) per kind draws ranks: positives by identity, then by
     _pair_of_rank over its ascending rows; negatives by client pair (c < c',
     row-major), then row in c, then row in c'. Rows number the shards laid
-    end to end; only the pairs' rows are copied out, positives first.
+    end to end; each row a pair uses is copied out once, in ascending order,
+    and the pairs, positives first, index those copies.
     """
     labels = np.concatenate(fed.client_labels)
     order = np.argsort(labels, kind="stable")  # each identity's rows, ascending
@@ -194,26 +201,38 @@ def make_verification_pairs(
     rank = rng.choice(neg_start[-1], size=negatives, replace=False)
     block = np.searchsorted(neg_start, rank, side="right") - 1
     i, j = np.divmod(rank - neg_start[block], n[second[block]])
-    idx_a = np.concatenate((pos_a, row_start[first[block]] + i))
-    idx_b = np.concatenate((pos_b, row_start[second[block]] + j))
-    a, b = (_gather_rows(fed.client_inputs, idx) for idx in (idx_a, idx_b))
-    return VerificationPairs(a, b, np.arange(positives + negatives) < positives)
+    used, index = np.unique(
+        np.concatenate((pos_a, row_start[first[block]] + i, pos_b, row_start[second[block]] + j)),
+        return_inverse=True,
+    )
+    ia, ib = np.split(index, 2)
+    rows = _gather_rows(fed.client_inputs, used)
+    return VerificationPairs(rows, ia, ib, np.arange(positives + negatives) < positives)
 
 
 def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[float, float]:
     """True-accept rate at each false-accept target, by score threshold sweep.
 
     A pair's score is the dot product of its embedded rows: their cosine when
-    embed returns unit rows, as federation.embed does. The threshold for a
-    target is the (k+1)-th largest negative score with k = floor(target *
-    #negatives), and acceptance is strict (score > thr): the largest
-    attainable TAR whose realized FAR is guaranteed <= target. What embed
-    returns is never written.
+    embed returns unit rows, as federation.embed does. Each distinct row is
+    embedded once, in one call, and a score has the bits of embedding the
+    pairs' rows side by side (tests/synth_oracle.py; the blas module
+    docstring says why). The threshold for a target is the (k+1)-th largest
+    negative score with k = floor(target * #negatives), and acceptance is
+    strict (score > thr): the largest attainable TAR whose realized FAR is
+    guaranteed <= target. What embed returns is never written.
     """
     same = np.asarray(pairs.same, dtype=bool)
     if same.all() or (~same).all():
         raise DegenerateInputError("verification needs both positive and negative pairs")
-    scores = np.sum(embed(pairs.a) * embed(pairs.b), axis=1)
+    f = embed(pairs.rows)
+    # Products a block of pairs at a time, in place: no temporary is as large as f.
+    scores = np.empty(pairs.ia.size, dtype=f.dtype)
+    step = block_rows(f)
+    for start in range(0, scores.size, step):
+        products = f[pairs.ia[start : start + step]]
+        products *= f[pairs.ib[start : start + step]]
+        np.add.reduce(products, axis=1, out=scores[start : start + step])
     pos = scores[same]
     neg = np.sort(scores[~same])
     out: dict[float, float] = {}

@@ -4,7 +4,8 @@
 array arithmetic and gathers their rows straight from the clients' shards.
 This module keeps versions that normalize out of place, list every distinct
 pair over the concatenated shards and index that list with the same draws,
-so tests can demand the same shard, pair and TAR bytes from both.
+so tests can demand the same shard, pair and TAR bytes from both. Its eval
+embeds every pair's rows, where `capfed.synth` embeds each distinct row once.
 `knn_attack` keeps the per-row loop that skipped repeated gallery
 identities, so tests can demand the same scores from the vectorized top-k.
 The reference `embed` lives in train_oracle.
@@ -47,6 +48,7 @@ def make_verification_pairs(
     Positives are each identity's pairs of rows (ascending identity), listed
     as (rows[i], rows[j]) for j ascending and i < j ascending; negatives are
     each client pair's row pairs, client pairs and rows in row-major order.
+    The rows the drawn pairs use are kept once each, in ascending order.
     """
     all_x = np.concatenate(fed.client_inputs, axis=0)
     all_y = np.concatenate(fed.client_labels, axis=0)
@@ -66,15 +68,27 @@ def make_verification_pairs(
         raise DegenerateInputError("could not assemble the requested number of distinct pairs")
     picked = [pos[r] for r in rng.choice(len(pos), size=positives, replace=False)]
     picked += [neg[r] for r in rng.choice(len(neg), size=negatives, replace=False)]
-    idx_a = [i for i, _ in picked]
-    idx_b = [j for _, j in picked]
+    used = sorted({i for pair in picked for i in pair})
+    row_of = {i: r for r, i in enumerate(used)}
+    ia = np.array([row_of[i] for i, _ in picked], dtype=np.intp)
+    ib = np.array([row_of[j] for _, j in picked], dtype=np.intp)
     same = np.array([True] * positives + [False] * negatives)
-    return VerificationPairs(all_x[idx_a], all_x[idx_b], same)
+    return VerificationPairs(all_x[used], ia, ib, same)
+
+
+def pairs_of_rows(a, b, same) -> VerificationPairs:
+    """Pairs (a[i], b[i]) stored as given: the rows of a, then those of b."""
+    a, b = np.asarray(a), np.asarray(b)
+    return VerificationPairs(
+        np.concatenate([a, b]), np.arange(a.shape[0]), a.shape[0] + np.arange(b.shape[0]), same
+    )
 
 
 def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[float, float]:
     """True-accept rate at each false-accept target, by score threshold sweep.
 
+    It embeds the pairs' first rows in one call and their second rows in
+    another, so a row that several pairs share is embedded once per pair.
     The threshold for a target is the (k+1)-th largest negative score with
     k = floor(target * #negatives), and acceptance is strict (score > thr):
     the largest attainable TAR whose realized FAR is guaranteed <= target.
@@ -82,8 +96,8 @@ def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[floa
     same = np.asarray(pairs.same, dtype=bool)
     if same.all() or (~same).all():
         raise DegenerateInputError("verification needs both positive and negative pairs")
-    fa = np.asarray(embed(pairs.a))
-    fb = np.asarray(embed(pairs.b))
+    fa = np.asarray(embed(pairs.rows[pairs.ia]))
+    fb = np.asarray(embed(pairs.rows[pairs.ib]))
     scores = np.sum(fa * fb, axis=1)
     pos = scores[same]
     neg = np.sort(scores[~same])

@@ -653,15 +653,15 @@ class TestUngatheredRemoval:
 
 
 class TestBlockedLoadNorms:
-    """capfed cluster takes the loaded rows' norms _UNIT_CHECK_ROWS rows at a time."""
+    """capfed cluster takes the loaded rows' norms a ROW_BLOCK_BYTES block at a time."""
 
     def test_blocked_norms_have_the_bits_of_row_norms(self):
         m = np.random.default_rng(33).standard_normal((1000, 512))
         assert blocked_row_norms(m).tobytes() == row_norms(m).tobytes()
 
     def test_zero_row_in_a_late_block_is_named_by_its_global_index(self, tmp_path):
-        rows = sample_uniform_directions(1000, 8, np.random.default_rng(34)).astype("<f4")
-        rows[905] = 0.0  # in the eighth block of 128 rows
+        rows = sample_uniform_directions(1000, 512, np.random.default_rng(34)).astype("<f4")
+        rows[905] = 0.0  # in the eighth block of 128 rows, loaded as float64 at d = 512
         path = tmp_path / "centers.bin"
         path.write_bytes(b"DPLC" + struct.pack("<II", *rows.shape) + rows.tobytes())
         with pytest.raises(ParseError, match="row 905 has norm 0"):

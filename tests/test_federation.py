@@ -72,7 +72,42 @@ def record_releases(monkeypatch):
     return received
 
 
+def sorted_tree_mean(models):
+    """FedAvg as np.sort along the model axis, then the pairwise tree sum and the division."""
+    items = list(np.sort(np.stack(models), axis=0))
+    while len(items) > 1:
+        merged = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
+        if len(items) % 2:
+            merged.append(items[-1])
+        items = merged
+    return items[0] / len(models)
+
+
+def special_models(rng, k, dtype, values):
+    """k (6, 7) models whose every coordinate is drawn from values."""
+    return [rng.choice(np.array(values, dtype=dtype), size=(6, 7)) for _ in range(k)]
+
+
 class TestAggregation:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_network_gives_the_bits_of_the_sorted_sum(self, dtype):
+        # random values, ties, signed zeros with infinities (inf - inf is NaN) and
+        # positive quiet NaNs; np.sort rewrites a negative NaN as the positive one and
+        # the network keeps its bits, which no output file shows (JSON writes NaN)
+        rng = np.random.default_rng(17)
+        for k in range(1, 10):
+            cases = [
+                [rng.standard_normal((6, 7)).astype(dtype) for _ in range(k)],
+                special_models(rng, k, dtype, [-1.5, -0.25, 0.25, 1.0, 3.0]),
+                special_models(rng, k, dtype, [0.0, -0.0, np.inf, -np.inf, 2.0, -2.0]),
+                special_models(rng, k, dtype, [np.nan, 0.0, -0.0, 1.0, -3.0, np.inf]),
+            ]
+            for models in cases:
+                with np.errstate(invalid="ignore"):
+                    got, want = aggregate_fedavg(models), sorted_tree_mean(models)
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes()
+
     def test_identical_models(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((4, 6))
@@ -308,15 +343,6 @@ class TestRunFederation:
         inputs = {s.client_id: s.inputs for s in clients}
         labels = {s.client_id: s.labels for s in clients}
 
-        def tree_mean(mats):
-            items = [m for m in np.sort(np.stack(mats), axis=0)]
-            while len(items) > 1:
-                nxt = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
-                if len(items) % 2:
-                    nxt.append(items[-1])
-                items = nxt
-            return items[0] / len(mats)
-
         ctx = np.zeros((0, fed.params.embed_dim))
         for t in range(1, 4):
             new_models = []
@@ -339,7 +365,7 @@ class TestRunFederation:
                     w = normalize_rows(w - config.learning_rate * bundle.d_centers)
                 states[c] = (a, w)
                 new_models.append(a)
-            global_a = tree_mean(new_models)
+            global_a = sorted_tree_mean(new_models)
         np.testing.assert_array_equal(report.server.embedder, global_a)
 
     def test_round_averages_only_the_online_clients(self):

@@ -60,7 +60,7 @@ class TestNormalize:
 
 
 def test_has_unit_rows_checks_every_row_block():
-    block = geometry._UNIT_CHECK_ROWS
+    block = geometry.ROW_BLOCK_BYTES // (6 * 8)  # rows of float64 at d = 6
     m = sample_uniform_directions(3 * block + 5, 6, np.random.default_rng(12))
     assert has_unit_rows(m)
     m[3 * block] *= 1.0 + 1e-8  # the first row of the last, partial block

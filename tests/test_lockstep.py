@@ -90,14 +90,16 @@ def one_at_a_time(group, embedder, foreign, config, seeds):
     return [s for (s,), _ in rounds], [loss for _, (loss,) in rounds]
 
 
+# the foreign block of the stack: ragged with one client at K = 0, all K = 0, all equal
+@pytest.mark.parametrize("ks", [[3, 0, 7, 5], [0, 0, 0, 0], [4, 4, 4, 4]],
+                         ids=["ragged", "zero", "equal"])
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_group_steps_are_each_clients_own_steps(dtype):
-    # uneven K_c with one client at K = 0, two epochs, and a last batch of 2 rows;
-    # the group's own arrays are left as they were
+def test_group_steps_are_each_clients_own_steps(ks, dtype):
+    # two epochs and a last batch of 2 rows; the group's own arrays are left as they were
     fed = small_fed(dtype)
     config = small_config()
     states, embedder0 = initialize_clients(fed, config, 5)
-    foreign = foreign_blocks(fed.params.embed_dim, [3, 0, 7, 5], dtype)
+    foreign = foreign_blocks(fed.params.embed_dim, ks, dtype)
     seeds = [(5, "local", 1, c) for c in range(4)]
     arrays = [embedder0, *foreign, *(getattr(s, f) for s in states for f in ARRAY_FIELDS)]
     before = [x.tobytes() for x in arrays]
@@ -115,16 +117,29 @@ def test_group_steps_are_each_clients_own_steps(dtype):
 
 # At these shapes a padded foreign product changes the bits: padding K = 3 to 90
 # moves float32 sgemm's sums over K, and padding K = 1 to 24 turns a
-# matrix-vector product into a gemm.
-@pytest.mark.parametrize("ks, d", [([40, 0, 3, 90], 8), ([24, 3, 6, 1], 32)])
+# matrix-vector product into a gemm. The stacks with no padding have every
+# K_c = 0 or every K_c equal. With every cosine negative ("far"), a padded
+# logit that were not -inf would be a row's largest.
+@pytest.mark.parametrize(
+    "ks, d, far",
+    [
+        pytest.param([40, 0, 3, 90], 8, False, id="ks0-8"),
+        pytest.param([24, 3, 6, 1], 32, False, id="ks1-32"),
+        pytest.param([0, 0, 0, 0], 8, False, id="zero-8"),
+        pytest.param([6, 6, 6, 6], 32, False, id="equal-32"),
+        pytest.param([40, 0, 3, 90], 8, True, id="far-8"),
+    ],
+)
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_stacked_kernel_is_each_clients_stack_of_one(ks, d, dtype):
+def test_stacked_kernel_is_each_clients_stack_of_one(ks, d, far, dtype):
     rng = np.random.default_rng(3)
     batch, n = 13, 11
     f = (rng.standard_normal((4, batch, d)) * 2.0).astype(dtype)
     w = rng.standard_normal((4, n, d)).astype(dtype)
     labels = rng.integers(0, n, size=(4, batch))
     foreign = foreign_blocks(d, ks, dtype)
+    if far:
+        f, w, foreign = -np.abs(f), np.abs(w), [np.abs(p) for p in foreign]
     config = LossConfig(30.0)
     stacked = stacked_loss_gradients(f, labels, w, foreign, config)
     assert stacked.loss.shape == (4,)

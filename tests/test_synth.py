@@ -12,13 +12,13 @@ from capfed.geometry import normalize_rows, sample_uniform_directions
 from capfed.synth import (
     AttackGallery,
     SynthParams,
-    VerificationPairs,
     cross_client_margin,
     generate_federation,
     knn_attack,
     make_verification_pairs,
     verification_eval,
 )
+from synth_oracle import pairs_of_rows
 
 
 def gallery_from_directions(
@@ -96,7 +96,7 @@ def pair_rows(monkeypatch, fed, positives, negatives, rng):
     """The sampled pairs as rows of the shards laid end to end, and the same flags."""
     monkeypatch.setattr(synth, "_gather_rows", lambda shards, idx: idx)
     pairs = make_verification_pairs(fed, positives, negatives, rng)
-    return pairs.a, pairs.b, pairs.same
+    return pairs.rows[pairs.ia], pairs.rows[pairs.ib], pairs.same
 
 
 class TestVerificationPairs:
@@ -106,7 +106,7 @@ class TestVerificationPairs:
         assert pairs.same.sum() == 200
         assert (~pairs.same).sum() == 200
         keys = set()
-        for a, b in zip(pairs.a, pairs.b):
+        for a, b in zip(pairs.rows[pairs.ia], pairs.rows[pairs.ib]):
             key = (tuple(np.round(a, 12)), tuple(np.round(b, 12)))
             rev = (key[1], key[0])
             assert key not in keys and rev not in keys
@@ -119,7 +119,7 @@ class TestVerificationPairs:
         pairs = make_verification_pairs(fed, 50, 50, np.random.default_rng(2))
         # map rows back to identities to check the client split of negatives
         lookup = {tuple(np.round(x, 12)): int(y) for x, y in zip(all_x, all_y)}
-        for a, b, same in zip(pairs.a, pairs.b, pairs.same):
+        for a, b, same in zip(pairs.rows[pairs.ia], pairs.rows[pairs.ib], pairs.same):
             ga, gb = lookup[tuple(np.round(a, 12))], lookup[tuple(np.round(b, 12))]
             if same:
                 assert ga == gb
@@ -189,7 +189,9 @@ class TestVerificationPairs:
             assert np.all(np.abs(counts - mean) <= 5 * sd), (counts.min(), counts.max(), mean)
 
     def test_peak_memory_below_the_shards(self):
-        # concatenating the shards to gather the pair rows peaks at 1.9x their bytes
+        # concatenating the shards to gather the pair rows peaks at 1.9x their bytes;
+        # the 1600 row slots of the 800 pairs would copy half the shards, and the
+        # distinct rows and two indices take less, each row stored once
         fed = small_fed(ids_per_client=200, embed_dim=128, input_dim=160)
         shards = sum(x.nbytes for x in fed.client_inputs)
         tracemalloc.start()
@@ -198,7 +200,10 @@ class TestVerificationPairs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert pairs.a.nbytes + pairs.b.nbytes == shards // 2
+        used = np.unique(np.concatenate([pairs.ia, pairs.ib]))
+        assert used.tolist() == list(range(pairs.rows.shape[0]))
+        assert np.unique(pairs.rows, axis=0).shape == pairs.rows.shape
+        assert pairs.rows.nbytes + pairs.ia.nbytes + pairs.ib.nbytes <= shards // 2
         assert peak < shards
 
 
@@ -208,10 +213,10 @@ class TestVerificationEval:
         pos = np.tile(np.eye(d)[0], (50, 1))
         neg_a = np.tile(np.eye(d)[1], (50, 1))
         neg_b = np.tile(np.eye(d)[2], (50, 1))
-        pairs = VerificationPairs(
-            a=np.concatenate([pos, neg_a]),
-            b=np.concatenate([pos, neg_b]),
-            same=np.array([True] * 50 + [False] * 50),
+        pairs = pairs_of_rows(
+            np.concatenate([pos, neg_a]),
+            np.concatenate([pos, neg_b]),
+            np.array([True] * 50 + [False] * 50),
         )
         table = verification_eval(lambda x: x, pairs, [0.1, 0.01])
         assert table[0.1] == 1.0
@@ -220,10 +225,10 @@ class TestVerificationEval:
     def test_chance_level_random_embeddings(self):
         rng = np.random.default_rng(3)
         n = 10_000
-        pairs = VerificationPairs(
-            a=sample_uniform_directions(2 * n, 16, rng),
-            b=sample_uniform_directions(2 * n, 16, rng),
-            same=np.array([True] * n + [False] * n),
+        pairs = pairs_of_rows(
+            sample_uniform_directions(2 * n, 16, rng),
+            sample_uniform_directions(2 * n, 16, rng),
+            np.array([True] * n + [False] * n),
         )
         table = verification_eval(lambda x: x, pairs, [0.1])
         se = math.sqrt(0.1 * 0.9 / n)
@@ -239,8 +244,8 @@ class TestVerificationEval:
             [[c, math.sqrt(1 - c * c)] for c in np.concatenate([scores_pos, scores_neg])]
         )
         same = np.array([True] * 3 + [False] * 3)
-        normal = verification_eval(lambda x: x, VerificationPairs(a, b, same), [0.0])
-        flipped = verification_eval(lambda x: x, VerificationPairs(a, b, ~same), [0.0])
+        normal = verification_eval(lambda x: x, pairs_of_rows(a, b, same), [0.0])
+        flipped = verification_eval(lambda x: x, pairs_of_rows(a, b, ~same), [0.0])
         assert normal[0.0] == 1.0
         assert flipped[0.0] == 0.0
 
@@ -255,7 +260,7 @@ class TestVerificationEval:
             assert rotated[far] == pytest.approx(base[far], abs=1e-12)
 
     def test_degenerate_flags_rejected(self):
-        pairs = VerificationPairs(np.eye(3), np.eye(3), np.array([True, True, True]))
+        pairs = pairs_of_rows(np.eye(3), np.eye(3), np.array([True, True, True]))
         with pytest.raises(DegenerateInputError):
             verification_eval(lambda x: x, pairs, [0.1])
 

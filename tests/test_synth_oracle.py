@@ -5,12 +5,14 @@ generator state afterwards, because the rewrite keeps every floating-point
 operation and every random draw.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import synth_oracle as oracle
 import train_oracle
-from capfed import federation, synth
+from capfed import blas, federation, synth
 from capfed.clustering import ClusteringParams
 from capfed.dp import PrivacyBudget
 from capfed.errors import DegenerateInputError
@@ -58,6 +60,12 @@ def test_generated_shards_match_oracle(monkeypatch, case):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def assert_same_pairs(live, ref):
+    for x, y in ((live.rows, ref.rows), (live.ia, ref.ia), (live.ib, ref.ib),
+                 (live.same, ref.same)):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 @pytest.mark.parametrize("case", range(len(FEDERATIONS)))
 def test_pairs_match_oracle(case):
     fed = generate_federation(SynthParams(**FEDERATIONS[case]), np.random.default_rng(case))
@@ -73,8 +81,7 @@ def test_pairs_match_oracle(case):
         live = make_verification_pairs(fed, pos, neg, rng)
         ref = oracle.make_verification_pairs(fed, pos, neg, ref_rng)
         assert state_of(rng) == state_of(ref_rng)
-        for x, y in ((live.a, ref.a), (live.b, ref.b), (live.same, ref.same)):
-            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert_same_pairs(live, ref)
 
 
 def test_pairs_match_oracle_on_uneven_hand_built_shards():
@@ -94,8 +101,7 @@ def test_pairs_match_oracle_on_uneven_hand_built_shards():
     live = make_verification_pairs(fed, 5, 12, rng)
     ref = oracle.make_verification_pairs(fed, 5, 12, ref_rng)
     assert state_of(rng) == state_of(ref_rng)
-    for x, y in ((live.a, ref.a), (live.b, ref.b), (live.same, ref.same)):
-        assert x.tobytes() == y.tobytes()
+    assert_same_pairs(live, ref)
 
 
 def eval_pairs(fed, rng):
@@ -105,7 +111,7 @@ def eval_pairs(fed, rng):
     x, labels = fed.client_inputs[0], fed.client_labels[0]
     order = np.argsort(labels, kind="stable")
     a, b = order[:-1], order[1:]
-    return VerificationPairs(x[a], x[b], labels[a] == labels[b])
+    return VerificationPairs(x, a, b, labels[a] == labels[b])
 
 
 @pytest.mark.parametrize("case", range(len(FEDERATIONS)))
@@ -140,6 +146,53 @@ def test_eval_and_embed_match_oracle(monkeypatch, case):
     assert [s.tobytes() for s in live_scores] == [s.tobytes() for s in neg_scores]
 
 
+def scores_and_tars(monkeypatch, evaluate, pairs):
+    """Every pair's score as the eval sorts it (the negatives, then, with the flags
+    flipped, the positives) and the TARs of the unflipped pairs."""
+    seen = []
+    sort = np.sort
+
+    def recording_sort(a, *args, **kw):
+        seen.append(a)
+        return sort(a, *args, **kw)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "sort", recording_sort)
+        tars = evaluate(pairs)
+        evaluate(dataclasses.replace(pairs, same=~pairs.same))
+    return np.concatenate(seen), tars
+
+
+# The default shape reuses rows across pairs; at d = 512 and input 640 the product
+# of the distinct rows is large enough for OpenBLAS to split it over its threads.
+@pytest.mark.parametrize("params, counts", [
+    pytest.param({}, (1000, 1000), id="default"),
+    pytest.param(dict(clients=2, ids_per_client=150, samples_per_identity=4, embed_dim=512,
+                      input_dim=640), (300, 300), id="threaded"),
+])
+def test_distinct_row_scores_are_per_pair_scores(monkeypatch, params, counts):
+    fed = generate_federation(SynthParams(**params), np.random.default_rng(12))
+    pairs = make_verification_pairs(fed, *counts, np.random.default_rng(13))
+    d, d_in = fed.params.embed_dim, fed.params.input_dim
+    assert pairs.rows.shape[0] < 2 * pairs.same.size
+    if params:
+        assert pairs.rows.shape[0] * d_in * d > blas._SMALL_PRODUCT
+    rng = np.random.default_rng(14)
+    embedder = (rng.standard_normal((d, d_in)) / np.sqrt(d_in)).astype(np.float32)
+    targets = (0.0, 0.01, 0.1, 0.5)
+    live = scores_and_tars(
+        monkeypatch, lambda p: verification_eval(lambda x: embed(embedder, x), p, targets), pairs
+    )
+    ref = scores_and_tars(
+        monkeypatch,
+        lambda p: oracle.verification_eval(lambda x: embed(embedder, x), p, targets),
+        pairs,
+    )
+    assert live[0].dtype == np.float32 and live[0].size == pairs.same.size
+    assert live[0].tobytes() == ref[0].tobytes()
+    assert live[1] == ref[1]
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 40])
 def test_knn_attack_matches_oracle(k):
     rng = np.random.default_rng(k)
@@ -160,9 +213,10 @@ def test_knn_attack_matches_oracle(k):
 def test_eval_leaves_pairs_and_embed_outputs_unchanged():
     fed = generate_federation(SynthParams(**FEDERATIONS[0]), np.random.default_rng(5))
     pairs = make_verification_pairs(fed, 30, 30, np.random.default_rng(6))
-    before = (pairs.a.tobytes(), pairs.b.tobytes(), pairs.same.tobytes())
+    fields = (pairs.rows, pairs.ia, pairs.ib, pairs.same)
+    before = [x.tobytes() for x in fields]
     verification_eval(lambda x: x, pairs, (0.01, 0.1))
-    assert (pairs.a.tobytes(), pairs.b.tobytes(), pairs.same.tobytes()) == before
+    assert [x.tobytes() for x in fields] == before
     outputs = []
 
     def scaled(x):
@@ -170,8 +224,8 @@ def test_eval_leaves_pairs_and_embed_outputs_unchanged():
         return outputs[-1]
 
     verification_eval(scaled, pairs, (0.1,))
-    for out, x in zip(outputs, (pairs.a, pairs.b), strict=True):
-        assert out.tobytes() == (x * 3.0).tobytes()
+    (out,) = outputs
+    assert out.tobytes() == (pairs.rows * 3.0).tobytes()
 
 
 def test_embed_leaves_its_inputs_unchanged():

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import clustering, dp, federation, losses, synth
 from .errors import CapfedError, ParseError, ValidationError, ZeroVectorError
-from .geometry import blocked_row_norms, nonzero_norms, occupancy_ratio
+from .geometry import checked_row_norms, occupancy_ratio
 
 OUTDIR_ENV = "CAPFED_OUTDIR"
 EMBEDDINGS_MAGIC = b"DPLC"
@@ -205,9 +205,9 @@ def read_embeddings(path) -> np.ndarray:
 
 
 def _input_row_norms(path, rows: np.ndarray) -> np.ndarray:
-    """Blocked row norms of an embeddings file's rows; a zero row is an input error naming it."""
+    """Row norms of an embeddings file's rows; a zero row is an input error naming it."""
     try:
-        return nonzero_norms(blocked_row_norms(rows))
+        return checked_row_norms(rows)
     except ZeroVectorError as exc:
         raise ParseError(f"{path}: {exc}; a zero vector has no direction") from exc
 
@@ -386,15 +386,12 @@ def cmd_attack(args) -> int:
         raise ValidationError("k: must be >= 1")
     exposed = read_embeddings(args.exposed)
     _input_row_norms(args.exposed, exposed)  # knn_attack matches exposed rows by direction
-    gallery_vectors = read_embeddings(args.gallery)
-    if exposed.shape[1] != gallery_vectors.shape[1]:
+    gallery = read_embeddings(args.gallery)
+    if exposed.shape[1] != gallery.shape[1]:
         raise ValidationError(f"{args.exposed} has dim {exposed.shape[1]} but "
-                              f"{args.gallery} has dim {gallery_vectors.shape[1]}")
-    n_gallery = gallery_vectors.shape[0]
-    gallery = synth.AttackGallery(
-        np.arange(n_gallery),
-        gallery_vectors / _input_row_norms(args.gallery, gallery_vectors)[:, None],
-    )
+                              f"{args.gallery} has dim {gallery.shape[1]}")
+    n_gallery = gallery.shape[0]
+    gallery /= _input_row_norms(args.gallery, gallery)[:, None]
     if args.targets:
         try:
             targets = json.loads(Path(args.targets).read_text())
@@ -409,13 +406,13 @@ def cmd_attack(args) -> int:
                                       f"{n_gallery}) or a non-empty list of them: {ids}")
     else:
         targets = [[i] for i in range(exposed.shape[0])]
-    result = synth.knn_attack(exposed, gallery, args.k, targets)
+    scores = synth.knn_attack(exposed, gallery, args.k, targets)
     payload = {
         "k": args.k,
         "gallery_size": n_gallery,
         "exposed": int(exposed.shape[0]),
-        "success_rate": result.success_rate,
-        "per_exposed": [float(v) for v in result.per_exposed],
+        "success_rate": float(np.mean(scores)),
+        "per_exposed": [float(v) for v in scores],
     }
     _emit_json(payload, args, "attack.json")
     return 0
@@ -498,7 +495,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--exposed", required=True)
     p.add_argument("--gallery", required=True)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--targets", help="JSON file: one identity list per exposed vector")
+    p.add_argument("--targets", help="JSON file: one list of gallery rows per exposed vector")
     p.set_defaults(run=cmd_attack)
 
     return parser

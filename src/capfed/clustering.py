@@ -275,6 +275,9 @@ def run_clustering(
     release per center at sensitivity 2. The noise covers one swapped row of
     centers, the other rows fixed, not an identity or the embedder; release
     counts, sizes and the seed choice carry no noise (see the dp module).
+    The tight sensitivity covers only a swap that keeps a cap's members and
+    seed; a swap that changes them can move the noise-free mean past it
+    with an unchanged transcript (dp.tight_sensitivity names the witnesses).
 
     The densest cap is the active seed with the most active rho-neighbours
     (itself included), ties going to the lowest index. Neighbour counts are

@@ -71,7 +71,11 @@ def tight_sensitivity(cluster_size: int, rho: float) -> float:
 
     The mean of |S| unit vectors that all lie within angle rho of a common
     center moves by at most sqrt(2 - 2 cos(2 rho)) / |S|, because any two
-    members are within 2 rho of each other.
+    members are within 2 rho of each other. It covers only a swap that
+    keeps the cap's members and its seed. Greedy release lets a swap change
+    either with the same count, sizes and sigma, and the mean then moves
+    past this bound: see TestGreedyExceedsItsStatedSensitivity in
+    tests/test_clustering.py (a singleton cap, and a row moved between caps).
     """
     _check_cluster_inputs(cluster_size, rho)
     return math.sqrt(2.0 - 2.0 * math.cos(2.0 * rho)) / cluster_size

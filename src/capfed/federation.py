@@ -46,7 +46,7 @@ import numpy as np
 
 from . import blas, clustering, dp, losses, synth
 from .errors import EmptyInputError, LabelOutOfRangeError, ShapeMismatchError, ValidationError
-from .geometry import blocked_row_norms, checked_row_norms, nonzero_norms, normalize_rows
+from .geometry import checked_row_norms, normalize_rows
 
 MODE_PHI = "phi"  # conventional: no clusters exchanged
 MODE_PHI_HAT = "phi-hat"  # sanitized clusters
@@ -147,7 +147,7 @@ def embed(embedder: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     blocks, so no temporary is as large as the features.
     """
     feats = blas.matmul(np.asarray(inputs), embedder.T)
-    feats /= nonzero_norms(blocked_row_norms(feats))[:, None]
+    feats /= checked_row_norms(feats)[:, None]
     return feats
 
 
@@ -346,9 +346,11 @@ def aggregate_fedavg(models: Sequence[np.ndarray]) -> np.ndarray:
     each, where sort(axis=0) walks every coordinate's strided column. It
     compares integer total-order keys, not the floats: on a {+0.0, -0.0}
     pair np.minimum and np.maximum both return the same operand, which would
-    turn a mean of +0 into -0. The mean has the bits of sorting with np.sort
-    (kept in tests/test_federation.py) except in a NaN's sign and payload:
-    np.sort writes every NaN as the positive quiet NaN.
+    turn a mean of +0 into -0. Keys are made and undone one model at a
+    time, so _flip_negatives' sign mask is one model, not the stack. The
+    mean has the bits of sorting with np.sort (kept in
+    tests/test_federation.py) except in a NaN's sign and payload: np.sort
+    writes every NaN as the positive quiet NaN.
     """
     if not models:
         raise EmptyInputError("cannot average an empty list of models")
@@ -357,10 +359,10 @@ def aggregate_fedavg(models: Sequence[np.ndarray]) -> np.ndarray:
         raise ShapeMismatchError(f"mismatched shapes {sorted(shapes)}")
     k = len(models)
     stack = np.empty((k + 1, *models[0].shape), dtype=np.result_type(np.float32, *models))
+    keys = stack.view(f"i{stack.itemsize}")
     for j, m in enumerate(models):  # row k is the network's spare
         stack[j] = m
-    keys = stack.view(f"i{stack.itemsize}")
-    _flip_negatives(keys)
+        _flip_negatives(keys[j])
     order, spare = list(range(k)), k
     for r in range(k):
         for i in range(r % 2, k - 1, 2):
@@ -368,7 +370,8 @@ def aggregate_fedavg(models: Sequence[np.ndarray]) -> np.ndarray:
             np.minimum(lo, hi, out=keys[spare])
             np.maximum(lo, hi, out=hi)
             order[i], spare = spare, order[i]
-    _flip_negatives(keys)
+    for j in order:
+        _flip_negatives(keys[j])
     total = _pairwise_tree_sum([stack[j] for j in order])
     return total / k
 

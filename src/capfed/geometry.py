@@ -1,11 +1,13 @@
 """Unit-sphere primitives: normalization, cap areas, uniform directions.
 
-Row norms and row normalization follow the array's dtype: float32 rows (the
-training path's) stay float32, and anything else is taken as float64.
-`has_unit_rows` and everything else here is double precision. Cap areas go
-down to ~1e-10 for the margins and dimensions this package targets, so the
-incomplete beta function is evaluated with a continued fraction rather than
-a series.
+Every row norm in the package is taken by `row_norms`, which gives the bits
+of np.linalg.norm along the last axis and squares at most ROW_BLOCK_BYTES of
+rows at once. Row norms and row normalization follow the array's dtype:
+float32 rows (the training path's) stay float32, and anything else is taken
+as float64. `has_unit_rows` and everything else here is double precision.
+Cap areas go down to ~1e-10 for the margins and dimensions this package
+targets, so the incomplete beta function is evaluated with a continued
+fraction rather than a series.
 """
 
 from __future__ import annotations
@@ -42,21 +44,44 @@ def float_array(m) -> np.ndarray:
     return m if m.dtype == np.float32 else m.astype(float, copy=False)
 
 
+# Bytes of rows row_norms squares at once (128 rows of float64 at d = 512).
+ROW_BLOCK_BYTES = 1 << 19
+
+
+def block_rows(m: np.ndarray) -> int:
+    """How many rows (along the last axis) of m make one ROW_BLOCK_BYTES block (at least 1)."""
+    return max(1, ROW_BLOCK_BYTES // max(1, m.shape[-1] * m.itemsize))
+
+
 def row_norms(m: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row (the last axis) of a float array.
 
     This is the reduction np.linalg.norm runs for ord=2 along one axis, so
-    the bits are the same, without its dispatch and extra temporaries.
+    the bits are the same, without its dispatch and extra temporaries. An
+    array larger than ROW_BLOCK_BYTES is squared block_rows(m) rows at a
+    time, over its rows flattened across the leading axes. NumPy sums a
+    contiguous row pairwise whatever rows share the reduction, so the bits
+    stay; a strided last axis is reduced whole, because a block of one row
+    would sum it in another order.
     """
-    return np.sqrt(np.add.reduce(m * m, axis=-1))
+    if m.nbytes <= ROW_BLOCK_BYTES or m.strides[-1] != m.itemsize:
+        return np.sqrt(np.add.reduce(m * m, axis=-1))
+    rows = m.reshape(-1, m.shape[-1])  # a view where the layout allows
+    norms = np.empty(rows.shape[0], dtype=m.dtype)
+    step = block_rows(m)
+    for start in range(0, rows.shape[0], step):
+        block = rows[start : start + step]
+        np.sqrt(np.add.reduce(block * block, axis=-1), out=norms[start : start + step])
+    return norms.reshape(m.shape[:-1])
 
 
-def nonzero_norms(norms: np.ndarray) -> np.ndarray:
-    """norms, raising ZeroVectorError when one of them is <= 1e-12.
+def checked_row_norms(m: np.ndarray) -> np.ndarray:
+    """row_norms, raising ZeroVectorError when a row's norm is <= 1e-12.
 
-    The error names the row within its matrix, and for the norms of a stack
-    of matrices also the matrix's index in the stack.
+    The error names the row within its matrix, and for a stack of matrices
+    also the matrix's index in the stack.
     """
+    norms = row_norms(m)
     small = norms <= ZERO_NORM_FLOOR
     if np.any(small):
         index = tuple(int(i) for i in np.unravel_index(np.argmax(small), norms.shape))
@@ -65,44 +90,16 @@ def nonzero_norms(norms: np.ndarray) -> np.ndarray:
     return norms
 
 
-def checked_row_norms(m: np.ndarray) -> np.ndarray:
-    """row_norms, raising ZeroVectorError when a row's norm is <= 1e-12 (see nonzero_norms)."""
-    return nonzero_norms(row_norms(m))
-
-
 def normalize_rows(m: np.ndarray) -> np.ndarray:
     """Normalize every row of a matrix to unit length, in its float_array dtype."""
     m = float_array(m)
     return m / checked_row_norms(m)[..., None]
 
 
-# Bytes of rows blocked_row_norms squares at once (128 rows of float64 at d = 512).
-ROW_BLOCK_BYTES = 1 << 19
-
-
-def block_rows(m: np.ndarray) -> int:
-    """How many rows of the 2-d array m make one ROW_BLOCK_BYTES block (at least 1)."""
-    return max(1, ROW_BLOCK_BYTES // max(1, m.shape[1] * m.itemsize))
-
-
-def blocked_row_norms(m: np.ndarray) -> np.ndarray:
-    """row_norms of a float matrix, taken block_rows(m) rows at a time.
-
-    A row's norm does not depend on the other rows reduced with it, so the
-    bits are those of row_norms, without a temporary of the whole matrix's
-    size.
-    """
-    norms = np.empty(m.shape[0], dtype=m.dtype)
-    step = block_rows(m)
-    for start in range(0, m.shape[0], step):
-        norms[start : start + step] = row_norms(m[start : start + step])
-    return norms
-
-
-def has_unit_rows(m: np.ndarray, atol: float = UNIT_ROW_ATOL) -> bool:
-    """True when every row of the matrix m has norm 1 within atol (norms of blocked_row_norms)."""
-    norms = blocked_row_norms(np.asarray(m, dtype=float))
-    return bool(np.all(np.abs(norms - 1.0) <= atol))
+def has_unit_rows(m: np.ndarray) -> bool:
+    """True when every row of the matrix m has norm 1 within UNIT_ROW_ATOL, in float64."""
+    norms = row_norms(np.asarray(m, dtype=float))
+    return bool(np.all(np.abs(norms - 1.0) <= UNIT_ROW_ATOL))
 
 
 _BETACF_MAX_ITERATIONS = 1000

@@ -258,58 +258,33 @@ def cross_client_margin(centers_per_client: list[np.ndarray]) -> float:
     return best
 
 
-@dataclass
-class AttackGallery:
-    """Reference embeddings an attacker compares exposed vectors against.
-
-    The gallery keeps one entry (a centroid) per identity.
-    """
-
-    ids: np.ndarray  # (E,) identity id per entry
-    vectors: np.ndarray  # (E, d) unit rows
-
-    def __post_init__(self) -> None:
-        if self.ids.shape[0] != self.vectors.shape[0]:
-            raise DomainError("gallery ids and vectors must align")
-        if np.unique(self.ids).size != self.ids.size:
-            raise DomainError("gallery must have exactly one entry per identity")
-
-
-@dataclass
-class AttackResult:
-    success_rate: float
-    per_exposed: np.ndarray  # (E,) fraction of each target set retrieved
-
-
 def knn_attack(
     exposed: np.ndarray,
-    gallery: AttackGallery,
+    gallery: np.ndarray,
     k: int,
     targets: list,
-) -> AttackResult:
-    """Top-k cosine retrieval of exposed vectors against the gallery.
+) -> np.ndarray:
+    """Top-k cosine retrieval of exposed vectors against the gallery's rows.
 
-    targets gives, per exposed vector, the identity or set of identities it
-    was derived from; the per-vector score is the fraction of those
-    identities appearing among the top-k retrieved identities. Exposed
-    vectors need not be unit (noised centers are matched by direction).
+    Gallery row i is identity i. targets gives, per exposed vector, the
+    gallery row or set of rows it was derived from; the per-vector score is
+    the fraction of those rows among its top-k retrieved rows. Returns the
+    (E,) scores. Exposed vectors need not be unit (noised centers are matched
+    by direction).
     """
     exposed = np.atleast_2d(np.asarray(exposed, dtype=float))
-    if exposed.shape[1] != gallery.vectors.shape[1]:
-        raise ShapeMismatchError(
-            f"exposed dim {exposed.shape[1]} != gallery dim {gallery.vectors.shape[1]}"
-        )
-    if gallery.vectors.shape[0] == 0:
+    if exposed.shape[1] != gallery.shape[1]:
+        raise ShapeMismatchError(f"exposed dim {exposed.shape[1]} != gallery dim {gallery.shape[1]}")
+    if gallery.shape[0] == 0:
         raise EmptyInputError("gallery is empty")
     if len(targets) != exposed.shape[0]:
         raise DomainError("one target set per exposed vector is required")
     if k < 1:
         raise DomainError(f"k={k} must be >= 1")
-    sims = normalize_rows(exposed) @ normalize_rows(gallery.vectors).T
-    # Gallery ids are distinct, so the k best entries are the k best identities.
-    top = gallery.ids[np.argsort(-sims, axis=1, kind="stable")[:, :k]]
+    sims = normalize_rows(exposed) @ normalize_rows(gallery).T
+    top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     scores = np.zeros(exposed.shape[0])
     for i, got in enumerate(top.tolist()):
         want = {int(t) for t in np.atleast_1d(targets[i])}
         scores[i] = len(want.intersection(got)) / len(want)
-    return AttackResult(float(np.mean(scores)), scores)
+    return scores

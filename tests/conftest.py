@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 
+from capfed import dp
+from capfed.clustering import MODE_NOISE_FREE, ClusteringParams, run_clustering
 from capfed.geometry import normalize, normalize_rows
 from capfed.losses import GradientBundle, stacked_loss_gradients
 
@@ -37,3 +40,37 @@ def one_client_loss(f, labels, w, foreign, config):
     """stacked_loss_gradients on a stack of one: 2-d gradients and the loss as a float."""
     bundle = stacked_loss_gradients(f[None], labels[None], w[None], [foreign], config)
     return GradientBundle(bundle.d_embeddings[0], bundle.d_centers[0], float(bundle.loss[0]))
+
+
+class SwapMatch(NamedTuple):
+    """One query of the noise-free releases of two neighbouring center matrices."""
+
+    ratio: float  # ||p - p'|| / the larger stated tight sensitivity of the two caps
+    transcript_differs: bool  # the release count, this query's size or its sigma differs
+    members: np.ndarray  # the cap's rows in x
+    swapped_members: np.ndarray  # the cap's rows in x with the row swapped
+
+
+def swap_witness(x: np.ndarray, i: int, row: np.ndarray, params: ClusteringParams) -> list[SwapMatch]:
+    """Compare the noise-free releases of x and of x with row i swapped for row, query by query.
+
+    p is a cap's mean x[members].mean(axis=0), the point the Gaussian is
+    calibrated for, and the ratio divides ||p - p'|| by tight_sensitivity of
+    the cap's size (the larger of the two sides'). A ratio above 1 is a
+    neighbour the stated sensitivity does not cover. Queries are matched by
+    their order; a query only one side makes is not matched but shows as a
+    differing transcript.
+    """
+    swapped = x.copy()
+    swapped[i] = row
+    params = dataclasses.replace(params, mode=MODE_NOISE_FREE)
+    before = run_clustering(x, params, np.random.default_rng(0))
+    after = run_clustering(swapped, params, np.random.default_rng(0))
+    count_differs = len(before.sizes) != len(after.sizes)
+    matches = []
+    for members, other in zip(before.member_indexes, after.member_indexes):
+        move = x[members].mean(axis=0) - swapped[other].mean(axis=0)
+        delta = max(dp.tight_sensitivity(int(m.size), params.rho) for m in (members, other))
+        differs = count_differs or members.size != other.size  # sigma follows the size
+        matches.append(SwapMatch(float(np.linalg.norm(move)) / delta, differs, members, other))
+    return matches

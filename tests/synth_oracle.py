@@ -6,8 +6,8 @@ This module keeps versions that normalize out of place, list every distinct
 pair over the concatenated shards and index that list with the same draws,
 so tests can demand the same shard, pair and TAR bytes from both. Its eval
 embeds every pair's rows, where `capfed.synth` embeds each distinct row once.
-`knn_attack` keeps the per-row loop that skipped repeated gallery
-identities, so tests can demand the same scores from the vectorized top-k.
+`knn_attack` ranks the gallery rows for one exposed row at a time, so
+tests can demand the same scores from the vectorized top-k.
 The reference `embed` lives in train_oracle.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from capfed.errors import DegenerateInputError, DomainError
 from capfed.geometry import normalize_rows
-from capfed.synth import AttackGallery, AttackResult, SyntheticFederation, VerificationPairs
+from capfed.synth import SyntheticFederation, VerificationPairs
 
 
 def _sample_inputs(
@@ -111,20 +111,13 @@ def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[floa
     return out
 
 
-def knn_attack(exposed, gallery: AttackGallery, k: int, targets: list) -> AttackResult:
-    """Top-k retrieval that walks each row's ranking and skips repeated identities."""
+def knn_attack(exposed, gallery: np.ndarray, k: int, targets: list) -> np.ndarray:
+    """Top-k retrieval of gallery rows, one exposed row at a time."""
     exposed = np.atleast_2d(np.asarray(exposed, dtype=float))
-    sims = normalize_rows(exposed) @ normalize_rows(gallery.vectors).T
+    sims = normalize_rows(exposed) @ normalize_rows(gallery).T
     scores = np.zeros(exposed.shape[0])
     for i in range(exposed.shape[0]):
         want = {int(t) for t in np.atleast_1d(targets[i])}
-        order = np.argsort(-sims[i], kind="stable")
-        got: list[int] = []
-        for e in order:
-            gid = int(gallery.ids[e])
-            if gid not in got:
-                got.append(gid)
-            if len(got) == k:
-                break
+        got = np.argsort(-sims[i], kind="stable")[:k].tolist()
         scores[i] = len(want.intersection(got)) / len(want)
-    return AttackResult(float(np.mean(scores)), scores)
+    return scores

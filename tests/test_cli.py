@@ -604,6 +604,20 @@ class TestExitCodes:
             assert f"validation error: {dirty}: row 3 has norm 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_width_embeddings_are_two_without_output(self, tmp_path, capsys):
+        # rows of no values have norm 0: a (2, 0) file is rejected like a zero row
+        path = tmp_path / "zero_width.bin"
+        write_embeddings_binary(path, np.zeros((2, 0)))
+        out = tmp_path / "out.json"
+        runs = [
+            ["attack", "--exposed", str(path), "--gallery", str(path)],
+            ["cluster", "--embeddings", str(path), "--min-size", "1"],
+        ]
+        for argv in runs:
+            assert main(argv + ["--out", str(out)]) == 2
+            assert f"validation error: {path}: row 0 has norm 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_attack_k_below_one_is_two_without_output(self, tmp_path, capsys):
         gallery = tmp_path / "gallery.csv"
         write_embeddings_csv(gallery, np.eye(4))

@@ -17,16 +17,10 @@ from capfed.clustering import (
     ClusteringParams,
     run_clustering,
 )
-from capfed.dp import PrivacyBudget, tight_sensitivity
+from capfed.dp import PrivacyBudget
 from capfed.errors import DomainError, EmptyInputError, ParseError
-from capfed.geometry import (
-    blocked_row_norms,
-    normalize,
-    normalize_rows,
-    row_norms,
-    sample_uniform_directions,
-)
-from conftest import planted_bundle
+from capfed.geometry import normalize, normalize_rows, sample_uniform_directions
+from conftest import planted_bundle, swap_witness
 from dense_oracle import dense_run_clustering, densest_cap, pairwise_angles
 
 BUDGET = PrivacyBudget(1.0, 5e-5)
@@ -337,15 +331,10 @@ class TestTightSensitivity:
     @staticmethod
     def swap_ratio(w, i, row, rho):
         """||p - p'|| / tight_sensitivity(|S|, rho) for w and w with row i replaced."""
-        swapped = w.copy()
-        swapped[i] = row
-        cap = params(rho=rho, min_cluster_size=2, max_queries=1, mode=MODE_NOISE_FREE)
-        before = run_clustering(w, cap, np.random.default_rng(0)).member_indexes[0]
-        after = run_clustering(swapped, cap, np.random.default_rng(0)).member_indexes[0]
-        np.testing.assert_array_equal(before, after)
-        assert i in before
-        move = np.mean(w[before], axis=0) - np.mean(swapped[before], axis=0)
-        return float(np.linalg.norm(move)) / tight_sensitivity(before.size, rho)
+        (match,) = swap_witness(w, i, row, params(rho=rho, min_cluster_size=2, max_queries=1))
+        np.testing.assert_array_equal(match.members, match.swapped_members)
+        assert i in match.members and not match.transcript_differs
+        return match.ratio
 
     @staticmethod
     def cap_with_background(d, rho, rng):
@@ -374,6 +363,39 @@ class TestTightSensitivity:
         w[5] = normalize(math.cos(edge) * axis + math.sin(edge) * u)
         mirror = normalize(math.cos(edge) * axis - math.sin(edge) * u)
         assert abs(self.swap_ratio(w, 5, mirror, rho) - 1.0) <= 1e-12
+
+
+class TestGreedyExceedsItsStatedSensitivity:
+    """Pinned witnesses: swaps the tight sensitivity does not cover.
+
+    The tight sensitivity bounds the move of a cap's mean when the swap keeps
+    the cap's members and seed. Greedy release also lets a swap change them,
+    and these neighbours move the noise-free mean past the stated bound
+    while the transcript (count, sizes, sigma) stays the same. A release
+    that closes the hole flips these assertions.
+    """
+
+    def test_singleton_caps_release_single_rows(self):
+        # at rho = 0.001 every cap is one row, and the seed is the swapped row itself
+        rng = np.random.default_rng(37)
+        x = sample_uniform_directions(64, 32, rng)
+        row = sample_uniform_directions(1, 32, rng)[0]
+        matches = swap_witness(x, 0, row, params(rho=0.001, min_cluster_size=1, max_queries=64))
+        assert len(matches) == 64 and not any(m.transcript_differs for m in matches)
+        assert max(m.ratio for m in matches) > 100
+
+    def test_moving_a_row_between_caps_changes_the_seed(self):
+        # caps of 9 and 8 rows around +u and -u; one row moves from the first to the second,
+        # so the one query releases the other cap, of 9 rows on both sides
+        rng = np.random.default_rng(38)
+        u = normalize(rng.standard_normal(32))
+        x = np.vstack([rows_at_angles(u, np.full(9, 0.6), rng), rows_at_angles(-u, np.full(8, 0.6), rng)])
+        row = rows_at_angles(-u, [0.6], rng)[0]
+        (match,) = swap_witness(x, 0, row, params(rho=1.3, min_cluster_size=8, max_queries=1))
+        assert match.members.size == match.swapped_members.size == 9
+        assert np.intersect1d(match.members, match.swapped_members).tolist() == [0]
+        assert not match.transcript_differs
+        assert match.ratio > 1
 
 
 class TestStreamingMatchesDense:
@@ -654,10 +676,6 @@ class TestUngatheredRemoval:
 
 class TestBlockedLoadNorms:
     """capfed cluster takes the loaded rows' norms a ROW_BLOCK_BYTES block at a time."""
-
-    def test_blocked_norms_have_the_bits_of_row_norms(self):
-        m = np.random.default_rng(33).standard_normal((1000, 512))
-        assert blocked_row_norms(m).tobytes() == row_norms(m).tobytes()
 
     def test_zero_row_in_a_late_block_is_named_by_its_global_index(self, tmp_path):
         rows = sample_uniform_directions(1000, 512, np.random.default_rng(34)).astype("<f4")

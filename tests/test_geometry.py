@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from scipy import special
 from capfed import geometry
 from capfed.errors import DomainError, ZeroVectorError
 from capfed.geometry import (
+    ROW_BLOCK_BYTES,
+    checked_row_norms,
     has_unit_rows,
     normalize,
     normalize_rows,
@@ -66,6 +69,34 @@ def test_has_unit_rows_checks_every_row_block():
     m[3 * block] *= 1.0 + 1e-8  # the first row of the last, partial block
     assert not has_unit_rows(m)
     assert has_unit_rows(m[: 3 * block])
+
+
+def test_zero_row_in_a_late_block_of_a_stack_is_named_by_matrix_and_row():
+    m = np.random.default_rng(35).standard_normal((3, 300, 512)).astype(np.float32)
+    m[2, 290] = 0.0  # row 890 of the 900 rows, in the last, partial block of 256
+    assert m.nbytes > ROW_BLOCK_BYTES
+    with pytest.raises(ZeroVectorError, match="^row 290 of matrix 2 has norm 0"):
+        checked_row_norms(m)
+
+
+def test_row_norms_hold_no_square_of_the_whole_matrix():
+    m = np.random.default_rng(36).standard_normal((4000, 512))  # 16 MB of float64
+
+    def peak(normalize):
+        tracemalloc.start()
+        try:
+            normalize()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    norms = 4000 * 8
+    # in place, as the package normalizes samples, features and centers: the norms and a block
+    in_place = m.copy()
+    divide = lambda: np.divide(in_place, checked_row_norms(in_place)[:, None], out=in_place)  # noqa: E731
+    assert peak(divide) <= norms + 2 * ROW_BLOCK_BYTES
+    # out of place, the output besides
+    assert peak(lambda: normalize_rows(m)) <= m.nbytes + norms + 2 * ROW_BLOCK_BYTES
 
 
 class TestRegIncBeta:

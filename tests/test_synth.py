@@ -10,7 +10,6 @@ from capfed.dp import gaussian_perturb
 from capfed.errors import DegenerateInputError, DomainError, ShapeMismatchError
 from capfed.geometry import normalize_rows, sample_uniform_directions
 from capfed.synth import (
-    AttackGallery,
     SynthParams,
     cross_client_margin,
     generate_federation,
@@ -25,16 +24,13 @@ def gallery_from_directions(
     directions: np.ndarray,
     distractors: int,
     rng: np.random.Generator,
-) -> AttackGallery:
-    """Exact-centroid gallery over the federation identities plus distractor ones."""
+) -> np.ndarray:
+    """Exact-centroid gallery over the federation identities plus distractor rows."""
     directions = np.asarray(directions, dtype=float)
-    g = directions.shape[0]
-    if distractors:
-        extra = sample_uniform_directions(distractors, directions.shape[1], rng)
-        vectors = np.concatenate([directions, extra], axis=0)
-    else:
-        vectors = directions.copy()
-    return AttackGallery(np.arange(g + distractors), vectors)
+    if not distractors:
+        return directions.copy()
+    extra = sample_uniform_directions(distractors, directions.shape[1], rng)
+    return np.concatenate([directions, extra], axis=0)
 
 
 def small_fed(seed=0, **kw):
@@ -294,8 +290,8 @@ class TestKnnAttack:
         rng = np.random.default_rng(7)
         directions = sample_uniform_directions(64, 16, rng)
         gallery = gallery_from_directions(directions, 0, rng)
-        result = knn_attack(directions, gallery, 1, [[i] for i in range(64)])
-        assert result.success_rate == 1.0
+        scores = knn_attack(directions, gallery, 1, [[i] for i in range(64)])
+        assert np.all(scores == 1.0)
 
     def test_chance_level_random_exposed(self):
         rng = np.random.default_rng(8)
@@ -303,10 +299,10 @@ class TestKnnAttack:
         gallery = gallery_from_directions(sample_uniform_directions(g, 12, rng), 0, rng)
         exposed = sample_uniform_directions(n, 12, rng)
         targets = [[int(rng.integers(g))] for _ in range(n)]
-        result = knn_attack(exposed, gallery, k, targets)
+        scores = knn_attack(exposed, gallery, k, targets)
         p = k / g
         se = math.sqrt(p * (1 - p) / n)
-        assert abs(result.success_rate - p) <= 4 * se
+        assert abs(np.mean(scores) - p) <= 4 * se
 
     def test_noise_at_naive_scale_hides_identity(self):
         rng = np.random.default_rng(9)
@@ -314,26 +310,22 @@ class TestKnnAttack:
         gallery = gallery_from_directions(directions, 1280, rng)
         sigma = 2.0 / 1.0 * math.sqrt(2.0 * math.log(1.25 / 5e-5))  # sensitivity 2, (1, 5e-5)
         exposed = np.stack([gaussian_perturb(d, sigma, rng) for d in directions])
-        result = knn_attack(exposed, gallery, 1, [[i] for i in range(128)])
-        p = 1.0 / gallery.ids.size
+        scores = knn_attack(exposed, gallery, 1, [[i] for i in range(128)])
+        p = 1.0 / gallery.shape[0]
         se = math.sqrt(p * (1 - p) / 128)
-        assert result.success_rate <= p + 3 * se + 1e-9
+        assert np.mean(scores) <= p + 3 * se + 1e-9
 
     def test_cluster_coverage_targets(self):
         rng = np.random.default_rng(10)
         directions = sample_uniform_directions(30, 8, rng)
         gallery = gallery_from_directions(directions, 0, rng)
         center = normalize_rows(directions[:3].mean(axis=0, keepdims=True))
-        result = knn_attack(center, gallery, 3, [list(range(3))])
-        assert 0.0 <= result.success_rate <= 1.0
-        assert result.per_exposed.shape == (1,)
+        scores = knn_attack(center, gallery, 3, [list(range(3))])
+        assert scores.shape == (1,)
+        assert 0.0 <= scores[0] <= 1.0
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(11)
         gallery = gallery_from_directions(sample_uniform_directions(5, 8, rng), 0, rng)
         with pytest.raises(ShapeMismatchError):
             knn_attack(np.ones((2, 4)), gallery, 1, [[0], [1]])
-
-    def test_centroid_gallery_uniqueness_enforced(self):
-        with pytest.raises(DomainError):
-            AttackGallery(np.array([0, 0]), np.eye(2))

@@ -20,7 +20,6 @@ from capfed.federation import FederationConfig, embed, run_federation
 from capfed.geometry import normalize_rows
 from capfed.losses import LossConfig
 from capfed.synth import (
-    AttackGallery,
     SynthParams,
     VerificationPairs,
     generate_federation,
@@ -198,16 +197,15 @@ def test_knn_attack_matches_oracle(k):
     rng = np.random.default_rng(k)
     base = rng.standard_normal((12, 6))
     # repeated rows tie on cosine, so the stable tie order is exercised
-    vectors = normalize_rows(np.concatenate([base, base[:5], base[2:7]]))
-    gallery = AttackGallery(rng.permutation(1000)[: vectors.shape[0]], vectors)
+    gallery = normalize_rows(np.concatenate([base, base[:5], base[2:7]]))
+    gallery = gallery[rng.permutation(gallery.shape[0])]
     exposed = np.concatenate([base[[0, 3, 9]], rng.standard_normal((20, 6)), 0.5 * base[[1, 6]]])
-    targets = [rng.choice(gallery.ids, size=int(rng.integers(1, 4)), replace=False)
+    targets = [rng.choice(gallery.shape[0], size=int(rng.integers(1, 4)), replace=False)
                for _ in range(exposed.shape[0])]
     live = knn_attack(exposed, gallery, k, targets)
     ref = oracle.knn_attack(exposed, gallery, k, targets)
-    assert live.success_rate == ref.success_rate
-    assert live.per_exposed.tobytes() == ref.per_exposed.tobytes()
-    assert 0.0 < ref.success_rate
+    assert live.tobytes() == ref.tobytes()
+    assert 0.0 < np.mean(ref)
 
 
 def test_eval_leaves_pairs_and_embed_outputs_unchanged():

@@ -26,7 +26,7 @@ from capfed.federation import (
     initialize_clients,
     run_federation,
 )
-from capfed.geometry import checked_row_norms, normalize_rows, row_norms
+from capfed.geometry import ROW_BLOCK_BYTES, checked_row_norms, normalize_rows, row_norms
 from capfed.losses import LossConfig, stacked_loss_gradients
 from capfed.synth import SynthParams, generate_federation
 from conftest import one_client_loss, with_shard_dtype
@@ -107,10 +107,19 @@ def test_integer_scale_is_the_float_scale():
 
 def test_row_norms_are_linalg_norm_bits():
     rng = np.random.default_rng(14)
-    for shape in [(7,), (5, 3), (40, 512), (2, 3, 9)]:
-        for dtype in (np.float64, np.float32):
-            m = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)).astype(dtype)
-            assert row_norms(m).tobytes() == np.linalg.norm(m, axis=-1).tobytes()
+    cases = [(s, t) for s in [(7,), (5, 3), (40, 512), (2, 3, 9)] for t in (np.float64, np.float32)]
+    # above ROW_BLOCK_BYTES, squared a block of rows at a time: a matrix, a stack of
+    # 900 rows whose last block of 256 is partial, and one row longer than a block
+    large = [((1000, 512), np.float64), ((3, 300, 512), np.float32), ((70_000,), np.float64)]
+    for shape, dtype in cases + large:
+        m = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)).astype(dtype)
+        assert (m.nbytes > ROW_BLOCK_BYTES) == ((shape, dtype) in large)
+        norms = row_norms(m)
+        assert norms.shape == shape[:-1]
+        assert norms.tobytes() == np.linalg.norm(m, axis=-1).tobytes()
+    # a strided last axis is reduced whole: a block of one row would sum it in another order
+    m = np.asfortranarray(rng.standard_normal((257, 512)))
+    assert row_norms(m).tobytes() == np.linalg.norm(m, axis=-1).tobytes()
     m = rng.standard_normal((30, 17))
     assert normalize_rows(m).tobytes() == oracle.normalize_rows(m).tobytes()
     assert checked_row_norms(m).tobytes() == np.linalg.norm(m, axis=1).tobytes()

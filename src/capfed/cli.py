@@ -9,8 +9,9 @@ evaluation fields are ``eval.positives``, ``eval.negatives`` and
 ``eval.far_targets``. A flag sets the key that is its argparse ``dest``
 (``--rho`` sets ``dplc.rho``), except that ``--out-dir`` picks where outputs
 go, ahead of the ``out_dir`` key, and leaves the echoed key as it is.
-Outputs embed the resolved configuration and seed, are written atomically,
-and are byte-identical for identical invocations.
+Every output format is defined here; the other modules return plain
+records. Outputs embed the resolved configuration and seed, are written
+atomically, and are byte-identical for identical invocations.
 
 Exit codes: 0 success, 1 usage, 2 validation, 3 runtime.
 """
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clustering, dp, federation, losses, synth
-from .errors import CapfedError, ParseError, ValidationError, ZeroVectorError
+from .errors import CapfedError, ValidationError, ZeroVectorError
 from .geometry import checked_row_norms, occupancy_ratio
 
 OUTDIR_ENV = "CAPFED_OUTDIR"
@@ -94,14 +95,14 @@ class RunConfig:
 def _read_config_file(path: str) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
-        raise ParseError(f"config file not found: {path}")
+        raise ValidationError(f"config file not found: {path}")
     values: dict[str, str] = {}
     for lineno, line in enumerate(p.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ParseError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
+            raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
         values[key.strip()] = value.strip()
     return values
@@ -153,6 +154,21 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _round_record(mode: str, r: federation.RoundRecord) -> dict:
+    """A round's line in the rounds file: its public results; the fidelities stay out."""
+    return {
+        "record": "round",
+        "mode": mode,
+        "round": r.round_index,
+        "online_clients": r.online_clients,
+        "queries_by_client": {str(c): q for c, q in r.queries_by_client.items()},
+        "loss_by_client": {str(c): loss for c, loss in r.loss_by_client.items()},
+        "tar_by_far": {repr(far): tar for far, tar in r.tar_by_far.items()},
+        "cross_client_margin": r.cross_client_margin,
+        "ledger_totals": {str(c): list(total) for c, total in r.ledger_totals.items()},
+    }
+
+
 def read_embeddings(path) -> np.ndarray:
     """Load a CSV or binary embeddings file (sniffed by magic bytes).
 
@@ -161,46 +177,46 @@ def read_embeddings(path) -> np.ndarray:
     """
     p = Path(path)
     if not p.is_file():
-        raise ParseError(f"embeddings file not found: {path}")
+        raise ValidationError(f"embeddings file not found: {path}")
     blob = p.read_bytes()
     if blob[:4] == EMBEDDINGS_MAGIC:
         if len(blob) < 12:
-            raise ParseError(f"{path}: truncated binary embeddings header")
+            raise ValidationError(f"{path}: truncated binary embeddings header")
         n, d = struct.unpack("<II", blob[4:12])
         expected = 12 + 4 * n * d
         if len(blob) != expected:
-            raise ParseError(f"{path}: expected {expected} bytes for {n}x{d}, got {len(blob)}")
+            raise ValidationError(f"{path}: expected {expected} bytes for {n}x{d}, got {len(blob)}")
         rows = np.frombuffer(blob, dtype="<f4", offset=12).reshape(n, d)
     else:
         try:
             text = blob.decode()
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: neither binary magic nor text CSV") from exc
+            raise ValidationError(f"{path}: neither binary magic nor text CSV") from exc
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
-            raise ParseError(f"{path}: empty embeddings file")
+            raise ValidationError(f"{path}: empty embeddings file")
         try:
             n, d = (int(part) for part in lines[0].split(","))
         except ValueError as exc:
-            raise ParseError(f"{path}:1: header must be 'n,d'") from exc
+            raise ValidationError(f"{path}:1: header must be 'n,d'") from exc
         if n < 0 or d < 0:
-            raise ParseError(f"{path}:1: header sizes must be >= 0, got {n},{d}")
+            raise ValidationError(f"{path}:1: header sizes must be >= 0, got {n},{d}")
         if len(lines) - 1 != n:
-            raise ParseError(f"{path}: header says {n} rows, found {len(lines) - 1}")
+            raise ValidationError(f"{path}: header says {n} rows, found {len(lines) - 1}")
         rows = np.empty((n, d), dtype=np.float32)
         for i, line in enumerate(lines[1:], start=2):
             parts = line.split(",")
             if len(parts) != d:
-                raise ParseError(f"{path}:{i}: expected {d} values, got {len(parts)}")
+                raise ValidationError(f"{path}:{i}: expected {d} values, got {len(parts)}")
             try:
                 rows[i - 2] = [np.float32(p) for p in parts]
             except ValueError as exc:
-                raise ParseError(f"{path}:{i}: {exc}") from exc
+                raise ValidationError(f"{path}:{i}: {exc}") from exc
     if rows.shape[0] == 0:
-        raise ParseError(f"{path}: no embedding rows")
+        raise ValidationError(f"{path}: no embedding rows")
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
-        raise ParseError(f"{path}: row {int(np.argmin(finite))} holds a non-finite value")
+        raise ValidationError(f"{path}: row {int(np.argmin(finite))} holds a non-finite value")
     return rows.astype(float)
 
 
@@ -209,7 +225,7 @@ def _input_row_norms(path, rows: np.ndarray) -> np.ndarray:
     try:
         return checked_row_norms(rows)
     except ZeroVectorError as exc:
-        raise ParseError(f"{path}: {exc}; a zero vector has no direction") from exc
+        raise ValidationError(f"{path}: {exc}; a zero vector has no direction") from exc
 
 
 def load_unit_embeddings(path) -> np.ndarray:
@@ -354,29 +370,27 @@ def cmd_simulate(args) -> int:
     header = {"record": "header", "config": cfg.resolved, "seed": cfg.seed}
     lines = [json.dumps(header, sort_keys=True)]
     for r in report.rounds:
-        record = {"record": "round", "mode": mode, **r.to_dict()}
-        lines.append(json.dumps(record, sort_keys=True))
+        final = _round_record(mode, r)  # the summary's final_* values come from the last one
+        lines.append(json.dumps(final, sort_keys=True))
     _atomic_write(outdir / f"{prefix}_rounds.jsonl", "\n".join(lines) + "\n")
 
     fidelities = [f for r in report.rounds for f in r.fidelities]
     hist_counts, _ = np.histogram(fidelities, bins=100, range=(-1.0, 1.0))
-    final = report.rounds[-1]
-    final_tar = federation.tar_payload(final.tar_by_far)
     summary = {
         "config": cfg.resolved,
         "seed": cfg.seed,
         "mode": mode,
         "rounds": len(report.rounds),
-        "final_tar_by_far": final_tar,
-        "final_cross_client_margin": final.cross_client_margin,
-        "final_ledger_totals": federation.totals_payload(final.ledger_totals),
+        "final_tar_by_far": final["tar_by_far"],
+        "final_cross_client_margin": final["cross_client_margin"],
+        "final_ledger_totals": final["ledger_totals"],
         "cosine_fidelity_samples": fidelities,
         "cosine_fidelity_hist_counts": [int(c) for c in hist_counts],
         "cosine_fidelity_hist_range": [-1.0, 1.0],
     }
     text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
     _atomic_write(outdir / f"{prefix}_summary.json", text)
-    brief = {"mode": mode, "final_tar_by_far": final_tar, "out_dir": str(outdir)}
+    brief = {"mode": mode, "final_tar_by_far": final["tar_by_far"], "out_dir": str(outdir)}
     sys.stdout.write(json.dumps(brief, sort_keys=True) + "\n")
     return 0
 
@@ -510,7 +524,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.run(args)
-    except (ParseError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except (CapfedError, OSError) as exc:

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dp
-from .errors import DomainError, EmptyInputError
+from .errors import DomainError
 from .geometry import has_unit_rows, normalize, normalize_rows
 
 MODE_SANITIZED = "sanitized"
@@ -305,7 +305,7 @@ def run_clustering(
     """
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] == 0:
-        raise EmptyInputError("center matrix must have at least one row")
+        raise DomainError("center matrix must have at least one row")
     if not has_unit_rows(centers):
         raise DomainError("center matrix rows must be unit norm")
     n, d = centers.shape

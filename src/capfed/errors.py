@@ -1,4 +1,15 @@
-"""Exception hierarchy shared by all capfed modules."""
+"""Exception kinds shared by all capfed modules: the outcomes cli.main tells apart.
+
+- ValidationError: a configuration, flag or input file is malformed or
+  breaks its contract, and the message names the key or the file. Exit 2.
+- ZeroVectorError: a vector of zero norm has no direction. cli turns an
+  embeddings file's zero row into a ValidationError naming the file
+  (exit 2); raised anywhere else it exits 3.
+- DomainError: an argument lies outside what the operation accepts: an
+  empty input, mismatched shapes, a label out of range, pairs of one kind
+  only, a value outside its mathematical domain. Exit 3.
+- CapfedError: the base of the three. Exit 3 unless it is a ValidationError.
+"""
 
 
 class CapfedError(Exception):
@@ -10,28 +21,8 @@ class ZeroVectorError(CapfedError):
 
 
 class DomainError(CapfedError):
-    """An argument lies outside the mathematical domain of the operation."""
-
-
-class EmptyInputError(CapfedError):
-    """An operation received an empty collection where at least one element is required."""
-
-
-class LabelOutOfRangeError(CapfedError):
-    """A class label does not index a row of the center matrix."""
-
-
-class ShapeMismatchError(CapfedError):
-    """Arrays that must share a shape do not."""
-
-
-class DegenerateInputError(CapfedError):
-    """The input carries only one class of outcomes and the metric is undefined."""
-
-
-class ParseError(CapfedError):
-    """A configuration or data file could not be parsed."""
+    """An argument lies outside what the operation accepts."""
 
 
 class ValidationError(CapfedError):
-    """A parsed value violates its contract; the message names the offending key."""
+    """A configuration, flag or input file is malformed or breaks its contract."""

@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from . import blas, clustering, dp, losses, synth
-from .errors import EmptyInputError, LabelOutOfRangeError, ShapeMismatchError, ValidationError
+from .errors import DomainError, ValidationError
 from .geometry import checked_row_norms, normalize_rows
 
 MODE_PHI = "phi"  # conventional: no clusters exchanged
@@ -128,7 +128,6 @@ class ClientState:
     centers: np.ndarray  # (n_classes, embed_dim), unit rows, in the inputs' dtype
     inputs: np.ndarray  # (N, input_dim), the shard as generated (float32 from synth)
     labels: np.ndarray  # (N,) local class indexes in [0, n_classes)
-    global_ids: np.ndarray  # (n_classes,) global identity per local class
 
 
 @dataclass
@@ -174,16 +173,7 @@ def initialize_clients(
         x = fed.client_inputs[c]
         ids, y_local = np.unique(fed.client_labels[c], return_inverse=True)
         centers = normalize_rows(_class_means(embed(embedder0, x), y_local, ids.size))
-        states.append(
-            ClientState(
-                client_id=c,
-                embedder=embedder0.copy(),
-                centers=centers,
-                inputs=x,
-                labels=y_local,
-                global_ids=ids,
-            )
-        )
+        states.append(ClientState(c, embedder0.copy(), centers, x, y_local))
     return states, embedder0
 
 
@@ -246,14 +236,12 @@ def client_local_round(
     (n, d_in), (classes, d), dtype = shape
     for state in group:
         if state.inputs.shape[0] == 0:
-            raise EmptyInputError(f"client {state.client_id} has no data")
+            raise DomainError(f"client {state.client_id} has no data")
         if _shape_key(state) != shape:
-            raise ShapeMismatchError("a lockstep group needs equal shards, class counts and dtypes")
+            raise DomainError("a lockstep group needs equal shards, class counts and dtypes")
         # The labels are fixed for the round, so they are checked once, here.
         if state.labels.min() < 0 or state.labels.max() >= classes:
-            raise LabelOutOfRangeError(
-                f"client {state.client_id}: labels must lie in [0, {classes - 1}]"
-            )
+            raise DomainError(f"client {state.client_id}: labels must lie in [0, {classes - 1}]")
     a = np.empty((len(group), d, d_in), dtype=dtype)
     a[...] = broadcast_embedder
     w = np.stack([state.centers for state in group])
@@ -353,10 +341,10 @@ def aggregate_fedavg(models: Sequence[np.ndarray]) -> np.ndarray:
     writes every NaN as the positive quiet NaN.
     """
     if not models:
-        raise EmptyInputError("cannot average an empty list of models")
+        raise DomainError("cannot average an empty list of models")
     shapes = {m.shape for m in models}
     if len(shapes) != 1:
-        raise ShapeMismatchError(f"mismatched shapes {sorted(shapes)}")
+        raise DomainError(f"mismatched shapes {sorted(shapes)}")
     k = len(models)
     stack = np.empty((k + 1, *models[0].shape), dtype=np.result_type(np.float32, *models))
     keys = stack.view(f"i{stack.itemsize}")
@@ -376,18 +364,10 @@ def aggregate_fedavg(models: Sequence[np.ndarray]) -> np.ndarray:
     return total / k
 
 
-def tar_payload(tar_by_far: dict[float, float]) -> dict[str, float]:
-    """JSON form of a TAR-by-FAR dict: each target keyed by its repr."""
-    return {repr(far): tar for far, tar in tar_by_far.items()}
-
-
-def totals_payload(totals: dict[int, tuple[float, float]]) -> dict[str, list[float]]:
-    """JSON form of per-client ledger totals: client -> [epsilon, delta]."""
-    return {str(client): list(total) for client, total in totals.items()}
-
-
 @dataclass
 class RoundRecord:
+    """One round's results; cli writes all but the fidelities to the rounds file."""
+
     round_index: int
     online_clients: list[int]
     queries_by_client: dict[int, int]
@@ -396,18 +376,6 @@ class RoundRecord:
     cross_client_margin: float
     ledger_totals: dict[int, tuple[float, float]]
     fidelities: list[float]
-
-    def to_dict(self) -> dict:
-        """JSON form of the round's public results; the fidelities stay out."""
-        return {
-            "round": self.round_index,
-            "online_clients": self.online_clients,
-            "queries_by_client": {str(k): v for k, v in self.queries_by_client.items()},
-            "loss_by_client": {str(k): v for k, v in self.loss_by_client.items()},
-            "tar_by_far": tar_payload(self.tar_by_far),
-            "cross_client_margin": self.cross_client_margin,
-            "ledger_totals": totals_payload(self.ledger_totals),
-        }
 
 
 @dataclass

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, EmptyInputError, ShapeMismatchError
+from .errors import DomainError
 from .geometry import block_rows, checked_row_norms, normalize_rows, sample_uniform_directions
 
 
@@ -62,15 +62,14 @@ class SynthParams:
 class SyntheticFederation:
     """Per-client raw shards plus the generating ground truth.
 
-    Identity labels are dense global integers, disjoint across clients;
-    identity g belongs to client g mod C. directions holds the true unit
-    direction of every identity and lift the fixed isometry from embedding
-    space to input space.
+    Identity labels are dense global integers, dealt round-robin: client c
+    of C holds identities c, c + C, c + 2C, ... directions holds the true
+    unit direction of every identity and lift the fixed isometry from
+    embedding space to input space.
     """
 
     params: SynthParams
     directions: np.ndarray  # (G, d)
-    identity_client: np.ndarray  # (G,) owning client per identity
     lift: np.ndarray  # (input_dim, embed_dim), orthonormal columns
     client_inputs: list[np.ndarray]  # per client, (N_c, input_dim), float32
     client_labels: list[np.ndarray]  # per client, (N_c,) global identity ids
@@ -101,7 +100,6 @@ def generate_federation(params: SynthParams, rng: np.random.Generator) -> Synthe
     """
     g = params.clients * params.ids_per_client
     directions = sample_uniform_directions(g, params.embed_dim, rng)
-    identity_client = np.arange(g) % params.clients
 
     raw = rng.standard_normal((params.input_dim, params.embed_dim))
     lift, _ = np.linalg.qr(raw)
@@ -109,7 +107,7 @@ def generate_federation(params: SynthParams, rng: np.random.Generator) -> Synthe
     client_inputs = []
     client_labels = []
     for c in range(params.clients):
-        ids = np.arange(g)[identity_client == c]
+        ids = np.arange(c, g, params.clients)
         x, y = _sample_inputs(
             directions, ids, params.samples_per_identity, params.concentration, lift, rng
         )
@@ -118,7 +116,6 @@ def generate_federation(params: SynthParams, rng: np.random.Generator) -> Synthe
     return SyntheticFederation(
         params=params,
         directions=directions,
-        identity_client=identity_client,
         lift=lift,
         client_inputs=client_inputs,
         client_labels=client_labels,
@@ -175,7 +172,7 @@ def make_verification_pairs(
     two clients (the regime consensus is supposed to improve): with k_g
     samples of identity g and N_c in shard c, sum_g k_g (k_g - 1)/2 and
     sum_{c<c'} N_c N_c' pairs. A request above either count raises
-    DegenerateInputError before rng is used. Else one rng.choice(count, size,
+    DomainError before rng is used. Else one rng.choice(count, size,
     replace=False) per kind draws ranks: positives by identity, then by
     _pair_of_rank over its ascending rows; negatives by client pair (c < c',
     row-major), then row in c, then row in c'. Rows number the shards laid
@@ -191,9 +188,9 @@ def make_verification_pairs(
     first, second = np.triu_indices(n.size, 1)
     neg_start = np.concatenate(([0], np.cumsum(n[first] * n[second])))
     if pos_start[-1] < positives or neg_start[-1] < negatives:
-        raise DegenerateInputError("could not assemble the requested number of distinct pairs: "
-                                   f"{positives} positives of {pos_start[-1]} and "
-                                   f"{negatives} negatives of {neg_start[-1]}")
+        raise DomainError("could not assemble the requested number of distinct pairs: "
+                          f"{positives} positives of {pos_start[-1]} and "
+                          f"{negatives} negatives of {neg_start[-1]}")
     rank = rng.choice(pos_start[-1], size=positives, replace=False)
     g = np.searchsorted(pos_start, rank, side="right") - 1
     i, j = _pair_of_rank(rank - pos_start[g])
@@ -224,7 +221,7 @@ def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[floa
     """
     same = np.asarray(pairs.same, dtype=bool)
     if same.all() or (~same).all():
-        raise DegenerateInputError("verification needs both positive and negative pairs")
+        raise DomainError("verification needs both positive and negative pairs")
     f = embed(pairs.rows)
     # Products a block of pairs at a time, in place: no temporary is as large as f.
     scores = np.empty(pairs.ia.size, dtype=f.dtype)
@@ -270,21 +267,28 @@ def knn_attack(
     gallery row or set of rows it was derived from; the per-vector score is
     the fraction of those rows among its top-k retrieved rows. Returns the
     (E,) scores. Exposed vectors need not be unit (noised centers are matched
-    by direction).
+    by direction). Exposed rows are scored a block at a time, so no
+    similarity block is larger than ROW_BLOCK_BYTES; tests/synth_oracle.py
+    ranks the whole product at once, and the scores are the same.
     """
     exposed = np.atleast_2d(np.asarray(exposed, dtype=float))
     if exposed.shape[1] != gallery.shape[1]:
-        raise ShapeMismatchError(f"exposed dim {exposed.shape[1]} != gallery dim {gallery.shape[1]}")
+        raise DomainError(f"exposed dim {exposed.shape[1]} != gallery dim {gallery.shape[1]}")
     if gallery.shape[0] == 0:
-        raise EmptyInputError("gallery is empty")
+        raise DomainError("gallery is empty")
     if len(targets) != exposed.shape[0]:
         raise DomainError("one target set per exposed vector is required")
     if k < 1:
         raise DomainError(f"k={k} must be >= 1")
-    sims = normalize_rows(exposed) @ normalize_rows(gallery).T
-    top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    exposed = normalize_rows(exposed)
+    gallery_t = normalize_rows(gallery).T
     scores = np.zeros(exposed.shape[0])
-    for i, got in enumerate(top.tolist()):
-        want = {int(t) for t in np.atleast_1d(targets[i])}
-        scores[i] = len(want.intersection(got)) / len(want)
+    step = block_rows(gallery_t)  # exposed rows whose (step, G) similarities fill one block
+    for start in range(0, exposed.shape[0], step):
+        sims = exposed[start : start + step] @ gallery_t
+        np.negative(sims, out=sims)
+        top = np.argsort(sims, axis=1, kind="stable")[:, :k]
+        for i, got in enumerate(top.tolist(), start):
+            want = {int(t) for t in np.atleast_1d(targets[i])}
+            scores[i] = len(want.intersection(got)) / len(want)
     return scores

@@ -15,7 +15,7 @@ from capfed.clustering import (
     ClusteringParams,
     ClusteringReport,
 )
-from capfed.errors import EmptyInputError
+from capfed.errors import DomainError
 from capfed.geometry import normalize
 
 
@@ -44,7 +44,7 @@ def densest_cap(
     centers = np.asarray(centers, dtype=float)
     active = np.asarray(active, dtype=int)
     if active.size == 0:
-        raise EmptyInputError("active index set is empty")
+        raise DomainError("active index set is empty")
     if theta is None:
         theta = pairwise_angles(centers)
     sub = theta[np.ix_(active, active)]

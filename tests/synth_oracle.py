@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from capfed.errors import DegenerateInputError, DomainError
+from capfed.errors import DomainError
 from capfed.geometry import normalize_rows
 from capfed.synth import SyntheticFederation, VerificationPairs
 
@@ -65,7 +65,7 @@ def make_verification_pairs(
         for j in range(offsets[e], offsets[e + 1])
     ]
     if len(pos) < positives or len(neg) < negatives:
-        raise DegenerateInputError("could not assemble the requested number of distinct pairs")
+        raise DomainError("could not assemble the requested number of distinct pairs")
     picked = [pos[r] for r in rng.choice(len(pos), size=positives, replace=False)]
     picked += [neg[r] for r in rng.choice(len(neg), size=negatives, replace=False)]
     used = sorted({i for pair in picked for i in pair})
@@ -95,7 +95,7 @@ def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[floa
     """
     same = np.asarray(pairs.same, dtype=bool)
     if same.all() or (~same).all():
-        raise DegenerateInputError("verification needs both positive and negative pairs")
+        raise DomainError("verification needs both positive and negative pairs")
     fa = np.asarray(embed(pairs.rows[pairs.ia]))
     fb = np.asarray(embed(pairs.rows[pairs.ib]))
     scores = np.sum(fa * fb, axis=1)

@@ -14,7 +14,7 @@ from capfed.cli import (
     parse_config,
     read_embeddings,
 )
-from capfed.errors import ParseError, ValidationError
+from capfed.errors import ValidationError
 from capfed.geometry import normalize_rows, occupancy_ratio, sample_uniform_directions
 
 
@@ -124,12 +124,11 @@ class TestParseConfig:
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("just some words\n")
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ValidationError, match="bad.cfg:1: expected 'key = value', got 'just"):
             parse_config(str(path))
-        assert ":1" in str(err.value)
 
     def test_missing_file(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="^config file not found: /nonexistent/path"):
             parse_config("/nonexistent/path.cfg")
 
     def test_bad_value_names_key(self, tmp_path):
@@ -252,7 +251,7 @@ class TestEmbeddingsFiles:
         assert "rows are not unit norm" in capsys.readouterr().err
         arr[4] = 0.0
         write_embeddings_binary(raw_path, arr)
-        with pytest.raises(ParseError, match="row 4 has norm 0"):
+        with pytest.raises(ValidationError, match="row 4 has norm 0"):
             load_unit_embeddings(raw_path)
 
     def test_binary_round_trip(self, tmp_path):
@@ -276,7 +275,7 @@ class TestEmbeddingsFiles:
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"DPLC" + b"\x05\x00\x00\x00\x03\x00\x00\x00" + b"\x00" * 7)
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="expected 72 bytes for 5x3, got 19$"):
             read_embeddings(path)
 
     @pytest.mark.parametrize(
@@ -291,7 +290,7 @@ class TestEmbeddingsFiles:
     def test_malformed_csv_rejected(self, tmp_path, capsys, text, where):
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        with pytest.raises(ParseError, match=where.partition(": ")[2]):
+        with pytest.raises(ValidationError, match=where.partition(": ")[2]):
             read_embeddings(path)
         out = tmp_path / "out.json"
         for argv in (
@@ -305,7 +304,7 @@ class TestEmbeddingsFiles:
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("3,2\n1.0,0.0\n0.0,1.0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="header says 3 rows, found 2"):
             read_embeddings(path)
 
 
@@ -522,6 +521,31 @@ class TestCommands:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "case, code, err",
+        [
+            ("usage", 1, "usage error: the following arguments are required: --size\n"),
+            ("parse", 2, "validation error: {tmp}/bad.cfg:1: "
+                         "expected 'key = value', got 'words'\n"),
+            ("zero-row", 2, "validation error: {tmp}/zero.bin: row 1 has norm 0.000e+00; "
+                            "a zero vector has no direction\n"),
+            ("domain", 3, "runtime error: sigma=inf must be finite\n"),
+        ],
+    )
+    def test_error_kinds_map_to_exit_codes(self, tmp_path, capsys, case, code, err):
+        (tmp_path / "bad.cfg").write_text("words\n")
+        write_embeddings_binary(tmp_path / "zero.bin", np.array([[1.0, 0.0], [0.0, 0.0]]))
+        argv = {
+            "usage": ["calibrate"],
+            "parse": ["calibrate", "--size", "8", "--config", str(tmp_path / "bad.cfg")],
+            "zero-row": ["cluster", "--embeddings", str(tmp_path / "zero.bin")],
+            "domain": ["calibrate", "--size", "8", "--eps", "1e-320"],
+        }[case]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == err.format(tmp=tmp_path)
+        assert captured.out == ""
+
     def test_usage_error_is_one(self, capsys):
         assert main(["calibrate"]) == 1  # missing required --size
         assert main(["unknown-subcommand"]) == 1

@@ -18,7 +18,7 @@ from capfed.clustering import (
     run_clustering,
 )
 from capfed.dp import PrivacyBudget
-from capfed.errors import DomainError, EmptyInputError, ParseError
+from capfed.errors import DomainError, ValidationError
 from capfed.geometry import normalize, normalize_rows, sample_uniform_directions
 from conftest import planted_bundle, swap_witness
 from dense_oracle import dense_run_clustering, densest_cap, pairwise_angles
@@ -94,7 +94,7 @@ class TestDensestCap:
         np.testing.assert_array_equal(np.sort(members), active)
 
     def test_empty_active_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DomainError, match="^active index set is empty$"):
             densest_cap(np.eye(3), np.array([], dtype=int), rho=1.0)
 
 
@@ -245,7 +245,7 @@ class TestRunClustering:
         assert np.count_nonzero(fidelities) == 200
 
     def test_empty_input_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DomainError, match="^center matrix must have at least one row$"):
             run_clustering(np.zeros((0, 4)), params(), np.random.default_rng(0))
 
     def test_non_unit_rows_rejected(self):
@@ -682,7 +682,7 @@ class TestBlockedLoadNorms:
         rows[905] = 0.0  # in the eighth block of 128 rows, loaded as float64 at d = 512
         path = tmp_path / "centers.bin"
         path.write_bytes(b"DPLC" + struct.pack("<II", *rows.shape) + rows.tobytes())
-        with pytest.raises(ParseError, match="row 905 has norm 0"):
+        with pytest.raises(ValidationError, match="row 905 has norm 0"):
             load_unit_embeddings(path)
 
 

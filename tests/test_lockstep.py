@@ -15,7 +15,7 @@ import train_oracle as oracle
 from capfed import federation, losses
 from capfed.clustering import ClusteringParams
 from capfed.dp import PrivacyBudget
-from capfed.errors import EmptyInputError, LabelOutOfRangeError, ZeroVectorError
+from capfed.errors import DomainError, ZeroVectorError
 from capfed.federation import (
     ClientState,
     FederationConfig,
@@ -30,7 +30,7 @@ from capfed.synth import SynthParams, generate_federation
 from conftest import one_client_loss, with_shard_dtype
 
 DTYPES = [np.float32, np.float64]
-ARRAY_FIELDS = ("embedder", "centers", "inputs", "labels", "global_ids")
+ARRAY_FIELDS = ("embedder", "centers", "inputs", "labels")
 
 
 def small_fed(dtype, seed=0, **kw):
@@ -189,7 +189,6 @@ def shaped_state(client_id, rows, classes, d, d_in, dtype=np.float32):
         centers=zeros(classes, d),
         inputs=zeros(rows, d_in),
         labels=np.zeros(rows, dtype=int),
-        global_ids=np.arange(classes),
     )
 
 
@@ -259,7 +258,7 @@ def test_an_out_of_range_label_names_its_client():
         labels[-1] = bad
         group = list(states)
         group[1] = dataclasses.replace(states[1], labels=labels)
-        with pytest.raises(LabelOutOfRangeError, match="^client 1: labels must lie in"):
+        with pytest.raises(DomainError, match="^client 1: labels must lie in"):
             client_local_round(group, embedder0, foreign, config, rngs)
 
 
@@ -269,5 +268,5 @@ def test_an_empty_shard_names_its_client():
     group[3] = dataclasses.replace(
         states[3], inputs=states[3].inputs[:0], labels=states[3].labels[:0]
     )
-    with pytest.raises(EmptyInputError, match="^client 3 has no data"):
+    with pytest.raises(DomainError, match="^client 3 has no data"):
         client_local_round(group, embedder0, foreign, config, rngs)

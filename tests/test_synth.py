@@ -7,8 +7,8 @@ import pytest
 
 from capfed import synth
 from capfed.dp import gaussian_perturb
-from capfed.errors import DegenerateInputError, DomainError, ShapeMismatchError
-from capfed.geometry import normalize_rows, sample_uniform_directions
+from capfed.errors import DomainError
+from capfed.geometry import ROW_BLOCK_BYTES, normalize_rows, sample_uniform_directions
 from capfed.synth import (
     SynthParams,
     cross_client_margin,
@@ -59,7 +59,11 @@ class TestGeneration:
 
     def test_round_robin_interleaving(self):
         fed = small_fed()
-        np.testing.assert_array_equal(fed.identity_client, np.arange(64) % 4)
+        owner = np.arange(64) % 4
+        for c, y in enumerate(fed.client_labels):
+            ids = np.unique(y)
+            np.testing.assert_array_equal(ids, np.flatnonzero(owner == c))
+            assert y.dtype == np.arange(64).dtype
 
     def test_infinite_concentration_recovers_directions(self):
         fed = small_fed(concentration=1e16)
@@ -113,6 +117,7 @@ class TestVerificationPairs:
         all_y = np.concatenate(fed.client_labels)
         all_x = np.concatenate(fed.client_inputs)
         pairs = make_verification_pairs(fed, 50, 50, np.random.default_rng(2))
+        owner = np.arange(64) % 4  # identity g belongs to client g mod 4
         # map rows back to identities to check the client split of negatives
         lookup = {tuple(np.round(x, 12)): int(y) for x, y in zip(all_x, all_y)}
         for a, b, same in zip(pairs.rows[pairs.ia], pairs.rows[pairs.ib], pairs.same):
@@ -120,7 +125,7 @@ class TestVerificationPairs:
             if same:
                 assert ga == gb
             else:
-                assert fed.identity_client[ga] != fed.identity_client[gb]
+                assert owner[ga] != owner[gb]
 
     def test_every_positive_once_and_one_more_raises_before_drawing(self, monkeypatch):
         fed = small_fed(clients=2, ids_per_client=3, samples_per_identity=4)
@@ -134,7 +139,7 @@ class TestVerificationPairs:
         rng = np.random.default_rng(4)
         before = rng.bit_generator.state
         for pos, neg in ((37, 1), (36, 12 * 12 + 1)):
-            with pytest.raises(DegenerateInputError, match=(
+            with pytest.raises(DomainError, match=(
                 "could not assemble the requested number of distinct pairs: "
                 f"{pos} positives of 36 and {neg} negatives of 144"
             )):
@@ -174,7 +179,7 @@ class TestVerificationPairs:
         a, b, same = pair_rows(monkeypatch, fed, positives, negatives, np.random.default_rng(7))
         labels = np.concatenate(fed.client_labels)
         per_id = np.bincount(labels[a[same]], minlength=labels.max() + 1)
-        client = fed.identity_client[labels]
+        client = (np.arange(256) % 4)[labels]  # identity g belongs to client g mod 4
         blocks = np.unique(4 * client[a[~same]] + client[b[~same]], return_counts=True)[1]
         # each identity holds 28 of the 7168 positive pairs, each client pair 1/6 of the negatives
         for counts, draws, share, total in ((per_id, positives, 28 / 7168, 7168),
@@ -257,7 +262,7 @@ class TestVerificationEval:
 
     def test_degenerate_flags_rejected(self):
         pairs = pairs_of_rows(np.eye(3), np.eye(3), np.array([True, True, True]))
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DomainError, match="^verification needs both positive and negative pairs$"):
             verification_eval(lambda x: x, pairs, [0.1])
 
 
@@ -324,8 +329,23 @@ class TestKnnAttack:
         assert scores.shape == (1,)
         assert 0.0 <= scores[0] <= 1.0
 
+    def test_holds_one_block_of_similarities(self):
+        # the whole 1000 x 1000 product, its negation and its argsort would take 24 MB
+        rng = np.random.default_rng(12)
+        gallery = sample_uniform_directions(1000, 32, rng)
+        exposed = sample_uniform_directions(1000, 32, rng)
+        targets = [[i] for i in range(1000)]
+        tracemalloc.start()
+        try:
+            knn_attack(exposed, gallery, 1, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the normalized copies, a block of similarities and its order, and the sort's buffers
+        assert peak <= exposed.nbytes + gallery.nbytes + 4 * ROW_BLOCK_BYTES
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(11)
         gallery = gallery_from_directions(sample_uniform_directions(5, 8, rng), 0, rng)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DomainError, match="^exposed dim 4 != gallery dim 8$"):
             knn_attack(np.ones((2, 4)), gallery, 1, [[0], [1]])

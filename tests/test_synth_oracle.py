@@ -12,10 +12,10 @@ import pytest
 
 import synth_oracle as oracle
 import train_oracle
-from capfed import blas, federation, synth
+from capfed import blas, federation, geometry, synth
 from capfed.clustering import ClusteringParams
 from capfed.dp import PrivacyBudget
-from capfed.errors import DegenerateInputError
+from capfed.errors import DomainError
 from capfed.federation import FederationConfig, embed, run_federation
 from capfed.geometry import normalize_rows
 from capfed.losses import LossConfig
@@ -71,9 +71,9 @@ def test_pairs_match_oracle(case):
     for seed, (pos, neg) in enumerate([(1, 1), (20, 30), (60, 60), (0, 15)]):
         rng, ref_rng = np.random.default_rng([case, seed]), np.random.default_rng([case, seed])
         if fed.params.clients == 1:  # no two identities of different clients to pair
-            with pytest.raises(DegenerateInputError):
+            with pytest.raises(DomainError, match="^could not assemble the requested number"):
                 make_verification_pairs(fed, pos, neg, rng)
-            with pytest.raises(DegenerateInputError):
+            with pytest.raises(DomainError, match="^could not assemble the requested number"):
                 oracle.make_verification_pairs(fed, pos, neg, ref_rng)
             assert state_of(rng) == state_of(ref_rng)
             continue
@@ -91,7 +91,6 @@ def test_pairs_match_oracle_on_uneven_hand_built_shards():
     fed = synth.SyntheticFederation(
         params=SynthParams(clients=4, ids_per_client=6),
         directions=rng.standard_normal((24, 8)),
-        identity_client=np.arange(24) % 4,
         lift=np.eye(8),
         client_inputs=[rng.standard_normal((n, 8)) for n in sizes],
         client_labels=labels,
@@ -206,6 +205,27 @@ def test_knn_attack_matches_oracle(k):
     ref = oracle.knn_attack(exposed, gallery, k, targets)
     assert live.tobytes() == ref.tobytes()
     assert 0.0 < np.mean(ref)
+
+
+@pytest.mark.parametrize("block_bytes", [geometry.ROW_BLOCK_BYTES, 3 * 8 * 4000, 1],
+                         ids=["16-rows", "3-rows", "1-row"])
+def test_knn_attack_in_blocks_matches_oracle(monkeypatch, block_bytes):
+    # 100 exposed rows against 4000 gallery rows: 16-row blocks at the default block
+    # size, the last one of 4 rows; the gallery repeats 1000 rows, so ties are ranked
+    rng = np.random.default_rng(41)
+    base = rng.standard_normal((3000, 64))
+    order = rng.permutation(4000)
+    gallery = normalize_rows(np.concatenate([base, base[:1000]])[order])
+    row_of = np.argsort(order)  # gallery row of each stacked row
+    exposed = np.concatenate([base[:60] + 0.3 * rng.standard_normal((60, 64)),
+                              rng.standard_normal((40, 64))])
+    targets = [[int(row_of[i]), int(row_of[3000 + i])] for i in range(60)]
+    targets += [int(t) for t in rng.integers(4000, size=40)]
+    ref = [oracle.knn_attack(exposed, gallery, k, targets) for k in (1, 5)]
+    monkeypatch.setattr(geometry, "ROW_BLOCK_BYTES", block_bytes)
+    for k, want in zip((1, 5), ref):
+        assert knn_attack(exposed, gallery, k, targets).tobytes() == want.tobytes()
+    assert 0.0 < np.mean(ref[0]) < 1.0
 
 
 def test_eval_leaves_pairs_and_embed_outputs_unchanged():

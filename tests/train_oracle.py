@@ -25,12 +25,7 @@ from typing import Callable
 import numpy as np
 
 from capfed import losses, synth
-from capfed.errors import (
-    DomainError,
-    EmptyInputError,
-    ShapeMismatchError,
-    ZeroVectorError,
-)
+from capfed.errors import DomainError, ZeroVectorError
 from capfed.federation import ClientState, FederationConfig, derive_rng
 from capfed.geometry import ZERO_NORM_FLOOR, float_array
 from capfed.losses import GradientBundle, LossConfig
@@ -79,7 +74,7 @@ def finite_diff_check(
     point = np.asarray(point, dtype=float)
     analytic = np.asarray(analytic, dtype=float)
     if point.shape != analytic.shape:
-        raise ShapeMismatchError("analytic gradient must match the point's shape")
+        raise DomainError("analytic gradient must match the point's shape")
     flat = point.ravel()
     fd = np.zeros(flat.size)
     for i in range(flat.size):
@@ -190,7 +185,7 @@ def _one_client_round(
     """
     n = state.inputs.shape[0]
     if n == 0:
-        raise EmptyInputError(f"client {state.client_id} has no data")
+        raise DomainError(f"client {state.client_id} has no data")
     a = np.array(broadcast_embedder, dtype=state.inputs.dtype)
     w = state.centers.copy()
     lr, wd = config.learning_rate, config.weight_decay
@@ -250,7 +245,6 @@ def initialize_clients(
                 centers=centers,
                 inputs=x,
                 labels=y_local,
-                global_ids=ids,
             )
         )
     return states, embedder0

@@ -76,7 +76,8 @@ def derive_rng(seed: int, *key) -> np.random.Generator:
             ints.append(sum((i + 1) * b for i, b in enumerate(part.encode())) & 0xFFFFFFFF)
         else:
             ints.append(int(part) & 0xFFFFFFFF)
-    return np.random.default_rng(np.random.SeedSequence(ints))
+    # An array of 32-bit words is the entropy the list gives, without coercing each int.
+    return np.random.default_rng(np.random.SeedSequence(np.array(ints, dtype=np.uint32)))
 
 
 @dataclass(frozen=True)
@@ -409,12 +410,13 @@ def run_federation(
     FedAvg averages embedders without noise, so neither identity-level
     privacy nor the embedder's privacy is claimed.
 
-    Held for the whole run: the federation's arrays, whose shards the client
-    states share, each client's embedder and centers, the server's embedder
-    and the verification pairs' rows. A client's embedder and centers are
-    views of the stacks of its last lockstep group, so a client that goes
-    offline keeps that group's stacks, at most _LOCKSTEP_BYTES, alive. The
-    local phase holds one group's stacks at a time.
+    Held for the whole run: the federation's shards and labels (it keeps no
+    ground truth), which the client states share, each client's embedder and
+    centers, the server's embedder and the verification pairs' rows. A
+    client's embedder and centers are views of the stacks of its last
+    lockstep group, so a client that goes offline keeps that group's stacks,
+    at most _LOCKSTEP_BYTES, alive. The local phase holds one group's stacks
+    at a time.
     """
     clients, embedder0 = initialize_clients(fed, config, seed)
     server = ServerState(embedder=embedder0)  # replaced each round, never written in place

@@ -8,11 +8,16 @@ through a fixed random isometry, and the embedder has to undo it.
 
 The raw client shards are float32, the dtype the training
 path then follows (sgemm runs about twice as fast as dgemm, and the shards
-take half the memory): each is lifted in float64 and rounded once. The ground
-truth (identity directions and the lift) stays float64. Verification pairs
-keep each shard row they use once, gathered from the shards, so they are
-float32 too, and the eval and the cross-client margin work in the dtype of
-what they are given.
+take half the memory): each is lifted in float64 and rounded once. The
+lift runs a block of block_rows(lift) rows at a time, written into the
+float32 shard, so no float64 temporary is as large as a shard; a row of a
+float64 product does not depend on the other rows multiplied with it, and
+the generator fills normals in C order, so the shards have the bits and the
+generator the state of lifting each shard whole. The ground truth (identity
+directions and the lift, float64) is drawn, used and dropped: nothing reads
+it after generation. Verification pairs keep each shard row they use once,
+gathered from the shards, so they are float32 too, and the eval and the
+cross-client margin work in the dtype of what they are given.
 """
 
 from __future__ import annotations
@@ -60,17 +65,15 @@ class SynthParams:
 
 @dataclass
 class SyntheticFederation:
-    """Per-client raw shards plus the generating ground truth.
+    """Per-client raw shards, without the ground truth that generated them.
 
     Identity labels are dense global integers, dealt round-robin: client c
-    of C holds identities c, c + C, c + 2C, ... directions holds the true
-    unit direction of every identity and lift the fixed isometry from
-    embedding space to input space.
+    of C holds identities c, c + C, c + 2C, ... The identity directions and
+    the lift are not kept (tests/synth_oracle.py returns them beside its
+    federation).
     """
 
     params: SynthParams
-    directions: np.ndarray  # (G, d)
-    lift: np.ndarray  # (input_dim, embed_dim), orthonormal columns
     client_inputs: list[np.ndarray]  # per client, (N_c, input_dim), float32
     client_labels: list[np.ndarray]  # per client, (N_c,) global identity ids
 
@@ -85,10 +88,16 @@ def _sample_inputs(
 ) -> tuple[np.ndarray, np.ndarray]:
     d = directions.shape[1]
     labels = np.repeat(ids, per_identity)
-    points = rng.normal(0.0, 1.0 / math.sqrt(concentration), size=(labels.size, d))
-    points += directions[labels]  # addition commutes: the bits of directions[labels] + noise
-    points /= checked_row_norms(points)[:, None]
-    return (points @ lift.T).astype(np.float32), labels
+    scale = 1.0 / math.sqrt(concentration)
+    x = np.empty((labels.size, lift.shape[0]), dtype=np.float32)
+    step = block_rows(lift)
+    for start in range(0, labels.size, step):
+        block = labels[start : start + step]
+        points = rng.normal(0.0, scale, size=(block.size, d))
+        points += directions[block]  # addition commutes: the bits of directions[block] + noise
+        points /= checked_row_norms(points)[:, None]
+        x[start : start + step] = points @ lift.T  # rounds to float32 as astype does
+    return x, labels
 
 
 def generate_federation(params: SynthParams, rng: np.random.Generator) -> SyntheticFederation:
@@ -97,12 +106,11 @@ def generate_federation(params: SynthParams, rng: np.random.Generator) -> Synthe
     Identity directions are uniform on the embedding sphere; each sample is
     the identity direction plus isotropic Gaussian noise, renormalized, then
     lifted to input space by a fixed random isometry and rounded to float32.
+    The directions and the isometry are dropped on return.
     """
     g = params.clients * params.ids_per_client
     directions = sample_uniform_directions(g, params.embed_dim, rng)
-
-    raw = rng.standard_normal((params.input_dim, params.embed_dim))
-    lift, _ = np.linalg.qr(raw)
+    lift = np.linalg.qr(rng.standard_normal((params.input_dim, params.embed_dim)))[0]
 
     client_inputs = []
     client_labels = []
@@ -114,11 +122,7 @@ def generate_federation(params: SynthParams, rng: np.random.Generator) -> Synthe
         client_inputs.append(x)
         client_labels.append(y)
     return SyntheticFederation(
-        params=params,
-        directions=directions,
-        lift=lift,
-        client_inputs=client_inputs,
-        client_labels=client_labels,
+        params=params, client_inputs=client_inputs, client_labels=client_labels
     )
 
 
@@ -267,9 +271,10 @@ def knn_attack(
     gallery row or set of rows it was derived from; the per-vector score is
     the fraction of those rows among its top-k retrieved rows. Returns the
     (E,) scores. Exposed vectors need not be unit (noised centers are matched
-    by direction). Exposed rows are scored a block at a time, so no
-    similarity block is larger than ROW_BLOCK_BYTES; tests/synth_oracle.py
-    ranks the whole product at once, and the scores are the same.
+    by direction). Exposed rows are normalized and scored a block at a time,
+    so no similarity block is larger than ROW_BLOCK_BYTES and no normalized
+    copy of them is whole; tests/synth_oracle.py normalizes and ranks the
+    whole product at once, and the scores are the same.
     """
     exposed = np.atleast_2d(np.asarray(exposed, dtype=float))
     if exposed.shape[1] != gallery.shape[1]:
@@ -280,12 +285,12 @@ def knn_attack(
         raise DomainError("one target set per exposed vector is required")
     if k < 1:
         raise DomainError(f"k={k} must be >= 1")
-    exposed = normalize_rows(exposed)
+    norms = checked_row_norms(exposed)[:, None]
     gallery_t = normalize_rows(gallery).T
     scores = np.zeros(exposed.shape[0])
     step = block_rows(gallery_t)  # exposed rows whose (step, G) similarities fill one block
     for start in range(0, exposed.shape[0], step):
-        sims = exposed[start : start + step] @ gallery_t
+        sims = (exposed[start : start + step] / norms[start : start + step]) @ gallery_t
         np.negative(sims, out=sims)
         top = np.argsort(sims, axis=1, kind="stable")[:, :k]
         for i, got in enumerate(top.tolist(), start):

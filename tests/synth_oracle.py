@@ -1,10 +1,12 @@
 """Reference sampling and evaluation: the federation's allocating versions.
 
-`capfed.synth` samples inputs in place, unranks verification pairs with
-array arithmetic and gathers their rows straight from the clients' shards.
-This module keeps versions that normalize out of place, list every distinct
-pair over the concatenated shards and index that list with the same draws,
-so tests can demand the same shard, pair and TAR bytes from both. Its eval
+`capfed.synth` samples inputs in place a block of rows at a time and drops
+the ground truth, unranks verification pairs with array arithmetic and
+gathers their rows straight from the clients' shards. This module keeps
+versions that sample each shard whole and normalize out of place, return
+the ground truth beside the federation, list every distinct pair over the
+concatenated shards and index that list with the same draws, so tests can
+demand the same shard, pair and TAR bytes from both. Its eval
 embeds every pair's rows, where `capfed.synth` embeds each distinct row once.
 `knn_attack` ranks the gallery rows for one exposed row at a time, so
 tests can demand the same scores from the vectorized top-k.
@@ -18,8 +20,8 @@ import math
 import numpy as np
 
 from capfed.errors import DomainError
-from capfed.geometry import normalize_rows
-from capfed.synth import SyntheticFederation, VerificationPairs
+from capfed.geometry import normalize_rows, sample_uniform_directions
+from capfed.synth import SynthParams, SyntheticFederation, VerificationPairs
 
 
 def _sample_inputs(
@@ -35,6 +37,26 @@ def _sample_inputs(
     noise = rng.normal(0.0, 1.0 / math.sqrt(concentration), size=(labels.size, d))
     points = normalize_rows(directions[labels] + noise)
     return (points @ lift.T).astype(np.float32), labels
+
+
+def generate_federation(
+    params: SynthParams, rng: np.random.Generator
+) -> tuple[SyntheticFederation, np.ndarray, np.ndarray]:
+    """The federation from the same draws, with its ground truth: (fed, directions, lift).
+
+    directions (G, d) holds the unit direction of every identity and lift
+    (input_dim, d) the isometry with orthonormal columns, both float64.
+    """
+    g = params.clients * params.ids_per_client
+    directions = sample_uniform_directions(g, params.embed_dim, rng)
+    lift, _ = np.linalg.qr(rng.standard_normal((params.input_dim, params.embed_dim)))
+    shards = [
+        _sample_inputs(directions, np.arange(c, g, params.clients), params.samples_per_identity,
+                       params.concentration, lift, rng)
+        for c in range(params.clients)
+    ]
+    fed = SyntheticFederation(params, [x for x, _ in shards], [y for _, y in shards])
+    return fed, directions, lift
 
 
 def make_verification_pairs(

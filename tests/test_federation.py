@@ -446,6 +446,22 @@ class TestDeriveRng:
         b = derive_rng(7, "x", 5).standard_normal(3)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("seed, key", [
+        (0, ()), (7, ("local", 3, 1)), (2**32 + 5, ("cluster", 2**40 + 1, 0)),
+        (-3, ("cli-cluster", -1)), (2**64 - 1, ("x", "", 2**32 - 1)),
+    ])
+    def test_streams_are_those_of_the_list_form(self, seed, key):
+        # the 32-bit words a list of masked ints seeds, as SeedSequence coerces them
+        ints = [seed & 0xFFFFFFFF] + [
+            sum((i + 1) * b for i, b in enumerate(k.encode())) & 0xFFFFFFFF
+            if isinstance(k, str) else k & 0xFFFFFFFF
+            for k in key
+        ]
+        want = np.random.default_rng(np.random.SeedSequence(ints))
+        got = derive_rng(seed, *key)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.standard_normal(5).tobytes() == want.standard_normal(5).tobytes()
+
     def test_package_stream_keys_fold_to_distinct_integers(self):
         # The fold is a weighted byte sum, not injective ("ad" and "cc" both give
         # 297), so a new key that collides with an old one would share its stream.

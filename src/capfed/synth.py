@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import block_rows, checked_row_norms, normalize_rows, sample_uniform_directions
+from .geometry import (
+    block_rows, checked_row_norms, has_unit_rows, normalize_rows, sample_uniform_directions,
+)
 
 
 @dataclass(frozen=True)
@@ -265,32 +267,34 @@ def knn_attack(
     k: int,
     targets: list,
 ) -> np.ndarray:
-    """Top-k cosine retrieval of exposed vectors against the gallery's rows.
+    """Top-k cosine retrieval of exposed vectors against the gallery's unit rows.
 
     Gallery row i is identity i. targets gives, per exposed vector, the
     gallery row or set of rows it was derived from; the per-vector score is
     the fraction of those rows among its top-k retrieved rows. Returns the
-    (E,) scores. Exposed vectors need not be unit (noised centers are matched
-    by direction). Exposed rows are normalized and scored a block at a time,
-    so no similarity block is larger than ROW_BLOCK_BYTES and no normalized
-    copy of them is whole; tests/synth_oracle.py normalizes and ranks the
-    whole product at once, and the scores are the same.
+    (E,) scores. The gallery is used as given, so its rows must be unit
+    (has_unit_rows; DomainError otherwise); exposed vectors need not be (noised
+    centers are matched by direction). Exposed rows are normalized and scored
+    a block at a time, so no similarity block is larger than ROW_BLOCK_BYTES
+    and no normalized copy of them is whole; tests/synth_oracle.py normalizes
+    and ranks the whole product at once, and the scores are the same.
     """
     exposed = np.atleast_2d(np.asarray(exposed, dtype=float))
     if exposed.shape[1] != gallery.shape[1]:
         raise DomainError(f"exposed dim {exposed.shape[1]} != gallery dim {gallery.shape[1]}")
     if gallery.shape[0] == 0:
         raise DomainError("gallery is empty")
+    if not has_unit_rows(gallery):
+        raise DomainError("gallery rows must be unit vectors")
     if len(targets) != exposed.shape[0]:
         raise DomainError("one target set per exposed vector is required")
     if k < 1:
         raise DomainError(f"k={k} must be >= 1")
     norms = checked_row_norms(exposed)[:, None]
-    gallery_t = normalize_rows(gallery).T
     scores = np.zeros(exposed.shape[0])
-    step = block_rows(gallery_t)  # exposed rows whose (step, G) similarities fill one block
+    step = block_rows(gallery.T)  # exposed rows whose (step, G) similarities fill one block
     for start in range(0, exposed.shape[0], step):
-        sims = (exposed[start : start + step] / norms[start : start + step]) @ gallery_t
+        sims = (exposed[start : start + step] / norms[start : start + step]) @ gallery.T
         np.negative(sims, out=sims)
         top = np.argsort(sims, axis=1, kind="stable")[:, :k]
         for i, got in enumerate(top.tolist(), start):

@@ -3,11 +3,12 @@
 `capfed.synth` samples inputs in place a block of rows at a time and drops
 the ground truth, unranks verification pairs with array arithmetic and
 gathers their rows straight from the clients' shards. This module keeps
-versions that sample each shard whole and normalize out of place, return
-the ground truth beside the federation, list every distinct pair over the
-concatenated shards and index that list with the same draws, so tests can
-demand the same shard, pair and TAR bytes from both. Its eval
-embeds every pair's rows, where `capfed.synth` embeds each distinct row once.
+versions that sample each shard whole and normalize out of place (the
+identity directions too), return the ground truth beside the federation,
+list every distinct pair over the concatenated shards and index that list
+with the same draws, so tests can demand the same shard, pair and TAR bytes
+from both. Its eval embeds every pair's rows, where `capfed.synth` embeds
+each distinct row once.
 `knn_attack` ranks the gallery rows for one exposed row at a time, so
 tests can demand the same scores from the vectorized top-k.
 The reference `embed` lives in train_oracle.
@@ -20,7 +21,7 @@ import math
 import numpy as np
 
 from capfed.errors import DomainError
-from capfed.geometry import normalize_rows, sample_uniform_directions
+from capfed.geometry import normalize_rows
 from capfed.synth import SynthParams, SyntheticFederation, VerificationPairs
 
 
@@ -48,7 +49,7 @@ def generate_federation(
     (input_dim, d) the isometry with orthonormal columns, both float64.
     """
     g = params.clients * params.ids_per_client
-    directions = sample_uniform_directions(g, params.embed_dim, rng)
+    directions = normalize_rows(rng.standard_normal((g, params.embed_dim)))
     lift, _ = np.linalg.qr(rng.standard_normal((params.input_dim, params.embed_dim)))
     shards = [
         _sample_inputs(directions, np.arange(c, g, params.clients), params.samples_per_identity,

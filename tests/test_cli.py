@@ -53,7 +53,6 @@ class TestParseConfig:
         # Every key with its exact default and type: the echo is part of every output file.
         expected = {
             "seed": 0,
-            "out_dir": "",
             "synth.clients": 4,
             "synth.ids_per_client": 64,
             "synth.samples_per_identity": 8,
@@ -153,75 +152,78 @@ SIM_CONFIG = (
 
 
 class TestFlagsEcho:
-    """Each flag sets its config key; --out-dir picks where outputs go but is not echoed."""
+    """Each flag sets its config key; an output flag sets only where the output goes."""
 
-    @pytest.mark.parametrize("file_out_dir", [False, True])
-    def test_simulate(self, tmp_path, capsys, file_out_dir):
+    def test_simulate(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "sim.cfg"
-        file_dir = tmp_path / "from_file"
-        cfg.write_text(SIM_CONFIG + (f"out_dir = {file_dir}\n" if file_out_dir else ""))
-        flag_dir = tmp_path / "from_flag"
-        argv = [
-            "simulate", "--config", str(cfg), "--out-dir", str(flag_dir),
-            "--mode", "phi-p", "--seed", "3", "--rounds", "1", "--rho", "1.2",
-            "--eps", "2", "--offline-probability", "0.25",
+        cfg.write_text(SIM_CONFIG)
+        flags = [
+            "--config", str(cfg), "--mode", "phi-p", "--seed", "3", "--rounds", "1",
+            "--rho", "1.2", "--eps", "2", "--offline-probability", "0.25",
         ]
-        assert main(argv) == 0
-        assert json.loads(capsys.readouterr().out)["out_dir"] == str(flag_dir)
         expected = parse_config(
             str(cfg),
             {"fed.mode": "phi-p", "seed": 3, "fed.rounds": 1, "dplc.rho": 1.2,
              "dp.epsilon": 2.0, "fed.offline_probability": 0.25},
         ).resolved
-        assert expected["out_dir"] == (str(file_dir) if file_out_dir else "")
-        assert not file_dir.exists()  # the flag wins over the file's out_dir
-        header = json.loads((flag_dir / "phi_p_rounds.jsonl").read_text().splitlines()[0])
-        assert header["config"] == expected
-        assert json.loads((flag_dir / "phi_p_summary.json").read_text())["config"] == expected
+        assert "out_dir" not in expected
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        # an absolute --out-dir, a relative one, and the default: the working directory
+        written = []
+        for out_flag, out_dir in (
+            (["--out-dir", str(tmp_path / "a")], tmp_path / "a"),
+            (["--out-dir", "b"], tmp_path / "cwd" / "b"),
+            ([], tmp_path / "cwd"),
+        ):
+            assert main(["simulate"] + flags + out_flag) == 0
+            assert json.loads(capsys.readouterr().out)["out_dir"] == str(out_dir)
+            files = [out_dir / "phi_p_rounds.jsonl", out_dir / "phi_p_summary.json"]
+            header = json.loads(files[0].read_text().splitlines()[0])
+            assert header["config"] == expected
+            assert json.loads(files[1].read_text())["config"] == expected
+            written.append([f.read_bytes() for f in files])
+        # where the files go is not part of them
+        assert written[0] == written[1] == written[2]
 
-    @pytest.mark.parametrize("flag_out_dir", [True, False])
-    def test_cluster(self, tmp_path, capsys, flag_out_dir):
+    def test_cluster(self, tmp_path, capsys):
         emb = tmp_path / "centers.csv"
         write_embeddings_csv(emb, sample_uniform_directions(30, 4, np.random.default_rng(7)))
         cfg = tmp_path / "run.cfg"
-        file_dir, flag_dir = tmp_path / "from_file", tmp_path / "from_flag"
-        cfg.write_text(f"fed.rounds = 2\nout_dir = {file_dir}\n")
+        cfg.write_text("fed.rounds = 2\ndplc.rho = 1.0\n")
+        out = tmp_path / "clusters.json"
         argv = [
-            "cluster", "--config", str(cfg), "--embeddings", str(emb),
-            "--save", "--rho", "1.1", "--min-size", "3", "--max-queries", "2", "--eps", "0.5",
+            "cluster", "--config", str(cfg), "--embeddings", str(emb), "--out", str(out),
+            "--rho", "1.1", "--min-size", "3", "--max-queries", "2", "--eps", "0.5",
             "--delta", "1e-6", "--seed", "8", "--mode", "noise_free",
-        ] + (["--out-dir", str(flag_dir)] if flag_out_dir else [])
+        ]
         assert main(argv) == 0
-        capsys.readouterr()
-        # --out-dir, else the file's out_dir: the order simulate uses
-        out_dir, unused = (flag_dir, file_dir) if flag_out_dir else (file_dir, flag_dir)
-        assert not unused.exists()
-        payload = json.loads((out_dir / "clusters.json").read_text())
-        assert payload["config"] == parse_config(
+        assert capsys.readouterr().out == out.read_text()
+        payload = json.loads(out.read_text())
+        expected = parse_config(
             str(cfg),
             {"dplc.rho": 1.1, "dplc.min_cluster_size": 3, "dplc.max_queries": 2,
              "dp.epsilon": 0.5, "dp.delta": 1e-6, "seed": 8},
         ).resolved
+        assert (expected["fed.rounds"], expected["dplc.rho"]) == (2, 1.1)  # the flag wins
+        assert payload["config"] == expected
         assert (payload["mode"], payload["seed"]) == ("noise_free", 8)
 
-    @pytest.mark.parametrize("flag_out_dir", [True, False])
-    def test_calibrate(self, tmp_path, capsys, flag_out_dir):
+    def test_calibrate(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        file_dir, flag_dir = tmp_path / "from_file", tmp_path / "from_flag"
-        cfg.write_text(f"dplc.rho = 1.0\nout_dir = {file_dir}\n")
+        cfg.write_text("dplc.rho = 1.0\n")
+        out = tmp_path / "calibrate.json"
         argv = [
-            "calibrate", "--config", str(cfg), "--save",
+            "calibrate", "--config", str(cfg), "--out", str(out),
             "--size", "16", "--rho", "0.9", "--eps", "3", "--delta", "1e-7",
-        ] + (["--out-dir", str(flag_dir)] if flag_out_dir else [])
+        ]
         assert main(argv) == 0
-        capsys.readouterr()
-        out_dir, unused = (flag_dir, file_dir) if flag_out_dir else (file_dir, flag_dir)
-        assert not unused.exists()
-        payload = json.loads((out_dir / "calibrate.json").read_text())
+        assert capsys.readouterr().out == out.read_text()
+        payload = json.loads(out.read_text())
         expected = parse_config(
             str(cfg), {"dplc.rho": 0.9, "dp.epsilon": 3.0, "dp.delta": 1e-7}
         ).resolved
-        assert expected["out_dir"] == str(file_dir)
+        assert expected["dplc.rho"] == 0.9  # the flag wins over the file
         assert payload["config"] == expected
         assert payload["inputs"] == {"size": 16, "rho": 0.9, "epsilon": 3.0, "delta": 1e-7}
 
@@ -419,12 +421,12 @@ class TestCommands:
                     "eval.positives = 30",
                     "eval.negatives = 30",
                     "eval.far_targets = 0.1",
-                    f"out_dir = {tmp_path / 'run'}",
                 ]
             )
             + "\n"
         )
-        base = ["simulate", "--config", str(cfg), "--seed", "5"]
+        base = ["simulate", "--config", str(cfg), "--seed", "5",
+                "--out-dir", str(tmp_path / "run")]
         assert main(base + ["--mode", "phi-hat"]) == 0
         first = (tmp_path / "run" / "phi_hat_rounds.jsonl").read_bytes()
         summary_first = (tmp_path / "run" / "phi_hat_summary.json").read_bytes()
@@ -492,9 +494,8 @@ class TestCommands:
             "synth.clients = 2\nsynth.ids_per_client = 8\nsynth.samples_per_identity = 4\n"
             "synth.embed_dim = 8\nsynth.input_dim = 10\nfed.rounds = 1\n"
             "eval.positives = 30\neval.negatives = 30\neval.far_targets = 0.1\n"
-            f"out_dir = {tmp_path / 'run'}\n"
         )
-        simulate = ["simulate", "--config", str(cfg)]
+        simulate = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]
         assert main(simulate + ["--mode", "phi-p"]) == 0  # default min size 512 > 8 classes
         assert "min_cluster_size=512 exceeds the 8 classes" in capsys.readouterr().err
         assert main(simulate + ["--mode", "phi"]) == 0
@@ -512,12 +513,30 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["success_rate"] == 1.0
 
-    def test_env_var_output_dir(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CAPFED_OUTDIR", str(tmp_path))
-        code = main(["occupancy", "--d", "8", "--steps", "5"])
-        capsys.readouterr()
-        assert code == 0
-        assert (tmp_path / "occupancy_d8.csv").is_file()
+    def test_outdir_env_var_changes_nothing(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CONFIG + "fed.rounds = 1\n")
+        runs = [
+            ["occupancy", "--d", "8", "--steps", "5"],
+            ["calibrate", "--size", "8"],
+            ["simulate", "--config", str(cfg)],
+        ]
+        written = {}
+        for env in (None, str(tmp_path / "env")):
+            if env is not None:
+                monkeypatch.setenv("CAPFED_OUTDIR", env)
+            cwd = tmp_path / f"cwd_{len(written)}"
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            printed = []
+            for argv in runs:
+                assert main(argv) == 0
+                printed.append(capsys.readouterr().out.replace(str(cwd), "<cwd>"))
+            written[env] = printed, {f.name: f.read_bytes() for f in cwd.iterdir()}
+        assert not (tmp_path / "env").exists()
+        assert sorted(written[None][1]) == ["occupancy_d8.csv", "phi_hat_rounds.jsonl",
+                                            "phi_hat_summary.json"]
+        assert written[None] == written[str(tmp_path / "env")]
 
 
 class TestExitCodes:
@@ -560,6 +579,47 @@ class TestExitCodes:
             assert main(argv + extra) == 1
             assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "run").exists() and not out.exists()
+
+    def test_removed_output_flags_are_one_without_output(self, tmp_path, capsys, monkeypatch):
+        emb = tmp_path / "rows.csv"
+        write_embeddings_csv(emb, sample_uniform_directions(12, 4, np.random.default_rng(1)))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        runs = [
+            ["calibrate", "--size", "8"],
+            ["cluster", "--embeddings", str(emb), "--min-size", "2"],
+            ["attack", "--exposed", str(emb), "--gallery", str(emb)],
+            ["occupancy", "--d", "8"],
+        ]
+        for argv in runs:
+            for extra in (["--save"], ["--out-dir", str(tmp_path / "dir")],
+                          ["--save", "--out-dir", str(tmp_path / "dir")]):
+                assert main(argv + extra) == 1, argv + extra
+                captured = capsys.readouterr()
+                assert captured.err.startswith("usage error: unrecognized arguments: ")
+                assert captured.out == ""
+        assert list(cwd.iterdir()) == [] and not (tmp_path / "dir").exists()
+
+    def test_out_dir_key_is_two_without_output(self, tmp_path, capsys, monkeypatch):
+        emb = tmp_path / "rows.csv"
+        write_embeddings_csv(emb, sample_uniform_directions(12, 4, np.random.default_rng(1)))
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(SIM_CONFIG + f"fed.rounds = 1\nout_dir = {tmp_path / 'x'}\n")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        runs = [
+            ["calibrate", "--size", "8"],
+            ["cluster", "--embeddings", str(emb), "--min-size", "2"],
+            ["simulate"],
+        ]
+        for argv in runs:
+            assert main(argv + ["--config", str(cfg)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "validation error: out_dir: unknown configuration key\n"
+            assert captured.out == ""
+        assert list(cwd.iterdir()) == [] and not (tmp_path / "x").exists()
 
     def test_attack_rejects_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -722,8 +782,8 @@ class TestExitCodes:
         # CosFace the only margin form, and every identity private to one
         # client; the keys that chose otherwise are gone.
         cfg = tmp_path / "old.cfg"
-        cfg.write_text(SIM_CONFIG + f"fed.rounds = 1\n{line}\nout_dir = {tmp_path / 'run'}\n")
-        assert main(["simulate", "--config", str(cfg)]) == 2
+        cfg.write_text(SIM_CONFIG + f"fed.rounds = 1\n{line}\n")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 2
         key = line.partition(" =")[0]
         assert f"validation error: {key}: unknown configuration key" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
@@ -735,9 +795,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(synth, "generate_federation", generate)
         cfg = tmp_path / "one.cfg"
-        cfg.write_text(SIM_CONFIG + "synth.clients = 1\nfed.rounds = 1\n"
-                       f"out_dir = {tmp_path / 'run'}\n")
-        assert main(["simulate", "--config", str(cfg)]) == 2
+        cfg.write_text(SIM_CONFIG + "synth.clients = 1\nfed.rounds = 1\n")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 2
         assert "validation error: synth.clients: " in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
@@ -783,22 +842,27 @@ class TestExitCodes:
         assert "validation error: dplc: rho=" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_cluster_at_rho_whose_cosine_is_one_is_two_without_output(self, tmp_path, capsys):
+    def test_cluster_at_rho_whose_cosine_is_one_is_two_without_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
         # a duplicated row would form a cluster of 2 even at rho = 1e-9
         rows = sample_uniform_directions(20, 8, np.random.default_rng(0))
         emb = tmp_path / "dup.bin"
         write_embeddings_binary(emb, np.vstack([rows, rows[:1]]))
         cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(f"dplc.rho = 1e-9\nout_dir = {tmp_path / 'saved'}\n")
+        cfg.write_text("dplc.rho = 1e-9\n")
         out = tmp_path / "clusters.json"
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
         for mode in ("sanitized", "noise_free", "naive_per_center"):
             argv = ["cluster", "--config", str(cfg), "--embeddings", str(emb), "--mode", mode,
                     "--min-size", "2", "--max-queries", "2"]
             assert main(argv + ["--out", str(out)]) == 2
-            assert main(argv + ["--save"]) == 2
+            assert main(argv) == 2
             assert "validation error: dplc: rho=" in capsys.readouterr().err
         assert not out.exists()
-        assert not (tmp_path / "saved").exists()
+        assert list(cwd.iterdir()) == []
 
     def test_simulate_at_rho_whose_cosine_is_one_is_two_before_generation(
         self, tmp_path, capsys, monkeypatch
@@ -808,9 +872,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(synth, "generate_federation", generate)
         cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(SIM_CONFIG + "dplc.rho = 8e-9\nfed.rounds = 1\n"
-                       f"out_dir = {tmp_path / 'run'}\n")
-        assert main(["simulate", "--config", str(cfg)]) == 2
+        cfg.write_text(SIM_CONFIG + "dplc.rho = 8e-9\nfed.rounds = 1\n")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 2
         assert "validation error: dplc: rho=" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
@@ -838,8 +901,8 @@ class TestExitCodes:
     )
     def test_bad_training_and_eval_values_are_two(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"fed.rounds = 1\n{line}\nout_dir = {tmp_path / 'run'}\n")
-        assert main(["simulate", "--config", str(cfg)]) == 2
+        cfg.write_text(f"fed.rounds = 1\n{line}\n")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 2
         prefix = line.partition(".")[0]
         section = "fed" if prefix == "eval" else prefix
         assert f"validation error: {section}: " in capsys.readouterr().err

@@ -220,6 +220,25 @@ class TestSampleUniformDirection:
         with pytest.raises(DomainError):
             sample_uniform_directions(4, 1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(256, 32), (400, 64), (400, 512)])
+    def test_bits_of_normalizing_the_draw(self, shape, seed):
+        got = sample_uniform_directions(*shape, np.random.default_rng(seed))
+        want = normalize_rows(np.random.default_rng(seed).standard_normal(shape))
+        assert got.tobytes() == want.tobytes()
+
+    def test_holds_one_copy_of_the_draw(self):
+        # 4000 x 64 float64 is 2 MiB: the draw is normalized in place, a block of rows
+        # squared at a time, so the peak is the draw, its norms and one block
+        rng = np.random.default_rng(4)
+        tracemalloc.start()
+        try:
+            m = sample_uniform_directions(4000, 64, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= m.nbytes + 8 * 4000 + 2 * ROW_BLOCK_BYTES
+
 
 def test_two_hop_cosine_bound_fuzz():
     # u, v both within a quarter turn of o: cos(angle(u, v)) >= cos(alpha + beta)

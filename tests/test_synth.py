@@ -368,21 +368,38 @@ class TestKnnAttack:
 
     def test_holds_one_block_of_similarities(self):
         # the whole 1000 x 1000 product, its negation and its argsort would take 24 MB;
-        # a normalized copy of the 8000 exposed rows would take 2 MB
+        # a normalized copy of the 8000 exposed rows would take 2 MB, and one of the
+        # 2000 x 128 gallery 2 MB
         rng = np.random.default_rng(12)
-        gallery = sample_uniform_directions(1000, 32, rng)
-        for exposed_rows in (1000, 8000):
-            exposed = 2.0 * sample_uniform_directions(exposed_rows, 32, rng)
-            targets = [[i % 1000] for i in range(exposed_rows)]
+        for rows, dim, exposed_rows in ((1000, 32, 1000), (1000, 32, 8000), (2000, 128, 200)):
+            gallery = sample_uniform_directions(rows, dim, rng)
+            exposed = 2.0 * sample_uniform_directions(exposed_rows, dim, rng)
+            targets = [[i % rows] for i in range(exposed_rows)]
             tracemalloc.start()
             try:
                 knn_attack(exposed, gallery, 1, targets)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # the normalized gallery, the exposed rows' norms and scores, a block of
-            # normalized exposed rows, of similarities and of their order, the sort's buffers
-            assert peak <= gallery.nbytes + 2 * 8 * exposed_rows + 4 * ROW_BLOCK_BYTES, exposed_rows
+            # the exposed rows' norms and scores, a block of normalized exposed rows,
+            # of similarities and of their order, the sort's buffers
+            assert peak <= 2 * 8 * exposed_rows + 4 * ROW_BLOCK_BYTES, (rows, exposed_rows)
+
+    def test_gallery_is_used_as_given_and_must_be_unit(self):
+        rng = np.random.default_rng(14)
+        gallery = sample_uniform_directions(50, 8, rng)
+        exposed = gallery[:10] + 0.1 * rng.standard_normal((10, 8))
+        targets = [[i] for i in range(10)]
+        before = gallery.tobytes()
+        scores = knn_attack(exposed, gallery, 3, targets)
+        assert gallery.tobytes() == before
+        renormalized = knn_attack(exposed, normalize_rows(gallery), 3, targets)
+        assert scores.tobytes() == renormalized.tobytes()
+        nudged = gallery.copy()
+        nudged[37] *= 1.0 + 1e-8  # one row off unit by more than UNIT_ROW_ATOL
+        for bad in (2.0 * gallery, nudged):
+            with pytest.raises(DomainError, match="^gallery rows must be unit vectors$"):
+                knn_attack(exposed, bad, 3, targets)
 
     def test_zero_exposed_row_is_named_by_its_row(self):
         rng = np.random.default_rng(13)

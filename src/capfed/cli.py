@@ -313,7 +313,8 @@ def cmd_cluster(args) -> int:
     rng = federation.derive_rng(cfg.seed, "cli-cluster")
     report = clustering.run_clustering(centers, params, rng)
     margin = 0.0 if args.mode == clustering.MODE_NAIVE_PER_CENTER else params.rho
-    budget = params.budget
+    ledger = dp.PrivacyLedger()
+    ledger.charge(args.embeddings, params.budget, report.charged)
     payload = {
         "config": cfg.resolved,
         "seed": cfg.seed,
@@ -323,7 +324,7 @@ def cmd_cluster(args) -> int:
             for i, (row, size) in enumerate(zip(report.centers, report.sizes), 1)
         ],
         "queries_used": report.queries_used,
-        "ledger_delta": [report.charged * budget.epsilon, report.charged * budget.delta],
+        "ledger_delta": list(ledger.totals().get(args.embeddings, (0.0, 0.0))),
     }
     _emit_json(payload, args)
     return 0

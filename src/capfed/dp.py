@@ -26,12 +26,16 @@ identity-level privacy nor the privacy of the embedder is claimed. The
 release counts, each release's size and the choice of seed are
 published without noise, so no bound covers them. Sampled floating-point
 noise can also leak through its low bits (Mironov, CCS 2012).
+
+``PrivacyLedger`` holds each client's running totals under basic composition.
+A charge or a total that is not a finite float raises DomainError, so an
+overflowed spend is never reported.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 import numpy as np
@@ -39,10 +43,6 @@ import numpy as np
 from .errors import DomainError
 
 DEFAULT_DELTA = 5e-5
-
-
-def _std_factor(delta: float) -> float:
-    return math.sqrt(2.0 * math.log(1.25 / delta))
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ NAIVE_SENSITIVITY = 2.0
 
 def gaussian_sigma(sensitivity: float, budget: PrivacyBudget) -> float:
     """sensitivity / epsilon * sqrt(2 ln(1.25 / delta)), which must be positive and finite."""
-    sigma = sensitivity / budget.epsilon * _std_factor(budget.delta)
+    sigma = sensitivity / budget.epsilon * math.sqrt(2.0 * math.log(1.25 / budget.delta))
     _check_sigma(sigma)
     return sigma
 
@@ -122,80 +122,43 @@ def gaussian_perturb(p: np.ndarray, sigma: float, rng: np.random.Generator) -> n
     return p + rng.normal(0.0, sigma, size=p.shape)
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    """One charge: ``queries`` releases at ``budget`` each, by one client in one round."""
-
-    round_index: int
-    client: Hashable
-    queries: int
-    budget: PrivacyBudget
-
-
-@dataclass(frozen=True)
 class PrivacyLedger:
-    """Accumulated (epsilon, delta) per client under sequential composition.
+    """Per-client (epsilon, delta) running totals under sequential composition: each is
+    the exact, order-independent sum of queries * per-query budget, rounded once."""
 
-    Immutable value: ``compose`` returns a new ledger. Totals are exact,
-    order-independent sums of queries * per-query budget, rounded once.
-    """
+    def __init__(self) -> None:
+        # Per client, in order of first charge: the exact sums of the products,
+        # in units of 2**-1074; rounding an exact sum once is what math.fsum returns.
+        self._sums: dict[Hashable, tuple[int, int]] = {}
 
-    entries: tuple[LedgerEntry, ...] = ()
-    # Per client, in order of first appearance: the exact sums of the float
-    # products queries * epsilon and queries * delta, in units of 2**-1074.
-    # Rounding an exact sum once is what math.fsum over the entries returns.
-    _sums: dict[Hashable, tuple[int, int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        sums: dict[Hashable, tuple[int, int]] = {}
-        for e in self.entries:
-            _charge(sums, e)
-        object.__setattr__(self, "_sums", sums)
-
-    def compose(
-        self,
-        client: Hashable,
-        round_index: int,
-        budget: PrivacyBudget,
-        queries: int,
-    ) -> "PrivacyLedger":
-        """Charge ``queries`` sequential releases at ``budget`` each to ``client``."""
+    def charge(self, client: Hashable, budget: PrivacyBudget, queries: int) -> None:
+        """Add ``queries`` releases at ``budget`` each to ``client``'s totals; a
+        product or total that is not a finite float raises DomainError instead."""
         if int(queries) != queries or queries < 0:
             raise DomainError(f"queries={queries} must be an integer >= 0")
         if queries == 0:
-            return self
-        entry = LedgerEntry(round_index, client, int(queries), budget)
-        # Built field by field: __post_init__ would re-sum every entry.
-        ledger = object.__new__(PrivacyLedger)
-        object.__setattr__(ledger, "entries", self.entries + (entry,))
-        object.__setattr__(ledger, "_sums", dict(self._sums))
-        _charge(ledger._sums, entry)
-        return ledger
-
-    def total_for(self, client: Hashable) -> tuple[float, float]:
-        """(sum epsilon, sum delta) composed so far for one client."""
+            return
         eps, delta = self._sums.get(client, (0, 0))
-        return eps / _UNITS, delta / _UNITS
+        eps += _in_units(client, queries * budget.epsilon)
+        delta += _in_units(client, queries * budget.delta)
+        if max(eps, delta) >= _OVERFLOW_UNITS:
+            raise DomainError(f"client {client!r}: composed privacy total overflows a float")
+        self._sums[client] = (eps, delta)
 
     def totals(self) -> dict[Hashable, tuple[float, float]]:
-        """Per-client composed totals for every client with at least one entry,
-        in order of first appearance."""
+        """Each charged client's rounded totals, in order of first charge."""
         return {c: (eps / _UNITS, delta / _UNITS) for c, (eps, delta) in self._sums.items()}
 
 
 # Every finite double is a whole number of 2**-1074 units, so sums of them
-# are exact Python ints, and int / int division rounds correctly.
+# are exact Python ints and int / int division rounds correctly; a sum from
+# halfway between the largest double and 2**1024 up rounds to inf.
 _UNITS = 2**1074
+_OVERFLOW_UNITS = (2**1024 - 2**970) * _UNITS
 
 
-def _in_units(x: float) -> int:
+def _in_units(client: Hashable, x: float) -> int:
+    if not math.isfinite(x):
+        raise DomainError(f"client {client!r}: privacy charge {x} is not a finite float")
     num, den = x.as_integer_ratio()
     return num * (_UNITS // den)
-
-
-def _charge(sums: dict[Hashable, tuple[int, int]], e: LedgerEntry) -> None:
-    eps, delta = sums.get(e.client, (0, 0))
-    sums[e.client] = (
-        eps + _in_units(e.queries * e.budget.epsilon),
-        delta + _in_units(e.queries * e.budget.delta),
-    )

@@ -450,7 +450,7 @@ def run_federation(
                 released[c] = report.centers
                 queries_by_client[c] = report.queries_used
                 round_fidelities.extend(report.fidelities)
-                server.ledger = server.ledger.compose(c, t, params.budget, report.charged)
+                server.ledger.charge(c, params.budget, report.charged)
 
         round_losses = {}
         for ids in _lockstep_groups([clients[c] for c in online], config.batch_size):

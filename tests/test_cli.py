@@ -943,6 +943,61 @@ class TestExitCodes:
         assert "runtime error: cannot normalize vector with norm inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(("mode", "queries"), [("sanitized", 4), ("naive_per_center", 40)])
+    def test_cluster_whose_spend_overflows_is_three_without_output(
+        self, tmp_path, capsys, mode, queries
+    ):
+        # queries releases at epsilon 1e308 spend more than the largest float
+        emb = tmp_path / "centers.bin"
+        write_embeddings_binary(emb, sample_uniform_directions(40, 4, np.random.default_rng(0)))
+        out = tmp_path / "clusters.json"
+        argv = ["cluster", "--embeddings", str(emb), "--min-size", "2", "--max-queries", "4",
+                "--mode", mode, "--out", str(out)]
+        assert main(argv + ["--eps", "1e308"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"runtime error: client {str(emb)!r}: privacy charge inf is not a finite float\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+        eps = 1.6e308 / queries
+        assert main(argv + ["--eps", repr(eps)]) == 0
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        assert payload["queries_used"] == queries
+        assert payload["ledger_delta"] == [queries * eps, queries * 5e-5]
+
+    @pytest.mark.parametrize(
+        ("extra", "charged", "message"),
+        [
+            # one round of 3 releases: the charge 3 x 1e308 is not a float
+            ("dplc.max_queries = 3\nfed.rounds = 1\n", [3],
+             "client 0: privacy charge inf is not a finite float"),
+            # two rounds of 1 release: each charge is a float, their sum is not
+            ("dplc.max_queries = 1\nfed.rounds = 2\n", [1, 1],
+             "client 0: composed privacy total overflows a float"),
+        ],
+    )
+    def test_simulate_whose_spend_overflows_is_three_without_output(
+        self, tmp_path, capsys, extra, charged, message
+    ):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CONFIG + extra)
+        argv = ["simulate", "--config", str(cfg), "--mode", "phi-hat",
+                "--out-dir", str(tmp_path / "run")]
+        assert main(argv + ["--eps", "1e308"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"runtime error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
+        assert main(argv + ["--eps", "4e307"]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "run" / "phi_hat_rounds.jsonl").read_text().splitlines()
+        assert [json.loads(line)["queries_by_client"]["0"] for line in lines[1:]] == charged
+        summary = json.loads((tmp_path / "run" / "phi_hat_summary.json").read_text())
+        expected = [math.fsum(q * x for q in charged) for x in (4e307, 5e-5)]
+        assert summary["final_ledger_totals"]["0"] == expected
+
     def test_calibrate_at_subnormal_epsilon_is_three_without_output(self, tmp_path, capsys):
         out = tmp_path / "calibrate.json"
         assert main(["calibrate", "--size", "8", "--eps", "1e-320", "--out", str(out)]) == 3

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -298,6 +299,26 @@ class TestRunFederation:
             eps, delta = report.rounds[-1].ledger_totals[c]
             assert eps == 10.0
             assert delta == pytest.approx(10 * 5e-5)
+
+    def test_every_round_records_a_snapshot_of_the_ledger(self):
+        budget = PrivacyBudget(0.3, 1e-5)
+        params = ClusteringParams(rho=1.3, min_cluster_size=4, max_queries=4, budget=budget)
+        config = tiny_config(rounds=6, offline_probability=0.5, clustering_params=params)
+        report = run_federation(config, tiny_fed(4), seed=5)
+        charged = {}  # client -> queries charged in each round so far, in order of first charge
+        for r in report.rounds:
+            for c, q in r.queries_by_client.items():
+                if q:
+                    charged.setdefault(c, []).append(q)
+            assert r.ledger_totals == {
+                c: (math.fsum(q * budget.epsilon for q in qs), math.fsum(q * budget.delta for q in qs))
+                for c, qs in charged.items()
+            }
+            assert list(r.ledger_totals) == list(charged)
+        # clients go offline, charge 0, 1 or 2 queries, and are first charged out of order
+        assert len({len(r.online_clients) for r in report.rounds}) > 1
+        assert {q for r in report.rounds for q in r.queries_by_client.values()} == {0, 1, 2}
+        assert list(report.rounds[-1].ledger_totals) == [0, 1, 3, 2]
 
     def test_phi_mode_charges_nothing_and_releases_nothing(self):
         fed = tiny_fed(4)

@@ -15,13 +15,12 @@ split over threads. With OpenBLAS 0.3.31 (Haswell kernels) on two cores, a
 256 x 1000 @ 1000 x 512 float32 product differs between one thread and two
 in about 98,000 of its 131,072 entries, and a 2000 x 1000 @ 1000 x 8 one,
 below _SMALL_PRODUCT, in about 12,000 of 16,000; at inner dimensions 48,
-512, 640 and 1024 the two agree. What holds is replay: matmul decides from
-the product's shape alone whether to run it on one thread, so a product of
-a given shape takes the same path, and gets the same bits, in every run
-with the same BLAS and thread setting. The eval also needs a row's bits
-not to depend on the other rows of its product, since it embeds each
-distinct row once where a pair would embed it again; tests/test_synth_oracle.py
-checks that on one thread and split over threads.
+512, 640 and 1024 the two agree. What holds is replay: small_product decides
+from a product's shape alone whether to run it on one thread, so a shape
+gets the same bits in every run with the same BLAS and thread setting. The
+eval embeds each distinct row once, a block at a time, so a row's bits must
+not depend on the other rows of its product: true for blocks, not for a few
+rows (at 48 x 32, up to 37 take another kernel; tests/test_synth_oracle.py).
 
 The thread count is OpenBLAS's one process-wide setting, so one_thread is
 not for products that other threads run at the same time. With another
@@ -87,8 +86,13 @@ def one_thread():
         set_(threads)
 
 
+def small_product(m: int, k: int, n: int):
+    """one_thread() for an (m, k) @ (k, n) product below _SMALL_PRODUCT, else a no-op context."""
+    return one_thread() if m * k * n < _SMALL_PRODUCT else contextlib.nullcontext()
+
+
 def matmul(a, b):
     """a @ b for an (m, k) and a (k, n) matrix, on one BLAS thread when it is small."""
     (m, k), n = a.shape, b.shape[1]
-    with one_thread() if m * k * n < _SMALL_PRODUCT else contextlib.nullcontext():
+    with small_product(m, k, n):
         return a @ b

@@ -139,8 +139,11 @@ class PrivacyLedger:
         if queries == 0:
             return
         eps, delta = self._sums.get(client, (0, 0))
-        eps += _in_units(client, queries * budget.epsilon)
-        delta += _in_units(client, queries * budget.delta)
+        try:  # the float products, whose bits every total keeps
+            eps += _in_units(client, queries * budget.epsilon)
+            delta += _in_units(client, queries * budget.delta)
+        except OverflowError:  # an int queries beyond float range: an inf product
+            _in_units(client, math.inf)  # raises DomainError
         if max(eps, delta) >= _OVERFLOW_UNITS:
             raise DomainError(f"client {client!r}: composed privacy total overflows a float")
         self._sums[client] = (eps, delta)

@@ -142,9 +142,9 @@ class ServerState:
 def embed(embedder: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Unit-normalized linear features for a batch of raw inputs, in their dtype.
 
-    A small batch is embedded on one BLAS thread (blas module docstring):
-    the verification eval embeds one in every round. The norms are taken in
-    blocks, so no temporary is as large as the features.
+    A small batch is embedded on one BLAS thread (blas module docstring);
+    synth.verification_eval embeds its rows the same way, a block at a time.
+    The norms are taken in blocks, so no temporary is as large as the features.
     """
     feats = blas.matmul(np.asarray(inputs), embedder.T)
     feats /= checked_row_norms(feats)[:, None]
@@ -276,6 +276,7 @@ def client_local_round(
             d_w *= lr
             w -= d_w
             w /= checked_row_norms(w)[..., None]
+            del bundle, step, d_w  # freed before the next step's kernel call, not after it
     # One 1-d mean per client: a mean over axis 0 of the table would sum in another order.
     by_step = np.array(batch_losses, dtype=float)
     new_states = [replace(state, embedder=a[c], centers=w[c]) for c, state in enumerate(group)]
@@ -412,11 +413,11 @@ def run_federation(
 
     Held for the whole run: the federation's shards and labels (it keeps no
     ground truth), which the client states share, each client's embedder and
-    centers, the server's embedder and the verification pairs' rows. A
-    client's embedder and centers are views of the stacks of its last
-    lockstep group, so a client that goes offline keeps that group's stacks,
-    at most _LOCKSTEP_BYTES, alive. The local phase holds one group's stacks
-    at a time.
+    centers, the server's embedder, the eval pairs' row ids and one gather
+    buffer of at most ROW_BLOCK_BYTES. A client's embedder and centers are
+    views of the stacks of its last lockstep group, so a client that goes
+    offline keeps that group's stacks, at most _LOCKSTEP_BYTES, alive. The
+    local phase holds one group's stacks at a time.
     """
     clients, embedder0 = initialize_clients(fed, config, seed)
     server = ServerState(embedder=embedder0)  # replaced each round, never written in place
@@ -425,6 +426,7 @@ def run_federation(
     pairs = synth.make_verification_pairs(
         fed, config.eval_positives, config.eval_negatives, eval_rng
     )
+    buffer = synth.gather_buffer(fed.client_inputs, pairs)  # reused: one allocation per run
     cluster_mode = _CLUSTER_MODE_FOR_RUN.get(config.mode)
     n_clients, dim = fed.params.clients, fed.params.embed_dim
     records: list[RoundRecord] = []
@@ -468,7 +470,7 @@ def run_federation(
         server.embedder = aggregate_fedavg([clients[c].embedder for c in online])
 
         tar = synth.verification_eval(
-            lambda x: embed(server.embedder, x), pairs, config.far_targets
+            server.embedder, fed.client_inputs, pairs, config.far_targets, buffer
         )
         margin = synth.cross_client_margin([s.centers for s in clients])
         records.append(

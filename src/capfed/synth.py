@@ -15,9 +15,8 @@ float64 product does not depend on the other rows multiplied with it, and
 the generator fills normals in C order, so the shards have the bits and the
 generator the state of lifting each shard whole. The ground truth (identity
 directions and the lift, float64) is drawn, used and dropped: nothing reads
-it after generation. Verification pairs keep each shard row they use once,
-gathered from the shards, so they are float32 too, and the eval and the
-cross-client margin work in the dtype of what they are given.
+it after generation. Verification pairs keep only the ids of the shard rows
+they use; the eval and the cross-client margin work in the dtype they get.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .errors import DomainError
 from .geometry import (
     block_rows, checked_row_norms, has_unit_rows, normalize_rows, sample_uniform_directions,
@@ -130,27 +130,16 @@ def generate_federation(params: SynthParams, rng: np.random.Generator) -> Synthe
 
 @dataclass
 class VerificationPairs:
-    """Raw input pairs with a same-identity flag; no pair appears twice.
+    """Pairs of shard rows with a same-identity flag; no pair appears twice.
 
-    Pair i is (rows[ia[i]], rows[ib[i]]), and rows holds each input the pairs
-    use once, so an eval embeds an input once however many pairs share it.
+    Pair i is rows (ids[ia[i]], ids[ib[i]]) of the shards laid end to end; ids
+    holds each row the pairs use once, ascending, so an eval embeds it once.
     """
 
-    rows: np.ndarray  # (U, input_dim), the distinct inputs
-    ia: np.ndarray  # (P,) row of each pair's first input
-    ib: np.ndarray  # (P,) row of its second
+    ids: np.ndarray  # (U,) the distinct rows, ascending
+    ia: np.ndarray  # (P,) index into ids of each pair's first row
+    ib: np.ndarray  # (P,) of its second
     same: np.ndarray  # (P,) bool
-
-
-def _gather_rows(shards: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
-    """The rows at idx of the shards' concatenation, gathered without building it."""
-    offsets = np.cumsum([0] + [x.shape[0] for x in shards])
-    shard = np.searchsorted(offsets, idx, side="right") - 1
-    out = np.empty((idx.size, shards[0].shape[1]), dtype=np.result_type(*shards))
-    for c, x in enumerate(shards):
-        hit = shard == c
-        out[hit] = x[idx[hit] - offsets[c]]
-    return out
 
 
 def _pair_of_rank(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,8 +171,8 @@ def make_verification_pairs(
     replace=False) per kind draws ranks: positives by identity, then by
     _pair_of_rank over its ascending rows; negatives by client pair (c < c',
     row-major), then row in c, then row in c'. Rows number the shards laid
-    end to end; each row a pair uses is copied out once, in ascending order,
-    and the pairs, positives first, index those copies.
+    end to end; each row a pair uses is listed once, in ascending order, and
+    the pairs, positives first, index that list.
     """
     labels = np.concatenate(fed.client_labels)
     order = np.argsort(labels, kind="stable")  # each identity's rows, ascending
@@ -209,26 +198,45 @@ def make_verification_pairs(
         return_inverse=True,
     )
     ia, ib = np.split(index, 2)
-    rows = _gather_rows(fed.client_inputs, used)
-    return VerificationPairs(rows, ia, ib, np.arange(positives + negatives) < positives)
+    return VerificationPairs(used, ia, ib, np.arange(positives + negatives) < positives)
 
 
-def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[float, float]:
+def gather_buffer(shards: list[np.ndarray], pairs: VerificationPairs) -> np.ndarray:
+    """verification_eval's buffer: block_rows of shard rows, at most as many as pairs uses."""
+    x = shards[0]
+    return np.empty((min(pairs.ids.size, block_rows(x)), x.shape[1]), dtype=x.dtype)
+
+
+def verification_eval(embedder, shards, pairs, far_targets, buffer) -> dict[float, float]:
     """True-accept rate at each false-accept target, by score threshold sweep.
 
-    A pair's score is the dot product of its embedded rows: their cosine when
-    embed returns unit rows, as federation.embed does. Each distinct row is
-    embedded once, in one call, and a score has the bits of embedding the
-    pairs' rows side by side (tests/synth_oracle.py; the blas module
-    docstring says why). The threshold for a target is the (k+1)-th largest
-    negative score with k = floor(target * #negatives), and acceptance is
-    strict (score > thr): the largest attainable TAR whose realized FAR is
-    guaranteed <= target. What embed returns is never written.
+    A score is the cosine of a pair's rows embedded as federation.embed does.
+    Each distinct row is gathered into buffer (gather_buffer's, which a caller
+    keeps across calls) and embedded into the features min(U, buffer rows) at
+    a time, the last block reaching back, on one BLAS thread when all U rows
+    make a small product: the bits of embedding the pairs' rows side by side
+    (tests/synth_oracle.py; the blas module docstring says why). The
+    threshold for a target is the (k+1)-th largest negative score with k =
+    floor(target * #negatives), and acceptance is strict (score > thr): the
+    largest attainable TAR whose realized FAR is guaranteed <= target.
     """
     same = np.asarray(pairs.same, dtype=bool)
     if same.all() or (~same).all():
         raise DomainError("verification needs both positive and negative pairs")
-    f = embed(pairs.rows)
+    ids, (d, d_in) = pairs.ids, embedder.shape
+    step = min(buffer.shape[0], ids.size)
+    f = np.empty((ids.size, d), dtype=np.result_type(buffer, embedder))
+    offsets = np.cumsum([0] + [x.shape[0] for x in shards])
+    bounds = np.searchsorted(ids, offsets).tolist()  # each shard's run of ids, which ascend
+    with blas.small_product(ids.size, d_in, d):
+        for start in range(0, ids.size, step):
+            start = min(start, ids.size - step)
+            for c, x in enumerate(shards):
+                lo, hi = max(bounds[c], start), min(bounds[c + 1], start + step)
+                if lo < hi:  # ids are in range, so "clip" never clips: it writes into buffer
+                    np.take(x, ids[lo:hi] - offsets[c], 0, buffer[lo - start : hi - start], "clip")
+            np.matmul(buffer[:step], embedder.T, out=f[start : start + step])
+    f /= checked_row_norms(f)[:, None]
     # Products a block of pairs at a time, in place: no temporary is as large as f.
     scores = np.empty(pairs.ia.size, dtype=f.dtype)
     step = block_rows(f)

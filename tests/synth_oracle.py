@@ -7,8 +7,8 @@ versions that sample each shard whole and normalize out of place (the
 identity directions too), return the ground truth beside the federation,
 list every distinct pair over the concatenated shards and index that list
 with the same draws, so tests can demand the same shard, pair and TAR bytes
-from both. Its eval embeds every pair's rows, where `capfed.synth` embeds
-each distinct row once.
+from both. Its eval concatenates the shards and embeds every pair's rows,
+where `capfed.synth` gathers each distinct row once, a block at a time.
 `knn_attack` ranks the gallery rows for one exposed row at a time, so
 tests can demand the same scores from the vectorized top-k.
 The reference `embed` lives in train_oracle.
@@ -71,9 +71,8 @@ def make_verification_pairs(
     Positives are each identity's pairs of rows (ascending identity), listed
     as (rows[i], rows[j]) for j ascending and i < j ascending; negatives are
     each client pair's row pairs, client pairs and rows in row-major order.
-    The rows the drawn pairs use are kept once each, in ascending order.
+    The rows the drawn pairs use are listed once each, in ascending order.
     """
-    all_x = np.concatenate(fed.client_inputs, axis=0)
     all_y = np.concatenate(fed.client_labels, axis=0)
     pos = []
     for g in np.unique(all_y):
@@ -96,22 +95,30 @@ def make_verification_pairs(
     ia = np.array([row_of[i] for i, _ in picked], dtype=np.intp)
     ib = np.array([row_of[j] for _, j in picked], dtype=np.intp)
     same = np.array([True] * positives + [False] * negatives)
-    return VerificationPairs(all_x[used], ia, ib, same)
+    return VerificationPairs(np.array(used, dtype=np.int64), ia, ib, same)
 
 
-def pairs_of_rows(a, b, same) -> VerificationPairs:
-    """Pairs (a[i], b[i]) stored as given: the rows of a, then those of b."""
+def pairs_of_rows(a, b, same) -> tuple[list[np.ndarray], VerificationPairs]:
+    """Pairs (a[i], b[i]) as one shard, the rows of a then those of b, and pairs over it."""
     a, b = np.asarray(a), np.asarray(b)
-    return VerificationPairs(
-        np.concatenate([a, b]), np.arange(a.shape[0]), a.shape[0] + np.arange(b.shape[0]), same
-    )
+    pairs = VerificationPairs(np.arange(a.shape[0] + b.shape[0]), np.arange(a.shape[0]),
+                              a.shape[0] + np.arange(b.shape[0]), same)
+    return [np.concatenate([a, b])], pairs
 
 
-def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[float, float]:
+def _embed(embedder, rows):
+    """train_oracle's embed."""
+    return normalize_rows(rows @ embedder.T)
+
+
+def verification_eval(
+    embedder, shards, pairs: VerificationPairs, far_targets, buffer=None, *, embed=_embed
+) -> dict[float, float]:
     """True-accept rate at each false-accept target, by score threshold sweep.
 
-    It embeds the pairs' first rows in one call and their second rows in
-    another, so a row that several pairs share is embedded once per pair.
+    It concatenates the shards and embeds the pairs' first rows in one call
+    and their second rows in another, so a row that several pairs share is
+    embedded once per pair, by embed(embedder, rows). buffer is ignored.
     The threshold for a target is the (k+1)-th largest negative score with
     k = floor(target * #negatives), and acceptance is strict (score > thr):
     the largest attainable TAR whose realized FAR is guaranteed <= target.
@@ -119,8 +126,9 @@ def verification_eval(embed, pairs: VerificationPairs, far_targets) -> dict[floa
     same = np.asarray(pairs.same, dtype=bool)
     if same.all() or (~same).all():
         raise DomainError("verification needs both positive and negative pairs")
-    fa = np.asarray(embed(pairs.rows[pairs.ia]))
-    fb = np.asarray(embed(pairs.rows[pairs.ib]))
+    rows = np.concatenate(shards)
+    fa = np.asarray(embed(embedder, rows[pairs.ids[pairs.ia]]))
+    fb = np.asarray(embed(embedder, rows[pairs.ids[pairs.ib]]))
     scores = np.sum(fa * fb, axis=1)
     pos = scores[same]
     neg = np.sort(scores[~same])

@@ -253,6 +253,17 @@ class TestLedger:
             ledger.charge("a", huge, 1)
         assert ledger.totals() == before
 
+    def test_queries_beyond_float_range_raise_and_charge_nothing(self):
+        ledger = PrivacyLedger()
+        ledger.charge("a", BUDGET, 3)
+        before = ledger.totals()
+        for client in ("a", "b"):
+            with pytest.raises(DomainError, match=(
+                f"^client {client!r}: privacy charge inf is not a finite float$"
+            )):
+                ledger.charge(client, PrivacyBudget(), 10**400)
+        assert ledger.totals() == before
+
     def test_largest_finite_total_is_kept(self):
         top = sys.float_info.max
         ledger = PrivacyLedger()

@@ -495,9 +495,11 @@ class TestDeriveRng:
 
 def test_run_peak_memory_is_a_bounded_multiple_of_the_shards():
     # a mid shape, 4 x 200 ids x 4 samples at d=128: the run's own persistent arrays (client
-    # states, the embedder, pairs) take 0.67x the shards' bytes and the run peaks at 1.26x
-    # (tracemalloc). A run that keeps every old client state alive through a round peaks at
-    # 1.53x; one that also holds the shards concatenated for the whole run, at 2.53x.
+    # states, the embedder, the pairs and the eval's gather buffer) take 0.65x the shards'
+    # bytes and the run peaks at 1.15x (tracemalloc). A local step that keeps the last
+    # step's gradients through its kernel call peaks at 1.22x; a run that keeps every old
+    # client state alive through a round, at 1.52x; one that also holds the shards
+    # concatenated for the whole run, at 2.52x.
     fed = tiny_fed(1, ids_per_client=200, embed_dim=128, input_dim=160)
     config = tiny_config(
         rounds=2,
@@ -516,7 +518,7 @@ def test_run_peak_memory_is_a_bounded_multiple_of_the_shards():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * shards
+    assert peak < 1.2 * shards
 
 
 def test_exchanging_clusters_does_not_collapse_training():

@@ -13,6 +13,7 @@ from capfed.geometry import ROW_BLOCK_BYTES, normalize_rows, sample_uniform_dire
 from capfed.synth import (
     SynthParams,
     cross_client_margin,
+    gather_buffer,
     generate_federation,
     knn_attack,
     make_verification_pairs,
@@ -129,11 +130,16 @@ class TestGeneration:
             SynthParams(concentration=0.0)
 
 
-def pair_rows(monkeypatch, fed, positives, negatives, rng):
+def pair_rows(fed, positives, negatives, rng):
     """The sampled pairs as rows of the shards laid end to end, and the same flags."""
-    monkeypatch.setattr(synth, "_gather_rows", lambda shards, idx: idx)
     pairs = make_verification_pairs(fed, positives, negatives, rng)
-    return pairs.rows[pairs.ia], pairs.rows[pairs.ib], pairs.same
+    return pairs.ids[pairs.ia], pairs.ids[pairs.ib], pairs.same
+
+
+def pair_inputs(fed, pairs):
+    """The input rows of each pair's first and second member."""
+    rows = np.concatenate(fed.client_inputs)[pairs.ids]
+    return rows[pairs.ia], rows[pairs.ib]
 
 
 class TestVerificationPairs:
@@ -143,7 +149,7 @@ class TestVerificationPairs:
         assert pairs.same.sum() == 200
         assert (~pairs.same).sum() == 200
         keys = set()
-        for a, b in zip(pairs.rows[pairs.ia], pairs.rows[pairs.ib]):
+        for a, b in zip(*pair_inputs(fed, pairs)):
             key = (tuple(np.round(a, 12)), tuple(np.round(b, 12)))
             rev = (key[1], key[0])
             assert key not in keys and rev not in keys
@@ -157,16 +163,16 @@ class TestVerificationPairs:
         owner = np.arange(64) % 4  # identity g belongs to client g mod 4
         # map rows back to identities to check the client split of negatives
         lookup = {tuple(np.round(x, 12)): int(y) for x, y in zip(all_x, all_y)}
-        for a, b, same in zip(pairs.rows[pairs.ia], pairs.rows[pairs.ib], pairs.same):
+        for a, b, same in zip(*pair_inputs(fed, pairs), pairs.same):
             ga, gb = lookup[tuple(np.round(a, 12))], lookup[tuple(np.round(b, 12))]
             if same:
                 assert ga == gb
             else:
                 assert owner[ga] != owner[gb]
 
-    def test_every_positive_once_and_one_more_raises_before_drawing(self, monkeypatch):
+    def test_every_positive_once_and_one_more_raises_before_drawing(self):
         fed = small_fed(clients=2, ids_per_client=3, samples_per_identity=4)
-        rows = pair_rows(monkeypatch, fed, 36, 1, np.random.default_rng(4))
+        rows = pair_rows(fed, 36, 1, np.random.default_rng(4))
         labels = np.concatenate(fed.client_labels)
         expected = {(i, j) for g in np.unique(labels)
                     for i, j in itertools.combinations(np.flatnonzero(labels == g).tolist(), 2)}
@@ -195,7 +201,7 @@ class TestVerificationPairs:
         assert (0 <= i).all() and (i < j).all()
         assert (j * (j - 1) // 2 + i == rank).all()
 
-    def test_negative_blocks_match_an_explicit_enumeration(self, monkeypatch):
+    def test_negative_blocks_match_an_explicit_enumeration(self):
         fed = small_fed(clients=3, ids_per_client=2, samples_per_identity=3)
         offsets = [0, 6, 12, 18]
         expected = [(i, j) for c in range(3) for e in range(c + 1, 3)
@@ -205,15 +211,15 @@ class TestVerificationPairs:
         # a draw of every rank is a permutation of the ranks, so sorting by rank restores order
         rng = np.random.default_rng(5)
         ranks = np.random.default_rng(5).choice(108, size=108, replace=False)
-        a, b, same = pair_rows(monkeypatch, fed, 0, 108, rng)
+        a, b, same = pair_rows(fed, 0, 108, rng)
         assert not same.any()
         got = sorted(zip(ranks.tolist(), a.tolist(), b.tolist()))
         assert [(i, j) for _, i, j in got] == expected
 
-    def test_draws_are_uniform_over_identities_and_client_pairs(self, monkeypatch):
+    def test_draws_are_uniform_over_identities_and_client_pairs(self):
         fed = generate_federation(SynthParams(), np.random.default_rng(6))
         positives, negatives = 1000, 6000
-        a, b, same = pair_rows(monkeypatch, fed, positives, negatives, np.random.default_rng(7))
+        a, b, same = pair_rows(fed, positives, negatives, np.random.default_rng(7))
         labels = np.concatenate(fed.client_labels)
         per_id = np.bincount(labels[a[same]], minlength=labels.max() + 1)
         client = (np.arange(256) % 4)[labels]  # identity g belongs to client g mod 4
@@ -229,7 +235,7 @@ class TestVerificationPairs:
     def test_peak_memory_below_the_shards(self):
         # concatenating the shards to gather the pair rows peaks at 1.9x their bytes;
         # the 1600 row slots of the 800 pairs would copy half the shards, and the
-        # distinct rows and two indices take less, each row stored once
+        # distinct rows' ids and two indices take far less, each row listed once
         fed = small_fed(ids_per_client=200, embed_dim=128, input_dim=160)
         shards = sum(x.nbytes for x in fed.client_inputs)
         tracemalloc.start()
@@ -239,10 +245,21 @@ class TestVerificationPairs:
         finally:
             tracemalloc.stop()
         used = np.unique(np.concatenate([pairs.ia, pairs.ib]))
-        assert used.tolist() == list(range(pairs.rows.shape[0]))
-        assert np.unique(pairs.rows, axis=0).shape == pairs.rows.shape
-        assert pairs.rows.nbytes + pairs.ia.nbytes + pairs.ib.nbytes <= shards // 2
+        assert used.tolist() == list(range(pairs.ids.size))
+        assert np.unique(pairs.ids).tolist() == pairs.ids.tolist()
+        rows = np.concatenate(fed.client_inputs)[pairs.ids]
+        assert np.unique(rows, axis=0).shape == rows.shape
+        assert pairs.ids.nbytes + pairs.ia.nbytes + pairs.ib.nbytes <= shards // 2
         assert peak < shards
+
+    def test_pairs_hold_no_float_array(self):
+        fed = small_fed()
+        pairs = make_verification_pairs(fed, 100, 100, np.random.default_rng(8))
+        fields = [getattr(pairs, f.name) for f in dataclasses.fields(pairs)]
+        assert [f.name for f in dataclasses.fields(pairs)] == ["ids", "ia", "ib", "same"]
+        assert all(isinstance(v, np.ndarray) and v.dtype.kind in "biu" for v in fields)
+        assert (np.diff(pairs.ids) > 0).all()
+        assert 0 <= pairs.ids[0] and pairs.ids[-1] < sum(y.size for y in fed.client_labels)
 
 
 class TestVerificationEval:
@@ -251,24 +268,25 @@ class TestVerificationEval:
         pos = np.tile(np.eye(d)[0], (50, 1))
         neg_a = np.tile(np.eye(d)[1], (50, 1))
         neg_b = np.tile(np.eye(d)[2], (50, 1))
-        pairs = pairs_of_rows(
+        shards, pairs = pairs_of_rows(
             np.concatenate([pos, neg_a]),
             np.concatenate([pos, neg_b]),
             np.array([True] * 50 + [False] * 50),
         )
-        table = verification_eval(lambda x: x, pairs, [0.1, 0.01])
+        buffer = gather_buffer(shards, pairs)
+        table = verification_eval(np.eye(d), shards, pairs, [0.1, 0.01], buffer)
         assert table[0.1] == 1.0
         assert table[0.01] == 1.0
 
     def test_chance_level_random_embeddings(self):
         rng = np.random.default_rng(3)
         n = 10_000
-        pairs = pairs_of_rows(
+        shards, pairs = pairs_of_rows(
             sample_uniform_directions(2 * n, 16, rng),
             sample_uniform_directions(2 * n, 16, rng),
             np.array([True] * n + [False] * n),
         )
-        table = verification_eval(lambda x: x, pairs, [0.1])
+        table = verification_eval(np.eye(16), shards, pairs, [0.1], gather_buffer(shards, pairs))
         se = math.sqrt(0.1 * 0.9 / n)
         assert abs(table[0.1] - 0.1) <= 4 * se
 
@@ -282,8 +300,10 @@ class TestVerificationEval:
             [[c, math.sqrt(1 - c * c)] for c in np.concatenate([scores_pos, scores_neg])]
         )
         same = np.array([True] * 3 + [False] * 3)
-        normal = verification_eval(lambda x: x, pairs_of_rows(a, b, same), [0.0])
-        flipped = verification_eval(lambda x: x, pairs_of_rows(a, b, ~same), [0.0])
+        shards, pairs = pairs_of_rows(a, b, same)
+        buffer = gather_buffer(shards, pairs)
+        normal = verification_eval(np.eye(2), shards, pairs, [0.0], buffer)
+        flipped = verification_eval(np.eye(2), *pairs_of_rows(a, b, ~same), [0.0], buffer)
         assert normal[0.0] == 1.0
         assert flipped[0.0] == 0.0
 
@@ -292,15 +312,16 @@ class TestVerificationEval:
         fed = small_fed()
         pairs = make_verification_pairs(fed, 100, 100, rng)
         q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
-        base = verification_eval(normalize_rows, pairs, [0.1, 0.01])
-        rotated = verification_eval(lambda x: normalize_rows(x @ q.T), pairs, [0.1, 0.01])
+        buffer = gather_buffer(fed.client_inputs, pairs)
+        base = verification_eval(np.eye(12), fed.client_inputs, pairs, [0.1, 0.01], buffer)
+        rotated = verification_eval(q, fed.client_inputs, pairs, [0.1, 0.01], buffer)
         for far in base:
             assert rotated[far] == pytest.approx(base[far], abs=1e-12)
 
     def test_degenerate_flags_rejected(self):
-        pairs = pairs_of_rows(np.eye(3), np.eye(3), np.array([True, True, True]))
+        shards, pairs = pairs_of_rows(np.eye(3), np.eye(3), np.array([True, True, True]))
         with pytest.raises(DomainError, match="^verification needs both positive and negative pairs$"):
-            verification_eval(lambda x: x, pairs, [0.1])
+            verification_eval(np.eye(3), shards, pairs, [0.1], np.empty((6, 3)))
 
 
 class TestCrossClientMargin:

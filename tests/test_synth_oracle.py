@@ -70,7 +70,7 @@ def test_generated_shards_match_oracle(case):
 
 
 def assert_same_pairs(live, ref):
-    for x, y in ((live.rows, ref.rows), (live.ia, ref.ia), (live.ib, ref.ib),
+    for x, y in ((live.ids, ref.ids), (live.ia, ref.ia), (live.ib, ref.ib),
                  (live.same, ref.same)):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
@@ -110,6 +110,31 @@ def test_pairs_match_oracle_on_uneven_hand_built_shards():
     assert_same_pairs(live, ref)
 
 
+def test_eval_gathers_across_uneven_shards_in_any_block_size(monkeypatch):
+    # Blocks that cross shard boundaries and skip an empty shard, and a last block
+    # that reaches back over the one before. The identity embedder's product is
+    # exact whatever kernel runs it, so any block size gives the oracle's bits.
+    rng = np.random.default_rng(32)
+    sizes = [7, 0, 13, 4]
+    labels = [np.repeat(np.arange(c, 24, 4), 3)[:n] for c, n in enumerate(sizes)]
+    shards = [rng.standard_normal((n, 8)) for n in sizes]
+    fed = synth.SyntheticFederation(SynthParams(clients=4, ids_per_client=6), shards, labels)
+    pairs = make_verification_pairs(fed, 5, 12, np.random.default_rng(3))
+    assert pairs.ids.size > 10 and (np.diff(np.searchsorted(pairs.ids, [7, 20])) > 0).all()
+    targets = (0.0, 0.1, 0.5)
+    ref = scores_and_tars(
+        monkeypatch, lambda p: oracle.verification_eval(np.eye(8), shards, p, targets), pairs
+    )
+    for rows in (1, 2, 3, 5, pairs.ids.size - 1, pairs.ids.size, 64):
+        live = scores_and_tars(
+            monkeypatch,
+            lambda p: verification_eval(np.eye(8), shards, p, targets, np.empty((rows, 8))),
+            pairs,
+        )
+        assert live[0].tobytes() == ref[0].tobytes(), rows
+        assert live[1] == ref[1]
+
+
 def eval_pairs(fed, rng):
     """Sampled pairs, or with one client (no cross-client negative) label-order neighbours."""
     if fed.params.clients > 1:
@@ -117,7 +142,7 @@ def eval_pairs(fed, rng):
     x, labels = fed.client_inputs[0], fed.client_labels[0]
     order = np.argsort(labels, kind="stable")
     a, b = order[:-1], order[1:]
-    return VerificationPairs(x, a, b, labels[a] == labels[b])
+    return VerificationPairs(np.arange(x.shape[0]), a, b, labels[a] == labels[b])
 
 
 @pytest.mark.parametrize("case", range(len(FEDERATIONS)))
@@ -142,12 +167,12 @@ def test_eval_and_embed_match_oracle(monkeypatch, case):
     x = np.concatenate(fed.client_inputs)
     for embedder in embedders:
         assert embed(embedder, x).tobytes() == train_oracle.embed(embedder, x).tobytes()
-    live = [verification_eval(lambda v: embed(e, v), pairs, targets) for e in embedders]
-    live.append(verification_eval(normalize_rows, pairs, targets))  # cosines of raw inputs
+    embedders.append(np.eye(fed.params.input_dim))  # cosines of raw inputs
+    buffer = synth.gather_buffer(fed.client_inputs, pairs)
+    live = [verification_eval(e, fed.client_inputs, pairs, targets, buffer) for e in embedders]
     live_scores, neg_scores = neg_scores, []
-    ref = [oracle.verification_eval(lambda v: train_oracle.embed(e, v), pairs, targets)
+    ref = [oracle.verification_eval(e, fed.client_inputs, pairs, targets, embed=train_oracle.embed)
            for e in embedders]
-    ref.append(oracle.verification_eval(normalize_rows, pairs, targets))
     assert live == ref
     assert [s.tobytes() for s in live_scores] == [s.tobytes() for s in neg_scores]
 
@@ -180,23 +205,50 @@ def test_distinct_row_scores_are_per_pair_scores(monkeypatch, params, counts):
     fed = generate_federation(SynthParams(**params), np.random.default_rng(12))
     pairs = make_verification_pairs(fed, *counts, np.random.default_rng(13))
     d, d_in = fed.params.embed_dim, fed.params.input_dim
-    assert pairs.rows.shape[0] < 2 * pairs.same.size
+    assert pairs.ids.size < 2 * pairs.same.size
     if params:
-        assert pairs.rows.shape[0] * d_in * d > blas._SMALL_PRODUCT
+        assert pairs.ids.size * d_in * d > blas._SMALL_PRODUCT
     rng = np.random.default_rng(14)
     embedder = (rng.standard_normal((d, d_in)) / np.sqrt(d_in)).astype(np.float32)
     targets = (0.0, 0.01, 0.1, 0.5)
+    shards = fed.client_inputs
     live = scores_and_tars(
-        monkeypatch, lambda p: verification_eval(lambda x: embed(embedder, x), p, targets), pairs
+        monkeypatch,
+        lambda p: verification_eval(embedder, shards, p, targets, synth.gather_buffer(shards, p)),
+        pairs,
     )
     ref = scores_and_tars(
         monkeypatch,
-        lambda p: oracle.verification_eval(lambda x: embed(embedder, x), p, targets),
+        lambda p: oracle.verification_eval(embedder, shards, p, targets, embed=embed),
         pairs,
     )
     assert live[0].dtype == np.float32 and live[0].size == pairs.same.size
     assert live[0].tobytes() == ref[0].tobytes()
     assert live[1] == ref[1]
+
+
+def test_a_short_last_block_reaches_back_over_the_one_before(monkeypatch):
+    # At the default shape (inner dimension 48, 32 columns) a product of up to 37 rows
+    # gets other bits than the same rows inside a longer product; a one-row last block
+    # would embed its row by itself.
+    fed = generate_federation(SynthParams(), np.random.default_rng(18))
+    pairs = make_verification_pairs(fed, 1000, 1000, np.random.default_rng(19))
+    u, d, d_in = pairs.ids.size, fed.params.embed_dim, fed.params.input_dim
+    rows = next(r for r in range(64, u) if u % r == 1)
+    embedder = np.random.default_rng(20).standard_normal((d, d_in)).astype(np.float32)
+    targets = (0.0, 0.01, 0.1)
+    shards = fed.client_inputs
+    blocked, one_call = (
+        scores_and_tars(
+            monkeypatch,
+            lambda p: verification_eval(embedder, shards, p, targets, np.empty((n, d_in),
+                                                                               np.float32)),
+            pairs,
+        )
+        for n in (rows, u)
+    )
+    assert blocked[0].tobytes() == one_call[0].tobytes()
+    assert blocked[1] == one_call[1]
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 40])
@@ -236,22 +288,65 @@ def test_knn_attack_in_blocks_matches_oracle(monkeypatch, block_bytes):
     assert 0.0 < np.mean(ref[0]) < 1.0
 
 
-def test_eval_leaves_pairs_and_embed_outputs_unchanged():
+def test_eval_leaves_its_inputs_unchanged_and_embeds_each_row_once(monkeypatch):
     fed = generate_federation(SynthParams(**FEDERATIONS[0]), np.random.default_rng(5))
     pairs = make_verification_pairs(fed, 30, 30, np.random.default_rng(6))
-    fields = (pairs.rows, pairs.ia, pairs.ib, pairs.same)
+    embedder = np.random.default_rng(7).standard_normal((8, 12)).astype(np.float32)
+    fields = (pairs.ids, pairs.ia, pairs.ib, pairs.same, embedder, *fed.client_inputs)
     before = [x.tobytes() for x in fields]
-    verification_eval(lambda x: x, pairs, (0.01, 0.1))
+    buffer = synth.gather_buffer(fed.client_inputs, pairs)
+    verification_eval(embedder, fed.client_inputs, pairs, (0.01, 0.1), buffer)
     assert [x.tobytes() for x in fields] == before
-    outputs = []
+    features = []
+    norms = synth.checked_row_norms
 
-    def scaled(x):
-        outputs.append(x * 3.0)
-        return outputs[-1]
+    def recording_norms(f):
+        features.append(f)
+        return norms(f)
 
-    verification_eval(scaled, pairs, (0.1,))
-    (out,) = outputs
-    assert out.tobytes() == (pairs.rows * 3.0).tobytes()
+    monkeypatch.setattr(synth, "checked_row_norms", recording_norms)
+    verification_eval(embedder, fed.client_inputs, pairs, (0.1,), buffer)
+    (out,) = features  # normalized in place after the norms are taken
+    rows = np.concatenate(fed.client_inputs)[pairs.ids]
+    assert out.tobytes() == embed(embedder, rows).tobytes()
+
+
+# Several blocks of shard rows, the last one ragged: on one thread (the whole product is
+# below _SMALL_PRODUCT), split over threads (each block is above it), and blocks below it
+# in a product above it, which must not run on one thread when the whole one does not.
+@pytest.mark.parametrize("embed_dim, input_dim, regime", [
+    pytest.param(8, 1000, "one-thread", id="one-thread"),
+    pytest.param(512, 640, "threads", id="threads"),
+    pytest.param(64, 1000, "small-blocks", id="small-blocks"),
+])
+def test_blocked_eval_is_a_one_call_eval(monkeypatch, embed_dim, input_dim, regime):
+    params = SynthParams(clients=2, ids_per_client=150, samples_per_identity=4,
+                         embed_dim=embed_dim, input_dim=input_dim)
+    fed = generate_federation(params, np.random.default_rng(15))
+    pairs = make_verification_pairs(fed, 300, 300, np.random.default_rng(16))
+    buffer = synth.gather_buffer(fed.client_inputs, pairs)
+    u, step = pairs.ids.size, buffer.shape[0]
+    assert step == geometry.block_rows(fed.client_inputs[0]) and u > 2 * step and u % step
+    whole, block = u * input_dim * embed_dim, step * input_dim * embed_dim
+    small = blas._SMALL_PRODUCT
+    assert {"one-thread": whole < small, "threads": block >= small,
+            "small-blocks": block < small <= whole}[regime]
+    rng = np.random.default_rng(17)
+    embedder = (rng.standard_normal((embed_dim, input_dim)) / np.sqrt(input_dim)).astype(np.float32)
+    targets = (0.0, 0.01, 0.1, 0.5)
+    shards = fed.client_inputs
+    blocked = scores_and_tars(
+        monkeypatch, lambda p: verification_eval(embedder, shards, p, targets, buffer), pairs
+    )
+    one_call = scores_and_tars(
+        monkeypatch,
+        lambda p: verification_eval(embedder, shards, p, targets, np.empty((u, input_dim),
+                                                                           np.float32)),
+        pairs,
+    )
+    assert blocked[0].dtype == np.float32 and blocked[0].size == pairs.same.size
+    assert blocked[0].tobytes() == one_call[0].tobytes()
+    assert blocked[1] == one_call[1]
 
 
 def test_embed_leaves_its_inputs_unchanged():

@@ -12,11 +12,16 @@ row is swapped. Three sensitivities are defined:
 ``gaussian_sigma`` turns any of them into one noise scale, the classical
 sigma = sensitivity / epsilon * sqrt(2 ln(1.25 / delta)). That bound is
 proved only for epsilon < 1 (Dwork & Roth 2014, Thm A.1), while the default
-epsilon is 1; the analytic Gaussian that holds for every epsilon is left to
-the calibration rework in ROADMAP.md. sigma must be positive and finite: the
-mechanism is private only with noise, and an infinite sigma (a tiny epsilon)
-turns every release into inf or NaN, so a calibration or a perturbation
-with such a sigma raises DomainError. The tight sensitivity rounds to 0
+epsilon is 1. Above epsilon ~ 8.13 at delta = 5e-5 the classical sigma does
+not meet delta: by Balle & Wang's exact condition (ICML 2018, Thm 8), a
+Gaussian of scale s on a sensitivity D is (e, delta)-private if and only if
+Phi(D/2s - e s/D) - exp(e) Phi(-D/2s - e s/D) <= delta, and at epsilon = 16
+the classical sigma gives delta ~ 1.7e-3. The analytic Gaussian, which
+meets that condition at every epsilon, is left to the calibration rework in
+ROADMAP.md (item 20). sigma must be positive and finite: the mechanism is
+private only with noise, and an infinite sigma (a tiny epsilon) turns every
+release into inf or NaN, so a calibration or a perturbation with such a
+sigma raises DomainError. The tight sensitivity rounds to 0
 below rho ~ 5.27e-9; its exact form 2 sin(rho) / |S| is left to the same
 rework, because it changes sigma's bits at some rho.
 

@@ -417,7 +417,9 @@ def run_federation(
     buffer of at most ROW_BLOCK_BYTES. A client's embedder and centers are
     views of the stacks of its last lockstep group, so a client that goes
     offline keeps that group's stacks, at most _LOCKSTEP_BYTES, alive. The
-    local phase holds one group's stacks at a time.
+    local phase holds one group's stacks at a time. A client's float64
+    release input, the upcast and renormalized copy of float32 centers,
+    lives only through that client's own release.
     """
     clients, embedder0 = initialize_clients(fed, config, seed)
     server = ServerState(embedder=embedder0)  # replaced each round, never written in place
@@ -446,13 +448,15 @@ def run_federation(
             for c in online:
                 centers = clients[c].centers
                 if centers.dtype != np.float64:  # renormalized: float32 rows miss the 1e-9 check
-                    centers = normalize_rows(centers.astype(np.float64))
+                    centers = centers.astype(np.float64)
+                    centers /= checked_row_norms(centers)[:, None]  # normalize_rows' bits in place
                 cluster_rng = derive_rng(seed, "cluster", t, c)
                 report = clustering.run_clustering(centers, params, cluster_rng)
                 released[c] = report.centers
                 queries_by_client[c] = report.queries_used
                 round_fidelities.extend(report.fidelities)
                 server.ledger.charge(c, params.budget, report.charged)
+                del centers, report  # so the upcast dies here, not after the rest of the round
 
         round_losses = {}
         for ids in _lockstep_groups([clients[c] for c in online], config.batch_size):

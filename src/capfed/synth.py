@@ -10,12 +10,16 @@ The raw client shards are float32, the dtype the training
 path then follows (sgemm runs about twice as fast as dgemm, and the shards
 take half the memory): each is lifted in float64 and rounded once. The
 lift runs a block of block_rows(lift) rows at a time, written into the
-float32 shard, so no float64 temporary is as large as a shard; a row of a
-float64 product does not depend on the other rows multiplied with it, and
-the generator fills normals in C order, so the shards have the bits and the
-generator the state of lifting each shard whole. The ground truth (identity
-directions and the lift, float64) is drawn, used and dropped: nothing reads
-it after generation. Verification pairs keep only the ids of the shard rows
+float32 shard, so no float64 temporary is as large as a shard. A ragged
+last block reaches back over the rows before it and keeps only its own, so
+every lift product of a shard longer than one block has block_rows(lift)
+rows: a float64 product of a few rows can give a row other bits than a
+larger product does, and tests/test_synth_oracle.py checks that those
+block products give the rows of a whole-shard lift. The generator fills
+normals in C order, so the shards have the bits and the generator the
+state of lifting each shard whole. The ground truth (identity directions
+and the lift, float64) is drawn, used and dropped: nothing reads it after
+generation. Verification pairs keep only the ids of the shard rows
 they use; the eval and the cross-client margin work in the dtype they get.
 """
 
@@ -98,7 +102,10 @@ def _sample_inputs(
         points = rng.normal(0.0, scale, size=(block.size, d))
         points += directions[block]  # addition commutes: the bits of directions[block] + noise
         points /= checked_row_norms(points)[:, None]
-        x[start : start + step] = points @ lift.T  # rounds to float32 as astype does
+        if block.size < step and start:  # a ragged last block reaches back over the one before
+            points = np.concatenate([before[block.size :], points])
+        x[start : start + step] = (points @ lift.T)[-block.size :]  # rounds as astype does
+        before = points
     return x, labels
 
 

@@ -496,10 +496,11 @@ class TestDeriveRng:
 def test_run_peak_memory_is_a_bounded_multiple_of_the_shards():
     # a mid shape, 4 x 200 ids x 4 samples at d=128: the run's own persistent arrays (client
     # states, the embedder, the pairs and the eval's gather buffer) take 0.65x the shards'
-    # bytes and the run peaks at 1.15x (tracemalloc). A local step that keeps the last
-    # step's gradients through its kernel call peaks at 1.22x; a run that keeps every old
-    # client state alive through a round, at 1.52x; one that also holds the shards
-    # concatenated for the whole run, at 2.52x.
+    # bytes and the run peaks at 1.05x (tracemalloc). A run that keeps the last online
+    # client's float64 release input through the round peaks at 1.15x; a local step that
+    # keeps the last step's gradients through its kernel call, at 1.12x; a run that keeps
+    # every old client state alive through a round, at 1.41x; one that also holds the
+    # shards concatenated for the whole run, at 2.41x.
     fed = tiny_fed(1, ids_per_client=200, embed_dim=128, input_dim=160)
     config = tiny_config(
         rounds=2,
@@ -518,7 +519,7 @@ def test_run_peak_memory_is_a_bounded_multiple_of_the_shards():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.2 * shards
+    assert peak < 1.1 * shards
 
 
 def test_exchanging_clusters_does_not_collapse_training():

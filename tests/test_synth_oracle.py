@@ -39,14 +39,18 @@ FEDERATIONS = [
 
 
 # Shards that span several generation blocks (block_rows of the lift: 1985 rows at
-# d = 33, 1024 at d = 64, 128 at d = 512) and end in a ragged last block, of one
-# row in the first d = 512 case.
+# d = 33, 1024 at d = 64, 256 at d = 256, 128 at d = 512) and end in a ragged last
+# block, which reaches back over the one before: of 1, 16, 77 and 32 rows in the
+# d = 512 cases (129, 400, 333 and 4000 rows), of 132 in the d = 256 one (900 rows).
 MULTI_BLOCK_FEDERATIONS = [
     dict(clients=2, ids_per_client=801, samples_per_identity=5, embed_dim=33, input_dim=40),
     dict(clients=2, ids_per_client=515, samples_per_identity=4, embed_dim=64, input_dim=80),
     dict(clients=2, ids_per_client=43, samples_per_identity=3, embed_dim=512, input_dim=640),
     dict(clients=3, ids_per_client=100, samples_per_identity=4, embed_dim=512, input_dim=640,
          concentration=8.0),
+    dict(clients=2, ids_per_client=111, samples_per_identity=3, embed_dim=512, input_dim=640),
+    dict(clients=1, ids_per_client=1000, samples_per_identity=4, embed_dim=512, input_dim=640),
+    dict(clients=2, ids_per_client=225, samples_per_identity=4, embed_dim=256, input_dim=320),
 ]
 
 

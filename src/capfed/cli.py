@@ -97,14 +97,19 @@ def _read_config_file(path: str) -> dict[str, str]:
     if not p.is_file():
         raise ValidationError(f"config file not found: {path}")
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(p.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in first_line:
+            first = first_line[key]
+            raise ValidationError(f"{path}: {key} is set twice, on lines {first} and {lineno}")
+        first_line[key] = lineno
+        values[key] = value
     return values
 
 

@@ -12,16 +12,16 @@ Removing rows can only lower a count, so after a release the counts are
 upper bounds, and they are checked lazily (Minoux's accelerated greedy):
 the seed's own query gives its exact count, and only when the top bound is
 stale are the rows that could still win recounted, again in blocks. These
-block products are float32 (sgemm runs about twice as fast as dgemm); the
-seed's 1 x n query and the removal test stay float64. Working memory is
+block products are float32, since sgemm is the faster product; the seed's
+1 x n query and the removal test stay float64. Working memory is
 O(n * d + _BLOCK_COSINES).
 
 A block's neighbour mask is summed along each axis as its bytes, viewed as
-uint8: bool's own sum goes through int64 and takes two to six times as long.
-A sum along an axis of at most 65,535 entries accumulates in uint16, a
-longer one in int32, and the counts are int32. uint8 would not do: a
-block's column sums reach _BLOCK_ROWS = 256. A row's count reaches n, past
-uint16 from n = 65,536 on; int32 holds any n that fits in memory.
+uint8: bool's own sum goes through int64, which is slower. A sum along an
+axis of at most 65,535 entries accumulates in uint16, a longer one in
+int32, and the counts are int32. uint8 would not do: a block's column sums
+reach _BLOCK_ROWS = 256. A row's count reaches n, past uint16 from
+n = 65,536 on; int32 holds any n that fits in memory.
 
 Two rows are neighbours when theta <= rho, theta the arccos of their
 clipped dot product. Cosines are compared with cos(rho) directly; only
@@ -111,17 +111,13 @@ class ClusteringReport:
     charged is how many releases at params.budget the run spends:
     queries_used when sanitized, n when naive_per_center, 0 when noise_free.
     fidelities holds the scalar cos(released center, noise-free direction)
-    per query. member_indexes / removed_indexes are local ground truth for
-    evaluation harnesses (which rows each query covered and which it knocked
-    out of the active set); they are never part of a release payload.
+    per query.
     """
 
     centers: np.ndarray
     sizes: list[int]
     charged: int
     fidelities: list[float]
-    member_indexes: list[np.ndarray] = field(default_factory=list)
-    removed_indexes: list[np.ndarray] = field(default_factory=list)
 
     @property
     def queries_used(self) -> int:
@@ -325,8 +321,6 @@ def run_clustering(
     released_rows = []
     sizes: list[int] = []
     fidelities = []
-    member_indexes: list[np.ndarray] = []
-    removed_indexes: list[np.ndarray] = []
     for _ in range(params.max_queries):
         if active.size == 0:
             break
@@ -348,7 +342,6 @@ def run_clustering(
         if members.size < params.min_cluster_size:
             break
         p = np.add.reduce(centers[members], axis=0) / members.size  # the bits of np.mean
-        member_indexes.append(members.copy())
         direction = normalize(p)
         if params.mode == MODE_SANITIZED:
             sigma = dp.gaussian_sigma(dp.tight_sensitivity(int(members.size), params.rho), budget)
@@ -365,9 +358,8 @@ def run_clustering(
         np.minimum(cos_to_direction, 1.0, out=cos_to_direction)
         keep = np.arccos(cos_to_direction) > params.rho
         keep[seed_pos] = False
-        removed_indexes.append(active[~keep])
         active = active[keep]
 
     rows = np.array(released_rows, dtype=float).reshape(len(sizes), d)
     charged = len(sizes) if params.mode == MODE_SANITIZED else 0
-    return ClusteringReport(rows, sizes, charged, fidelities, member_indexes, removed_indexes)
+    return ClusteringReport(rows, sizes, charged, fidelities)

@@ -21,8 +21,8 @@ shapes a step is mostly NumPy dispatch, which this pays once per group
 instead of once per client. Each client's shuffle, reductions and bits are
 those of stepping it alone (losses states which reductions run per client
 and why). A group's stacked step arrays stay within _LOCKSTEP_BYTES, so a
-paper-shaped client, with 2 MB of centers, steps alone: stacking those
-buys no dispatch and costs memory and time.
+paper-shaped client, with thousands of centers at d = 512, steps alone:
+stacking those buys no dispatch and costs memory and time.
 
 Training follows the dtype of the client shards, which
 synth.generate_federation makes float32: the embedders, features, class
@@ -146,7 +146,9 @@ def embed(embedder: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     synth.verification_eval embeds its rows the same way, a block at a time.
     The norms are taken in blocks, so no temporary is as large as the features.
     """
-    feats = blas.matmul(np.asarray(inputs), embedder.T)
+    inputs = np.asarray(inputs)
+    with blas.small_product(inputs.shape[0], inputs.shape[1], embedder.shape[0]):
+        feats = inputs @ embedder.T
     feats /= checked_row_norms(feats)[:, None]
     return feats
 

@@ -89,10 +89,10 @@ def softmax_floor(dtype) -> float:
 
     That is -43.7 in float32 and -354 in float64. It keeps the softmax terms
     and the gradient products made from them normal numbers: at s = 64 the
-    float32 terms go subnormal, which makes exp, the divisions and sgemm
-    several times slower. Such a term is far below the rounding error of the
-    row's largest, which is 1. Shifted logits are at least -(2 + m) * s, so
-    in float64 the floor binds only for s above about 150.
+    float32 terms go subnormal, which slows exp, the divisions and sgemm.
+    Such a term is far below the rounding error of the row's largest, which
+    is 1. Shifted logits are at least -(2 + m) * s, so in float64 the floor
+    binds only for s above about 150.
     """
     return 0.5 * math.log(np.finfo(dtype).tiny)
 

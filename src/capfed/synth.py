@@ -7,8 +7,8 @@ something to resolve. Raw inputs live in a higher-dimensional space reached
 through a fixed random isometry, and the embedder has to undo it.
 
 The raw client shards are float32, the dtype the training
-path then follows (sgemm runs about twice as fast as dgemm, and the shards
-take half the memory): each is lifted in float64 and rounded once. The
+path then follows (sgemm is faster than dgemm, and the shards take half
+the memory): each is lifted in float64 and rounded once. The
 lift runs a block of block_rows(lift) rows at a time, written into the
 float32 shard, so no float64 temporary is as large as a shard. A ragged
 last block reaches back over the rows before it and keeps only its own, so

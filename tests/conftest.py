@@ -8,6 +8,7 @@ from capfed import dp
 from capfed.clustering import MODE_NOISE_FREE, ClusteringParams, run_clustering
 from capfed.geometry import normalize, normalize_rows
 from capfed.losses import GradientBundle, stacked_loss_gradients
+from dense_oracle import dense_run_clustering
 
 
 def planted_bundle(center: np.ndarray, count: int, max_angle: float, rng) -> np.ndarray:
@@ -51,6 +52,21 @@ class SwapMatch(NamedTuple):
     swapped_members: np.ndarray  # the cap's rows in x with the row swapped
 
 
+def noise_free_members(x: np.ndarray, params: ClusteringParams) -> list[np.ndarray]:
+    """Each noise-free query's members of x, taken from the dense oracle.
+
+    The report holds no members, the oracle does; its release count, sizes
+    and centers must first agree with run_clustering's bit for bit.
+    """
+    params = dataclasses.replace(params, mode=MODE_NOISE_FREE)
+    got = run_clustering(x, params, np.random.default_rng(0))
+    want, members, _ = dense_run_clustering(x, params, np.random.default_rng(0))
+    assert got.queries_used == want.queries_used
+    assert got.sizes == want.sizes
+    assert got.centers.tobytes() == want.centers.tobytes()
+    return members
+
+
 def swap_witness(x: np.ndarray, i: int, row: np.ndarray, params: ClusteringParams) -> list[SwapMatch]:
     """Compare the noise-free releases of x and of x with row i swapped for row, query by query.
 
@@ -63,12 +79,11 @@ def swap_witness(x: np.ndarray, i: int, row: np.ndarray, params: ClusteringParam
     """
     swapped = x.copy()
     swapped[i] = row
-    params = dataclasses.replace(params, mode=MODE_NOISE_FREE)
-    before = run_clustering(x, params, np.random.default_rng(0))
-    after = run_clustering(swapped, params, np.random.default_rng(0))
-    count_differs = len(before.sizes) != len(after.sizes)
+    before = noise_free_members(x, params)
+    after = noise_free_members(swapped, params)
+    count_differs = len(before) != len(after)
     matches = []
-    for members, other in zip(before.member_indexes, after.member_indexes):
+    for members, other in zip(before, after):
         move = x[members].mean(axis=0) - swapped[other].mean(axis=0)
         delta = max(dp.tight_sensitivity(int(m.size), params.rho) for m in (members, other))
         differs = count_differs or members.size != other.size  # sigma follows the size

@@ -20,11 +20,17 @@ from capfed.geometry import normalize
 
 
 def pairwise_angles(centers: np.ndarray) -> np.ndarray:
-    """n x n matrix of angles between rows; symmetric with a zero diagonal."""
+    """n x n matrix of angles between rows; symmetric, and 0 between identical rows.
+
+    A row and an identical copy of it are at angle 0, as they are to
+    `capfed.clustering`, though their rounded dot product may sit below 1.
+    """
     centers = np.asarray(centers, dtype=float)
     gram = np.clip(centers @ centers.T, -1.0, 1.0)
     theta = np.arccos(gram)
-    np.fill_diagonal(theta, 0.0)
+    _, copies = np.unique(centers, axis=0, return_inverse=True)
+    copies = copies.ravel()
+    theta[copies[:, None] == copies[None, :]] = 0.0  # the diagonal included
     return theta
 
 
@@ -58,8 +64,12 @@ def densest_cap(
 
 def dense_run_clustering(
     centers: np.ndarray, params: ClusteringParams, rng: np.random.Generator
-) -> ClusteringReport:
-    """`run_clustering` in sanitized or noise_free mode over the dense angle matrix."""
+) -> tuple[ClusteringReport, list[np.ndarray], list[np.ndarray]]:
+    """`run_clustering` in sanitized or noise_free mode over the dense angle matrix.
+
+    Returns the report with each query's members and the rows each query
+    removed from the active set, which the report does not hold.
+    """
     centers = np.asarray(centers, dtype=float)
     budget = params.budget
     theta = pairwise_angles(centers)
@@ -85,11 +95,10 @@ def dense_run_clustering(
         keep[active == seed] = False  # the seed is always removed
         removed_indexes.append(active[~keep])
         active = active[keep]
-    return ClusteringReport(
+    report = ClusteringReport(
         np.array(released_rows, dtype=float).reshape(len(sizes), centers.shape[1]),
         sizes,
         len(sizes) if params.mode == MODE_SANITIZED else 0,
         fidelities,
-        member_indexes,
-        removed_indexes,
     )
+    return report, member_indexes, removed_indexes

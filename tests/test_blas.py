@@ -8,7 +8,8 @@ over the threads.
 import numpy as np
 import pytest
 
-from capfed import blas
+from capfed import blas, federation
+from capfed.geometry import checked_row_norms
 
 
 def _get_threads():
@@ -37,13 +38,14 @@ def test_one_thread_restores_the_count_when_the_block_raises():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("rows", [7, 2000, 20000])
-def test_matmul_has_the_bits_of_the_operator(dtype, rows):
+def test_embed_has_the_bits_of_the_operator(dtype, rows):
     # 2000 rows is the verification eval's small product, which a @ b splits
     # over the OpenBLAS threads; 20000 rows is above _SMALL_PRODUCT.
     rng = np.random.default_rng(rows)
     x = rng.standard_normal((rows, 48)).astype(dtype)
     w = rng.standard_normal((32, 48)).astype(dtype)
-    assert np.array_equal(blas.matmul(x, w.T), x @ w.T)
+    feats = x @ w.T
+    assert np.array_equal(federation.embed(w, x), feats / checked_row_norms(feats)[:, None])
 
 
 def test_only_products_below_the_bound_run_on_one_thread(monkeypatch):
@@ -55,7 +57,7 @@ def test_only_products_below_the_bound_run_on_one_thread(monkeypatch):
 
     monkeypatch.setattr(blas, "one_thread", recording_one_thread)
     monkeypatch.setattr(blas, "_SMALL_PRODUCT", 2 * 3 * 4)
-    blas.matmul(np.ones((2, 3)), np.ones((3, 3)))
+    federation.embed(np.ones((3, 3)), np.ones((2, 3)))
     assert entered == [True]
-    blas.matmul(np.ones((2, 3)), np.ones((3, 4)))
+    federation.embed(np.ones((4, 3)), np.ones((2, 3)))
     assert entered == [True]

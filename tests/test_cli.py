@@ -137,6 +137,17 @@ class TestParseConfig:
             parse_config(str(path))
         assert "fed.rounds" in str(err.value)
 
+    def test_key_set_twice_names_both_lines(self, tmp_path, capsys):
+        # the later line would change the budget unannounced; a flag for the key does not hide it
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(SIM_CONFIG + "dp.epsilon = 1.0\n# a later edit\ndp.epsilon = 8.0\n")
+        twice = r"twice\.cfg: dp\.epsilon is set twice, on lines 11 and 13$"
+        with pytest.raises(ValidationError, match=twice):
+            parse_config(str(cfg), {"dp.epsilon": "2.0"})
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 2
+        assert "dp.epsilon is set twice" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_far_target_list(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("eval.far_targets = 0.01,0.001\n")
@@ -795,7 +806,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(synth, "generate_federation", generate)
         cfg = tmp_path / "one.cfg"
-        cfg.write_text(SIM_CONFIG + "synth.clients = 1\nfed.rounds = 1\n")
+        one_client = SIM_CONFIG.replace("synth.clients = 2", "synth.clients = 1")
+        cfg.write_text(one_client + "fed.rounds = 1\n")
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 2
         assert "validation error: synth.clients: " in capsys.readouterr().err
         assert not (tmp_path / "run").exists()

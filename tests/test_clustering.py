@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import struct
 import time
@@ -136,8 +137,9 @@ class TestRunClustering:
     def test_sanitized_centers_are_unit_and_noised(self):
         rng = np.random.default_rng(6)
         w = sample_uniform_directions(300, 8, rng)
-        report = run_clustering(w, params(min_cluster_size=20, max_queries=2), rng)
-        for center, members in zip(report.centers, report.member_indexes):
+        p = params(min_cluster_size=20, max_queries=2)
+        report, member_indexes, _ = _assert_same_as_dense(w, p, 6)
+        for center, members in zip(report.centers, member_indexes, strict=True):
             assert np.linalg.norm(center) == pytest.approx(1.0, abs=1e-12)
             raw_direction = normalize(w[members].mean(axis=0))
             assert not np.array_equal(center, raw_direction)
@@ -147,9 +149,11 @@ class TestRunClustering:
         # out here: the weak bound, or any other |S|, draws other bits
         w = sample_uniform_directions(300, 8, np.random.default_rng(6))
         rng, ref = np.random.default_rng(15), np.random.default_rng(15)
-        report = run_clustering(w, params(min_cluster_size=20, max_queries=3), rng)
+        p = params(min_cluster_size=20, max_queries=3)
+        report = run_clustering(w, p, rng)
+        _, member_indexes, _ = _assert_same_as_dense(w, p, 15)
         assert len(set(report.sizes)) == 3
-        for center, members in zip(report.centers, report.member_indexes):
+        for center, members in zip(report.centers, member_indexes, strict=True):
             size = members.size
             sigma = math.sqrt(2.0 - 2.0 * math.cos(2.0 * 1.3)) / size / 1.0 * math.sqrt(
                 2.0 * math.log(1.25 / 5e-5)
@@ -173,12 +177,11 @@ class TestRunClustering:
     def test_removed_sets_disjoint_and_never_recovered(self):
         rng = np.random.default_rng(9)
         w = sample_uniform_directions(400, 6, rng)
-        report = run_clustering(
-            w, params(rho=0.9, min_cluster_size=2, max_queries=8, mode=MODE_NOISE_FREE), rng
-        )
+        p = params(rho=0.9, min_cluster_size=2, max_queries=8, mode=MODE_NOISE_FREE)
+        report, member_indexes, removed_indexes = _assert_same_as_dense(w, p, 0)
         assert report.queries_used >= 3
         seen: set[int] = set()
-        for removed, members in zip(report.removed_indexes, report.member_indexes):
+        for removed, members in zip(removed_indexes, member_indexes, strict=True):
             removed_set = set(int(i) for i in removed)
             assert not (removed_set & seen)
             assert not (set(int(i) for i in members) & seen)
@@ -187,13 +190,12 @@ class TestRunClustering:
     def test_raw_center_norm_bounds(self):
         rng = np.random.default_rng(10)
         w = sample_uniform_directions(500, 8, rng)
-        report = run_clustering(
-            w, params(rho=1.2, min_cluster_size=2, max_queries=6, mode=MODE_NOISE_FREE), rng
-        )
-        assert report.member_indexes
-        for members in report.member_indexes:
-            p = w[members].mean(axis=0)
-            assert math.cos(1.2) < np.linalg.norm(p) <= 1.0 + 1e-12
+        p = params(rho=1.2, min_cluster_size=2, max_queries=6, mode=MODE_NOISE_FREE)
+        _, member_indexes, _ = _assert_same_as_dense(w, p, 0)
+        assert member_indexes
+        for members in member_indexes:
+            mean = w[members].mean(axis=0)
+            assert math.cos(1.2) < np.linalg.norm(mean) <= 1.0 + 1e-12
 
     def test_sizes_meet_threshold(self):
         rng = np.random.default_rng(11)
@@ -439,18 +441,24 @@ def _near_band(n, d, rho, rng):
 
 
 def _assert_same_as_dense(w, p, seed):
+    """Assert every field of run_clustering's report is the dense oracle's, bit for bit.
+
+    Returns the report with the oracle's member and removed index lists.
+    """
     got = run_clustering(w, p, np.random.default_rng(seed))
-    want = dense_run_clustering(w, p, np.random.default_rng(seed))
+    want, member_indexes, removed_indexes = dense_run_clustering(w, p, np.random.default_rng(seed))
     assert got.queries_used == want.queries_used
     assert got.charged == want.charged
     assert got.fidelities == want.fidelities
-    for ours, theirs in zip(got.member_indexes, want.member_indexes, strict=True):
-        np.testing.assert_array_equal(ours, theirs)
-    for ours, theirs in zip(got.removed_indexes, want.removed_indexes, strict=True):
-        np.testing.assert_array_equal(ours, theirs)
     assert got.centers.tobytes() == want.centers.tobytes()
     assert got.centers.shape == want.centers.shape
     assert got.sizes == want.sizes
+    return got, member_indexes, removed_indexes
+
+
+def test_report_holds_only_the_release_fields():
+    names = [f.name for f in dataclasses.fields(clustering.ClusteringReport)]
+    assert names == ["centers", "sizes", "charged", "fidelities"]
 
 
 # Just above the rhos ClusteringParams rejects (cos(rho) == 1) and below
@@ -474,7 +482,7 @@ class TestNeighbourEdgeCases:
         recount = clustering._count_within(w, w.astype(np.float32), rows, np.arange(90), TINY_RHO)
         np.testing.assert_array_equal(recount, 3)
         p = params(rho=TINY_RHO, min_cluster_size=1, max_queries=1, mode=MODE_NOISE_FREE)
-        (members,) = run_clustering(w, p, rng).member_indexes
+        _, (members,), _ = _assert_same_as_dense(w, p, 0)
         np.testing.assert_array_equal(members, np.flatnonzero(np.all(w == w[0], axis=1)))
 
     def test_every_row_counts_itself_at_tiny_rho(self, monkeypatch):
@@ -487,7 +495,8 @@ class TestNeighbourEdgeCases:
         recount = clustering._count_within(w, w.astype(np.float32), np.arange(40), np.arange(40), TINY_RHO)
         np.testing.assert_array_equal(recount, 1)
         p = params(rho=TINY_RHO, min_cluster_size=1, max_queries=1, mode=MODE_NOISE_FREE)
-        assert [m.tolist() for m in run_clustering(w, p, rng).member_indexes] == [[0]]
+        _, member_indexes, _ = _assert_same_as_dense(w, p, 0)
+        assert [m.tolist() for m in member_indexes] == [[0]]
 
     @pytest.mark.parametrize("mode", [MODE_NOISE_FREE, MODE_SANITIZED])
     def test_released_seed_is_never_released_again_at_tiny_rho(self, mode):
@@ -497,9 +506,9 @@ class TestNeighbourEdgeCases:
         p = params(rho=TINY_RHO, min_cluster_size=1, max_queries=5, mode=mode)
         for draw in range(200):
             w = sample_uniform_directions(5, 64, rng)
-            report = run_clustering(w, p, np.random.default_rng(draw))
+            report, member_indexes, _ = _assert_same_as_dense(w, p, draw)
             assert report.queries_used == 5
-            assert sorted(m.tolist() for m in report.member_indexes) == [[i] for i in range(5)]
+            assert sorted(m.tolist() for m in member_indexes) == [[i] for i in range(5)]
 
     def test_tie_across_block_boundary_goes_to_lowest_index(self, monkeypatch):
         monkeypatch.setattr(clustering, "_BLOCK_COSINES", 97)
@@ -510,16 +519,16 @@ class TestNeighbourEdgeCases:
         w[late] = planted_bundle(axes[0], 4, 0.01, rng)
         w[early] = planted_bundle(axes[1], 4, 0.01, rng)
         p = params(rho=0.05, min_cluster_size=4, max_queries=3, mode=MODE_NOISE_FREE)
-        report = run_clustering(w, p, rng)
-        assert [m.tolist() for m in report.member_indexes] == [early, late]
+        _, member_indexes, _ = _assert_same_as_dense(w, p, 0)
+        assert [m.tolist() for m in member_indexes] == [early, late]
 
     def test_release_that_removes_every_row_ends_the_loop(self):
         rng = np.random.default_rng(23)
         w = planted_bundle(np.ones(8), 50, 0.2, rng)
         p = params(rho=1.0, min_cluster_size=1, max_queries=3, mode=MODE_NOISE_FREE)
-        report = run_clustering(w, p, rng)
+        report, _, removed_indexes = _assert_same_as_dense(w, p, 0)
         assert report.queries_used == 1
-        np.testing.assert_array_equal(report.removed_indexes[0], np.arange(50))
+        np.testing.assert_array_equal(removed_indexes[0], np.arange(50))
 
 
 def _circle(groups):
@@ -555,13 +564,12 @@ class TestLazyBounds:
         w = _circle([(0.5, 1), (2.0, 10), (0.75, 8)] + self.RELEASED_FIRST)
         recounted = _count_recounts(monkeypatch)
         p = params(rho=0.3, min_cluster_size=1, max_queries=4, mode=mode)
-        _assert_same_as_dense(w, p, 0)
-        report = run_clustering(w, p, np.random.default_rng(0))
-        assert [m.tolist() for m in report.member_indexes] == [
+        _, member_indexes, _ = _assert_same_as_dense(w, p, 0)
+        assert [m.tolist() for m in member_indexes] == [
             [0] + list(range(19, 54)), list(range(1, 11)), [0] + list(range(11, 19))
         ]
-        # one pass per run, over the rows whose bound exceeds 9: the ten at 2.0
-        assert recounted == [list(range(1, 11))] * 2
+        # one pass, over the rows whose bound exceeds 9: the ten at 2.0
+        assert recounted == [list(range(1, 11))]
 
     def test_tie_after_a_recount_goes_to_the_lowest_index(self, monkeypatch):
         # the stale top (the row at 0.5, now last) falls to 9, and the 9 rows at 2.0 and the 8
@@ -569,12 +577,11 @@ class TestLazyBounds:
         w = _circle([(2.0, 9), (0.75, 8)] + self.RELEASED_FIRST + [(0.5, 1)])
         recounted = _count_recounts(monkeypatch)
         p = params(rho=0.3, min_cluster_size=1, max_queries=4, mode=MODE_NOISE_FREE)
-        _assert_same_as_dense(w, p, 0)
-        report = run_clustering(w, p, np.random.default_rng(0))
-        assert [m.tolist() for m in report.member_indexes] == [
+        _, member_indexes, _ = _assert_same_as_dense(w, p, 0)
+        assert [m.tolist() for m in member_indexes] == [
             list(range(17, 53)), list(range(9)), list(range(9, 17)) + [52]
         ]
-        assert recounted == [list(range(17))] * 2
+        assert recounted == [list(range(17))]
 
     def test_caps_farther_apart_than_rho_take_no_recount(self, monkeypatch):
         # each release removes one whole cap and touches no other row's count, so every top
@@ -587,8 +594,8 @@ class TestLazyBounds:
         )[rng.permutation(365)]
         recounted = _count_recounts(monkeypatch)
         p = params(rho=0.5, min_cluster_size=15, max_queries=8)
-        _assert_same_as_dense(w, p, 0)
-        assert run_clustering(w, p, np.random.default_rng(0)).sizes == [40, 35, 30, 25, 20, 15]
+        report, _, _ = _assert_same_as_dense(w, p, 0)
+        assert report.sizes == [40, 35, 30, 25, 20, 15]
         assert recounted == []
 
     @pytest.mark.parametrize("mode", [MODE_SANITIZED, MODE_NOISE_FREE])
@@ -601,10 +608,9 @@ class TestLazyBounds:
         for seed in range(4):
             w = sample_uniform_directions(60, d, np.random.default_rng([28, d, seed]))
             p = params(rho=1.0, min_cluster_size=1, max_queries=60, mode=mode)
-            _assert_same_as_dense(w, p, seed)
-            later += run_clustering(w, p, np.random.default_rng(seed)).queries_used - 1
-        passes = len(recounted) // 2  # each run twice: against the oracle and here
-        assert 2 * passes > later
+            report, _, _ = _assert_same_as_dense(w, p, seed)
+            later += report.queries_used - 1
+        assert 2 * len(recounted) > later
 
 
 class TestUngatheredRemoval:
@@ -640,14 +646,12 @@ class TestUngatheredRemoval:
 
         monkeypatch.setattr(clustering, "_near_cos_rho", recording)
         p = params(rho=rho, min_cluster_size=1, max_queries=3, mode=mode)
-        report = run_clustering(w, p, np.random.default_rng(1))
+        report, member_indexes, removed_indexes = _assert_same_as_dense(w, p, 1)
         assert near[0]  # the first query takes the fallback
-        np.testing.assert_array_equal(report.member_indexes[0], np.arange(40))
-        removed = report.removed_indexes[0]
-        assert 40 < removed.size < 60  # the probes fall on both sides of rho
+        np.testing.assert_array_equal(member_indexes[0], np.arange(40))
+        assert 40 < removed_indexes[0].size < 60  # the probes fall on both sides of rho
         if mode == MODE_NOISE_FREE:
             assert report.centers[0].tobytes() == direction.tobytes()
-        _assert_same_as_dense(w, p, 1)
 
     @pytest.mark.parametrize("d", [16, 512])
     def test_ungathered_decisions_equal_the_gathered_ones(self, d):
@@ -732,14 +736,12 @@ def test_band_recheck_memory_is_bounded_when_every_pair_is_in_the_band():
     p = params(rho=rho, min_cluster_size=1, max_queries=2, mode=MODE_NOISE_FREE)
     tracemalloc.start()
     try:
-        got = run_clustering(w, p, np.random.default_rng(0))
+        run_clustering(w, p, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20  # gathering every in-band pair at once peaked at 622 MiB
-    want = dense_run_clustering(w, p, np.random.default_rng(0))
-    for ours, theirs in zip(got.member_indexes, want.member_indexes, strict=True):
-        np.testing.assert_array_equal(ours, theirs)
+    _assert_same_as_dense(w, p, 0)
 
 
 @pytest.mark.parametrize("block", [97, 5000, clustering._BLOCK_COSINES])
